@@ -25,7 +25,7 @@ from .linstab import (
     classify_x2,
     g_of_r,
     char_root_newton,
-    rightmost_root_estimate,
+    rightmost_root,
 )
 from .hopf import (
     HopfPoint,

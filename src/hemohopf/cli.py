@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -35,6 +36,9 @@ COMMANDS = (
 
 _ALLOWED_KEYS = ("beta0", "n", "delta", "gamma", "k", "r")
 _REQUIRED_KEYS = ("beta0", "n", "delta")
+# argparse reads a token such as "-1e-3" as an option unless it matches
+# this pattern; its default admits only plain decimals like "-0.001".
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 @dataclass
@@ -209,9 +213,8 @@ def _cmd_stability(cfg: RunConfig, out) -> int:
                 except ParameterError:
                     g_val = math.nan
                 triple = linstab.characteristic_triple(local, "x2")
-                window = abs(triple.p) + abs(triple.q) + 2.0
                 try:
-                    re_right = linstab.rightmost_root_estimate(triple, window).real
+                    re_right = linstab.rightmost_root(triple).real
                 except NumericsError:
                     re_right = math.nan
             else:
@@ -435,6 +438,7 @@ def _build_argparser() -> argparse.ArgumentParser:
         p.add_argument("--delta-r", type=float, default=2e-3)
         p.add_argument("--r-grid", type=float, nargs=3, default=None,
                        metavar=("START", "STOP", "COUNT"))
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -462,6 +466,8 @@ def _merge(args) -> RunConfig:
     r_grid = None
     if args.r_grid is not None:
         start, stop, count = args.r_grid
+        if not (count.is_integer() and count >= 1):
+            raise ConfigError(f"--r-grid COUNT must be a positive integer, got {count}")
         r_grid = (start, stop, int(count))
     return RunConfig(
         command=args.command,

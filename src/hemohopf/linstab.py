@@ -46,11 +46,14 @@ __all__ = [
     "classify_x2",
     "g_of_r",
     "char_root_newton",
-    "rightmost_root_estimate",
+    "rightmost_root",
 ]
 
 #: Absolute tolerance for boundary predicates (p = 0, A = 1, g = 0, r|p| = 1).
 BOUNDARY_TOL = 1e-9
+
+#: Largest relative characteristic residual `rightmost_root` certifies.
+ROOT_RESIDUAL_TOL = 1e-10
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -402,41 +405,78 @@ def char_root_newton(
     )
 
 
-def rightmost_root_estimate(
-    triple: CharacteristicTriple, window: float
-) -> complex:
-    """Heuristic rightmost characteristic root from a grid of Newton starts.
+def _lambert_w0(log_abs_z: float, negative: bool) -> complex:
+    """Principal branch W_0(z) of the Lambert W function at the real
+    z = -exp(log_abs_z) if `negative`, else z = exp(log_abs_z).
 
-    Launches the polisher from real parts spanning [-window, window] and
-    imaginary parts spanning [0, 4 pi / r], deduplicates the converged
-    roots, and returns the one with the largest real part (ties broken by
-    the larger imaginary part).  Roots come in conjugate pairs and are
-    reported with nonnegative imaginary part.  This is a test oracle, not
-    a certified root counter.
+    Works from log z, so z itself may lie far outside the float range.
+    Halley iteration on w + log w = log z: with the principal logarithm,
+    W_0(z) is the only solution of that equation.  The result is not
+    checked here; `rightmost_root` certifies it.
     """
-    r = triple.r
+    if log_abs_z < -40.0:
+        # W_0(z) = z (1 - z + ...) equals z to double precision
+        z = math.exp(log_abs_z)
+        return complex(-z if negative else z)
+    log_z = complex(log_abs_z, math.pi if negative else 0.0)
+    if log_abs_z >= 1.0:
+        # asymptotic expansion L1 - L2 + L2 / L1
+        l2 = cmath.log(log_z)
+        w = log_z - l2 + l2 / log_z
+    elif negative and log_abs_z >= -1.5:
+        # series around the branch point z = -1/e; s is imaginary below it,
+        # which starts the iteration off the real axis
+        s = cmath.sqrt(2.0 * (1.0 - math.exp(log_abs_z + 1.0)))
+        w = -1.0 + s * (1.0 + s * (-1.0 / 3.0 + s * 11.0 / 72.0))
+    else:
+        # -0.22 < z < e: W_0 is real here, and log1p(z) is a close real start
+        z = math.exp(log_abs_z)
+        w = complex(math.log1p(-z if negative else z))
+    for _ in range(30):
+        if w == -1.0:  # the branch point itself, where f' vanishes
+            break
+        f = w + cmath.log(w) - log_z
+        newton = f * w / (w + 1.0)
+        step = newton / (1.0 + newton / (2.0 * w * (w + 1.0)))
+        w -= step
+        if abs(step) <= 1e-12 * abs(w):  # cubic: the error left is far smaller
+            break
+    return w
+
+
+def rightmost_root(triple: CharacteristicTriple) -> complex:
+    """Rightmost root of ``lam + p = q exp(-lam r)``, from its closed form.
+
+    With w = (lam + p) r the equation reads w exp(w) = z, z = q r exp(p r),
+    so the roots are lam_k = -p + W_k(z) / r.  For real p, q the principal
+    branch W_0 gives the rightmost root (Shinozaki & Mori, Automatica 42
+    (2006) 1791).  Roots come in conjugate pairs; W_0 of a real argument
+    lies in the closed upper half-plane, so the root returned is the one
+    with nonnegative imaginary part.
+
+    The result is certified: `ConvergenceError` is raised unless the
+    relative residual |lam + p - q exp(-lam r)| / (|lam| + |p| + |q|) is
+    at most `ROOT_RESIDUAL_TOL`.
+    """
+    p, q, r = triple.p, triple.q, triple.r
     if r <= 0.0:
-        raise DomainError(f"root scan requires r > 0, got r={r}")
-    mus = [window * (i / 4.0 - 1.0) for i in range(9)]
-    n_om = 33
-    oms = [4.0 * math.pi / r * j / (n_om - 1) for j in range(n_om)]
-    roots: list[complex] = []
-    for mu in mus:
-        for om in oms:
-            try:
-                root = char_root_newton(complex(mu, om), triple)
-            except ConvergenceError:
-                continue
-            if root.imag < 0.0:
-                root = root.conjugate()
-            for known in roots:
-                if abs(root - known) < 1e-8:
-                    break
-            else:
-                roots.append(root)
-    if not roots:
-        raise ConvergenceError("no characteristic root found from the start grid")
-    return max(roots, key=lambda z: (z.real, z.imag))
+        raise DomainError(f"rightmost root requires r > 0, got r={r}")
+    if q == 0.0:
+        return complex(-p, 0.0)
+    w = _lambert_w0(math.log(abs(q)) + math.log(r) + p * r, q < 0.0)
+    lam = -p + w / r
+    try:
+        residual = abs(char_value(lam, triple))
+    except OverflowError:
+        residual = math.inf
+    relative = residual / (abs(lam) + abs(p) + abs(q))
+    if not relative <= ROOT_RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"rightmost root has relative residual {relative:.3e} "
+            f"> {ROOT_RESIDUAL_TOL:g}",
+            last_iterate=lam,
+        )
+    return lam
 
 
 def bracketed_root(func, a: float, b: float, f_tol: float, x_tol: float = 1e-15):

@@ -292,12 +292,12 @@ def test_criterion_9_property_suites(ref_hopf, ref_params):
          f"worst {agreement:.3e}")
     )
 
-    # classifier versus rightmost-root oracle on 50 non-boundary draws
+    # classifier versus the exact rightmost root on 1000 non-boundary draws
     rng = np.random.default_rng(7121)
     agree = True
-    detail = "50 draws agree"
+    detail = "1000 draws agree"
     count = 0
-    while count < 50:
+    while count < 1000:
         p = draw_valid_params(rng)
         t = linstab.characteristic_triple(p, "x2")
         b1 = t.q / p.k
@@ -316,13 +316,15 @@ def test_criterion_9_property_suites(ref_hopf, ref_params):
         if min(margins) < 1e-6:
             continue
         verdict = linstab.classify_x2(p)
-        root = linstab.rightmost_root_estimate(t, window=abs(t.p) + abs(t.q) + 2.0)
+        root = linstab.rightmost_root(t)
         if (root.real < 0) != (verdict.status == linstab.STABLE):
             agree = False
             detail = f"disagreement at {p}"
             break
         count += 1
-    checks.append(("classifier agrees with root oracle on 50 draws", agree, detail))
+    checks.append(
+        ("classifier agrees with the exact rightmost root on 1000 draws", agree, detail)
+    )
 
     # integrator step-halving contraction
     params = ref_params.with_r(0.36)

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import pytest
 
@@ -123,6 +124,56 @@ def test_stability_grid_csv(config_path, tmp_path, capsys):
     assert rows[3][1:3] == ["I.A", "unstable"]
     assert float(rows[1][3]) > 0.0 > float(rows[3][3])
     assert float(rows[1][4]) < 0.0 < float(rows[3][4])
+
+
+def test_stability_grid_at_long_delays(tmp_path, capsys):
+    # delays up to about 345 (r |p| up to 376): every row still gets a finite root
+    path = tmp_path / "long.cfg"
+    path.write_text(
+        "beta0 = 2.996718704659257\nn = 7.121855721391416\n"
+        "delta = 0.0768234107230019\ngamma = 0.0019191054501808895\n"
+        "r = 1.3716195251882326\n"
+    )
+    out_csv = tmp_path / "stab.csv"
+    code = cli.main(
+        ["stability", str(path), "--r-grid", "3.445470927120269",
+         "344.5470927120269", "100", "--output", str(out_csv)]
+    )
+    assert code == 0
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 100
+    assert all(math.isfinite(float(row[4])) for row in rows)
+
+
+@pytest.mark.parametrize("count", ["2.5", "0", "-2"])
+def test_stability_grid_count_must_be_positive_integer(config_path, tmp_path, capsys,
+                                                       count):
+    out_csv = tmp_path / "stab.csv"
+    code = cli.main(
+        ["stability", config_path, "--r-grid", "0.34", "0.37", count,
+         "--output", str(out_csv)]
+    )
+    assert code == 2
+    assert "COUNT" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command, spaced, joined", [
+    ("scaling", ["--delta-r", "-2e-3"], ["--delta-r=-2e-3"]),
+    ("simulate", ["--r", "-1e-3"], ["--r=-1e-3"]),
+    ("hopf", ["--bracket", "-1e-3", "0.5"], None),
+    ("stability", ["--r-grid", "-1e-3", "0.5", "3"], None),
+])
+def test_negative_flag_values_parse(config_path, tmp_path, capsys, command, spaced,
+                                    joined):
+    common = ["--t-end", "120", "--output", str(tmp_path / "out.csv")]
+    code = cli.main([command, config_path, *spaced, *common])
+    assert "expected" not in capsys.readouterr().err  # no argparse complaint
+    if joined is None:
+        assert code == 2  # the program itself rejects the negative value
+    else:
+        assert code == cli.main([command, config_path, *joined, *common])
 
 
 def test_simulate_writes_cycle_csv(config_path, tmp_path, capsys):

@@ -159,7 +159,7 @@ def test_linearized_decay_rate_matches_rightmost_root(ref_params):
     heights = np.array([b for _, b in peaks])
     slope = np.polyfit(times, np.log(heights), 1)[0]
     triple = linstab.characteristic_triple(params, "x2")
-    rightmost = linstab.rightmost_root_estimate(triple, window=8.0)
+    rightmost = linstab.rightmost_root(triple)
     assert abs(slope - rightmost.real) < 0.1 * abs(rightmost.real)
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import refvals as rv
 from hemohopf import linstab, model
-from hemohopf.errors import BracketError, DomainError
+from hemohopf.errors import BracketError, ConvergenceError, DomainError
 from test_model import draw_valid_params
 
 
@@ -264,31 +265,51 @@ def test_newton_rejects_non_finite_guess():
 
 def test_rightmost_root_on_crossing(ref_params, ref_hopf):
     t = ref_hopf.triple
-    root = linstab.rightmost_root_estimate(t, window=8.0)
-    assert abs(root.real) < 1e-8
-    assert abs(root.imag - rv.OMEGA_REF) < 1e-6
+    root = linstab.rightmost_root(t)
+    assert abs(root.real) < 1e-10
+    assert abs(root.imag - rv.OMEGA_REF) < 1e-10
 
 
 def test_rightmost_root_tracks_stability(ref_params):
     for r, expected in ((0.35, rv.ROOT_035), (0.36, rv.ROOT_036)):
         t = linstab.characteristic_triple(ref_params.with_r(r), "x2")
-        root = linstab.rightmost_root_estimate(t, window=8.0)
-        assert abs(root - expected) < 1e-6
+        root = linstab.rightmost_root(t)
+        assert abs(root - expected) < 1e-10
         status = linstab.classify_x2(ref_params.with_r(r)).status
         assert (root.real < 0) == (status == linstab.STABLE)
 
 
-def test_classifier_agrees_with_root_oracle():
-    """Sign of the rightmost root matches the case classification on a
-    randomized sweep, away from marginal boundaries."""
-    rng = np.random.default_rng(7121)
-    checked = 0
-    statuses = set()
-    while checked < 50:
+def test_rightmost_root_special_cases():
+    # q = 0: the equation is lam + p = 0
+    assert linstab.rightmost_root(linstab.CharacteristicTriple(1.5, 0.0, 2.0)) == -1.5
+    # p = q: lam = 0 is a root, and z = q r e^{q r} = -1/e makes it the double
+    # root at the branch point when q r = -1
+    root = linstab.rightmost_root(linstab.CharacteristicTriple(-0.5, -0.5, 2.0))
+    assert abs(root) < 1e-7
+    # q r = -pi/2 with p = 0: the pure-imaginary pair +-i pi / (2 r)
+    root = linstab.rightmost_root(linstab.CharacteristicTriple(0.0, -math.pi / 1.4, 0.7))
+    assert abs(root - 1j * math.pi / 1.4) < 1e-12
+    with pytest.raises(DomainError):
+        linstab.rightmost_root(linstab.CharacteristicTriple(1.0, 1.0, 0.0))
+
+
+def test_rightmost_root_refuses_an_uncertified_result():
+    # p r overflows; or the root is finite but exp(-lam r) in the residual
+    # overflows (q is the smallest subnormal): neither can be certified
+    for p, q, r in ((1e300, -1.0, 1e10), (745.4, 5e-324, 1.0)):
+        with pytest.raises(ConvergenceError):
+            linstab.rightmost_root(linstab.CharacteristicTriple(p, q, r))
+
+
+def _non_boundary_draws(count, seed=7121):
+    """Random x2 triples and verdicts kept at least 1e-6 from every
+    boundary locus of the case classification."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
         p = draw_valid_params(rng)
         t = linstab.characteristic_triple(p, "x2")
         b1 = t.q / p.k
-        # skip parameter sets within 1e-6 of any boundary locus
         margins = [abs(b1), abs(t.p), abs(abs(t.p) - abs(t.q)), abs(t.r * abs(t.p) - 1.0)]
         if b1 < 0 and t.p < 0 and t.r * abs(t.p) < 1.0 and abs(t.p) < abs(t.q):
             margins.append(abs(linstab.omega0(t) * t.r - math.acos(t.p / t.q)))
@@ -296,15 +317,47 @@ def test_classifier_agrees_with_root_oracle():
             margins.append(abs(linstab.omega0(t) * t.r - math.acos(max(t.p / t.q, -1.0))))
         if min(margins) < 1e-6:
             continue
-        verdict = linstab.classify_x2(p)
-        root = linstab.rightmost_root_estimate(t, window=abs(t.p) + abs(t.q) + 2.0)
+        draws.append((p, t, linstab.classify_x2(p)))
+    return draws
+
+
+def test_classifier_agrees_with_root_oracle():
+    """Sign of the rightmost root matches the case classification on a
+    randomized sweep, away from marginal boundaries."""
+    statuses = set()
+    for p, t, verdict in _non_boundary_draws(1000):
+        root = linstab.rightmost_root(t)
         assert verdict.status in (linstab.STABLE, linstab.UNSTABLE)
         assert (root.real < 0) == (verdict.status == linstab.STABLE), (
             f"params={p} verdict={verdict} root={root}"
         )
         statuses.add((verdict.case_label, verdict.status))
-        checked += 1
-    assert len(statuses) >= 2  # the sweep exercises more than one regime
+    assert len(statuses) >= 3  # the sweep exercises several regimes
+
+
+def test_rightmost_root_matches_scipy_lambertw():
+    special = pytest.importorskip("scipy.special")
+    triples = [t for _, t, _ in _non_boundary_draws(1000)]
+    # the three starting-guess regions of the W_0 iteration, each sign of z
+    for z in (-0.87, -0.5, -0.3, -0.05, -1e-12, -1e-20, 1e-20, 1e-12, 0.3, 1.0, 2.5,
+              40.0, -40.0):
+        triples.append(linstab.CharacteristicTriple(p=0.0, q=z / 1.3, r=1.3))
+    for p, q, r in ((3.0, -2.0, 250.0), (3.0, 2.0, 250.0), (-3.0, -2.0, 250.0)):
+        triples.append(linstab.CharacteristicTriple(p, q, r))
+    for t in triples:
+        root = linstab.rightmost_root(t)
+        if t.p * t.r > 700.0:
+            # z overflows a float; W_0(z) solves w + log w = log z instead
+            w = (root + t.p) * t.r
+            log_z = complex(math.log(abs(t.q) * t.r) + t.p * t.r, math.pi * (t.q < 0))
+            assert abs(w + cmath.log(w) - log_z) < 1e-12 * abs(log_z)
+            assert abs(linstab.char_value(root, t)) < 1e-10 * (abs(root) + abs(t.p) + abs(t.q))
+            continue
+        z = t.q * t.r * math.exp(t.p * t.r)
+        expected = -t.p + complex(special.lambertw(z, 0)) / t.r
+        if expected.imag < 0.0:
+            expected = expected.conjugate()
+        assert abs(root - expected) <= 1e-12 * max(abs(expected), abs(t.p), abs(t.q)), t
 
 
 # ------------------------------------------------------------ bracketed root
