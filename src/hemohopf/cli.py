@@ -39,6 +39,9 @@ _REQUIRED_KEYS = ("beta0", "n", "delta")
 # argparse reads a token such as "-1e-3" as an option unless it matches
 # this pattern; its default admits only plain decimals like "-0.001".
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+#: Largest --r-grid COUNT accepted; a stability chart this size takes about
+#: 5 s on a 2-vCPU Xeon.
+MAX_GRID_POINTS = 100_000
 
 
 @dataclass
@@ -271,9 +274,27 @@ def _locate_hopf(cfg: RunConfig) -> hopf.HopfPoint:
 
 
 def _cmd_hopf(cfg: RunConfig, out) -> int:
+    # Both routes run before anything is printed, so a failing cross-check
+    # leaves no half report on stdout.
     hp = _locate_hopf(cfg)
     resid = abs(linstab.char_value(1j * hp.omega_star, hp.triple))
-    route = "strategy" if cfg.k is not None else "boundary-root"
+    if cfg.k is not None:
+        # cross-check with the boundary-root route at the recovered gamma
+        route = "strategy"
+        bracket = cfg.bracket
+        if bracket is None:
+            r_max = model.equilibria(hp.params).r_max
+            bracket = (0.9 * hp.r_star, min(1.1 * hp.r_star, 0.999 * r_max))
+        hp2 = hopf.find_hopf_r(hp.params, bracket)
+        g_res = abs(linstab.g_of_r(hp2.r_star, hp2.params))
+        route2 = f"boundary-root route (bracket {bracket[0]:.6g}..{bracket[1]:.6g}):"
+    else:
+        # cross-check with the strategy route at the located point's k
+        route = "boundary-root"
+        hp2 = hopf.hopf_from_pqk(cfg.n, cfg.beta0, cfg.delta, hp.params.k)
+        g_res = abs(linstab.g_of_r(hp2.r_star, hp.params))
+        route2 = "strategy route (at the located k):"
+
     print(f"{route} route:", file=out)
     print(f"  r*     = {_fmt(hp.r_star)}", file=out)
     print(f"  omega* = {_fmt(hp.omega_star)}", file=out)
@@ -281,22 +302,7 @@ def _cmd_hopf(cfg: RunConfig, out) -> int:
     print(f"  p* = {_fmt(hp.p_star)}   q* = {_fmt(hp.q_star)}   "
           f"x2* = {_fmt(hp.x2_star)}", file=out)
     print(f"  characteristic residual = {resid:.3e}", file=out)
-
-    if cfg.k is not None:
-        # cross-check with the boundary-root route at the recovered gamma
-        bracket = cfg.bracket
-        if bracket is None:
-            r_max = model.equilibria(hp.params).r_max
-            bracket = (0.9 * hp.r_star, min(1.1 * hp.r_star, 0.999 * r_max))
-        hp2 = hopf.find_hopf_r(hp.params, bracket)
-        g_res = abs(linstab.g_of_r(hp2.r_star, hp2.params))
-        print(f"boundary-root route (bracket {bracket[0]:.6g}..{bracket[1]:.6g}):",
-              file=out)
-    else:
-        # cross-check with the strategy route at the located point's k
-        hp2 = hopf.hopf_from_pqk(cfg.n, cfg.beta0, cfg.delta, hp.params.k)
-        g_res = abs(linstab.g_of_r(hp2.r_star, hp.params))
-        print("strategy route (at the located k):", file=out)
+    print(route2, file=out)
     print(f"  r*     = {_fmt(hp2.r_star)}", file=out)
     print(f"  omega* = {_fmt(hp2.omega_star)}", file=out)
     print(f"  g residual = {g_res:.3e}", file=out)
@@ -468,6 +474,9 @@ def _merge(args) -> RunConfig:
         start, stop, count = args.r_grid
         if not (count.is_integer() and count >= 1):
             raise ConfigError(f"--r-grid COUNT must be a positive integer, got {count}")
+        if count > MAX_GRID_POINTS:
+            raise ConfigError(f"--r-grid COUNT {count:.6g} exceeds "
+                              f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
         r_grid = (start, stop, int(count))
     return RunConfig(
         command=args.command,

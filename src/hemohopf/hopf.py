@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-import numpy as np
-
 from .errors import (
     BracketError,
     DegenerateCrossingError,
@@ -295,6 +293,10 @@ def bilinear_pairing(
     `min_nodes` nodes, doubling until two successive evaluations agree to
     `tol`.
     """
+    # The module's only array use; importing here keeps numpy off the
+    # analytic import path.
+    import numpy as np
+
     r, q = hp.r_star, hp.q_star
 
     def quad(m: int) -> complex:

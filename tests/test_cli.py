@@ -146,7 +146,8 @@ def test_stability_grid_at_long_delays(tmp_path, capsys):
     assert all(math.isfinite(float(row[4])) for row in rows)
 
 
-@pytest.mark.parametrize("count", ["2.5", "0", "-2"])
+@pytest.mark.parametrize("count",
+                         ["2.5", "0", "-2", str(cli.MAX_GRID_POINTS + 1), "1e12"])
 def test_stability_grid_count_must_be_positive_integer(config_path, tmp_path, capsys,
                                                        count):
     out_csv = tmp_path / "stab.csv"
@@ -155,7 +156,35 @@ def test_stability_grid_count_must_be_positive_integer(config_path, tmp_path, ca
          "--output", str(out_csv)]
     )
     assert code == 2
-    assert "COUNT" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before the verdicts are printed
+    assert "COUNT" in captured.err
+    assert not out_csv.exists()
+
+
+def test_stability_grid_count_at_the_cap_is_accepted(config_path):
+    # merged only, not run: a grid this size takes seconds
+    args = cli._build_argparser().parse_args(
+        ["stability", config_path, "--r-grid", "0.1", "0.3",
+         str(cli.MAX_GRID_POINTS), "--output", "stab.csv"]
+    )
+    assert cli._merge(args).r_grid == (0.1, 0.3, cli.MAX_GRID_POINTS)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--t-end", "1e12"],
+    ["--t-end", "inf"],
+    ["--steps-per-delay", "1000000000"],
+])
+def test_simulate_step_count_is_capped(config_path, tmp_path, capsys, flags):
+    out_csv = tmp_path / "traj.csv"
+    code = cli.main(
+        ["simulate", config_path, "--r", "0.36", *flags, "--output", str(out_csv)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_STEPS" in captured.err
     assert not out_csv.exists()
 
 
@@ -256,6 +285,16 @@ def test_bad_bracket_is_exit_2(config_path, capsys):
     code = cli.main(["hopf", config_path, "--bracket", "0.36", "0.40"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_hopf_failing_cross_check_prints_no_half_report(config_path, capsys):
+    # k-parameterized: the strategy route succeeds, the boundary-root
+    # cross-check finds nothing on this bracket
+    code = cli.main(["hopf", config_path, "--bracket", "0.5", "0.6"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "g is not evaluable anywhere on the bracket (0.5, 0.6)" in captured.err
 
 
 def test_flag_overrides_require_single_parameterization(config_path, capsys):

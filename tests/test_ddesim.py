@@ -38,6 +38,23 @@ def test_integrate_validates_inputs(ref_params):
         ddesim.integrate(params, hist, -1.0)
     with pytest.raises(ParameterError):
         ddesim.integrate(params, hist, 10.0, steps_per_delay=0)
+    with pytest.raises(ParameterError):
+        ddesim.integrate(params, hist, math.nan)
+
+
+def test_integrate_refuses_runs_above_the_step_cap(ref_params, monkeypatch):
+    params = ref_params.with_r(0.35)
+    hist = ddesim.default_history(0.35)
+    # refused before the first step, so these cost nothing
+    for t_end, steps_per_delay in ((1e12, 200), (math.inf, 200), (200.0, 10**9)):
+        with pytest.raises(ParameterError, match="MAX_STEPS"):
+            ddesim.integrate(params, hist, t_end, steps_per_delay)
+    # the cap is inclusive
+    h = 0.35 / 50
+    monkeypatch.setattr(ddesim, "MAX_STEPS", 10)
+    assert len(ddesim.integrate(params, hist, 10 * h, 50).t) == 11
+    with pytest.raises(ParameterError, match="MAX_STEPS"):
+        ddesim.integrate(params, hist, 11 * h, 50)
 
 
 def test_non_finite_history_raises_blow_up(ref_params):
