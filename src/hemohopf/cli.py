@@ -42,6 +42,10 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 #: Largest --r-grid COUNT accepted; a stability chart this size takes about
 #: 5 s on a 2-vCPU Xeon.
 MAX_GRID_POINTS = 100_000
+#: Largest total step count of one `sweep`, summed over its rows before the
+#: first integration; about 45 s of integration at 2.1 us per step on a
+#: 2-vCPU Xeon.
+MAX_SWEEP_STEPS = 20_000_000
 
 
 @dataclass
@@ -57,7 +61,7 @@ class RunConfig:
     r: Optional[float] = None
     output_path: Optional[str] = None
     t_end: Optional[float] = None
-    steps_per_delay: int = 200
+    steps_per_delay: int = ddesim.STEPS_PER_DELAY
     stride: int = 1
     transient_fraction: float = 0.5
     bracket: Optional[Tuple[float, float]] = None
@@ -197,16 +201,21 @@ def _print_verdict(v: linstab.StabilityVerdict, out) -> None:
 
 def _cmd_stability(cfg: RunConfig, out) -> int:
     params = _build_params(cfg)
+    # The grid request is checked before anything is printed, so a refused
+    # grid leaves no half report on stdout.
+    grid = None
+    if cfg.r_grid is not None:
+        if cfg.output_path is None:
+            raise ConfigError("stability with an r grid requires --output")
+        grid = _grid_values(cfg.r_grid)
     _print_verdict(linstab.classify_x1(params), out)
     if params.x2_exists:
         _print_verdict(linstab.classify_x2(params), out)
     else:
         print("x2: absent (A <= 1)", file=out)
-    if cfg.r_grid is not None:
-        if cfg.output_path is None:
-            raise ConfigError("stability with an r grid requires --output")
+    if grid is not None:
         rows = []
-        for r in _grid_values(cfg.r_grid):
+        for r in grid:
             local = params.with_r(r)
             if local.x2_exists:
                 verdict = linstab.classify_x2(local)
@@ -365,8 +374,13 @@ def _cmd_sweep(cfg: RunConfig, out) -> int:
         raise ConfigError("sweep requires --output for the metrics CSV")
     gamma = _resolve_gamma(cfg)
     t_end = cfg.t_end if cfg.t_end is not None else 200.0
+    grid = _grid_values(cfg.r_grid)
+    steps = sum(ddesim.step_count(r, t_end, cfg.steps_per_delay) for r in grid)
+    if steps > MAX_SWEEP_STEPS:
+        raise ParameterError(f"sweep needs {steps} steps in total, more than "
+                             f"MAX_SWEEP_STEPS = {MAX_SWEEP_STEPS}")
     rows = []
-    for r in _grid_values(cfg.r_grid):
+    for r in grid:
         params = model.ModelParameters.from_gamma(cfg.beta0, cfg.n, cfg.delta, gamma, r)
         traj = ddesim.integrate(
             params, ddesim.default_history(r), t_end, cfg.steps_per_delay
@@ -436,7 +450,7 @@ def _build_argparser() -> argparse.ArgumentParser:
                            help=f"override {key} from the config file")
         p.add_argument("--output", "-o", default=None, help="output CSV path")
         p.add_argument("--t-end", type=float, default=None)
-        p.add_argument("--steps-per-delay", type=int, default=200)
+        p.add_argument("--steps-per-delay", type=int, default=ddesim.STEPS_PER_DELAY)
         p.add_argument("--stride", type=int, default=1)
         p.add_argument("--transient-fraction", type=float, default=0.5)
         p.add_argument("--bracket", type=float, nargs=2, default=None,

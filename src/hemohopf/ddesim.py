@@ -9,8 +9,11 @@ history function.
 
 The diagnostics quantify what the trajectories show: decay onto the
 positive equilibrium on the stable side of the Hopf point versus a
-sustained limit cycle on the unstable side, with amplitude and period
-estimates robust to the grid via parabolic refinement of the extrema.
+sustained limit cycle on the unstable side. Amplitude and period come
+from the extrema of the same C^1 Hermite interpolant: one in each cell
+where the stored derivative changes sign, at the root of the cubic's
+derivative. They are as accurate as the integrator itself, which is why
+STEPS_PER_DELAY can be as small as 50.
 
 numpy is imported by the functions that build or read arrays, not by the
 module, so importing the package for the analytic commands stays cheap.
@@ -35,6 +38,7 @@ __all__ = [
     "OrbitMetrics",
     "default_history",
     "constant_history",
+    "step_count",
     "integrate",
     "orbit_metrics",
     "amplitude_scaling",
@@ -47,9 +51,14 @@ AMPLITUDE_FLOOR = 1e-4
 #: Relative spread of successive peak heights tolerated for a cycle.
 CYCLE_SPREAD_TOL = 0.05
 
+#: Default steps per delay interval. At 50 the reference cycle measurements
+#: (PERIOD_036, AMP_2E3, AMP_8E3) hold at least 8 significant digits against
+#: an independent DOP853 integration; the README has the table.
+STEPS_PER_DELAY = 50
+
 #: Largest number of steps `integrate` accepts (about 7 s and 200 MB on a
-#: 2-vCPU Xeon); the reference runs take at most 223,515 (t_end = 400 at
-#: r* + 8e-3).
+#: 2-vCPU Xeon); at STEPS_PER_DELAY the reference runs take at most 55,879
+#: (t_end = 400 at r* + 2e-3).
 MAX_STEPS = 2_000_000
 
 KIND_EQUILIBRIUM = "equilibrium"
@@ -101,12 +110,17 @@ class Trajectory:
         if not t[0] <= time <= t[-1]:
             raise ParameterError(f"time {time} outside [{t[0]}, {t[-1]}]")
         j = min(int(time / h), len(t) - 2)
-        s = (time - t[j]) / h
-        h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-        h10 = s * (1.0 - s) ** 2
-        h01 = s * s * (3.0 - 2.0 * s)
-        h11 = s * s * (s - 1.0)
-        return h00 * x[j] + h10 * h * dx[j] + h01 * x[j + 1] + h11 * h * dx[j + 1]
+        return _hermite((time - t[j]) / h, x[j], x[j + 1], h * dx[j], h * dx[j + 1])
+
+
+def _hermite(s, x0, x1, a0, a1):
+    """Cubic Hermite interpolant of one cell at the cell coordinate s in [0, 1].
+
+    x0, x1 are the end values and a0, a1 the end slopes times the step.
+    Works elementwise on numpy arrays.
+    """
+    return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * x0 + s * (1.0 - s) ** 2 * a0
+            + s * s * (3.0 - 2.0 * s) * x1 + s * s * (s - 1.0) * a1)
 
 
 @dataclass(frozen=True)
@@ -125,11 +139,33 @@ class OrbitMetrics:
     distance_to_x2: float
 
 
+def step_count(r: float, t_end: float, steps_per_delay: int = STEPS_PER_DELAY) -> int:
+    """Number of steps `integrate` takes to reach t_end: ceil(t_end / h).
+
+    h = r / steps_per_delay.  Raises :class:`ParameterError` for r <= 0,
+    steps_per_delay < 1, t_end not positive, or more than MAX_STEPS steps.
+    """
+    if not r > 0.0:
+        raise ParameterError(f"integration requires r > 0, got {r}")
+    if steps_per_delay < 1:
+        raise ParameterError(f"steps_per_delay must be >= 1, got {steps_per_delay}")
+    if not t_end > 0.0:
+        raise ParameterError(f"t_end must be positive, got {t_end}")
+    h = r / steps_per_delay
+    steps = t_end / h - 1e-9
+    if steps > MAX_STEPS:
+        raise ParameterError(
+            f"t_end = {t_end} at step {h:.6g} needs {steps:.6g} steps, "
+            f"more than MAX_STEPS = {MAX_STEPS}"
+        )
+    return int(math.ceil(steps))
+
+
 def integrate(
     params: ModelParameters,
     history: HistoryFunction,
     t_end: float,
-    steps_per_delay: int = 200,
+    steps_per_delay: int = STEPS_PER_DELAY,
 ) -> Trajectory:
     """Integrate the delay equation from `history` up to (at least) t_end.
 
@@ -137,28 +173,15 @@ def integrate(
     Delayed states at whole steps are stored nodes; half-step stage values
     are cubic Hermite midpoints of the bracketing cell.  Raises
     :class:`BlowUpError` if the state leaves the finite range, and
-    :class:`ParameterError` before any work if the run needs more than
-    MAX_STEPS steps.
+    :class:`ParameterError` before any work for the inputs `step_count`
+    refuses.
     """
     r = params.r
-    if r <= 0.0:
-        raise ParameterError(f"integration requires r > 0, got {r}")
-    if steps_per_delay < 1:
-        raise ParameterError(f"steps_per_delay must be >= 1, got {steps_per_delay}")
-    if not t_end > 0.0:
-        raise ParameterError(f"t_end must be positive, got {t_end}")
-
+    n_steps = step_count(r, t_end, steps_per_delay)
     beta0, n, delta, k = params.beta0, params.n, params.delta, params.k
     kb0 = k * beta0
     m = steps_per_delay
     h = r / m
-    steps = t_end / h - 1e-9
-    if steps > MAX_STEPS:
-        raise ParameterError(
-            f"t_end = {t_end} at step {h:.6g} needs {steps:.6g} steps, "
-            f"more than MAX_STEPS = {MAX_STEPS}"
-        )
-    n_steps = int(math.ceil(steps))
     phi = history.evaluator
 
     def rhs(x: float, xd: float) -> float:
@@ -202,24 +225,32 @@ def integrate(
     )
 
 
-def _refined_extrema(t: np.ndarray, x: np.ndarray):
-    """Local maxima and minima with parabolic refinement of (time, height)."""
-    h = t[1] - t[0] if len(t) > 1 else 0.0
-    maxima, minima = [], []
-    for i in range(1, len(x) - 1):
-        is_max = x[i] > x[i - 1] and x[i] >= x[i + 1]
-        is_min = x[i] < x[i - 1] and x[i] <= x[i + 1]
-        if not (is_max or is_min):
-            continue
-        d2 = x[i - 1] - 2.0 * x[i] + x[i + 1]
-        if d2 != 0.0:
-            off = 0.5 * (x[i - 1] - x[i + 1]) / d2
-            t_ref = t[i] + off * h
-            x_ref = x[i] - 0.125 * (x[i - 1] - x[i + 1]) ** 2 / d2
-        else:
-            t_ref, x_ref = t[i], x[i]
-        (maxima if is_max else minima).append((t_ref, x_ref))
-    return maxima, minima
+def _hermite_extrema(t: np.ndarray, x: np.ndarray, dx: np.ndarray, h: float):
+    """Local maxima and minima of the Hermite interpolant through (x, dx).
+
+    A maximum lies in each cell where dx goes from > 0 to <= 0, a minimum
+    where it goes from < 0 to >= 0, so dx == 0 everywhere gives none.  Its
+    cell coordinate s is the root in [0, 1] of the cubic's derivative, the
+    quadratic a s^2 + b s + a0 that runs from a0 = h dx[j] to a1 = h dx[j+1],
+    taken from the cancellation-free quadratic formula.  Returns
+    (times, heights) of the maxima, then of the minima.
+    """
+    import numpy as np
+
+    d0, d1 = dx[:-1], dx[1:]
+    j = np.flatnonzero(((d0 > 0.0) & (d1 <= 0.0)) | ((d0 < 0.0) & (d1 >= 0.0)))
+    x0, x1, a0, a1 = x[j], x[j + 1], h * dx[j], h * dx[j + 1]
+    a = 3.0 * (a0 + a1) - 6.0 * (x1 - x0)
+    b = 6.0 * (x1 - x0) - 4.0 * a0 - 2.0 * a1
+    disc = np.sqrt(np.maximum(b * b - 4.0 * a * a0, 0.0))
+    q = -0.5 * (b + np.copysign(disc, b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_near, s_far = a0 / q, q / a
+    s = np.clip(np.where((s_near >= 0.0) & (s_near <= 1.0), s_near, s_far), 0.0, 1.0)
+    times = t[j] + s * h
+    heights = _hermite(s, x0, x1, a0, a1)
+    is_max = a0 > 0.0
+    return (times[is_max], heights[is_max]), (times[~is_max], heights[~is_max])
 
 
 def orbit_metrics(traj: Trajectory, transient_fraction: float = 0.5) -> OrbitMetrics:
@@ -248,14 +279,11 @@ def orbit_metrics(traj: Trajectory, transient_fraction: float = 0.5) -> OrbitMet
     if len(xx) < 3:
         return OrbitMetrics(KIND_UNDETERMINED, 0.0, None, distance)
 
-    maxima, minima = _refined_extrema(tt, xx)
-    n_extrema = len(maxima) + len(minima)
+    (max_t, max_h), (_, min_h) = _hermite_extrema(tt, xx, traj.dx[start:], traj.step)
+    n_extrema = len(max_h) + len(min_h)
 
-    if maxima and minima:
-        amplitude = 0.5 * (
-            float(np.mean([v for _, v in maxima]))
-            - float(np.mean([v for _, v in minima]))
-        )
+    if len(max_h) and len(min_h):
+        amplitude = 0.5 * (float(np.mean(max_h)) - float(np.mean(min_h)))
     else:
         amplitude = 0.5 * float(xx.max() - xx.min())
     amplitude = max(amplitude, 0.0)
@@ -264,19 +292,15 @@ def orbit_metrics(traj: Trajectory, transient_fraction: float = 0.5) -> OrbitMet
         return OrbitMetrics(KIND_EQUILIBRIUM, amplitude, None, distance)
 
     if n_extrema >= 10:
-        heights = [v for _, v in maxima]
-        spread = (max(heights) - min(heights)) / amplitude
+        spread = float(max_h.max() - max_h.min()) / amplitude
         if spread < CYCLE_SPREAD_TOL:
-            times = [tm for tm, _ in maxima]
-            period = float(np.mean(np.diff(times)))
+            period = float(np.mean(np.diff(max_t)))
             return OrbitMetrics(KIND_CYCLE, amplitude, period, distance)
 
     # decaying envelope: maxima descending and minima ascending
     slack = 1e-9 * max(1.0, amplitude)
-    max_h = [v for _, v in maxima]
-    min_h = [v for _, v in minima]
-    descending = all(b <= a + slack for a, b in zip(max_h, max_h[1:]))
-    ascending = all(b >= a - slack for a, b in zip(min_h, min_h[1:]))
+    descending = bool(np.all(max_h[1:] <= max_h[:-1] + slack))
+    ascending = bool(np.all(min_h[1:] >= min_h[:-1] - slack))
     if descending and ascending and n_extrema >= 2:
         return OrbitMetrics(KIND_EQUILIBRIUM, amplitude, None, distance)
     return OrbitMetrics(KIND_UNDETERMINED, amplitude, None, distance)
@@ -287,7 +311,7 @@ def amplitude_scaling(
     hp: HopfPoint,
     delta_r: float,
     t_end: float = 400.0,
-    steps_per_delay: int = 200,
+    steps_per_delay: int = STEPS_PER_DELAY,
     transient_fraction: float = 0.5,
 ) -> float:
     """Cycle amplitude ratio between the probes r* + 4 delta_r and r* + delta_r.

@@ -126,6 +126,22 @@ def test_stability_grid_csv(config_path, tmp_path, capsys):
     assert float(rows[1][4]) < 0.0 < float(rows[3][4])
 
 
+@pytest.mark.parametrize("grid, output, message", [
+    (["0.1", "0.3", "5"], False, "requires --output"),
+    (["0.3", "0.1", "5"], True, "bad r grid"),
+])
+def test_stability_refused_grid_prints_no_half_report(config_path, tmp_path, capsys,
+                                                      grid, output, message):
+    out_csv = tmp_path / "stab.csv"
+    argv = ["stability", config_path, "--r-grid", *grid]
+    code = cli.main(argv + (["-o", str(out_csv)] if output else []))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out_csv.exists()
+
+
 def test_stability_grid_at_long_delays(tmp_path, capsys):
     # delays up to about 345 (r |p| up to 376): every row still gets a finite root
     path = tmp_path / "long.cfg"
@@ -225,9 +241,9 @@ def test_simulate_writes_cycle_csv(config_path, tmp_path, capsys):
 
     t = np.array([float(a) for a, _ in rows[1:]])
     x = np.array([float(b) for _, b in rows[1:]])
-    traj = ddesim.Trajectory(
-        t=t, x=x, dx=np.zeros_like(x), step=float(t[1] - t[0]), params=params
-    )
+    h = float(t[1] - t[0])
+    # the file has no derivative column; difference the values instead
+    traj = ddesim.Trajectory(t=t, x=x, dx=np.gradient(x, h), step=h, params=params)
     metrics = ddesim.orbit_metrics(traj, 0.5)
     assert metrics.kind == ddesim.KIND_CYCLE
 
@@ -257,6 +273,20 @@ def test_sweep_csv(config_path, tmp_path, capsys):
     assert float(rows[2][3]) > 0.0
     # full-precision round trip of the grid values
     assert float(rows[1][0]) == 0.35 and float(rows[2][0]) == 0.36
+
+
+def test_sweep_total_step_count_is_capped(config_path, tmp_path, capsys):
+    # refused while summing the rows' step counts, before any integration
+    out_csv = tmp_path / "sweep.csv"
+    code = cli.main(
+        ["sweep", config_path, "--r-grid", "0.01", "0.36", "100000",
+         "--output", str(out_csv)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_SWEEP_STEPS" in captured.err
+    assert not out_csv.exists()
 
 
 def test_scaling_command_inconclusive_is_exit_3(config_path, capsys):

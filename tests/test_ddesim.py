@@ -125,6 +125,57 @@ def test_cycle_period_near_onset_matches_linear_theory(ref_params, ref_hopf):
     assert abs(metrics.period - 2.0 * math.pi / root.imag) < 0.05 * metrics.period
 
 
+def test_hermite_extrema_of_an_analytic_trajectory(ref_params):
+    # x = cos(w t) with its exact derivative; the extrema sit at k pi / w
+    w, h = 1.7, 0.01
+    t = np.arange(3001) * h
+    x, dx = np.cos(w * t), -w * np.sin(w * t)
+    (max_t, max_h), (min_t, min_h) = ddesim._hermite_extrema(t, x, dx, h)
+    assert len(max_t) == len(min_t) == 8
+    for times, heights, parity, height in ((max_t, max_h, 0, 1.0),
+                                           (min_t, min_h, 1, -1.0)):
+        k = np.round(times * w / math.pi)
+        assert np.all(k % 2 == parity)
+        assert np.max(np.abs(times - k * math.pi / w)) < 1e-7
+        assert np.max(np.abs(heights - height)) < 1e-9
+
+
+def _quoted_tolerance(value):
+    """Half a unit in the last decimal place of a quoted reference value."""
+    return 0.5 * 10.0 ** -len(repr(value).split(".")[1])
+
+
+def test_default_step_budget_holds_the_quoted_digits(ref_params, ref_hopf, monkeypatch):
+    params = ref_params.with_r(0.36)
+    traj = ddesim.integrate(params, ddesim.default_history(0.36), 200.0)
+    assert traj.step == 0.36 / ddesim.STEPS_PER_DELAY
+    period = ddesim.orbit_metrics(traj, 0.5).period
+    assert abs(period - rv.PERIOD_036) < _quoted_tolerance(rv.PERIOD_036)
+
+    # record the probe amplitudes that amplitude_scaling divides
+    amps = []
+    orbit_metrics = ddesim.orbit_metrics
+
+    def recording(*args):
+        metrics = orbit_metrics(*args)
+        amps.append(metrics.amplitude)
+        return metrics
+
+    monkeypatch.setattr(ddesim, "orbit_metrics", recording)
+    ratio = ddesim.amplitude_scaling(ref_params, ref_hopf, 2e-3)
+    assert ratio == amps[1] / amps[0]
+    for value, ref in ((amps[0], rv.AMP_2E3), (amps[1], rv.AMP_8E3),
+                       (ratio, rv.RATIO_2E3_8E3)):
+        assert abs(value - ref) < _quoted_tolerance(ref)
+
+
+def test_period_at_100_steps_matches_the_200_step_fixture(ref_params, traj_036):
+    params = ref_params.with_r(0.36)
+    coarse = ddesim.integrate(params, ddesim.default_history(0.36), 200.0, 100)
+    period = ddesim.orbit_metrics(coarse, 0.5).period
+    assert abs(period - ddesim.orbit_metrics(traj_036, 0.5).period) < 1e-8
+
+
 def test_constant_trajectory_metrics(ref_params):
     params = ref_params.with_r(0.35)
     x2 = model.equilibria(params).x2
@@ -133,6 +184,13 @@ def test_constant_trajectory_metrics(ref_params):
     assert metrics.kind == ddesim.KIND_EQUILIBRIUM
     assert metrics.amplitude < 1e-10
     assert metrics.period is None
+    # an exactly flat derivative has no extrema at all
+    flat = ddesim.Trajectory(t=traj.t, x=np.full_like(traj.x, x2),
+                             dx=np.zeros_like(traj.x), step=traj.step, params=params)
+    (max_t, _), (min_t, _) = ddesim._hermite_extrema(flat.t, flat.x, flat.dx, flat.step)
+    assert len(max_t) == len(min_t) == 0
+    assert ddesim.orbit_metrics(flat, 0.5) == ddesim.OrbitMetrics(
+        ddesim.KIND_EQUILIBRIUM, 0.0, None, 0.0)
 
 
 def test_distance_to_equilibrium_decreases(ref_params):
