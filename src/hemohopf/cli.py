@@ -24,7 +24,6 @@ from .errors import BracketError, ConfigError, NumericsError, ParameterError
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
 COMMANDS = (
-    "validate",
     "equilibria",
     "stability",
     "hopf",
@@ -411,7 +410,6 @@ def _cmd_scaling(cfg: RunConfig, out) -> int:
 
 
 _DISPATCH = {
-    "validate": _cmd_equilibria,
     "equilibria": _cmd_equilibria,
     "stability": _cmd_stability,
     "hopf": _cmd_hopf,

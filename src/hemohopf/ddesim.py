@@ -15,22 +15,26 @@ where the stored derivative changes sign, at the root of the cubic's
 derivative. They are as accurate as the integrator itself, which is why
 STEPS_PER_DELAY can be as small as 50.
 
-numpy is imported by the functions that build or read arrays, not by the
-module, so importing the package for the analytic commands stays cheap.
+The module is standard library only: a trajectory is three ``array('d')``
+columns, and the diagnostics are plain Python passes over the tail, so
+`simulate`, `sweep` and `scaling` run without importing numpy.  Convert
+with ``numpy.asarray(traj.x)`` for array arithmetic.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
+from array import array
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from functools import reduce
+from typing import Callable, Optional, Sequence
 
 from .errors import BlowUpError, InconclusiveError, ParameterError
 from .hopf import HopfPoint
 from .model import ModelParameters, equilibria
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "HistoryFunction",
@@ -56,9 +60,10 @@ CYCLE_SPREAD_TOL = 0.05
 #: an independent DOP853 integration; the README has the table.
 STEPS_PER_DELAY = 50
 
-#: Largest number of steps `integrate` accepts (about 7 s and 200 MB on a
-#: 2-vCPU Xeon); at STEPS_PER_DELAY the reference runs take at most 55,879
-#: (t_end = 400 at r* + 2e-3).
+#: Largest number of steps `integrate` accepts (about 6 s and 215 MB peak
+#: RSS for `integrate` plus `orbit_metrics` on a 2-vCPU Xeon); at
+#: STEPS_PER_DELAY the reference runs take at most 55,879 (t_end = 400 at
+#: r* + 2e-3).
 MAX_STEPS = 2_000_000
 
 KIND_EQUILIBRIUM = "equilibrium"
@@ -94,13 +99,14 @@ def constant_history(value: float) -> HistoryFunction:
 class Trajectory:
     """Dense simulation output on the aligned grid starting at t = 0.
 
+    ``t``, ``x`` and ``dx`` are ``array('d')`` columns with t[i] = i * step.
     ``dx`` stores the right-hand side at the accepted nodes, which makes
     the stored data a C^1 cubic Hermite interpolant of the solution.
     """
 
-    t: np.ndarray
-    x: np.ndarray
-    dx: np.ndarray
+    t: array
+    x: array
+    dx: array
     step: float
     params: ModelParameters
 
@@ -117,7 +123,6 @@ def _hermite(s, x0, x1, a0, a1):
     """Cubic Hermite interpolant of one cell at the cell coordinate s in [0, 1].
 
     x0, x1 are the end values and a0, a1 the end slopes times the step.
-    Works elementwise on numpy arrays.
     """
     return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * x0 + s * (1.0 - s) ** 2 * a0
             + s * s * (3.0 - 2.0 * s) * x1 + s * s * (s - 1.0) * a1)
@@ -175,6 +180,15 @@ def integrate(
     :class:`BlowUpError` if the state leaves the finite range, and
     :class:`ParameterError` before any work for the inputs `step_count`
     refuses.
+
+    The right-hand side is destruction(x) + production(x(t - r)), and a
+    step needs only four destructions and two productions: k1 is the
+    derivative stored at the end of the previous step (first same as
+    last), k2 and k3 share the production at the midpoint, and k4 and the
+    stored derivative share the production at the delayed node, computed
+    when that node was accepted one delay earlier.  The floating-point
+    operations and their order are those of five full evaluations, so
+    the numbers are too.
     """
     r = params.r
     n_steps = step_count(r, t_end, steps_per_delay)
@@ -182,50 +196,54 @@ def integrate(
     kb0 = k * beta0
     m = steps_per_delay
     h = r / m
+    half_h, eighth_h, sixth_h = 0.5 * h, 0.125 * h, h / 6.0
     phi = history.evaluator
 
-    def rhs(x: float, xd: float) -> float:
-        xn = x**n if x > 0.0 else 0.0
-        xdn = xd**n if xd > 0.0 else 0.0
-        return -(beta0 / (1.0 + xn) + delta) * x + kb0 * xd / (1.0 + xdn)
+    def destruction(x: float) -> float:
+        return -(beta0 / (1.0 + (x**n if x > 0.0 else 0.0)) + delta) * x
 
-    xs = [float(phi(0.0))]
-    dxs = [rhs(xs[0], float(phi(-r)))]
-    if not math.isfinite(xs[0]) or not math.isfinite(dxs[0]):
+    def production(xd: float) -> float:
+        return kb0 * xd / (1.0 + (xd**n if xd > 0.0 else 0.0))
+
+    xi = float(phi(0.0))
+    dx0 = destruction(xi) + production(float(phi(-r)))
+    if not math.isfinite(xi) or not math.isfinite(dx0):
         raise BlowUpError("non-finite state at t = 0", time=0.0)
+    xs, dxs = [xi], [dx0]
+    # Productions at the accepted nodes, each consumed once, one delay later.
+    ps = deque([production(xi)])
+    # Step 0 reads phi(-m h), which may differ from phi(-r) in the last bit.
+    k1 = destruction(xi) + production(phi(-m * h))
 
     for i in range(n_steps):
-        xi = xs[i]
         j = i - m  # whole-step delayed index; negative means history
-        d_start = xs[j] if j >= 0 else phi(j * h)
         if j >= 0:
             # Hermite midpoint of cell [j, j+1]
-            d_mid = 0.5 * (xs[j] + xs[j + 1]) + 0.125 * h * (dxs[j] - dxs[j + 1])
+            p_mid = production(
+                0.5 * (xs[j] + xs[j + 1]) + eighth_h * (dxs[j] - dxs[j + 1]))
         else:
-            d_mid = phi((j + 0.5) * h)
-        d_end = xs[j + 1] if j + 1 >= 0 else phi((j + 1) * h)
+            p_mid = production(phi((j + 0.5) * h))
+        p_end = ps.popleft() if j + 1 >= 0 else production(phi((j + 1) * h))
 
-        k1 = rhs(xi, d_start)
-        k2 = rhs(xi + 0.5 * h * k1, d_mid)
-        k3 = rhs(xi + 0.5 * h * k2, d_mid)
-        k4 = rhs(xi + h * k3, d_end)
-        x_new = xi + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not math.isfinite(x_new) or abs(x_new) > 1e100:
+        k2 = destruction(xi + half_h * k1) + p_mid
+        k3 = destruction(xi + half_h * k2) + p_mid
+        k4 = destruction(xi + h * k3) + p_end
+        xi = xi + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not math.isfinite(xi) or abs(xi) > 1e100:
             raise BlowUpError(
                 f"state blew up at t = {(i + 1) * h}", time=(i + 1) * h
             )
-        xs.append(x_new)
-        dxs.append(rhs(x_new, d_end))
+        k1 = destruction(xi) + p_end
+        xs.append(xi)
+        dxs.append(k1)
+        ps.append(production(xi))
 
-    import numpy as np
-
-    t = np.arange(n_steps + 1, dtype=float) * h
-    return Trajectory(
-        t=t, x=np.asarray(xs), dx=np.asarray(dxs), step=h, params=params
-    )
+    t = array("d", (i * h for i in range(n_steps + 1)))
+    return Trajectory(t=t, x=array("d", xs), dx=array("d", dxs), step=h, params=params)
 
 
-def _hermite_extrema(t: np.ndarray, x: np.ndarray, dx: np.ndarray, h: float):
+def _hermite_extrema(t: Sequence[float], x: Sequence[float],
+                     dx: Sequence[float], h: float):
     """Local maxima and minima of the Hermite interpolant through (x, dx).
 
     A maximum lies in each cell where dx goes from > 0 to <= 0, a minimum
@@ -233,24 +251,48 @@ def _hermite_extrema(t: np.ndarray, x: np.ndarray, dx: np.ndarray, h: float):
     cell coordinate s is the root in [0, 1] of the cubic's derivative, the
     quadratic a s^2 + b s + a0 that runs from a0 = h dx[j] to a1 = h dx[j+1],
     taken from the cancellation-free quadratic formula.  Returns
-    (times, heights) of the maxima, then of the minima.
+    (times, heights) of the maxima, then of the minima, as lists.
     """
-    import numpy as np
+    maxima, minima = ([], []), ([], [])
+    cells = [j for j, (d0, d1) in enumerate(zip(dx, dx[1:]))
+             if (d0 > 0.0 and d1 <= 0.0) or (d0 < 0.0 and d1 >= 0.0)]
+    for j in cells:
+        x0, x1, a0, a1 = x[j], x[j + 1], h * dx[j], h * dx[j + 1]
+        a = 3.0 * (a0 + a1) - 6.0 * (x1 - x0)
+        b = 6.0 * (x1 - x0) - 4.0 * a0 - 2.0 * a1
+        disc = math.sqrt(max(b * b - 4.0 * a * a0, 0.0))
+        q = -0.5 * (b + math.copysign(disc, b))
+        s = a0 / q if q else math.nan
+        if not 0.0 <= s <= 1.0:
+            # the other root, q / a; for a == 0 the derivative is linear
+            # and a0 / q, clipped, is its only root
+            s = min(max(q / a if a else s, 0.0), 1.0)
+        times, heights = maxima if a0 > 0.0 else minima
+        times.append(t[j] + s * h)
+        heights.append(_hermite(s, x0, x1, a0, a1))
+    return maxima, minima
 
-    d0, d1 = dx[:-1], dx[1:]
-    j = np.flatnonzero(((d0 > 0.0) & (d1 <= 0.0)) | ((d0 < 0.0) & (d1 >= 0.0)))
-    x0, x1, a0, a1 = x[j], x[j + 1], h * dx[j], h * dx[j + 1]
-    a = 3.0 * (a0 + a1) - 6.0 * (x1 - x0)
-    b = 6.0 * (x1 - x0) - 4.0 * a0 - 2.0 * a1
-    disc = np.sqrt(np.maximum(b * b - 4.0 * a * a0, 0.0))
-    q = -0.5 * (b + np.copysign(disc, b))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_near, s_far = a0 / q, q / a
-    s = np.clip(np.where((s_near >= 0.0) & (s_near <= 1.0), s_near, s_far), 0.0, 1.0)
-    times = t[j] + s * h
-    heights = _hermite(s, x0, x1, a0, a1)
-    is_max = a0 > 0.0
-    return (times[is_max], heights[is_max]), (times[~is_max], heights[~is_max])
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """Sum in numpy's pairwise order (8 interleaved partial sums in blocks of
+    at most 128), so `_mean` equals ``numpy.mean`` bit for bit."""
+    count = len(values)
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    total = 0.0
+    end = 0
+    if count >= 8:
+        end = count - count % 8
+        r = [reduce(operator.add, values[lane:end:8]) for lane in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for value in values[end:]:
+        total += value
+    return total
+
+
+def _mean(values: Sequence[float]) -> float:
+    return _pairwise_sum(values) / len(values) if len(values) else math.nan
 
 
 def orbit_metrics(traj: Trajectory, transient_fraction: float = 0.5) -> OrbitMetrics:
@@ -266,10 +308,8 @@ def orbit_metrics(traj: Trajectory, transient_fraction: float = 0.5) -> OrbitMet
         raise ParameterError(
             f"transient_fraction must be in (0, 1), got {transient_fraction}"
         )
-    import numpy as np
-
     t, x = traj.t, traj.x
-    start = np.searchsorted(t, transient_fraction * t[-1])
+    start = bisect.bisect_left(t, transient_fraction * t[-1])
     tt, xx = t[start:], x[start:]
 
     report = equilibria(traj.params)
@@ -282,25 +322,25 @@ def orbit_metrics(traj: Trajectory, transient_fraction: float = 0.5) -> OrbitMet
     (max_t, max_h), (_, min_h) = _hermite_extrema(tt, xx, traj.dx[start:], traj.step)
     n_extrema = len(max_h) + len(min_h)
 
-    if len(max_h) and len(min_h):
-        amplitude = 0.5 * (float(np.mean(max_h)) - float(np.mean(min_h)))
+    if max_h and min_h:
+        amplitude = 0.5 * (_mean(max_h) - _mean(min_h))
     else:
-        amplitude = 0.5 * float(xx.max() - xx.min())
+        amplitude = 0.5 * float(max(xx) - min(xx))
     amplitude = max(amplitude, 0.0)
 
     if amplitude <= AMPLITUDE_FLOOR:
         return OrbitMetrics(KIND_EQUILIBRIUM, amplitude, None, distance)
 
     if n_extrema >= 10:
-        spread = float(max_h.max() - max_h.min()) / amplitude
+        spread = (max(max_h) - min(max_h)) / amplitude
         if spread < CYCLE_SPREAD_TOL:
-            period = float(np.mean(np.diff(max_t)))
+            period = _mean([b - a for a, b in zip(max_t, max_t[1:])])
             return OrbitMetrics(KIND_CYCLE, amplitude, period, distance)
 
     # decaying envelope: maxima descending and minima ascending
     slack = 1e-9 * max(1.0, amplitude)
-    descending = bool(np.all(max_h[1:] <= max_h[:-1] + slack))
-    ascending = bool(np.all(min_h[1:] >= min_h[:-1] - slack))
+    descending = all(b <= a + slack for a, b in zip(max_h, max_h[1:]))
+    ascending = all(b >= a - slack for a, b in zip(min_h, min_h[1:]))
     if descending and ascending and n_extrema >= 2:
         return OrbitMetrics(KIND_EQUILIBRIUM, amplitude, None, distance)
     return OrbitMetrics(KIND_UNDETERMINED, amplitude, None, distance)
@@ -345,7 +385,6 @@ def write_trajectory_csv(traj: Trajectory, path, stride: int = 1) -> None:
     """Write the trajectory as CSV `t,x` rows at full double precision."""
     if stride < 1:
         raise ParameterError(f"stride must be >= 1, got {stride}")
-    # Python floats format faster than numpy scalars, with the same digits.
     ts, xs = traj.t[::stride].tolist(), traj.x[::stride].tolist()
     with open(path, "w", newline="\n") as fh:
         fh.write("t,x\n")

@@ -280,6 +280,40 @@ def psi1_zero(hp: HopfPoint) -> complex:
     return projection_weight(hp.p_star, hp.omega_star, hp.r_star)
 
 
+def _legendre(m: int, z: float) -> Tuple[float, float]:
+    """P_m(z) and P_m'(z), by the three-term recurrence (|z| < 1)."""
+    p0, p1 = 1.0, z
+    for j in range(2, m + 1):
+        p0, p1 = p1, ((2 * j - 1) * z * p1 - (j - 1) * p0) / j
+    return p1, m * (z * p1 - p0) / (z * z - 1.0)
+
+
+def _gauss_legendre(m: int) -> Tuple[list, list]:
+    """Nodes, ascending, and weights of the m-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on the Legendre polynomial P_m from the estimates
+    cos(pi (i - 1/4) / (m + 1/2)); the rule is symmetric, so only the
+    nonnegative half is computed.
+    """
+    half = []
+    for i in range(1, (m + 1) // 2 + 1):
+        z = math.cos(math.pi * (i - 0.25) / (m + 0.5))
+        for _ in range(50):
+            p, dp = _legendre(m, z)
+            step = p / dp
+            z -= step
+            if abs(step) <= 1e-15:
+                break
+        else:
+            raise NumericsError(f"Gauss-Legendre node {i} of {m} did not converge")
+        dp = _legendre(m, z)[1]
+        half.append((z, 2.0 / ((1.0 - z * z) * dp * dp)))
+    upper = half[::-1][m % 2:]  # the middle node of an odd rule only once
+    nodes = [-z for z, _ in half] + [z for z, _ in upper]
+    weights = [w for _, w in half] + [w for _, w in upper]
+    return nodes, weights
+
+
 def bilinear_pairing(
     psi: Callable[[float], complex],
     phi: Callable[[float], complex],
@@ -293,17 +327,14 @@ def bilinear_pairing(
     `min_nodes` nodes, doubling until two successive evaluations agree to
     `tol`.
     """
-    # The module's only array use; importing here keeps numpy off the
-    # analytic import path.
-    import numpy as np
-
     r, q = hp.r_star, hp.q_star
+    half_r = 0.5 * r
 
     def quad(m: int) -> complex:
-        nodes, weights = np.polynomial.legendre.leggauss(m)
         total = 0.0 + 0.0j
-        for z, w in zip(0.5 * r * (nodes - 1.0), 0.5 * r * weights):
-            total += w * psi(z + r) * phi(z)
+        for x, w in zip(*_gauss_legendre(m)):
+            z = half_r * (x - 1.0)
+            total += half_r * w * psi(z + r) * phi(z)
         return total
 
     m = min_nodes

@@ -333,7 +333,8 @@ def test_criterion_9_property_suites(ref_hopf, ref_params):
         coarse = ddesim.integrate(params, hist, 20.0, n)
         fine = ddesim.integrate(params, hist, 20.0, 2 * n)
         m = min(len(coarse.x), (len(fine.x) + 1) // 2)
-        return float(np.max(np.abs(coarse.x[:m] - fine.x[::2][:m])))
+        coarse_x, fine_x = np.asarray(coarse.x), np.asarray(fine.x)
+        return float(np.max(np.abs(coarse_x[:m] - fine_x[::2][:m])))
 
     factor = max_diff(100) / max_diff(200)
     checks.append(

@@ -82,6 +82,16 @@ def test_equilibria_command_output(config_path, capsys):
     assert "r_max" in out
 
 
+def test_validate_is_not_a_command(config_path, capsys):
+    # the undocumented alias of equilibria is gone: argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", config_path])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'validate'" in captured.err
+
+
 def test_hopf_command_reports_both_routes(config_path, capsys):
     assert cli.main(["hopf", config_path]) == 0
     out = capsys.readouterr().out

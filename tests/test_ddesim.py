@@ -16,7 +16,70 @@ def test_constant_history_is_fixed_point(ref_params):
     params = ref_params.with_r(0.35)
     x2 = model.equilibria(params).x2
     traj = ddesim.integrate(params, ddesim.constant_history(x2), 100.0, 100)
-    assert np.max(np.abs(traj.x - x2)) < 1e-8
+    assert np.max(np.abs(np.asarray(traj.x) - x2)) < 1e-8
+
+
+def _five_evaluation_rk4(params, history, t_end, m):
+    """Reference integrator: the plain RK4 loop that calls the full
+    right-hand side at every stage, with t from numpy.arange."""
+    r = params.r
+    n_steps = ddesim.step_count(r, t_end, m)
+    beta0, n, delta, k = params.beta0, params.n, params.delta, params.k
+    kb0 = k * beta0
+    h = r / m
+    phi = history.evaluator
+
+    def rhs(x, xd):
+        xn = x**n if x > 0.0 else 0.0
+        xdn = xd**n if xd > 0.0 else 0.0
+        return -(beta0 / (1.0 + xn) + delta) * x + kb0 * xd / (1.0 + xdn)
+
+    xs = [float(phi(0.0))]
+    dxs = [rhs(xs[0], float(phi(-r)))]
+    for i in range(n_steps):
+        xi = xs[i]
+        j = i - m
+        d_start = xs[j] if j >= 0 else phi(j * h)
+        if j >= 0:
+            d_mid = 0.5 * (xs[j] + xs[j + 1]) + 0.125 * h * (dxs[j] - dxs[j + 1])
+        else:
+            d_mid = phi((j + 0.5) * h)
+        d_end = xs[j + 1] if j + 1 >= 0 else phi((j + 1) * h)
+        k1 = rhs(xi, d_start)
+        k2 = rhs(xi + 0.5 * h * k1, d_mid)
+        k3 = rhs(xi + 0.5 * h * k2, d_mid)
+        k4 = rhs(xi + h * k3, d_end)
+        x_new = xi + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        xs.append(x_new)
+        dxs.append(rhs(x_new, d_end))
+    return (np.arange(n_steps + 1, dtype=float) * h).tolist(), xs, dxs
+
+
+@pytest.mark.parametrize("r, m, t_end, history", [
+    (0.35, 50, 60.0, "default"),
+    (0.36, 7, 60.0, "default"),
+    (0.36, 200, 20.0, "default"),
+    (0.3579, 13, 40.0, "constant"),
+    (0.401, 50, 20.0, "jump"),
+])
+def test_integrate_matches_the_five_evaluation_loop_bit_for_bit(ref_params, r, m,
+                                                                 t_end, history):
+    params = ref_params.with_r(r)
+    if history == "default":
+        hist = ddesim.default_history(r)
+    elif history == "constant":
+        hist = ddesim.constant_history(0.9)
+    else:
+        # At r = 0.401, m = 50 the product m * (r / m) is not r: step 0 must
+        # read its delayed state at -m h, the stored x'(0) reads it at -r.
+        h = r / m
+        assert -m * h != -r
+        hist = ddesim.HistoryFunction(lambda s: 1.0 if s == -r else 0.5, "jump at -r")
+    traj = ddesim.integrate(params, hist, t_end, m)
+    t, x, dx = _five_evaluation_rk4(params, hist, t_end, m)
+    assert traj.t.tolist() == t
+    assert traj.x.tolist() == x
+    assert traj.dx.tolist() == dx
 
 
 def test_grid_alignment_and_span(ref_params):
@@ -84,7 +147,8 @@ def test_step_halving_contraction(ref_params):
         coarse = ddesim.integrate(params, hist, 20.0, n)
         fine = ddesim.integrate(params, hist, 20.0, 2 * n)
         m = min(len(coarse.x), (len(fine.x) + 1) // 2)
-        return float(np.max(np.abs(coarse.x[:m] - fine.x[::2][:m])))
+        coarse_x, fine_x = np.asarray(coarse.x), np.asarray(fine.x)
+        return float(np.max(np.abs(coarse_x[:m] - fine_x[::2][:m])))
 
     d100 = max_diff(100)
     d200 = max_diff(200)
@@ -92,8 +156,8 @@ def test_step_halving_contraction(ref_params):
 
 
 def test_positivity_preserved(traj_035, traj_036):
-    assert float(traj_035.x.min()) >= -1e-9
-    assert float(traj_036.x.min()) >= -1e-9
+    assert float(np.asarray(traj_035.x).min()) >= -1e-9
+    assert float(np.asarray(traj_036.x).min()) >= -1e-9
 
 
 # -------------------------------------------------------------- orbit metrics
@@ -134,10 +198,54 @@ def test_hermite_extrema_of_an_analytic_trajectory(ref_params):
     assert len(max_t) == len(min_t) == 8
     for times, heights, parity, height in ((max_t, max_h, 0, 1.0),
                                            (min_t, min_h, 1, -1.0)):
+        times, heights = np.asarray(times), np.asarray(heights)
         k = np.round(times * w / math.pi)
         assert np.all(k % 2 == parity)
         assert np.max(np.abs(times - k * math.pi / w)) < 1e-7
         assert np.max(np.abs(heights - height)) < 1e-9
+
+
+def _numpy_hermite_extrema(t, x, dx, h):
+    """Reference: the same extrema search vectorised with numpy."""
+    t, x, dx = np.asarray(t), np.asarray(x), np.asarray(dx)
+    d0, d1 = dx[:-1], dx[1:]
+    j = np.flatnonzero(((d0 > 0.0) & (d1 <= 0.0)) | ((d0 < 0.0) & (d1 >= 0.0)))
+    x0, x1, a0, a1 = x[j], x[j + 1], h * dx[j], h * dx[j + 1]
+    a = 3.0 * (a0 + a1) - 6.0 * (x1 - x0)
+    b = 6.0 * (x1 - x0) - 4.0 * a0 - 2.0 * a1
+    disc = np.sqrt(np.maximum(b * b - 4.0 * a * a0, 0.0))
+    q = -0.5 * (b + np.copysign(disc, b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_near, s_far = a0 / q, q / a
+    s = np.clip(np.where((s_near >= 0.0) & (s_near <= 1.0), s_near, s_far), 0.0, 1.0)
+    times = t[j] + s * h
+    heights = ddesim._hermite(s, x0, x1, a0, a1)
+    is_max = a0 > 0.0
+    return (times[is_max], heights[is_max]), (times[~is_max], heights[~is_max])
+
+
+def test_extrema_and_metrics_match_the_numpy_reference(ref_params, traj_035, traj_036):
+    default_036 = ddesim.integrate(ref_params.with_r(0.36), ddesim.default_history(0.36),
+                                   200.0)
+    for traj in (traj_035, traj_036, default_036):
+        start = len(traj.t) // 2
+        args = (traj.t[start:], traj.x[start:], traj.dx[start:], traj.step)
+        (max_t, max_h), (min_t, min_h) = ddesim._hermite_extrema(*args)
+        (ref_max_t, ref_max_h), (ref_min_t, ref_min_h) = _numpy_hermite_extrema(*args)
+        assert max_t == ref_max_t.tolist() and max_h == ref_max_h.tolist()
+        assert min_t == ref_min_t.tolist() and min_h == ref_min_h.tolist()
+        metrics = ddesim.orbit_metrics(traj, 0.5)
+        assert metrics.amplitude == 0.5 * (float(np.mean(ref_max_h))
+                                           - float(np.mean(ref_min_h)))
+        if metrics.kind == ddesim.KIND_CYCLE:
+            assert metrics.period == float(np.mean(np.diff(ref_max_t)))
+
+
+def test_mean_sums_in_numpy_order():
+    rng = np.random.default_rng(4)
+    for size in list(range(1, 140)) + [255, 256, 257, 1000, 4099]:
+        values = rng.uniform(0.3, 0.5, size)
+        assert ddesim._mean(values.tolist()) == float(np.mean(values))
 
 
 def _quoted_tolerance(value):
@@ -222,9 +330,10 @@ def test_linearized_decay_rate_matches_rightmost_root(ref_params):
         "equilibrium plus small ripple",
     )
     traj = ddesim.integrate(params, hist, 80.0, 200)
-    mask = traj.t >= 20.0
-    tt = traj.t[mask]
-    dev = np.abs(traj.x[mask] - x2)
+    t, x = np.asarray(traj.t), np.asarray(traj.x)
+    mask = t >= 20.0
+    tt = t[mask]
+    dev = np.abs(x[mask] - x2)
     peaks = [
         (tt[i], dev[i])
         for i in range(1, len(dev) - 1)

@@ -159,6 +159,16 @@ def _eigendata(hp):
     return phi1, phi2, psi1, psi2
 
 
+@pytest.mark.parametrize("m", [64, 128, 256])
+def test_gauss_legendre_rule_matches_numpy(m):
+    np = pytest.importorskip("numpy")
+    nodes, weights = hopf._gauss_legendre(m)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(m)
+    assert len(nodes) == len(weights) == m
+    assert np.max(np.abs(np.asarray(nodes) - ref_nodes)) < 1e-14
+    assert np.max(np.abs(np.asarray(weights) - ref_weights)) < 1e-14
+
+
 def test_pairing_matches_closed_forms(ref_hopf):
     hp = ref_hopf
     phi1, phi2, psi1, _ = _eigendata(hp)

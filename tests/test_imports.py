@@ -1,17 +1,16 @@
-"""numpy stays off the analytic path.
+"""hemohopf runs without numpy.
 
-Equilibria, stability, the Hopf point and the normal form are scalar real
-and complex arithmetic, so importing the package and running those
-commands must not import numpy; only simulation builds arrays.  The
-import checks run in a fresh interpreter, because the test modules
-import numpy themselves.
+The analytic commands are scalar real and complex arithmetic, and the
+simulation stores its trajectories in ``array('d')``, so importing the
+package and running any command must not import numpy; numpy is a test
+dependency only.  The import checks run in a fresh interpreter, because
+the test modules import numpy themselves.
 """
 
 import os
 import subprocess
 import sys
-
-import numpy as np
+from array import array
 
 import hemohopf
 import refvals as rv
@@ -31,15 +30,23 @@ import hemohopf
 check("import hemohopf")
 from hemohopf import cli
 check("import hemohopf.cli")
-csv_path = sys.argv[1]
-for cfg in sys.argv[2:]:
-    for argv in (
-        ["equilibria", cfg],
-        ["stability", cfg],
-        ["stability", cfg, "--r-grid", "0.3", "0.4", "5", "-o", csv_path],
-        ["hopf", cfg],
-        ["normal-form", cfg],
-    ):
+group, csv_path = sys.argv[1:3]
+for cfg in sys.argv[3:]:
+    commands = {
+        "analytic": (
+            ["equilibria", cfg],
+            ["stability", cfg],
+            ["stability", cfg, "--r-grid", "0.3", "0.4", "5", "-o", csv_path],
+            ["hopf", cfg],
+            ["normal-form", cfg],
+        ),
+        "simulation": (
+            ["simulate", cfg, "--r", "0.36", "--t-end", "40", "-o", csv_path],
+            ["sweep", cfg, "--r-grid", "0.35", "0.36", "2", "--t-end", "40", "-o", csv_path],
+            ["scaling", cfg],
+        ),
+    }[group]
+    for argv in commands:
         assert cli.main(argv) == 0, argv
         check(" ".join(argv))
 print("numpy-free")
@@ -52,16 +59,24 @@ def _write_config(path, **anchor):
     return str(path)
 
 
-def test_analytic_commands_never_import_numpy(tmp_path):
+def _run_numpy_free(tmp_path, group):
     k_cfg = _write_config(tmp_path / "k.cfg", k=rv.K, r=rv.R_REF)
     gamma_cfg = _write_config(tmp_path / "gamma.cfg", gamma=rv.GAMMA_REF, r=rv.R_REF)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
-    argv = [str(tmp_path / "stab.csv"), k_cfg, gamma_cfg]
+    argv = [group, str(tmp_path / "out.csv"), k_cfg, gamma_cfg]
     proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE, *argv], capture_output=True,
                           text=True, env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("numpy-free\n")
+
+
+def test_analytic_commands_never_import_numpy(tmp_path):
+    _run_numpy_free(tmp_path, "analytic")
+
+
+def test_simulation_commands_never_import_numpy(tmp_path):
+    _run_numpy_free(tmp_path, "simulation")
 
 
 def test_simulation_keeps_numpy_arrays_and_csv_format(tmp_path):
@@ -69,11 +84,11 @@ def test_simulation_keeps_numpy_arrays_and_csv_format(tmp_path):
         rv.BETA0, rv.N, rv.DELTA, rv.GAMMA_REF, 0.36)
     traj = ddesim.integrate(params, ddesim.default_history(0.36), 20.0)
     for values in (traj.t, traj.x, traj.dx):
-        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert isinstance(values, array) and values.typecode == "d"
     for stride in (1, 7):
         path = tmp_path / f"traj{stride}.csv"
         ddesim.write_trajectory_csv(traj, path, stride=stride)
-        # reference: the row-by-row writer over numpy scalars
+        # reference: the row-by-row writer
         rows = range(0, len(traj.t), stride)
         expected = "t,x\n" + "".join(f"{traj.t[i]:.17g},{traj.x[i]:.17g}\n" for i in rows)
         assert path.read_bytes() == expected.encode()
