@@ -155,7 +155,8 @@ def _resolve_k(cfg: RunConfig) -> float:
 
 def _grid_values(grid: Tuple[float, float, int]):
     start, stop, count = grid
-    if count < 1 or stop < start:
+    # every delay of the grid must be a valid r > 0
+    if count < 1 or not (math.isfinite(stop) and 0.0 < start <= stop):
         raise ConfigError(f"bad r grid {grid}")
     if count == 1:
         return [start]
@@ -223,7 +224,7 @@ def _cmd_stability(cfg: RunConfig, out) -> int:
                     g_val = linstab.g_of_r(r, local)
                 except ParameterError:
                     g_val = math.nan
-                triple = linstab.characteristic_triple(local, "x2")
+                triple = linstab.characteristic_triple(local)
                 try:
                     re_right = linstab.rightmost_root(triple).real
                 except NumericsError:
@@ -239,10 +240,6 @@ def _cmd_stability(cfg: RunConfig, out) -> int:
                          f"{_csv_cell(g_val)},{_csv_cell(re_right)}\n")
         print(f"wrote {len(rows)} rows to {cfg.output_path}", file=out)
     return 0
-
-
-def _hopf_strategy(cfg: RunConfig) -> hopf.HopfPoint:
-    return hopf.hopf_from_pqk(cfg.n, cfg.beta0, cfg.delta, _resolve_k(cfg))
 
 
 def _bracket_by_scan(params: model.ModelParameters):
@@ -273,7 +270,7 @@ def _locate_hopf(cfg: RunConfig) -> hopf.HopfPoint:
     the root of the boundary function (bracket from --bracket or a scan).
     """
     if cfg.k is not None:
-        return _hopf_strategy(cfg)
+        return hopf.hopf_from_pqk(cfg.n, cfg.beta0, cfg.delta, _resolve_k(cfg))
     gamma = _resolve_gamma(cfg)
     # any delay gives the same fixed-gamma family; the stored r is unused
     params = model.ModelParameters.from_gamma(cfg.beta0, cfg.n, cfg.delta, gamma, 0.0)
@@ -349,9 +346,21 @@ def _cmd_normal_form(cfg: RunConfig, out) -> int:
     return 0
 
 
+def _check_orbit_flags(cfg: RunConfig) -> None:
+    """Refuse a bad --transient-fraction or --stride before any integration;
+    `orbit_metrics` and `write_trajectory_csv` would only refuse after it."""
+    if not 0.0 < cfg.transient_fraction < 1.0:
+        raise ConfigError(
+            f"--transient-fraction must be in (0, 1), got {cfg.transient_fraction}"
+        )
+    if cfg.stride < 1:
+        raise ConfigError(f"--stride must be >= 1, got {cfg.stride}")
+
+
 def _cmd_simulate(cfg: RunConfig, out) -> int:
     if cfg.output_path is None:
         raise ConfigError("simulate requires --output for the trajectory CSV")
+    _check_orbit_flags(cfg)
     params = _build_params(cfg)
     t_end = cfg.t_end if cfg.t_end is not None else 200.0
     traj = ddesim.integrate(
@@ -371,6 +380,7 @@ def _cmd_sweep(cfg: RunConfig, out) -> int:
         raise ConfigError("sweep requires --r-grid START STOP COUNT")
     if cfg.output_path is None:
         raise ConfigError("sweep requires --output for the metrics CSV")
+    _check_orbit_flags(cfg)
     gamma = _resolve_gamma(cfg)
     t_end = cfg.t_end if cfg.t_end is not None else 200.0
     grid = _grid_values(cfg.r_grid)
@@ -396,6 +406,7 @@ def _cmd_sweep(cfg: RunConfig, out) -> int:
 
 
 def _cmd_scaling(cfg: RunConfig, out) -> int:
+    _check_orbit_flags(cfg)
     hp = _locate_hopf(cfg)
     t_end = cfg.t_end if cfg.t_end is not None else 400.0
     ratio = ddesim.amplitude_scaling(

@@ -43,12 +43,17 @@ from .errors import (
     NumericsError,
     ResonanceError,
 )
-from .linstab import bracketed_root, g_of_r, omega0, CharacteristicTriple
+from .linstab import (
+    CharacteristicTriple,
+    bracketed_root,
+    characteristic_triple,
+    g_of_r,
+    omega0,
+)
 from .model import (
     ModelParameters,
     TaylorCoefficients,
     equilibria,
-    gamma_from_k,
     taylor_coefficients,
 )
 
@@ -144,20 +149,18 @@ class NormalFormData:
 def hopf_from_pqk(n: float, beta0: float, delta: float, k: float) -> HopfPoint:
     """Locate the Hopf point directly from (n, beta0, delta, k).
 
-    Computes B1 at x2, forms p = delta + B1 and q = k B1, and applies the
-    frontier relations omega* = sqrt(q^2 - p^2), r* = arccos(p/q)/omega*.
-    The loss rate consistent with the result is gamma* = -ln(k/2)/r*.
+    Takes (p, q) at x2 from the model and applies the frontier relations
+    omega* = sqrt(q^2 - p^2), r* = arccos(p/q)/omega*.  The loss rate
+    consistent with the result is gamma* = -ln(k/2)/r*.
     """
-    A = beta0 * (k - 1.0) / delta
-    if A <= 1.0:
-        raise NoPositiveEquilibriumError(f"no positive equilibrium: A = {A} <= 1")
-    x2 = (A - 1.0) ** (1.0 / n)
-    b1 = beta0 * (n - (n - 1.0) * A) / (A * A)
-    p = delta + b1
-    q = k * b1
+    # A, x2, B1, p and q depend on k but not on r, so any delay will do here
+    model_k = ModelParameters.from_k(beta0, n, delta, k, 1.0)
+    triple = characteristic_triple(model_k)
+    p, q = triple.p, triple.q
+    report = equilibria(model_k)
     if q >= 0.0:
         raise NoImaginaryCrossingError(
-            f"B1 = {b1} >= 0: no pure-imaginary crossing in this regime"
+            f"B1 = {report.B1_at_x2} >= 0: no pure-imaginary crossing in this regime"
         )
     if abs(q) <= abs(p):
         raise NoImaginaryCrossingError(
@@ -165,10 +168,9 @@ def hopf_from_pqk(n: float, beta0: float, delta: float, k: float) -> HopfPoint:
         )
     omega = math.sqrt(q * q - p * p)
     r = math.acos(p / q) / omega
-    gamma = gamma_from_k(k, r)
-    params = ModelParameters(beta0=beta0, n=n, delta=delta, gamma=gamma, r=r, k=k)
+    params = ModelParameters.from_k(beta0, n, delta, k, r)
     return HopfPoint(
-        r_star=r, omega_star=omega, p_star=p, q_star=q, params=params, x2_star=x2
+        r_star=r, omega_star=omega, p_star=p, q_star=q, params=params, x2_star=report.x2
     )
 
 
@@ -215,15 +217,9 @@ def find_hopf_r(
         )
     r = bracketed_root(lambda rr: g_of_r(rr, params), a, b, f_tol=1e-11)
     local = params.with_r(r)
-    report = equilibria(local)
-    b1 = report.B1_at_x2
-    p = local.delta + b1
-    q = local.k * b1
-    triple = CharacteristicTriple(p=p, q=q, r=r)
-    omega = omega0(triple)
-    return HopfPoint(
-        r_star=r, omega_star=omega, p_star=p, q_star=q, params=local, x2_star=report.x2
-    )
+    triple = characteristic_triple(local)
+    return HopfPoint(r_star=r, omega_star=omega0(triple), p_star=triple.p,
+                     q_star=triple.q, params=local, x2_star=equilibria(local).x2)
 
 
 def _b1_chain_derivatives(hp: HopfPoint) -> Tuple[float, float]:

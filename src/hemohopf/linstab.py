@@ -30,7 +30,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     NoPositiveEquilibriumError,
-    ParameterError,
 )
 from .model import ModelParameters, equilibria
 
@@ -99,21 +98,13 @@ class StabilityVerdict:
     notes: str = ""
 
 
-def characteristic_triple(
-    params: ModelParameters, equilibrium: str = "x2"
-) -> CharacteristicTriple:
-    """Triple (p, q, r) for the linearization at ``x1`` or ``x2``."""
+def characteristic_triple(params: ModelParameters) -> CharacteristicTriple:
+    """Triple (p, q, r) for the linearization at x2, p = delta + B1(x2) and
+    q = k B1(x2): the one place where p and q are formed."""
     report = equilibria(params)
-    if equilibrium == "x1":
-        b1 = report.B1_at_x1
-    elif equilibrium == "x2":
-        if report.B1_at_x2 is None:
-            raise NoPositiveEquilibriumError(
-                f"no positive equilibrium: A = {report.A} <= 1"
-            )
-        b1 = report.B1_at_x2
-    else:
-        raise ParameterError(f"equilibrium must be 'x1' or 'x2', got {equilibrium!r}")
+    if report.B1_at_x2 is None:
+        raise NoPositiveEquilibriumError(f"no positive equilibrium: A = {report.A} <= 1")
+    b1 = report.B1_at_x2
     return CharacteristicTriple(p=params.delta + b1, q=params.k * b1, r=params.r)
 
 
@@ -211,7 +202,7 @@ def classify_x2(params: ModelParameters) -> StabilityVerdict:
       r < arccos(p/q)/omega0; marginal on g = 0.
     * B1 < 0, p = 0: stable iff -q r < pi/2, marginal at equality.
     """
-    triple = characteristic_triple(params, "x2")
+    triple = characteristic_triple(params)
     p, q, r = triple.p, triple.q, triple.r
     b1 = q / params.k
 
@@ -266,62 +257,41 @@ def classify_x2(params: ModelParameters) -> StabilityVerdict:
             notes=notes,
         )
 
-    if p < 0.0:
-        # case I.A
-        if r * abs(p) >= 1.0 - BOUNDARY_TOL:
-            return StabilityVerdict(
-                target="x2",
-                case_label=CASE_IA,
-                status=UNSTABLE,
-                notes=f"r|p| = {r * abs(p)} >= 1",
-            )
-        if abs(p) >= abs(q):
-            return StabilityVerdict(
-                target="x2",
-                case_label=CASE_IA,
-                status=UNSTABLE,
-                notes=f"|p| = {abs(p)} >= |q| = {abs(q)}",
-            )
-        w0 = omega0(triple)
-        acc = math.acos(p / q)
-        window = (acc / w0, 1.0 / abs(p))
-        g = w0 * r - acc  # sign of g(r); g > 0 inside the stable window
-        if abs(g) <= BOUNDARY_TOL:
-            status, notes = MARGINAL, "g(r) = 0: on the stability frontier"
-        elif g > 0.0:
-            status, notes = STABLE, f"g = {g} > 0"
-        else:
-            status, notes = UNSTABLE, f"g = {g} < 0"
+    # B1 < 0 and p != 0 from here on: case I.A (p < 0) or I.B (p > 0).
+    case = CASE_IA if p < 0.0 else CASE_IB
+    if p < 0.0 and r * abs(p) >= 1.0 - BOUNDARY_TOL:
+        return StabilityVerdict(
+            target="x2", case_label=case, status=UNSTABLE, notes=f"r|p| = {r * abs(p)} >= 1"
+        )
+    if p < 0.0 and abs(p) >= abs(q):
         return StabilityVerdict(
             target="x2",
-            case_label=CASE_IA,
-            status=status,
-            omega0=w0,
-            stable_window=window,
-            notes=notes,
+            case_label=case,
+            status=UNSTABLE,
+            notes=f"|p| = {abs(p)} >= |q| = {abs(q)}",
         )
-
-    # case I.B: p > 0
     if p > abs(q):
         return StabilityVerdict(
             target="x2",
-            case_label=CASE_IB,
+            case_label=case,
             status=STABLE,
             notes=f"p = {p} > |q| = {abs(q)}: stable for every delay",
         )
+    # The frontier is g = omega0 r - arccos(p/q) = 0.  Its stable side is
+    # g > 0 in I.A, window (arccos(p/q)/omega0, 1/|p|), and g < 0 in I.B,
+    # window (0, arccos(p/q)/omega0).
     w0 = omega0(triple)
-    acc = math.acos(max(p / q, -1.0))  # p/q in [-1, 0); clamp roundoff
-    window = (0.0, acc / w0)
-    g = w0 * r - acc  # stable side is g < 0 here
+    acc = math.acos(max(p / q, -1.0))  # I.B reaches p/q = -1; clamp roundoff
+    window = (acc / w0, 1.0 / abs(p)) if p < 0.0 else (0.0, acc / w0)
+    g = w0 * r - acc
     if abs(g) <= BOUNDARY_TOL:
         status, notes = MARGINAL, "g(r) = 0: on the stability frontier"
-    elif g < 0.0:
-        status, notes = STABLE, f"g = {g} < 0"
     else:
-        status, notes = UNSTABLE, f"g = {g} > 0"
+        status = STABLE if (g > 0.0) == (p < 0.0) else UNSTABLE
+        notes = f"g = {g} > 0" if g > 0.0 else f"g = {g} < 0"
     return StabilityVerdict(
         target="x2",
-        case_label=CASE_IB,
+        case_label=case,
         status=status,
         omega0=w0,
         stable_window=window,
@@ -338,15 +308,8 @@ def g_of_r(r: float, params: ModelParameters) -> float:
     """
     if not math.isfinite(r) or r <= 0.0:
         raise DomainError(f"g is evaluated for r > 0, got {r}")
-    local = params.with_r(r)
-    report = equilibria(local)
-    if report.B1_at_x2 is None:
-        raise NoPositiveEquilibriumError(
-            f"no positive equilibrium at r = {r}: A = {report.A} <= 1"
-        )
-    b1 = report.B1_at_x2
-    p = local.delta + b1
-    q = local.k * b1
+    triple = characteristic_triple(params.with_r(r))
+    p, q = triple.p, triple.q
     v = -p * r
     if v > 1.0:
         raise DomainError(f"T_inv argument -p*r = {v} > 1 at r = {r}")

@@ -105,7 +105,7 @@ def test_criterion_4_transversality(ref_hopf, ref_params):
     h = 1e-5
     lams = []
     for r in (ref_hopf.r_star - h, ref_hopf.r_star + h):
-        triple = linstab.characteristic_triple(ref_params.with_r(r), "x2")
+        triple = linstab.characteristic_triple(ref_params.with_r(r))
         lams.append(
             linstab.char_root_newton(1j * ref_hopf.omega_star, triple, tol=1e-13)
         )
@@ -161,7 +161,7 @@ def test_criterion_6_boundary_function_slope(ref_hopf, ref_params):
 def test_criterion_7_simulation_vs_theory(ref_params, traj_035, traj_036):
     m35 = ddesim.orbit_metrics(traj_035, 0.5)
     m36 = ddesim.orbit_metrics(traj_036, 0.5)
-    triple = linstab.characteristic_triple(ref_params.with_r(0.36), "x2")
+    triple = linstab.characteristic_triple(ref_params.with_r(0.36))
     root = linstab.char_root_newton(1j * rv.OMEGA_REF, triple)
     period_lin = 2.0 * math.pi / root.imag
     period_ok = (
@@ -298,7 +298,7 @@ def test_criterion_9_property_suites(ref_hopf, ref_params):
     count = 0
     while count < 1000:
         p = draw_valid_params(rng)
-        t = linstab.characteristic_triple(p, "x2")
+        t = linstab.characteristic_triple(p)
         b1 = t.q / p.k
         margins = [
             abs(b1),

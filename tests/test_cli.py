@@ -139,6 +139,11 @@ def test_stability_grid_csv(config_path, tmp_path, capsys):
 @pytest.mark.parametrize("grid, output, message", [
     (["0.1", "0.3", "5"], False, "requires --output"),
     (["0.3", "0.1", "5"], True, "bad r grid"),
+    # every delay must be finite and positive
+    (["-1e-3", "0.5", "3"], True, "bad r grid"),
+    (["0", "0.3", "3"], True, "bad r grid"),
+    (["nan", "0.3", "5"], True, "bad r grid"),
+    (["0.1", "inf", "5"], True, "bad r grid"),
 ])
 def test_stability_refused_grid_prints_no_half_report(config_path, tmp_path, capsys,
                                                       grid, output, message):
@@ -211,6 +216,29 @@ def test_simulate_step_count_is_capped(config_path, tmp_path, capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "MAX_STEPS" in captured.err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("simulate", ["--r", "0.36", "--transient-fraction", "1.5"], "--transient-fraction"),
+    ("simulate", ["--r", "0.36", "--stride", "0"], "--stride"),
+    ("sweep", ["--r-grid", "0.35", "0.36", "2", "--transient-fraction", "nan"],
+     "--transient-fraction"),
+    ("scaling", ["--transient-fraction", "0"], "--transient-fraction"),
+])
+def test_bad_orbit_flags_are_refused_before_integration(config_path, tmp_path, capsys,
+                                                        monkeypatch, command, flags,
+                                                        message):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before refusing the flag")
+
+    monkeypatch.setattr(ddesim, "integrate", no_integration)
+    out_csv = tmp_path / "out.csv"
+    code = cli.main([command, config_path, *flags, "--output", str(out_csv)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
     assert not out_csv.exists()
 
 

@@ -184,7 +184,7 @@ def test_cycle_period_near_onset_matches_linear_theory(ref_params, ref_hopf):
     traj = ddesim.integrate(params, ddesim.default_history(r), 400.0, 200)
     metrics = ddesim.orbit_metrics(traj, 0.5)
     assert metrics.kind == ddesim.KIND_CYCLE
-    triple = linstab.characteristic_triple(params, "x2")
+    triple = linstab.characteristic_triple(params)
     root = linstab.char_root_newton(1j * ref_hopf.omega_star, triple)
     assert abs(metrics.period - 2.0 * math.pi / root.imag) < 0.05 * metrics.period
 
@@ -342,7 +342,7 @@ def test_linearized_decay_rate_matches_rightmost_root(ref_params):
     times = np.array([a for a, _ in peaks])
     heights = np.array([b for _, b in peaks])
     slope = np.polyfit(times, np.log(heights), 1)[0]
-    triple = linstab.characteristic_triple(params, "x2")
+    triple = linstab.characteristic_triple(params)
     rightmost = linstab.rightmost_root(triple)
     assert abs(slope - rightmost.real) < 0.1 * abs(rightmost.real)
 

@@ -122,7 +122,7 @@ def test_transversality_matches_root_tracking(ref_hopf, ref_params):
     h = 1e-5
     lams = []
     for r in (ref_hopf.r_star - h, ref_hopf.r_star + h):
-        triple = linstab.characteristic_triple(ref_params.with_r(r), "x2")
+        triple = linstab.characteristic_triple(ref_params.with_r(r))
         lams.append(
             linstab.char_root_newton(1j * ref_hopf.omega_star, triple, tol=1e-13)
         )

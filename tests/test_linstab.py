@@ -180,6 +180,37 @@ def test_classify_x2_p_dominates_q_branch():
     assert "stable for every delay" in v.notes
 
 
+@pytest.mark.parametrize("args, expected", [
+    # I.A stable: r inside (arccos(p/q) / omega0, 1 / |p|)
+    ((1.77, 12.0, 0.05, 1.180746972, 0.35), linstab.StabilityVerdict(
+        target="x2", case_label="I.A", status="stable", omega0=1.7878398009273984,
+        stable_window=(0.33080633726128766, 0.40418399006305056),
+        notes="g = 0.034315194169847074 > 0")),
+    # I.A unstable: g < 0
+    ((1.77, 12.0, 0.05, 1.180746972, 0.38), linstab.StabilityVerdict(
+        target="x2", case_label="I.A", status="unstable", omega0=1.1082945611689423,
+        stable_window=(0.5336385802804533, 0.40418399006305056),
+        notes="g = -0.17027680291054426 < 0")),
+    # I.B stable: r below arccos(p/q) / omega0
+    ((1.0, 2.0, 0.1, 1.25, 10.0), linstab.StabilityVerdict(
+        target="x2", case_label="I.B", status="stable", omega0=0.16886826899584778,
+        stable_window=(0.0, 10.494299835742392),
+        notes="g = -0.08347155762674952 < 0")),
+    # I.B unstable: g > 0
+    ((1.0, 2.0, 0.1, 1.25, 50.0), linstab.StabilityVerdict(
+        target="x2", case_label="I.B", status="unstable", omega0=0.040575156762208735,
+        stable_window=(0.0, 43.67584475325534),
+        notes="g = 0.2566035905252093 > 0")),
+    # I.B with p > |q|: stable for every delay, no frontier
+    ((1.77, 12.0, 0.5, 1.309, 0.2), linstab.StabilityVerdict(
+        target="x2", case_label="I.B", status="stable",
+        notes="p = 0.4519826377738852 > |q| = 0.06285472715398428: "
+              "stable for every delay")),
+])
+def test_classify_x2_whole_verdict(args, expected):
+    assert linstab.classify_x2(model.ModelParameters.from_k(*args)) == expected
+
+
 def test_classify_x2_p_zero_boundary(ref_params):
     r_n = model.equilibria(ref_params).r_n
     r = _bisect_b1_level(ref_params, -rv.DELTA, 0.35, r_n)
@@ -272,7 +303,7 @@ def test_rightmost_root_on_crossing(ref_params, ref_hopf):
 
 def test_rightmost_root_tracks_stability(ref_params):
     for r, expected in ((0.35, rv.ROOT_035), (0.36, rv.ROOT_036)):
-        t = linstab.characteristic_triple(ref_params.with_r(r), "x2")
+        t = linstab.characteristic_triple(ref_params.with_r(r))
         root = linstab.rightmost_root(t)
         assert abs(root - expected) < 1e-10
         status = linstab.classify_x2(ref_params.with_r(r)).status
@@ -308,7 +339,7 @@ def _non_boundary_draws(count, seed=7121):
     draws = []
     while len(draws) < count:
         p = draw_valid_params(rng)
-        t = linstab.characteristic_triple(p, "x2")
+        t = linstab.characteristic_triple(p)
         b1 = t.q / p.k
         margins = [abs(b1), abs(t.p), abs(abs(t.p) - abs(t.q)), abs(t.r * abs(t.p) - 1.0)]
         if b1 < 0 and t.p < 0 and t.r * abs(t.p) < 1.0 and abs(t.p) < abs(t.q):
