@@ -15,8 +15,7 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import ddesim, hopf, linstab, model
 from .errors import BracketError, ConfigError, NumericsError, ParameterError
@@ -38,17 +37,16 @@ _REQUIRED_KEYS = ("beta0", "n", "delta")
 # argparse reads a token such as "-1e-3" as an option unless it matches
 # this pattern; its default admits only plain decimals like "-0.001".
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-#: Largest --r-grid COUNT accepted; a stability chart this size takes about
-#: 5 s on a 2-vCPU Xeon.
+#: Largest --r-grid COUNT accepted; a stability chart this size on the
+#: README configuration, over (0, r_max), takes about 7 s on a 2-vCPU Xeon.
 MAX_GRID_POINTS = 100_000
 #: Largest total step count of one `sweep`, summed over its rows before the
-#: first integration; about 45 s of integration at 2.1 us per step on a
+#: first integration; about 46 s of integration at 2.3 us per step on a
 #: 2-vCPU Xeon.
 MAX_SWEEP_STEPS = 20_000_000
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Merged configuration of one CLI invocation."""
 
     command: str
@@ -323,16 +321,14 @@ def _cmd_normal_form(cfg: RunConfig, out) -> int:
     print(f"psi1(0) = {_fmt_c(nf.psi1_zero)}", file=out)
     for name in ("f20", "f11", "f02", "f21", "g20", "g11", "g02", "g21"):
         print(f"{name} = {_fmt_c(getattr(nf, name))}", file=out)
-    w20_cf = hopf.w20_closed_form(nf.g20, nf.g02, nf.f20, hp)
-    w11_cf = hopf.w11_closed_form(nf.g11, nf.f11, hp)
-    print(f"w20(0)  = {_fmt_c(nf.w20_at_0)}   closed form {_fmt_c(w20_cf[0])}   "
-          f"|diff| = {abs(nf.w20_at_0 - w20_cf[0]):.3e}", file=out)
-    print(f"w20(-r) = {_fmt_c(nf.w20_at_minus_r)}   closed form {_fmt_c(w20_cf[1])}   "
-          f"|diff| = {abs(nf.w20_at_minus_r - w20_cf[1]):.3e}", file=out)
-    print(f"w11(0)  = {_fmt_c(nf.w11_at_0)}   closed form {_fmt_c(w11_cf[0])}   "
-          f"|diff| = {abs(nf.w11_at_0 - w11_cf[0]):.3e}", file=out)
-    print(f"w11(-r) = {_fmt_c(nf.w11_at_minus_r)}   closed form {_fmt_c(w11_cf[1])}   "
-          f"|diff| = {abs(nf.w11_at_minus_r - w11_cf[1]):.3e}", file=out)
+    for label, value, closed in (
+        ("w20(0) ", nf.w20_at_0, nf.w20_closed_at_0),
+        ("w20(-r)", nf.w20_at_minus_r, nf.w20_closed_at_minus_r),
+        ("w11(0) ", nf.w11_at_0, nf.w11_closed_at_0),
+        ("w11(-r)", nf.w11_at_minus_r, nf.w11_closed_at_minus_r),
+    ):
+        print(f"{label} = {_fmt_c(value)}   closed form {_fmt_c(closed)}   "
+              f"|diff| = {abs(value - closed):.3e}", file=out)
     print(f"c  = {_fmt_c(nf.c)}", file=out)
     print(f"c1 = {_fmt(nf.c1)}", file=out)
     print(f"l1 = {_fmt(nf.l1)}   s = {nf.s:+d}", file=out)
@@ -447,27 +443,33 @@ def run(cfg: RunConfig, out=None) -> int:
 def _build_argparser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hemohopf",
+        usage="%(prog)s command config [options]",
         description="Stability and Hopf bifurcation analysis of the delayed "
         "blood-cell production model",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("config", help="parameter file (key = value lines)")
-        for key in _ALLOWED_KEYS:
-            p.add_argument(f"--{key}", type=float, default=None,
-                           help=f"override {key} from the config file")
-        p.add_argument("--output", "-o", default=None, help="output CSV path")
-        p.add_argument("--t-end", type=float, default=None)
-        p.add_argument("--steps-per-delay", type=int, default=ddesim.STEPS_PER_DELAY)
-        p.add_argument("--stride", type=int, default=1)
-        p.add_argument("--transient-fraction", type=float, default=0.5)
-        p.add_argument("--bracket", type=float, nargs=2, default=None,
-                       metavar=("LO", "HI"))
-        p.add_argument("--delta-r", type=float, default=2e-3)
-        p.add_argument("--r-grid", type=float, nargs=3, default=None,
-                       metavar=("START", "STOP", "COUNT"))
-        p._negative_number_matcher = _NEGATIVE_NUMBER
+    parser.add_argument("command", choices=COMMANDS, help="the analysis to run")
+    parser.add_argument("config", help="parameter file (key = value lines)")
+    for key in _ALLOWED_KEYS:
+        parser.add_argument(f"--{key}", type=float, default=None,
+                            help=f"override {key} from the config file")
+    parser.add_argument("--output", "-o", default=None, help="output CSV path")
+    parser.add_argument("--t-end", type=float, default=None,
+                        help="simulated time (default 200; 400 for scaling)")
+    parser.add_argument("--steps-per-delay", type=int, default=ddesim.STEPS_PER_DELAY,
+                        help="RK4 steps per delay interval (default %(default)s)")
+    parser.add_argument("--stride", type=int, default=1,
+                        help="write every STRIDE-th trajectory row (default 1)")
+    parser.add_argument("--transient-fraction", type=float, default=0.5,
+                        help="leading share of a run the orbit diagnostics "
+                        "skip (default 0.5)")
+    parser.add_argument("--bracket", type=float, nargs=2, default=None,
+                        metavar=("LO", "HI"), help="delay bracket of the Hopf root")
+    parser.add_argument("--delta-r", type=float, default=2e-3,
+                        help="scaling offset above r* (default 2e-3)")
+    parser.add_argument("--r-grid", type=float, nargs=3, default=None,
+                        metavar=("START", "STOP", "COUNT"),
+                        help="COUNT evenly spaced delays from START to STOP")
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -28,9 +28,8 @@ import math
 import operator
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import BlowUpError, InconclusiveError, ParameterError
 from .hopf import HopfPoint
@@ -71,8 +70,7 @@ KIND_CYCLE = "cycle"
 KIND_UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class HistoryFunction:
+class HistoryFunction(NamedTuple):
     """Initial segment of the solution on [-r, 0]."""
 
     evaluator: Callable[[float], float]
@@ -95,8 +93,7 @@ def constant_history(value: float) -> HistoryFunction:
     return HistoryFunction(evaluator=lambda s: value, description=f"constant {value}")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Dense simulation output on the aligned grid starting at t = 0.
 
     ``t``, ``x`` and ``dx`` are ``array('d')`` columns with t[i] = i * step.
@@ -128,8 +125,7 @@ def _hermite(s, x0, x1, a0, a1):
             + s * s * (3.0 - 2.0 * s) * x1 + s * s * (s - 1.0) * a1)
 
 
-@dataclass(frozen=True)
-class OrbitMetrics:
+class OrbitMetrics(NamedTuple):
     """Classification of the tail of a trajectory.
 
     kind = cycle requires the half peak-to-trough amplitude to exceed

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 from .errors import (
     BracketError,
@@ -84,14 +83,7 @@ L1_DEGENERATE_TOL = 1e-9
 _RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class HopfPoint:
-    """A located Hopf bifurcation point of the positive equilibrium.
-
-    Self-validating: construction checks that +-i omega* solves the
-    characteristic equation and that the frontier relations hold.
-    """
-
+class _HopfPointFields(NamedTuple):
     r_star: float
     omega_star: float
     p_star: float
@@ -99,8 +91,18 @@ class HopfPoint:
     params: ModelParameters
     x2_star: float
 
-    def __post_init__(self):
-        p, q, w, r = self.p_star, self.q_star, self.omega_star, self.r_star
+
+class HopfPoint(_HopfPointFields):
+    """A located Hopf bifurcation point of the positive equilibrium.
+
+    Self-validating: construction checks that +-i omega* solves the
+    characteristic equation and that the frontier relations hold.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, r_star, omega_star, p_star, q_star, params, x2_star):
+        p, q, w, r = p_star, q_star, omega_star, r_star
         res = abs(1j * w + p - q * cmath.exp(-1j * w * r))
         if res >= _RESIDUAL_TOL:
             raise NumericsError(
@@ -112,16 +114,21 @@ class HopfPoint:
             raise NumericsError("omega* != sqrt(q^2 - p^2)")
         if abs(r - math.acos(p / q) / w) >= _RESIDUAL_TOL:
             raise NumericsError("r* != arccos(p/q) / omega*")
-        if abs(self.params.r - r) > 1e-12 * max(1.0, abs(r)):
+        if abs(params.r - r) > 1e-12 * max(1.0, abs(r)):
             raise NumericsError("params delay inconsistent with r_star")
+        return super().__new__(cls, r_star, omega_star, p_star, q_star, params, x2_star)
+
+    @classmethod
+    def _make(cls, iterable):
+        # NamedTuple's _make (and so _replace) would skip the checks above
+        return cls(*iterable)
 
     @property
     def triple(self) -> CharacteristicTriple:
         return CharacteristicTriple(p=self.p_star, q=self.q_star, r=self.r_star)
 
 
-@dataclass(frozen=True)
-class NormalFormData:
+class NormalFormData(NamedTuple):
     """All quantities of the cubic normal form at a Hopf point."""
 
     psi1_zero: complex
@@ -137,6 +144,11 @@ class NormalFormData:
     w20_at_minus_r: complex
     w11_at_0: complex
     w11_at_minus_r: complex
+    # the printed closed forms of the four boundary values, the cross-check
+    w20_closed_at_0: complex
+    w20_closed_at_minus_r: complex
+    w11_closed_at_0: complex
+    w11_closed_at_minus_r: complex
     c: complex
     c1: float
     l1: float
@@ -513,8 +525,8 @@ def criticality_report(hp: HopfPoint) -> NormalFormData:
     g21 = psi * f21
     l1 = lyapunov_l1(g20, g11, g21, hp.omega_star)
     mu_prime, omega_prime = transversality(hp)
-    _, _, c = w20_closed_form(g20, g02, f20, hp)
-    _, _, c1 = w11_closed_form(g11, f11, hp)
+    w20_cf_0, w20_cf_mr, c = w20_closed_form(g20, g02, f20, hp)
+    w11_cf_0, w11_cf_mr, c1 = w11_closed_form(g11, f11, hp)
     crit = _criticality(l1)
     s = 0 if crit == DEGENERATE else (-1 if l1 < 0.0 else 1)
     return NormalFormData(
@@ -531,6 +543,10 @@ def criticality_report(hp: HopfPoint) -> NormalFormData:
         w20_at_minus_r=w20_mr,
         w11_at_0=w11_0,
         w11_at_minus_r=w11_mr,
+        w20_closed_at_0=w20_cf_0,
+        w20_closed_at_minus_r=w20_cf_mr,
+        w11_closed_at_0=w11_cf_0,
+        w11_closed_at_minus_r=w11_cf_mr,
         c=c,
         c1=c1,
         l1=l1,

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import (
     BracketError,
@@ -66,23 +65,31 @@ CASE_II = "II"
 CASE_B1_ZERO = "B1_zero"
 
 
-@dataclass(frozen=True)
-class CharacteristicTriple:
-    """Coefficients (p, q, r) of ``lam + p = q exp(-lam r)``."""
-
+class _CharacteristicTripleFields(NamedTuple):
     p: float
     q: float
     r: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.p) and math.isfinite(self.q)):
-            raise DomainError(f"p, q must be finite, got p={self.p}, q={self.q}")
-        if not math.isfinite(self.r) or self.r < 0.0:
-            raise DomainError(f"delay r must be nonnegative, got {self.r}")
+
+class CharacteristicTriple(_CharacteristicTripleFields):
+    """Coefficients (p, q, r) of ``lam + p = q exp(-lam r)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, p, q, r):
+        if not (math.isfinite(p) and math.isfinite(q)):
+            raise DomainError(f"p, q must be finite, got p={p}, q={q}")
+        if not math.isfinite(r) or r < 0.0:
+            raise DomainError(f"delay r must be nonnegative, got {r}")
+        return super().__new__(cls, p, q, r)
+
+    @classmethod
+    def _make(cls, iterable):
+        # NamedTuple's _make (and so _replace) would skip the checks above
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     """Outcome of classifying one equilibrium.
 
     ``stable_window`` holds the delay bounds supporting the verdict where

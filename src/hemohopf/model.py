@@ -14,8 +14,7 @@ coefficients B_m of beta(x) x at x2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError, NoPositiveEquilibriumError, ParameterError
 
@@ -64,14 +63,7 @@ def gamma_from_k(k: float, r: float) -> float:
     return -math.log(k / 2.0) / r
 
 
-@dataclass(frozen=True)
-class ModelParameters:
-    """The five model parameters plus the derived amplification k.
-
-    ``k = 2 exp(-gamma r)`` holds to machine precision by construction;
-    build instances through :meth:`from_gamma` or :meth:`from_k`.
-    """
-
+class _ModelParameterFields(NamedTuple):
     beta0: float
     n: float
     delta: float
@@ -79,26 +71,42 @@ class ModelParameters:
     r: float
     k: float
 
-    def __post_init__(self):
-        for name in ("beta0", "n", "delta", "gamma", "r", "k"):
-            v = getattr(self, name)
+
+class ModelParameters(_ModelParameterFields):
+    """The five model parameters plus the derived amplification k.
+
+    ``k = 2 exp(-gamma r)`` holds to machine precision by construction;
+    build instances through :meth:`from_gamma` or :meth:`from_k`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, beta0, n, delta, gamma, r, k):
+        self = super().__new__(cls, beta0, n, delta, gamma, r, k)
+        for name, v in zip(self._fields, self):
             if not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise ParameterError(f"{name} must be a finite number, got {v!r}")
-        if self.beta0 <= 0.0:
-            raise ParameterError(f"beta0 must be positive, got {self.beta0}")
-        if self.delta <= 0.0:
-            raise ParameterError(f"delta must be positive, got {self.delta}")
-        if self.gamma <= 0.0:
-            raise ParameterError(f"gamma must be positive, got {self.gamma}")
-        if self.r < 0.0:
-            raise ParameterError(f"delay r must be nonnegative, got {self.r}")
-        if self.n <= 1.0:
-            raise ParameterError(f"Hill exponent n must exceed 1, got {self.n}")
-        expected = derive_k(self.gamma, self.r)
-        if abs(self.k - expected) > K_CONSISTENCY_RTOL * abs(expected):
+        if beta0 <= 0.0:
+            raise ParameterError(f"beta0 must be positive, got {beta0}")
+        if delta <= 0.0:
+            raise ParameterError(f"delta must be positive, got {delta}")
+        if gamma <= 0.0:
+            raise ParameterError(f"gamma must be positive, got {gamma}")
+        if r < 0.0:
+            raise ParameterError(f"delay r must be nonnegative, got {r}")
+        if n <= 1.0:
+            raise ParameterError(f"Hill exponent n must exceed 1, got {n}")
+        expected = derive_k(gamma, r)
+        if abs(k - expected) > K_CONSISTENCY_RTOL * abs(expected):
             raise ParameterError(
-                f"k={self.k!r} inconsistent with 2 exp(-gamma r)={expected!r}"
+                f"k={k!r} inconsistent with 2 exp(-gamma r)={expected!r}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # NamedTuple's _make (and so _replace) would skip the checks above
+        return cls(*iterable)
 
     @classmethod
     def from_gamma(cls, beta0, n, delta, gamma, r) -> "ModelParameters":
@@ -112,7 +120,8 @@ class ModelParameters:
 
     def with_r(self, r: float) -> "ModelParameters":
         """Same physical parameters at a different delay (k rederived)."""
-        return replace(self, r=r, k=derive_k(self.gamma, r))
+        return type(self)(self.beta0, self.n, self.delta, self.gamma, r,
+                          derive_k(self.gamma, r))
 
     @property
     def A(self) -> float:
@@ -166,8 +175,7 @@ def beta_derivatives(x: float, params: ModelParameters, max_order: int = 3):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     """Equilibria and the delay thresholds governing their existence.
 
     ``x2`` (and ``B1_at_x2``) are None when the positive equilibrium does
@@ -212,8 +220,7 @@ def equilibria(params: ModelParameters) -> EquilibriumReport:
     )
 
 
-@dataclass(frozen=True)
-class TaylorCoefficients:
+class TaylorCoefficients(NamedTuple):
     """Taylor coefficients B_m of the production term beta(x) x at x2.
 
     B_m = beta^(m)(x2) x2 + m beta^(m-1)(x2) is the m-th derivative of

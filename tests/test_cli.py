@@ -92,6 +92,54 @@ def test_validate_is_not_a_command(config_path, capsys):
     assert "invalid choice: 'validate'" in captured.err
 
 
+def _exit_code(argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_help_names_every_command(capsys):
+    assert _exit_code(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: hemohopf command config [options]")
+    for command in cli.COMMANDS:
+        assert command in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "CFG", "--r", "0.35", "--delta-r", "-2e-3", "-o", "s.csv"],
+    ["stability", "--r", "0.35", "--delta-r", "-2e-3", "-o", "s.csv", "CFG"],
+    ["stability", "--r", "0.35", "CFG", "--delta-r=-2e-3", "-o", "s.csv"],
+    ["--r", "0.35", "--delta-r", "-2e-3", "stability", "CFG", "-o", "s.csv"],
+])
+def test_options_parse_before_and_after_config(config_path, argv):
+    argv = [config_path if arg == "CFG" else arg for arg in argv]
+    cfg = cli._merge(cli._build_argparser().parse_args(argv))
+    assert (cfg.command, cfg.r, cfg.delta_r, cfg.output_path) == (
+        "stability", 0.35, -2e-3, "s.csv")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["stability"], 2),
+    ([], 2),
+    (["stability", "CFG", "--bogus"], 2),
+    (["stability", "CFG", "extra"], 2),
+    (["stability", "CFG", "--r-grid", "0.3", "0.4"], 2),
+    (["simulate", "CFG", "--stride", "x", "-o", "t.csv"], 2),
+    (["equilibria", "/nonexistent/params.cfg"], 2),
+    (["equilibria", "CFG", "--gamma", "1.4", "--k", "1.2"], 2),
+    (["scaling", "CFG", "--delta-r", "-2e-3", "--t-end", "120"], 3),
+])
+def test_refusals_keep_exit_code_and_empty_stdout(config_path, capsys, argv, code):
+    argv = [config_path if arg == "CFG" else arg for arg in argv]
+    assert _exit_code(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err != ""
+
+
 def test_hopf_command_reports_both_routes(config_path, capsys):
     assert cli.main(["hopf", config_path]) == 0
     out = capsys.readouterr().out

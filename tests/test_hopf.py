@@ -272,6 +272,18 @@ def test_w_defining_relations_and_closed_forms(args):
         assert abs(solved - closed) < 1e-9 * max(1.0, abs(closed))
 
 
+@pytest.mark.parametrize(
+    "args", [(rv.N, rv.BETA0, rv.DELTA, rv.K)] + OTHER_HOPF_ARGS
+)
+def test_normal_form_stores_the_closed_forms(args):
+    hp = hopf.hopf_from_pqk(*args)
+    nf = hopf.criticality_report(hp)
+    assert hopf.w20_closed_form(nf.g20, nf.g02, nf.f20, hp) == (
+        nf.w20_closed_at_0, nf.w20_closed_at_minus_r, nf.c)
+    assert hopf.w11_closed_form(nf.g11, nf.f11, hp) == (
+        nf.w11_closed_at_0, nf.w11_closed_at_minus_r, nf.c1)
+
+
 def test_w_reference_values(ref_hopf):
     tc, psi, f20, f11, f02 = _second_order_data(ref_hopf)
     g20, g11, g02 = psi * f20, psi * f11, psi * f02

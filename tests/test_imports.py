@@ -1,10 +1,12 @@
-"""hemohopf runs without numpy.
+"""hemohopf runs without numpy, and starts without dataclasses or inspect.
 
 The analytic commands are scalar real and complex arithmetic, and the
 simulation stores its trajectories in ``array('d')``, so importing the
 package and running any command must not import numpy; numpy is a test
-dependency only.  The import checks run in a fresh interpreter, because
-the test modules import numpy themselves.
+dependency only.  The records are named tuples, so neither may
+``dataclasses`` and the ``inspect`` it pulls in: each CLI command is one
+process, and their import is most of its start-up.  The import checks run
+in a fresh interpreter, because the test modules import numpy themselves.
 """
 
 import os
@@ -23,7 +25,8 @@ import sys
 
 
 def check(step):
-    assert "numpy" not in sys.modules, f"numpy imported by {step}"
+    for name in ("numpy", "dataclasses", "inspect"):
+        assert name not in sys.modules, f"{name} imported by {step}"
 
 
 import hemohopf

@@ -1,0 +1,81 @@
+"""The validated records admit no unchecked instance.
+
+`ModelParameters`, `CharacteristicTriple` and `HopfPoint` are named tuples
+whose ``__new__`` runs the checks.  NamedTuple's own ``_make`` and
+``_replace`` would build the tuple around it, and so would unpickling with
+``tuple.__new__``; every route must raise what the constructor raises.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+import refvals as rv
+from hemohopf import hopf, linstab, model
+from hemohopf.errors import DomainError, NumericsError, ParameterError
+
+
+def _ref_params():
+    return model.ModelParameters.from_k(rv.BETA0, rv.N, rv.DELTA, rv.K, rv.R_REF)
+
+
+def _ref_hopf():
+    return hopf.hopf_from_pqk(rv.N, rv.BETA0, rv.DELTA, rv.K)
+
+
+def _ref_triple():
+    return linstab.CharacteristicTriple(p=rv.P_REF, q=rv.Q_REF, r=rv.R_REF)
+
+
+def _error(call):
+    """(class, message) of the error `call` raises."""
+    with pytest.raises((ParameterError, NumericsError)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def _unchecked(record, changes):
+    """An instance of record's class holding bad values, built around the
+    checks the way a stale or hand-made pickle would hold them."""
+    values = record._asdict()
+    values.update(changes)
+    return tuple.__new__(type(record), values.values())
+
+
+BAD_VALUES = [
+    pytest.param(_ref_params, {"r": -1.0}, ParameterError, id="params-negative-r"),
+    pytest.param(_ref_params, {"k": 1.5}, ParameterError, id="params-inconsistent-k"),
+    pytest.param(_ref_triple, {"r": -1.0}, DomainError, id="triple-negative-r"),
+    pytest.param(_ref_hopf, {"omega_star": 1.7}, NumericsError, id="hopf-wrong-omega"),
+]
+
+
+@pytest.mark.parametrize("make, changes, error", BAD_VALUES)
+def test_every_route_to_a_bad_record_raises_the_constructor_error(make, changes,
+                                                                  error):
+    record = make()
+    values = {**record._asdict(), **changes}
+    expected = _error(lambda: type(record)(**values))
+    assert issubclass(expected[0], error)
+    assert _error(lambda: record._replace(**changes)) == expected
+    assert _error(lambda: type(record)._make(values.values())) == expected
+    data = pickle.dumps(_unchecked(record, changes))
+    assert _error(lambda: pickle.loads(data)) == expected
+
+
+def test_with_r_raises_the_constructor_error():
+    params = _ref_params()
+    expected = _error(lambda: model.ModelParameters(**{**params._asdict(), "r": -1.0}))
+    assert expected[0] is ParameterError
+    assert _error(lambda: params.with_r(-1.0)) == expected
+
+
+@pytest.mark.parametrize("make", [_ref_params, _ref_triple, _ref_hopf])
+def test_valid_records_survive_every_route(make):
+    record = make()
+    cls = type(record)
+    for clone in (cls._make(record), record._replace(), pickle.loads(pickle.dumps(record)),
+                  copy.deepcopy(record)):
+        assert type(clone) is cls and clone == record
+    assert repr(record).startswith(f"{cls.__name__}(")
