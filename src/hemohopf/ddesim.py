@@ -59,10 +59,10 @@ CYCLE_SPREAD_TOL = 0.05
 #: an independent DOP853 integration; the README has the table.
 STEPS_PER_DELAY = 50
 
-#: Largest number of steps `integrate` accepts (about 6 s and 215 MB peak
-#: RSS for `integrate` plus `orbit_metrics` on a 2-vCPU Xeon); at
-#: STEPS_PER_DELAY the reference runs take at most 55,879 (t_end = 400 at
-#: r* + 2e-3).
+#: Largest number of steps `integrate` accepts (about 4.5 s and 91 MB peak
+#: RSS for `integrate` plus `orbit_metrics` on a 2-vCPU Xeon; the three
+#: `array('d')` columns are 48 MB of it); at STEPS_PER_DELAY the reference
+#: runs take at most 55,879 (t_end = 400 at r* + 2e-3).
 MAX_STEPS = 2_000_000
 
 KIND_EQUILIBRIUM = "equilibrium"
@@ -180,9 +180,10 @@ def integrate(
     The right-hand side is destruction(x) + production(x(t - r)), and a
     step needs only four destructions and two productions: k1 is the
     derivative stored at the end of the previous step (first same as
-    last), k2 and k3 share the production at the midpoint, and k4 and the
-    stored derivative share the production at the delayed node, computed
-    when that node was accepted one delay earlier.  The floating-point
+    last), k2 and k3 share the production at the delayed cell's Hermite
+    midpoint, and k4 and the stored derivative share the production at
+    the delayed node; both were computed when that cell was accepted, one
+    delay earlier, so the loop only appends to the stored columns.  The floating-point
     operations and their order are those of five full evaluations, so
     the numbers are too.
     """
@@ -205,37 +206,38 @@ def integrate(
     dx0 = destruction(xi) + production(float(phi(-r)))
     if not math.isfinite(xi) or not math.isfinite(dx0):
         raise BlowUpError("non-finite state at t = 0", time=0.0)
-    xs, dxs = [xi], [dx0]
-    # Productions at the accepted nodes, each consumed once, one delay later.
+    xs, dxs = array("d", (xi,)), array("d", (dx0,))
+    # Productions at the accepted nodes and at the Hermite midpoints of the
+    # accepted cells, each consumed once, one delay later.
     ps = deque([production(xi)])
+    pms = deque()
     # Step 0 reads phi(-m h), which may differ from phi(-r) in the last bit.
     k1 = destruction(xi) + production(phi(-m * h))
+    dxi = dx0  # the derivative stored at the current node
 
     for i in range(n_steps):
         j = i - m  # whole-step delayed index; negative means history
-        if j >= 0:
-            # Hermite midpoint of cell [j, j+1]
-            p_mid = production(
-                0.5 * (xs[j] + xs[j + 1]) + eighth_h * (dxs[j] - dxs[j + 1]))
-        else:
-            p_mid = production(phi((j + 0.5) * h))
+        p_mid = pms.popleft() if j >= 0 else production(phi((j + 0.5) * h))
         p_end = ps.popleft() if j + 1 >= 0 else production(phi((j + 1) * h))
 
         k2 = destruction(xi + half_h * k1) + p_mid
         k3 = destruction(xi + half_h * k2) + p_mid
         k4 = destruction(xi + h * k3) + p_end
+        x_prev, dx_prev = xi, dxi
         xi = xi + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not math.isfinite(xi) or abs(xi) > 1e100:
             raise BlowUpError(
                 f"state blew up at t = {(i + 1) * h}", time=(i + 1) * h
             )
-        k1 = destruction(xi) + p_end
+        k1 = dxi = destruction(xi) + p_end
         xs.append(xi)
         dxs.append(k1)
         ps.append(production(xi))
+        # Hermite midpoint of the cell [i, i + 1] just accepted
+        pms.append(production(0.5 * (x_prev + xi) + eighth_h * (dx_prev - k1)))
 
     t = array("d", (i * h for i in range(n_steps + 1)))
-    return Trajectory(t=t, x=array("d", xs), dx=array("d", dxs), step=h, params=params)
+    return Trajectory(t=t, x=xs, dx=dxs, step=h, params=params)
 
 
 def _hermite_extrema(t: Sequence[float], x: Sequence[float],

@@ -35,6 +35,7 @@ from typing import Callable, NamedTuple, Tuple
 
 from .errors import (
     BracketError,
+    ConvergenceError,
     DegenerateCrossingError,
     DomainError,
     NoImaginaryCrossingError,
@@ -81,6 +82,11 @@ DEGENERATE = "degenerate"
 L1_DEGENERATE_TOL = 1e-9
 
 _RESIDUAL_TOL = 1e-10
+
+# Largest |g| that `find_hopf_r` accepts at the located root.
+_G_ROOT_TOL = 1e-11
+# g is a difference of two angles in [0, pi]: its rounding level.
+_G_ROUNDING = 4.0 * math.ulp(math.pi)
 
 
 class _HopfPointFields(NamedTuple):
@@ -196,7 +202,9 @@ def find_hopf_r(
     toward the other end until g exists there; the boundary function is
     defined on a neighborhood of the root, so a usable sub-bracket
     survives whenever the original one straddles the crossing.  The root
-    is polished to |g| < 1e-11; the crossing frequency is omega0 there.
+    is polished to rounding level, where |g| is a few ulps of pi or the
+    bracket a few ulps of r wide, and |g| < 1e-11 is guaranteed; the
+    crossing frequency is omega0 there.
     """
     a, b = bracket
     if not (math.isfinite(a) and math.isfinite(b)) or a == b:
@@ -227,11 +235,21 @@ def find_hopf_r(
         raise BracketError(
             f"g is not evaluable anywhere on the bracket {bracket}"
         )
-    r = bracketed_root(lambda rr: g_of_r(rr, params), a, b, f_tol=1e-11)
+    r = bracketed_root(lambda rr: g_of_r(rr, params), a, b,
+                       f_tol=_G_ROUNDING, fa=ga, fb=gb)
     local = params.with_r(r)
     triple = characteristic_triple(local)
-    return HopfPoint(r_star=r, omega_star=omega0(triple), p_star=triple.p,
-                     q_star=triple.q, params=local, x2_star=equilibria(local).x2)
+    w = omega0(triple)
+    # HopfPoint checks first: a sign change of g that is no crossing fails there
+    hp = HopfPoint(r_star=r, omega_star=w, p_star=triple.p, q_star=triple.q,
+                   params=local, x2_star=equilibria(local).x2)
+    g = w * r - math.acos(triple.p / triple.q)
+    if not abs(g) < _G_ROOT_TOL:
+        raise ConvergenceError(
+            f"boundary root polished only to |g| = {abs(g):.3e} >= {_G_ROOT_TOL:g}",
+            last_iterate=r,
+        )
+    return hp
 
 
 def _b1_chain_derivatives(hp: HopfPoint) -> Tuple[float, float]:

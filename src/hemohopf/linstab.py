@@ -30,7 +30,9 @@ from .errors import (
     DomainError,
     NoPositiveEquilibriumError,
 )
-from .model import ModelParameters, equilibria
+# `equilibria` is unused here; perfbench/selftest.py looks it up as
+# `linstab.equilibria`.
+from .model import ModelParameters, _b1_at_x2, equilibria  # noqa: F401
 
 __all__ = [
     "CharacteristicTriple",
@@ -52,6 +54,9 @@ BOUNDARY_TOL = 1e-9
 
 #: Largest relative characteristic residual `rightmost_root` certifies.
 ROOT_RESIDUAL_TOL = 1e-10
+
+# A relative step or width of a few units in the last place: rounding level.
+_ROUNDING = 4.0 * 2.0**-52
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -108,10 +113,10 @@ class StabilityVerdict(NamedTuple):
 def characteristic_triple(params: ModelParameters) -> CharacteristicTriple:
     """Triple (p, q, r) for the linearization at x2, p = delta + B1(x2) and
     q = k B1(x2): the one place where p and q are formed."""
-    report = equilibria(params)
-    if report.B1_at_x2 is None:
-        raise NoPositiveEquilibriumError(f"no positive equilibrium: A = {report.A} <= 1")
-    b1 = report.B1_at_x2
+    A = params.A
+    if A <= 1.0:
+        raise NoPositiveEquilibriumError(f"no positive equilibrium: A = {A} <= 1")
+    b1 = _b1_at_x2(params.beta0, params.n, A)
     return CharacteristicTriple(p=params.delta + b1, q=params.k * b1, r=params.r)
 
 
@@ -129,11 +134,23 @@ def T_eval(y: float) -> float:
     return y * math.cos(y) / math.sin(y)
 
 
+# The largest float below pi, and T there: T_inv's upper end.
+_Y_TOP = math.nextafter(math.pi, 0.0)
+_T_TOP = T_eval(_Y_TOP)
+
+
 def T_inv(v: float) -> float:
     """Unique y in [0, pi) with T(y) = v, for v <= 1.
 
-    Bracketed bisection, stopping at |T(y) - v| < 1e-13 or interval
-    width < 1e-14.
+    Safeguarded Newton iteration.  T is decreasing and concave on [0, pi)
+    (T'' = 2 csc^2(y) (T - 1) <= 0), so from any start right of the root
+    the Newton iterates decrease monotonically onto it.  The start is
+    sqrt(3 (1 - v)) near v = 1, from T(y) <= 1 - y^2 / 3, which lies right
+    of the root; for very negative v it is pi - pi / (1 - v), from
+    T(pi - e) ~ 1 - pi / e, which lies left of it, and the first step
+    crosses over.  A step leaving the bracket [lo, hi] falls back to its
+    midpoint.  The iteration stops when the step reaches rounding level,
+    or when rounding puts an iterate back on the left of the root.
     """
     if not math.isfinite(v):
         raise DomainError(f"T_inv argument must be finite, got {v}")
@@ -141,23 +158,31 @@ def T_inv(v: float) -> float:
         raise DomainError(f"T maps [0, pi) onto (-inf, 1], got v={v} > 1")
     if v == 1.0:
         return 0.0
-    lo = 0.0
-    # walk hi toward pi until T(hi) drops below v (T -> -inf there)
-    gap = 0.5 * math.pi
-    hi = math.pi - gap
-    while T_eval(hi) > v:
-        gap *= 0.5
-        hi = math.pi - gap
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        t = T_eval(mid)
-        if abs(t - v) < 1e-13 or hi - lo < 1e-14:
-            return mid
-        if t > v:
-            lo = mid
+    if v < _T_TOP:
+        raise DomainError(f"T_inv argument {v} is below T at the largest float under pi")
+    lo, hi = 0.0, _Y_TOP
+    if v > -1.0:
+        y = math.sqrt(3.0 * (1.0 - v))
+    else:
+        y = min(math.pi - math.pi / (1.0 - v), _Y_TOP)
+    for _ in range(60):
+        s = math.sin(y)
+        cot = math.cos(y) / s
+        f = y * cot - v
+        if f == 0.0 or (f > 0.0 and hi < _Y_TOP):
+            return y  # exact, or put back left of the root by rounding
+        if f > 0.0:
+            lo = y
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = y
+        slope = cot - y / (s * s)  # T'(y); cancellation can spoil it near 0
+        step = f / slope if slope < 0.0 else math.inf
+        if abs(step) <= _ROUNDING * y:
+            return min(y - step, hi)
+        y -= step
+        if not lo < y < hi:
+            y = 0.5 * (lo + hi)
+    return y
 
 
 def omega0(triple: CharacteristicTriple) -> float:
@@ -449,19 +474,25 @@ def rightmost_root(triple: CharacteristicTriple) -> complex:
     return lam
 
 
-def bracketed_root(func, a: float, b: float, f_tol: float, x_tol: float = 1e-15):
-    """Bisection/secant hybrid for a bracketed scalar root of `func`.
+def bracketed_root(func, a: float, b: float, f_tol: float, *, fa=None, fb=None):
+    """Illinois (modified regula falsi) root of `func` on a bracket.
 
-    The bracket endpoints must produce values of opposite sign.  Each
-    iteration tries the secant point and falls back to the midpoint when
-    it leaves the bracket; stops at |f| < f_tol or width < x_tol.
+    The bracket endpoints must produce values of opposite sign; values
+    already known may be passed as `fa` and `fb`, and `func` is then not
+    called at that end.  Each iteration takes the secant point of the
+    bracket (its midpoint if that is not strictly inside) and halves the
+    stored value of an end kept twice in a row, so that both ends close
+    in.  Stops at |f| < f_tol or when the bracket is a few units in the
+    last place wide, and returns the evaluated point of smallest |f|.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or a == b:
         raise BracketError(f"degenerate bracket ({a}, {b})")
     if a > b:
-        a, b = b, a
-    fa = func(a)
-    fb = func(b)
+        a, b, fa, fb = b, a, fb, fa
+    if fa is None:
+        fa = func(a)
+    if fb is None:
+        fb = func(b)
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -471,23 +502,28 @@ def bracketed_root(func, a: float, b: float, f_tol: float, x_tol: float = 1e-15)
             f"no sign change on bracket ({a}, {b}): f(a)={fa}, f(b)={fb}"
         )
     x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+    kept = None  # the end the previous iteration kept
     for _ in range(200):
-        if abs(fx) < f_tol or (b - a) < x_tol:
+        if abs(fx) < f_tol or b - a <= _ROUNDING * max(abs(a), abs(b)):
             return x
-        mid = 0.5 * (a + b)
-        cand = b - fb * (b - a) / (fb - fa)
-        if not (a < cand < b):
-            cand = mid
-        fc = func(cand)
+        c = b - fb * (b - a) / (fb - fa)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+        fc = func(c)
+        if fc == 0.0:
+            return c
+        if abs(fc) < abs(fx):
+            x, fx = c, fc
         if math.copysign(1.0, fc) == math.copysign(1.0, fa):
-            a, fa = cand, fc
+            a, fa = c, fc
+            if kept == "b":
+                fb *= 0.5
+            kept = "b"
         else:
-            b, fb = cand, fc
-        x, fx = (cand, fc) if abs(fc) < min(abs(fa), abs(fb)) else (
-            (a, fa) if abs(fa) < abs(fb) else (b, fb)
-        )
-    if abs(fx) < f_tol or (b - a) < x_tol:
-        return x
+            b, fb = c, fc
+            if kept == "a":
+                fa *= 0.5
+            kept = "a"
     raise ConvergenceError(
         f"bracketed root search exhausted 200 iterations at |f| = {abs(fx)}",
         last_iterate=x,

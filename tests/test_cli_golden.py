@@ -41,13 +41,13 @@ r_max  = 0.449317015984   r_n = 0.447632380703
 x1: case X1, unstable
     positive equilibrium exists (A > 1)
 x2: case I.A, stable  omega0=1.66168893216  window=(0.355920247592, 0.404183990063)
-    g = 8.193923315413798e-07 > 0
+    g = 8.193924379007456e-07 > 0
 """,
     ("stability", "gamma"): """\
 x1: case X1, unstable
     positive equilibrium exists (A > 1)
 x2: case I.A, unstable  omega0=1.35051084759  window=(0.430494186828, 0.391330655374)
-    g = -0.09520316400371631 < 0
+    g = -0.0952031640035933 < 0
 """,
     ("hopf", "k"): """\
 strategy route:
@@ -58,9 +58,9 @@ strategy route:
   characteristic residual = 2.220e-16
 boundary-root route (bracket 0.320329..0.391513):
   r*     = 0.355920877691
-  omega* = 1.66168599044
-  g residual = 7.932e-12
-route agreement |dr| = 4.038e-13
+  omega* = 1.66168599041
+  g residual = 2.887e-15
+route agreement |dr| = 5.551e-17
 """,
     ("hopf", "gamma"): """\
 boundary-root route:
@@ -68,12 +68,12 @@ boundary-root route:
   omega* = 1.66168723061
   gamma* = 1.48067
   p* = -2.47412637577   q* = -2.98035329712   x2* = 1.15085936274
-  characteristic residual = 4.193e-13
+  characteristic residual = 1.986e-15
 strategy route (at the located k):
   r*     = 0.35592018752
   omega* = 1.66168723061
-  g residual = 7.719e-13
-route agreement |dr| = 4.274e-14
+  g residual = 3.775e-15
+route agreement |dr| = 1.110e-16
 """,
     ("normal-form", "k"): """\
 hopf point: r* = 0.355920877691  omega* = 1.66168599041  gamma* = 1.48066592401
@@ -100,22 +100,22 @@ criticality: supercritical
 """,
     ("normal-form", "gamma"): """\
 hopf point: r* = 0.35592018752  omega* = 1.66168723061  gamma* = 1.48067
-psi1(0) = 0.328004264487 -1.6245992084i
-f20 = -9.76183030647 -19.2822711412i
+psi1(0) = 0.328004264486 -1.6245992084i
+f20 = -9.76183030646 -19.2822711412i
 f11 = 3.18864144234 +0i
-f02 = -9.76183030647 +19.2822711412i
+f02 = -9.76183030646 +19.2822711412i
 f21 = 14.0851753778 -22.3108823449i
-g20 = -34.5278844019 +9.53439462513i
+g20 = -34.5278844019 +9.53439462512i
 g11 = 1.045887991 -5.1802643631i
 g02 = 28.1240404625 +22.1837289517i
-g21 = -31.6262442064 -30.2008293226i
-w20(0)  = -0.227042628147 -0.374493904029i   closed form -0.227042628147 -0.374493904029i   |diff| = 1.095e-15
-w20(-r) = -1.73278181593 -2.28326433471i   closed form -1.73278181593 -2.28326433471i   |diff| = 8.449e-15
-w11(0)  = 0.063893003139 +0i   closed form 0.063893003139 +0i   |diff| = 0.000e+00
-w11(-r) = 0.421072503664 +0i   closed form 0.421072503664 +0i   |diff| = 0.000e+00
-c  = -0.483979988094 +0.48450492951i
+g21 = -31.6262442064 -30.2008293225i
+w20(0)  = -0.227042628148 -0.37449390403i   closed form -0.227042628148 -0.37449390403i   |diff| = 2.355e-15
+w20(-r) = -1.73278181593 -2.28326433471i   closed form -1.73278181593 -2.28326433471i   |diff| = 5.010e-15
+w11(0)  = 0.0638930031385 +0i   closed form 0.0638930031385 +0i   |diff| = 0.000e+00
+w11(-r) = 0.421072503663 +0i   closed form 0.421072503663 +0i   |diff| = 3.886e-16
+c  = -0.483979988094 +0.484504929511i
 c1 = 1.97539869539
-l1 = -43.7107081809   s = -1
+l1 = -43.710708181   s = -1
 mu' = 25.6601767772   omega' = -6.33171324001
 polar radial coefficient near the crossing: 15.4422422611 * (r - r*)
 criticality: supercritical

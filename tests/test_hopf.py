@@ -7,8 +7,10 @@ import refvals as rv
 from hemohopf import hopf, linstab, model
 from hemohopf.errors import (
     BracketError,
+    ConvergenceError,
     NoImaginaryCrossingError,
     NoPositiveEquilibriumError,
+    NumericsError,
     ResonanceError,
 )
 
@@ -98,6 +100,70 @@ def test_find_hopf_r_with_quoted_gamma(ref_hopf):
     hp = hopf.find_hopf_r(params, (0.30, 0.40))
     assert abs(hp.r_star - rv.G_ROOT_PRINT_GAMMA) < 1e-9
     assert abs(hp.r_star - ref_hopf.r_star) < 1e-6
+
+
+def test_find_hopf_r_evaluates_g_fewer_times(ref_params, monkeypatch):
+    calls = []
+
+    def counted(r, params):
+        calls.append(r)
+        return linstab.g_of_r(r, params)
+
+    monkeypatch.setattr(hopf, "g_of_r", counted)
+    hp = hopf.find_hopf_r(ref_params, (0.30, 0.40))
+    # 12 evaluations when the root was polished only to |g| < 1e-11 and the
+    # bracket ends were evaluated twice; 3 of these probe the bracket ends
+    assert len(calls) <= 11
+    assert len(set(calls)) == len(calls)
+    assert abs(linstab.g_of_r(hp.r_star, ref_params)) < 1e-14
+
+
+def test_find_hopf_r_guarantees_the_g_residual(ref_params, monkeypatch):
+    # a boundary function shifted by 2e-11 has its root where the true g
+    # is 2e-11: HopfPoint's 1e-10 checks pass there, the g guarantee not
+    monkeypatch.setattr(hopf, "g_of_r", lambda r, params: linstab.g_of_r(r, params) - 2e-11)
+    with pytest.raises(ConvergenceError, match="polished only to"):
+        hopf.find_hopf_r(ref_params, (0.30, 0.40))
+
+
+#: (n, beta0, delta, k) of frontier draws whose g root, polished only to
+#: |g| < 1e-11, failed HopfPoint's check omega* = sqrt(q^2 - p^2) to 1e-10
+POLISH_LIMITED_DRAWS = [
+    (15.664091288895923, 2.0005220753306237, 0.25392833675469795, 1.368107999405649),
+    (13.74634878832299, 1.6215292946202005, 0.29652886153763075, 1.7193814951479869),
+    (17.969444393297902, 2.367151098615527, 0.29152960043553217, 1.5430287394303668),
+    (17.66692974328575, 1.5129074583029936, 0.20691078057309062, 1.6206371614737383),
+]
+
+#: draws with r* = 24.8 and 62.5, where an ulp of r exceeds 1e-15
+LONG_DELAY_DRAWS = [
+    (4.372101190512889, 1.4871109929605266, 0.2637057090901885, 1.2384175893592602),
+    (6.108937932255966, 2.41601032703777, 0.27776722050178776, 1.139292712612455),
+]
+
+
+def _frontier_bracket(hp):
+    r_max = model.equilibria(hp.params).r_max
+    return (0.9 * hp.r_star, min(1.1 * hp.r_star, 0.999 * r_max))
+
+
+@pytest.mark.parametrize("draw", POLISH_LIMITED_DRAWS)
+def test_find_hopf_r_agrees_with_frontier_on_polish_limited_draws(draw):
+    hp = hopf.hopf_from_pqk(*draw)
+    hp2 = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
+    assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
+
+
+@pytest.mark.parametrize("draw", LONG_DELAY_DRAWS)
+def test_find_hopf_r_long_delay_draws_end_without_convergence_error(draw):
+    # g is undefined on the upper part of the +-10% bracket (|p/q| > 1), so
+    # the pulled bracket excludes r* and holds the zero of g where p
+    # crosses 0 (T_inv(0) = arccos(0) = pi/2), which is no Hopf point:
+    # HopfPoint's residual check refuses it.  The search itself must end.
+    hp = hopf.hopf_from_pqk(*draw)
+    with pytest.raises(NumericsError, match="not a characteristic root") as info:
+        hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
+    assert not isinstance(info.value, ConvergenceError)
 
 
 def test_find_hopf_r_bracket_errors(ref_params):

@@ -183,24 +183,24 @@ def test_classify_x2_p_dominates_q_branch():
 @pytest.mark.parametrize("args, expected", [
     # I.A stable: r inside (arccos(p/q) / omega0, 1 / |p|)
     ((1.77, 12.0, 0.05, 1.180746972, 0.35), linstab.StabilityVerdict(
-        target="x2", case_label="I.A", status="stable", omega0=1.7878398009273984,
-        stable_window=(0.33080633726128766, 0.40418399006305056),
-        notes="g = 0.034315194169847074 > 0")),
+        target="x2", case_label="I.A", status="stable", omega0=1.787839800927248,
+        stable_window=(0.3308063372613155, 0.40418399006305056),
+        notes="g = 0.03431519416979445 > 0")),
     # I.A unstable: g < 0
     ((1.77, 12.0, 0.05, 1.180746972, 0.38), linstab.StabilityVerdict(
-        target="x2", case_label="I.A", status="unstable", omega0=1.1082945611689423,
-        stable_window=(0.5336385802804533, 0.40418399006305056),
-        notes="g = -0.17027680291054426 < 0")),
+        target="x2", case_label="I.A", status="unstable", omega0=1.1082945611696038,
+        stable_window=(0.5336385802801348, 0.40418399006305056),
+        notes="g = -0.1702768029102929 < 0")),
     # I.B stable: r below arccos(p/q) / omega0
     ((1.0, 2.0, 0.1, 1.25, 10.0), linstab.StabilityVerdict(
-        target="x2", case_label="I.B", status="stable", omega0=0.16886826899584778,
-        stable_window=(0.0, 10.494299835742392),
-        notes="g = -0.08347155762674952 < 0")),
+        target="x2", case_label="I.B", status="stable", omega0=0.1688682689958469,
+        stable_window=(0.0, 10.494299835742448),
+        notes="g = -0.0834715576267584 < 0")),
     # I.B unstable: g > 0
     ((1.0, 2.0, 0.1, 1.25, 50.0), linstab.StabilityVerdict(
-        target="x2", case_label="I.B", status="unstable", omega0=0.040575156762208735,
-        stable_window=(0.0, 43.67584475325534),
-        notes="g = 0.2566035905252093 > 0")),
+        target="x2", case_label="I.B", status="unstable", omega0=0.04057515676220869,
+        stable_window=(0.0, 43.67584475325539),
+        notes="g = 0.2566035905252071 > 0")),
     # I.B with p > |q|: stable for every delay, no frontier
     ((1.77, 12.0, 0.5, 1.309, 0.2), linstab.StabilityVerdict(
         target="x2", case_label="I.B", status="stable",
@@ -407,6 +407,41 @@ def test_bracketed_root_requires_sign_change():
 def test_bracketed_root_rejects_degenerate():
     with pytest.raises(BracketError):
         linstab.bracketed_root(math.cos, 1.0, 1.0, f_tol=1e-13)
+
+
+def _counted(func):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return func(x)
+
+    return wrapped, calls
+
+
+def test_bracketed_root_closes_both_ends():
+    # polished to the bracket width; regula falsi keeping one end fixed
+    # took 44 evaluations here, Illinois closes in from both sides
+    cos, calls = _counted(math.cos)
+    root = linstab.bracketed_root(cos, 1.0, 2.0, f_tol=0.0)
+    assert abs(root - math.pi / 2.0) <= 2.0 * math.ulp(math.pi / 2.0)
+    assert len(calls) <= 8
+
+
+def test_bracketed_root_reuses_known_endpoint_values():
+    cos, calls = _counted(math.cos)
+    root = linstab.bracketed_root(cos, 2.0, 1.0, f_tol=1e-13,
+                                  fa=math.cos(2.0), fb=math.cos(1.0))
+    assert abs(root - math.pi / 2.0) < 1e-12
+    assert 1.0 not in calls and 2.0 not in calls
+    assert len(calls) <= 4  # 6 when both ends were evaluated again
+
+
+def test_bracketed_root_stops_on_a_relative_width():
+    # at a root near 62.8 an ulp is 7e-15, so an absolute width of 1e-15
+    # is never reached; the search must still end, within a few ulps
+    root = linstab.bracketed_root(lambda x: math.cos(x / 40.0), 40.0, 80.0, f_tol=0.0)
+    assert abs(root - 20.0 * math.pi) <= 8.0 * math.ulp(20.0 * math.pi)
 
 
 def test_classify_x2_delay_free_limit():
