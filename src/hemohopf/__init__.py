@@ -43,7 +43,6 @@ from .hopf import (
     criticality_report,
 )
 from .ddesim import (
-    HistoryFunction,
     Trajectory,
     OrbitMetrics,
     default_history,

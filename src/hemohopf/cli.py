@@ -22,16 +22,6 @@ from .errors import BracketError, ConfigError, NumericsError, ParameterError
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
-COMMANDS = (
-    "equilibria",
-    "stability",
-    "hopf",
-    "normal-form",
-    "simulate",
-    "sweep",
-    "scaling",
-)
-
 _ALLOWED_KEYS = ("beta0", "n", "delta", "gamma", "k", "r")
 _REQUIRED_KEYS = ("beta0", "n", "delta")
 # argparse reads a token such as "-1e-3" as an option unless it matches
@@ -140,17 +130,6 @@ def _resolve_gamma(cfg: RunConfig) -> float:
     )
 
 
-def _resolve_k(cfg: RunConfig) -> float:
-    if cfg.k is not None:
-        return cfg.k
-    if cfg.gamma is not None and cfg.r is not None:
-        return model.derive_k(cfg.gamma, cfg.r)
-    raise ConfigError(
-        f"command '{cfg.command}' needs k, either directly or derivable "
-        "from gamma together with r"
-    )
-
-
 def _grid_values(grid: Tuple[float, float, int]):
     start, stop, count = grid
     # every delay of the grid must be a valid r > 0
@@ -230,7 +209,6 @@ def _cmd_stability(cfg: RunConfig, out) -> int:
             else:
                 case, status, g_val, re_right = "none", "none", math.nan, math.nan
             rows.append((r, case, status, g_val, re_right))
-        rows.sort(key=lambda row: row[0])
         with open(cfg.output_path, "w", newline="\n") as fh:
             fh.write("r,case,status,g_of_r,re_rightmost\n")
             for r, case, status, g_val, re_right in rows:
@@ -268,7 +246,7 @@ def _locate_hopf(cfg: RunConfig) -> hopf.HopfPoint:
     the root of the boundary function (bracket from --bracket or a scan).
     """
     if cfg.k is not None:
-        return hopf.hopf_from_pqk(cfg.n, cfg.beta0, cfg.delta, _resolve_k(cfg))
+        return hopf.hopf_from_pqk(cfg.n, cfg.beta0, cfg.delta, cfg.k)
     gamma = _resolve_gamma(cfg)
     # any delay gives the same fixed-gamma family; the stored r is unused
     params = model.ModelParameters.from_gamma(cfg.beta0, cfg.n, cfg.delta, gamma, 0.0)
@@ -392,7 +370,6 @@ def _cmd_sweep(cfg: RunConfig, out) -> int:
         )
         metrics = ddesim.orbit_metrics(traj, cfg.transient_fraction)
         rows.append((r, metrics.kind, metrics.amplitude, metrics.period))
-    rows.sort(key=lambda row: row[0])
     with open(cfg.output_path, "w", newline="\n") as fh:
         fh.write("r,kind,amplitude,period\n")
         for r, kind, amplitude, period in rows:
@@ -406,7 +383,7 @@ def _cmd_scaling(cfg: RunConfig, out) -> int:
     hp = _locate_hopf(cfg)
     t_end = cfg.t_end if cfg.t_end is not None else 400.0
     ratio = ddesim.amplitude_scaling(
-        hp.params, hp, cfg.delta_r, t_end=t_end,
+        hp.params, hp.r_star, cfg.delta_r, t_end=t_end,
         steps_per_delay=cfg.steps_per_delay,
         transient_fraction=cfg.transient_fraction,
     )
@@ -425,6 +402,7 @@ _DISPATCH = {
     "sweep": _cmd_sweep,
     "scaling": _cmd_scaling,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run(cfg: RunConfig, out=None) -> int:
@@ -526,10 +504,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
         cfg = _merge(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return run(cfg)

@@ -4,8 +4,8 @@ Fixed-step classical Runge-Kutta marching in steps of h = r / steps_per_delay,
 so the grid is aligned with the delay: delayed values at whole steps land
 on stored nodes, and only the half-step stage times require interpolation,
 done with cubic Hermite polynomials through the stored (x, x') pairs.
-During the first delay interval the delayed state comes straight from the
-history function.
+A history is a plain callable phi(s) on [-r, 0]; during the first delay
+interval the delayed state comes straight from it.
 
 The diagnostics quantify what the trajectories show: decay onto the
 positive equilibrium on the stable side of the Hopf point versus a
@@ -25,18 +25,14 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from array import array
 from collections import deque
-from functools import reduce
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import BlowUpError, InconclusiveError, ParameterError
-from .hopf import HopfPoint
 from .model import ModelParameters, equilibria
 
 __all__ = [
-    "HistoryFunction",
     "Trajectory",
     "OrbitMetrics",
     "default_history",
@@ -70,27 +66,17 @@ KIND_CYCLE = "cycle"
 KIND_UNDETERMINED = "undetermined"
 
 
-class HistoryFunction(NamedTuple):
-    """Initial segment of the solution on [-r, 0]."""
-
-    evaluator: Callable[[float], float]
-    description: str = ""
-
-
-def default_history(r: float) -> HistoryFunction:
+def default_history(r: float) -> Callable[[float], float]:
     """The reference initial condition phi(s) = cos(pi s / (2 r))."""
     if r <= 0.0:
         raise ParameterError(f"history needs r > 0, got {r}")
     half_pi_over_r = math.pi / (2.0 * r)
-    return HistoryFunction(
-        evaluator=lambda s: math.cos(half_pi_over_r * s),
-        description="cos(pi s / (2 r))",
-    )
+    return lambda s: math.cos(half_pi_over_r * s)
 
 
-def constant_history(value: float) -> HistoryFunction:
+def constant_history(value: float) -> Callable[[float], float]:
     """History identically equal to `value`."""
-    return HistoryFunction(evaluator=lambda s: value, description=f"constant {value}")
+    return lambda s: value
 
 
 class Trajectory(NamedTuple):
@@ -164,7 +150,7 @@ def step_count(r: float, t_end: float, steps_per_delay: int = STEPS_PER_DELAY) -
 
 def integrate(
     params: ModelParameters,
-    history: HistoryFunction,
+    history: Callable[[float], float],
     t_end: float,
     steps_per_delay: int = STEPS_PER_DELAY,
 ) -> Trajectory:
@@ -182,10 +168,11 @@ def integrate(
     derivative stored at the end of the previous step (first same as
     last), k2 and k3 share the production at the delayed cell's Hermite
     midpoint, and k4 and the stored derivative share the production at
-    the delayed node; both were computed when that cell was accepted, one
-    delay earlier, so the loop only appends to the stored columns.  The floating-point
-    operations and their order are those of five full evaluations, so
-    the numbers are too.
+    the delayed node.  Both come off one queue: the m history cells are
+    queued before the first step, and each accepted cell is queued as it
+    is accepted, one delay before it is read, so the loop only appends to
+    the stored columns.  The floating-point operations and their order are
+    those of five full evaluations, so the numbers are too.
     """
     r = params.r
     n_steps = step_count(r, t_end, steps_per_delay)
@@ -194,32 +181,28 @@ def integrate(
     m = steps_per_delay
     h = r / m
     half_h, eighth_h, sixth_h = 0.5 * h, 0.125 * h, h / 6.0
-    phi = history.evaluator
-
     def destruction(x: float) -> float:
         return -(beta0 / (1.0 + (x**n if x > 0.0 else 0.0)) + delta) * x
 
     def production(xd: float) -> float:
         return kb0 * xd / (1.0 + (xd**n if xd > 0.0 else 0.0))
 
-    xi = float(phi(0.0))
-    dx0 = destruction(xi) + production(float(phi(-r)))
+    xi = float(history(0.0))
+    dx0 = destruction(xi) + production(float(history(-r)))
     if not math.isfinite(xi) or not math.isfinite(dx0):
         raise BlowUpError("non-finite state at t = 0", time=0.0)
     xs, dxs = array("d", (xi,)), array("d", (dx0,))
-    # Productions at the accepted nodes and at the Hermite midpoints of the
-    # accepted cells, each consumed once, one delay later.
-    ps = deque([production(xi)])
-    pms = deque()
+    # (production at the Hermite midpoint, production at the right node) of
+    # each cell, history cells [j, j + 1] for j = -m .. -1 first; step i
+    # reads the cell one delay back, so each pair is consumed once.
+    delayed = deque((production(history((j + 0.5) * h)), production(history((j + 1) * h)))
+                    for j in range(-m, 0))
     # Step 0 reads phi(-m h), which may differ from phi(-r) in the last bit.
-    k1 = destruction(xi) + production(phi(-m * h))
+    k1 = destruction(xi) + production(history(-m * h))
     dxi = dx0  # the derivative stored at the current node
 
     for i in range(n_steps):
-        j = i - m  # whole-step delayed index; negative means history
-        p_mid = pms.popleft() if j >= 0 else production(phi((j + 0.5) * h))
-        p_end = ps.popleft() if j + 1 >= 0 else production(phi((j + 1) * h))
-
+        p_mid, p_end = delayed.popleft()
         k2 = destruction(xi + half_h * k1) + p_mid
         k3 = destruction(xi + half_h * k2) + p_mid
         k4 = destruction(xi + h * k3) + p_end
@@ -232,9 +215,9 @@ def integrate(
         k1 = dxi = destruction(xi) + p_end
         xs.append(xi)
         dxs.append(k1)
-        ps.append(production(xi))
-        # Hermite midpoint of the cell [i, i + 1] just accepted
-        pms.append(production(0.5 * (x_prev + xi) + eighth_h * (dx_prev - k1)))
+        # the cell [i, i + 1] just accepted, with its Hermite midpoint
+        delayed.append((production(0.5 * (x_prev + xi) + eighth_h * (dx_prev - k1)),
+                        production(xi)))
 
     t = array("d", (i * h for i in range(n_steps + 1)))
     return Trajectory(t=t, x=xs, dx=dxs, step=h, params=params)
@@ -271,26 +254,9 @@ def _hermite_extrema(t: Sequence[float], x: Sequence[float],
     return maxima, minima
 
 
-def _pairwise_sum(values: Sequence[float]) -> float:
-    """Sum in numpy's pairwise order (8 interleaved partial sums in blocks of
-    at most 128), so `_mean` equals ``numpy.mean`` bit for bit."""
-    count = len(values)
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    total = 0.0
-    end = 0
-    if count >= 8:
-        end = count - count % 8
-        r = [reduce(operator.add, values[lane:end:8]) for lane in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for value in values[end:]:
-        total += value
-    return total
-
-
 def _mean(values: Sequence[float]) -> float:
-    return _pairwise_sum(values) / len(values) if len(values) else math.nan
+    """Mean with one rounding of the exact sum (``math.fsum``), nan if empty."""
+    return math.fsum(values) / len(values) if values else math.nan
 
 
 def orbit_metrics(traj: Trajectory, transient_fraction: float = 0.5) -> OrbitMetrics:
@@ -346,13 +312,14 @@ def orbit_metrics(traj: Trajectory, transient_fraction: float = 0.5) -> OrbitMet
 
 def amplitude_scaling(
     params: ModelParameters,
-    hp: HopfPoint,
+    r_star: float,
     delta_r: float,
     t_end: float = 400.0,
     steps_per_delay: int = STEPS_PER_DELAY,
     transient_fraction: float = 0.5,
 ) -> float:
-    """Cycle amplitude ratio between the probes r* + 4 delta_r and r* + delta_r.
+    """Cycle amplitude ratio between the probes r* + 4 delta_r and r* + delta_r,
+    where r* = `r_star` is the Hopf delay of `params`.
 
     For a supercritical point inside the square-root regime the ratio is
     close to 2.  Both probe runs must classify as cycles, otherwise the
@@ -361,7 +328,7 @@ def amplitude_scaling(
     if delta_r == 0.0:
         raise ParameterError("delta_r must be nonzero")
     r_max = equilibria(params).r_max
-    probes = (hp.r_star + delta_r, hp.r_star + 4.0 * delta_r)
+    probes = (r_star + delta_r, r_star + 4.0 * delta_r)
     if max(probes) >= r_max or min(probes) <= 0.0:
         raise ParameterError(
             f"probes {probes} leave the equilibrium window (0, {r_max})"

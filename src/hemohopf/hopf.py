@@ -201,10 +201,13 @@ def find_hopf_r(
     is not evaluable (crossing frequency gone, or x2 absent) is pulled
     toward the other end until g exists there; the boundary function is
     defined on a neighborhood of the root, so a usable sub-bracket
-    survives whenever the original one straddles the crossing.  The root
-    is polished to rounding level, where |g| is a few ulps of pi or the
-    bracket a few ulps of r wide, and |g| < 1e-11 is guaranteed; the
-    crossing frequency is omega0 there.
+    survives whenever the original one straddles the crossing.  Inside
+    the bracket, g is read as -pi/2 in a gap below r_n (-p r > 1 or
+    p/q < -1): every crossing has q < 0, so r < r_n, and there the
+    continuous extension of g lies in (-pi/2, 0), which keeps the sign
+    change.  The root is polished to rounding level, where |g| is a few
+    ulps of pi or the bracket a few ulps of r wide, and |g| < 1e-11 is
+    guaranteed; the crossing frequency is omega0 there.
     """
     a, b = bracket
     if not (math.isfinite(a) and math.isfinite(b)) or a == b:
@@ -235,8 +238,16 @@ def find_hopf_r(
         raise BracketError(
             f"g is not evaluable anywhere on the bracket {bracket}"
         )
-    r = bracketed_root(lambda rr: g_of_r(rr, params), a, b,
-                       f_tol=_G_ROUNDING, fa=ga, fb=gb)
+
+    def g_extended(rr: float) -> float:
+        try:
+            return g_of_r(rr, params)
+        except DomainError:
+            if rr < equilibria(params).r_n:
+                return -0.5 * math.pi
+            raise
+
+    r = bracketed_root(g_extended, a, b, f_tol=_G_ROUNDING, fa=ga, fb=gb)
     local = params.with_r(r)
     triple = characteristic_triple(local)
     w = omega0(triple)

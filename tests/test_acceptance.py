@@ -106,9 +106,7 @@ def test_criterion_4_transversality(ref_hopf, ref_params):
     lams = []
     for r in (ref_hopf.r_star - h, ref_hopf.r_star + h):
         triple = linstab.characteristic_triple(ref_params.with_r(r))
-        lams.append(
-            linstab.char_root_newton(1j * ref_hopf.omega_star, triple, tol=1e-13)
-        )
+        lams.append(linstab.rightmost_root(triple))
     mu_fd = (lams[1].real - lams[0].real) / (2.0 * h)
     checks = [
         (
@@ -162,7 +160,7 @@ def test_criterion_7_simulation_vs_theory(ref_params, traj_035, traj_036):
     m35 = ddesim.orbit_metrics(traj_035, 0.5)
     m36 = ddesim.orbit_metrics(traj_036, 0.5)
     triple = linstab.characteristic_triple(ref_params.with_r(0.36))
-    root = linstab.char_root_newton(1j * rv.OMEGA_REF, triple)
+    root = linstab.rightmost_root(triple)
     period_lin = 2.0 * math.pi / root.imag
     period_ok = (
         m36.period is not None

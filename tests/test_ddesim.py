@@ -1,5 +1,6 @@
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ def _five_evaluation_rk4(params, history, t_end, m):
     beta0, n, delta, k = params.beta0, params.n, params.delta, params.k
     kb0 = k * beta0
     h = r / m
-    phi = history.evaluator
+    phi = history
 
     def rhs(x, xd):
         xn = x**n if x > 0.0 else 0.0
@@ -74,7 +75,7 @@ def test_integrate_matches_the_five_evaluation_loop_bit_for_bit(ref_params, r, m
         # read its delayed state at -m h, the stored x'(0) reads it at -r.
         h = r / m
         assert -m * h != -r
-        hist = ddesim.HistoryFunction(lambda s: 1.0 if s == -r else 0.5, "jump at -r")
+        hist = lambda s: 1.0 if s == -r else 0.5
     traj = ddesim.integrate(params, hist, t_end, m)
     t, x, dx = _five_evaluation_rk4(params, hist, t_end, m)
     assert traj.t.tolist() == t
@@ -122,9 +123,8 @@ def test_integrate_refuses_runs_above_the_step_cap(ref_params, monkeypatch):
 
 def test_non_finite_history_raises_blow_up(ref_params):
     params = ref_params.with_r(0.35)
-    bad = ddesim.HistoryFunction(lambda s: float("nan"), "nan history")
     with pytest.raises(BlowUpError):
-        ddesim.integrate(params, bad, 5.0)
+        ddesim.integrate(params, lambda s: float("nan"), 5.0)
 
 
 def test_trajectory_interpolation_consistency(ref_params):
@@ -185,7 +185,7 @@ def test_cycle_period_near_onset_matches_linear_theory(ref_params, ref_hopf):
     metrics = ddesim.orbit_metrics(traj, 0.5)
     assert metrics.kind == ddesim.KIND_CYCLE
     triple = linstab.characteristic_triple(params)
-    root = linstab.char_root_newton(1j * ref_hopf.omega_star, triple)
+    root = linstab.rightmost_root(triple)
     assert abs(metrics.period - 2.0 * math.pi / root.imag) < 0.05 * metrics.period
 
 
@@ -235,17 +235,24 @@ def test_extrema_and_metrics_match_the_numpy_reference(ref_params, traj_035, tra
         assert max_t == ref_max_t.tolist() and max_h == ref_max_h.tolist()
         assert min_t == ref_min_t.tolist() and min_h == ref_min_h.tolist()
         metrics = ddesim.orbit_metrics(traj, 0.5)
-        assert metrics.amplitude == 0.5 * (float(np.mean(ref_max_h))
-                                           - float(np.mean(ref_min_h)))
+
+        def fsum_mean(values):
+            return math.fsum(values.tolist()) / len(values)
+
+        assert metrics.amplitude == 0.5 * (fsum_mean(ref_max_h) - fsum_mean(ref_min_h))
         if metrics.kind == ddesim.KIND_CYCLE:
-            assert metrics.period == float(np.mean(np.diff(ref_max_t)))
+            assert metrics.period == fsum_mean(np.diff(ref_max_t))
 
 
-def test_mean_sums_in_numpy_order():
+def test_mean_is_the_exact_mean_to_one_and_a_half_ulp():
+    # one rounding of the exact sum by fsum, one of the division
     rng = np.random.default_rng(4)
     for size in list(range(1, 140)) + [255, 256, 257, 1000, 4099]:
-        values = rng.uniform(0.3, 0.5, size)
-        assert ddesim._mean(values.tolist()) == float(np.mean(values))
+        values = rng.uniform(0.3, 0.5, size).tolist()
+        mean = ddesim._mean(values)
+        exact = sum(map(Fraction, values)) / size
+        assert abs(Fraction(mean) - exact) <= Fraction(3, 2) * Fraction(math.ulp(mean))
+    assert math.isnan(ddesim._mean([]))
 
 
 def _quoted_tolerance(value):
@@ -270,7 +277,7 @@ def test_default_step_budget_holds_the_quoted_digits(ref_params, ref_hopf, monke
         return metrics
 
     monkeypatch.setattr(ddesim, "orbit_metrics", recording)
-    ratio = ddesim.amplitude_scaling(ref_params, ref_hopf, 2e-3)
+    ratio = ddesim.amplitude_scaling(ref_params, ref_hopf.r_star, 2e-3)
     assert ratio == amps[1] / amps[0]
     for value, ref in ((amps[0], rv.AMP_2E3), (amps[1], rv.AMP_8E3),
                        (ratio, rv.RATIO_2E3_8E3)):
@@ -325,11 +332,9 @@ def test_linearized_decay_rate_matches_rightmost_root(ref_params):
     params = ref_params.with_r(0.35)
     x2 = model.equilibria(params).x2
     eps = 1e-4
-    hist = ddesim.HistoryFunction(
-        lambda s: x2 + eps * math.cos(math.pi * s / (2.0 * 0.35)),
-        "equilibrium plus small ripple",
-    )
-    traj = ddesim.integrate(params, hist, 80.0, 200)
+    # equilibrium plus a small ripple
+    traj = ddesim.integrate(
+        params, lambda s: x2 + eps * math.cos(math.pi * s / (2.0 * 0.35)), 80.0, 200)
     t, x = np.asarray(traj.t), np.asarray(traj.x)
     mask = t >= 20.0
     tt = t[mask]
@@ -352,21 +357,21 @@ def test_linearized_decay_rate_matches_rightmost_root(ref_params):
 
 def test_amplitude_scaling_square_root_regime(ref_params, ref_hopf):
     # probes r* + {5e-4, 2e-3} sit inside the asymptotic regime
-    ratio = ddesim.amplitude_scaling(ref_params, ref_hopf, 5e-4)
+    ratio = ddesim.amplitude_scaling(ref_params, ref_hopf.r_star, 5e-4)
     assert 1.6 <= ratio <= 2.4
     assert abs(ratio - rv.RATIO_5E4_2E3) < 0.02
 
 
 def test_amplitude_scaling_inconclusive_below_crossing(ref_params, ref_hopf):
     with pytest.raises(InconclusiveError):
-        ddesim.amplitude_scaling(ref_params, ref_hopf, -2e-3, t_end=120.0)
+        ddesim.amplitude_scaling(ref_params, ref_hopf.r_star, -2e-3, t_end=120.0)
 
 
 def test_amplitude_scaling_probe_window_checked(ref_params, ref_hopf):
     with pytest.raises(ParameterError):
-        ddesim.amplitude_scaling(ref_params, ref_hopf, 0.05)
+        ddesim.amplitude_scaling(ref_params, ref_hopf.r_star, 0.05)
     with pytest.raises(ParameterError):
-        ddesim.amplitude_scaling(ref_params, ref_hopf, 0.0)
+        ddesim.amplitude_scaling(ref_params, ref_hopf.r_star, 0.0)
 
 
 # ------------------------------------------------------------------ CSV export

@@ -8,6 +8,7 @@ from hemohopf import hopf, linstab, model
 from hemohopf.errors import (
     BracketError,
     ConvergenceError,
+    DomainError,
     NoImaginaryCrossingError,
     NoPositiveEquilibriumError,
     NumericsError,
@@ -154,6 +155,37 @@ def test_find_hopf_r_agrees_with_frontier_on_polish_limited_draws(draw):
     assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
 
 
+# Seed-1 frontier draws (n, beta0, delta, k) on which an iterate of the g-root
+# search lands in a gap of g inside the +-10% bracket (-p r > 1 or p/q < -1).
+GAP_DRAWS = [
+    (19.5148943234781, 0.9935644610382434, 0.04328115865855004, 1.1300455031825622),
+    (10.784006018460481, 2.0397273601874626, 0.13068178379833878, 1.1036219429405922),
+    (19.823771896199776, 2.5155194546957613, 0.11892215722988814, 1.0722098266737876),
+    (3.769176767138939, 0.6316848712617641, 0.02444945436352642, 1.0717825266728478),
+]
+
+
+@pytest.mark.parametrize("draw", GAP_DRAWS)
+def test_find_hopf_r_reads_a_gap_below_r_n_as_negative_g(draw, monkeypatch):
+    defined, gaps = [], []
+
+    def recording_g(rr, params):
+        try:
+            value = linstab.g_of_r(rr, params)
+        except DomainError:
+            gaps.append(rr)
+            raise
+        defined.append(rr)
+        return value
+
+    monkeypatch.setattr(hopf, "g_of_r", recording_g)
+    hp = hopf.hopf_from_pqk(*draw)
+    hp2 = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
+    # the search itself stepped into a gap between two delays where g exists
+    assert any(min(defined) < rr < max(defined) for rr in gaps)
+    assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
+
+
 @pytest.mark.parametrize("draw", LONG_DELAY_DRAWS)
 def test_find_hopf_r_long_delay_draws_end_without_convergence_error(draw):
     # g is undefined on the upper part of the +-10% bracket (|p/q| > 1), so
@@ -189,9 +221,7 @@ def test_transversality_matches_root_tracking(ref_hopf, ref_params):
     lams = []
     for r in (ref_hopf.r_star - h, ref_hopf.r_star + h):
         triple = linstab.characteristic_triple(ref_params.with_r(r))
-        lams.append(
-            linstab.char_root_newton(1j * ref_hopf.omega_star, triple, tol=1e-13)
-        )
+        lams.append(linstab.rightmost_root(triple))
     mu_fd = (lams[1].real - lams[0].real) / (2.0 * h)
     om_fd = (lams[1].imag - lams[0].imag) / (2.0 * h)
     assert abs(mu_fd - mu_p) < 1e-3 * abs(mu_p)

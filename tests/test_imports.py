@@ -7,8 +7,11 @@ dependency only.  The records are named tuples, so neither may
 ``dataclasses`` and the ``inspect`` it pulls in: each CLI command is one
 process, and their import is most of its start-up.  The import checks run
 in a fresh interpreter, because the test modules import numpy themselves.
+The simulation module depends on the model and the errors alone: a check
+of its source keeps the Hopf and stability layers out of its imports.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -95,3 +98,17 @@ def test_simulation_keeps_numpy_arrays_and_csv_format(tmp_path):
         rows = range(0, len(traj.t), stride)
         expected = "t,x\n" + "".join(f"{traj.t[i]:.17g},{traj.x[i]:.17g}\n" for i in rows)
         assert path.read_bytes() == expected.encode()
+
+
+def test_ddesim_imports_only_model_and_errors_from_the_package():
+    with open(ddesim.__file__) as fh:
+        tree = ast.parse(fh.read())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "hemohopf"
+                                                 or node.module.startswith("hemohopf.")):
+            package.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            package.update(alias.name for alias in node.names
+                           if alias.name.split(".")[0] == "hemohopf")
+    assert package == {".model", ".errors"}
