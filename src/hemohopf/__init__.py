@@ -34,7 +34,7 @@ from .hopf import (
     find_hopf_r,
     transversality,
     psi1_zero,
-    bilinear_pairing,
+    projection_weight,
     f_coefficients,
     w_boundary_values,
     w20_closed_form,
@@ -47,6 +47,7 @@ from .ddesim import (
     OrbitMetrics,
     default_history,
     constant_history,
+    step_count,
     integrate,
     orbit_metrics,
     amplitude_scaling,

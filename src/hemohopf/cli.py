@@ -18,7 +18,8 @@ import sys
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import ddesim, hopf, linstab, model
-from .errors import BracketError, ConfigError, NumericsError, ParameterError
+from .errors import (BracketError, ConfigError, InconclusiveError, NumericsError,
+                     ParameterError)
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
@@ -381,6 +382,12 @@ def _cmd_sweep(cfg: RunConfig, out) -> int:
 def _cmd_scaling(cfg: RunConfig, out) -> int:
     _check_orbit_flags(cfg)
     hp = _locate_hopf(cfg)
+    nf = hopf.criticality_report(hp)
+    if nf.criticality != hopf.SUPERCRITICAL:
+        raise InconclusiveError(
+            f"the Hopf point is {nf.criticality} (l1 = {_fmt(nf.l1)}): no stable "
+            "cycle grows like sqrt(r - r*), so the amplitude ratio has no prediction"
+        )
     t_end = cfg.t_end if cfg.t_end is not None else 400.0
     ratio = ddesim.amplitude_scaling(
         hp.params, hp.r_star, cfg.delta_r, t_end=t_end,

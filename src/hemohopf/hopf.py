@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import (
     BracketError,
@@ -65,7 +65,6 @@ __all__ = [
     "transversality",
     "psi1_zero",
     "projection_weight",
-    "bilinear_pairing",
     "f_coefficients",
     "w_boundary_values",
     "w20_closed_form",
@@ -305,7 +304,12 @@ def transversality(hp: HopfPoint) -> Tuple[float, float]:
 
 
 def projection_weight(p: float, omega: float, r: float) -> complex:
-    """Psi1(0) = (1 + (p - i omega) r) / ((1 + p r)^2 + omega^2 r^2)."""
+    """Psi1(0) = (1 + (p - i omega) r) / ((1 + p r)^2 + omega^2 r^2).
+
+    This is 1/Delta'(i omega) for Delta(lambda) = lambda + p - q e^{-lambda r},
+    Delta'(lambda) = 1 + q r e^{-lambda r}, since q e^{-i omega r} = p + i omega
+    at the root; it makes <Psi1, phi1> = 1 for Psi1(s) = Psi1(0) e^{-i omega s}.
+    """
     den = (1.0 + p * r) ** 2 + (omega * r) ** 2
     if den == 0.0:
         raise NumericsError("projection weight denominator vanished")
@@ -315,76 +319,6 @@ def projection_weight(p: float, omega: float, r: float) -> complex:
 def psi1_zero(hp: HopfPoint) -> complex:
     """Value at 0 of the normalized adjoint eigenfunction Psi1."""
     return projection_weight(hp.p_star, hp.omega_star, hp.r_star)
-
-
-def _legendre(m: int, z: float) -> Tuple[float, float]:
-    """P_m(z) and P_m'(z), by the three-term recurrence (|z| < 1)."""
-    p0, p1 = 1.0, z
-    for j in range(2, m + 1):
-        p0, p1 = p1, ((2 * j - 1) * z * p1 - (j - 1) * p0) / j
-    return p1, m * (z * p1 - p0) / (z * z - 1.0)
-
-
-def _gauss_legendre(m: int) -> Tuple[list, list]:
-    """Nodes, ascending, and weights of the m-point Gauss-Legendre rule on [-1, 1].
-
-    Newton's method on the Legendre polynomial P_m from the estimates
-    cos(pi (i - 1/4) / (m + 1/2)); the rule is symmetric, so only the
-    nonnegative half is computed.
-    """
-    half = []
-    for i in range(1, (m + 1) // 2 + 1):
-        z = math.cos(math.pi * (i - 0.25) / (m + 0.5))
-        for _ in range(50):
-            p, dp = _legendre(m, z)
-            step = p / dp
-            z -= step
-            if abs(step) <= 1e-15:
-                break
-        else:
-            raise NumericsError(f"Gauss-Legendre node {i} of {m} did not converge")
-        dp = _legendre(m, z)[1]
-        half.append((z, 2.0 / ((1.0 - z * z) * dp * dp)))
-    upper = half[::-1][m % 2:]  # the middle node of an odd rule only once
-    nodes = [-z for z, _ in half] + [z for z, _ in upper]
-    weights = [w for _, w in half] + [w for _, w in upper]
-    return nodes, weights
-
-
-def bilinear_pairing(
-    psi: Callable[[float], complex],
-    phi: Callable[[float], complex],
-    hp: HopfPoint,
-    min_nodes: int = 64,
-    tol: float = 1e-11,
-) -> complex:
-    """Pairing <psi, phi> = psi(0) phi(0) + q Int_{-r}^{0} psi(z + r) phi(z) dz.
-
-    The integral is evaluated by Gauss-Legendre quadrature starting at
-    `min_nodes` nodes, doubling until two successive evaluations agree to
-    `tol`.
-    """
-    r, q = hp.r_star, hp.q_star
-    half_r = 0.5 * r
-
-    def quad(m: int) -> complex:
-        total = 0.0 + 0.0j
-        for x, w in zip(*_gauss_legendre(m)):
-            z = half_r * (x - 1.0)
-            total += half_r * w * psi(z + r) * phi(z)
-        return total
-
-    m = min_nodes
-    prev = quad(m)
-    for _ in range(5):
-        m *= 2
-        cur = quad(m)
-        if abs(cur - prev) < tol:
-            break
-        prev = cur
-    else:
-        raise NumericsError("pairing quadrature did not settle")
-    return psi(0.0) * phi(0.0) + q * cur
 
 
 def f_coefficients(

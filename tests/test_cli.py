@@ -383,6 +383,33 @@ def test_scaling_command_inconclusive_is_exit_3(config_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+# a seed-1 frontier draw past the l1 = 0 curve: l1 = +0.0103 at r* = 11.755
+SUBCRITICAL_CONFIG = """\
+beta0 = 2.1072
+n = 2.3224
+delta = 0.025554
+k = 1.44077
+r = 11.755
+"""
+
+
+def test_scaling_refuses_a_subcritical_point_before_integration(tmp_path, capsys,
+                                                                monkeypatch):
+    # both probes land on the same large cycle, whose amplitude ratio
+    # (0.9995 here) says nothing about square-root growth
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated a subcritical point")
+
+    monkeypatch.setattr(ddesim, "integrate", no_integration)
+    path = tmp_path / "subcritical.cfg"
+    path.write_text(SUBCRITICAL_CONFIG)
+    code = cli.main(["scaling", str(path), "--delta-r", "0.05", "--t-end", "3000"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "subcritical" in captured.err and "l1" in captured.err
+
+
 # ------------------------------------------------------------ error handling
 
 

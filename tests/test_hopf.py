@@ -1,10 +1,13 @@
 import cmath
 import math
+import sys
 
+import numpy as np
 import pytest
 
 import refvals as rv
-from hemohopf import hopf, linstab, model
+from pairing import pairing
+from hemohopf import ddesim, hopf, linstab, model
 from hemohopf.errors import (
     BracketError,
     ConvergenceError,
@@ -246,6 +249,18 @@ def test_projection_weight_conjugate_symmetry(ref_hopf):
     assert hopf.projection_weight(p, -w, r) == hopf.projection_weight(p, w, r).conjugate()
 
 
+@pytest.mark.parametrize(
+    "args", [(rv.N, rv.BETA0, rv.DELTA, rv.K)] + OTHER_HOPF_ARGS
+)
+def test_projection_weight_is_one_over_the_characteristic_derivative(args):
+    # Psi1(0) = 1/Delta'(i omega*), Delta'(lambda) = 1 + q r e^{-lambda r}
+    hp = hopf.hopf_from_pqk(*args)
+    p, q, w, r = hp.p_star, hp.q_star, hp.omega_star, hp.r_star
+    d_delta = 1.0 + q * r * cmath.exp(-1j * w * r)
+    residual = abs(hopf.projection_weight(p, w, r) * d_delta - 1.0)
+    assert residual <= 8 * sys.float_info.epsilon
+
+
 def _eigendata(hp):
     w = hp.omega_star
     phi1 = lambda s: cmath.exp(1j * w * s)
@@ -255,21 +270,11 @@ def _eigendata(hp):
     return phi1, phi2, psi1, psi2
 
 
-@pytest.mark.parametrize("m", [64, 128, 256])
-def test_gauss_legendre_rule_matches_numpy(m):
-    np = pytest.importorskip("numpy")
-    nodes, weights = hopf._gauss_legendre(m)
-    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(m)
-    assert len(nodes) == len(weights) == m
-    assert np.max(np.abs(np.asarray(nodes) - ref_nodes)) < 1e-14
-    assert np.max(np.abs(np.asarray(weights) - ref_weights)) < 1e-14
-
-
 def test_pairing_matches_closed_forms(ref_hopf):
     hp = ref_hopf
     phi1, phi2, psi1, _ = _eigendata(hp)
-    e11 = hopf.bilinear_pairing(psi1, phi1, hp)
-    e12 = hopf.bilinear_pairing(psi1, phi2, hp)
+    e11 = pairing(psi1, phi1, hp)
+    e12 = pairing(psi1, phi2, hp)
     assert abs(e11) < 1e-9
     expected_e12 = 1.0 + (hp.p_star - 1j * hp.omega_star) * hp.r_star
     assert abs(e12 - expected_e12) < 1e-9
@@ -282,8 +287,8 @@ def test_pairing_normalization(args):
     hp = hopf.hopf_from_pqk(*args)
     phi1, phi2, _, psi2 = _eigendata(hp)
     weight = hopf.psi1_zero(hp)
-    norm1 = hopf.bilinear_pairing(lambda z: weight * psi2(z), phi1, hp)
-    norm0 = hopf.bilinear_pairing(lambda z: weight * psi2(z), phi2, hp)
+    norm1 = pairing(lambda z: weight * psi2(z), phi1, hp)
+    norm0 = pairing(lambda z: weight * psi2(z), phi2, hp)
     assert abs(norm1 - 1.0) < 1e-8
     assert abs(norm0) < 1e-8
 
@@ -473,6 +478,65 @@ def test_criticality_sign_rule():
     assert hopf._criticality(2.0) == hopf.SUBCRITICAL
     assert hopf._criticality(5e-10) == hopf.DEGENERATE
     assert hopf._criticality(-5e-10) == hopf.DEGENERATE
+
+
+# ------------------------------------------------ center manifold against the flow
+
+#: delays above r* of the two probes on the attracting cycle
+FLOW_PROBES = (5e-4, 2e-3)
+
+
+@pytest.fixture(scope="module")
+def cycle_projections(ref_hopf):
+    """(u, z) at 600 even times over the last 3 periods of the cycle at r* + dr.
+
+    t_end = 800 at the default steps per delay; u = x(t) - x2 with the
+    probe's own x2, and z = <psi1, u_t> with psi1(s) = Psi1(0) e^{-i omega* s}
+    of the Hopf point, paired over [-r*, 0].
+    """
+    hp = ref_hopf
+    psi0, w = hopf.psi1_zero(hp), hp.omega_star
+    psi1 = lambda s: psi0 * cmath.exp(-1j * w * s)
+    projections = {}
+    for dr in FLOW_PROBES:
+        params = hp.params.with_r(hp.r_star + dr)
+        traj = ddesim.integrate(params, ddesim.default_history(params.r), 800.0)
+        x2 = model.equilibria(params).x2
+        period = ddesim.orbit_metrics(traj).period
+        times = np.linspace(traj.t[-1] - 3.0 * period, traj.t[-1], 600)
+        u = np.array([traj.at(t) - x2 for t in times])
+        z = np.array([pairing(psi1, lambda s: traj.at(t + s) - x2, hp) for t in times])
+        projections[dr] = u, z
+    return projections
+
+
+def _flow_residuals(u, z, w20, w11):
+    """max|z|, R0 = max|u - 2 Re z|, and R = max|u - 2 Re z - Re(w20 z^2) - w11|z|^2|."""
+    linear = u - 2.0 * z.real
+    quadratic = (w20 * z * z).real + (w11 * np.abs(z) ** 2).real
+    return np.abs(z).max(), np.abs(linear).max(), np.abs(linear - quadratic).max()
+
+
+def test_center_manifold_matches_the_flow(ref_hopf, cycle_projections):
+    # The reduction puts the cycle on x_t - x2 = z phi1 + conj(z phi1) + w(z, conj z),
+    # so at s = 0 the quadratic manifold terms must leave an O(|z|^3)
+    # remainder.  Measured: R/|z|^3 = 1.42 and 0.95, R/R0 = 0.062 and
+    # 0.143, exponent 2.57 (band fixed before measuring).
+    nf = hopf.criticality_report(ref_hopf)
+    (z1, lin1, rem1), (z2, lin2, rem2) = (
+        _flow_residuals(*cycle_projections[dr], nf.w20_at_0, nf.w11_at_0)
+        for dr in FLOW_PROBES
+    )
+    assert rem1 <= 2.5 * z1**3 and rem1 <= 0.1 * lin1
+    assert rem2 <= 0.2 * lin2
+    assert math.log(rem2 / rem1) / math.log(z2 / z1) >= 2.3
+
+
+def test_center_manifold_flow_check_sees_a_missing_w11(ref_hopf, cycle_projections):
+    # negative control: without w11(0), R/|z|^3 at r* + 5e-4 is 5.25
+    nf = hopf.criticality_report(ref_hopf)
+    z1, _, rem1 = _flow_residuals(*cycle_projections[FLOW_PROBES[0]], nf.w20_at_0, 0.0)
+    assert rem1 > 2.5 * z1**3
 
 
 # ------------------------------------------------------- route cross-validation

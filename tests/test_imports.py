@@ -9,17 +9,20 @@ process, and their import is most of its start-up.  The import checks run
 in a fresh interpreter, because the test modules import numpy themselves.
 The simulation module depends on the model and the errors alone: a check
 of its source keeps the Hopf and stability layers out of its imports.
+The package namespace holds exactly the names the modules list in
+``__all__``.
 """
 
 import ast
 import os
 import subprocess
 import sys
+import types
 from array import array
 
 import hemohopf
 import refvals as rv
-from hemohopf import ddesim, model
+from hemohopf import ddesim, hopf, linstab, model
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(hemohopf.__file__)))
 
@@ -112,3 +115,15 @@ def test_ddesim_imports_only_model_and_errors_from_the_package():
             package.update(alias.name for alias in node.names
                            if alias.name.split(".")[0] == "hemohopf")
     assert package == {".model", ".errors"}
+
+
+def test_package_exports_match_the_modules_all():
+    modules = (model, linstab, hopf, ddesim)
+    listed = set()
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(hemohopf, name, None) is getattr(module, name), name
+        listed.update(module.__all__)
+    public = {name for name, value in vars(hemohopf).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public <= listed, public - listed
