@@ -31,6 +31,7 @@ from .hopf import (
     HopfPoint,
     NormalFormData,
     hopf_from_pqk,
+    frontier_mismatch,
     find_hopf_r,
     transversality,
     psi1_zero,

@@ -220,21 +220,19 @@ def _cmd_stability(cfg: RunConfig, out) -> int:
 
 
 def _bracket_by_scan(params: model.ModelParameters):
-    """First sign change of g(r) on (0, r_max), skipping domain gaps."""
+    """First sign change of the frontier mismatch D(r) on (0, r_max).
+
+    D(0) = r*(2) > 0, so the first delay of the scan where D < 0 closes it.
+    """
     r_max = model.equilibria(params).r_max
-    prev = None
+    prev = 0.0
     for i in range(1, 400):
         r = r_max * i / 400.0
-        try:
-            g = linstab.g_of_r(r, params)
-        except ParameterError:
-            prev = None
-            continue
-        if prev is not None and (g < 0.0) != (prev[1] < 0.0):
-            return prev[0], r
-        prev = (r, g)
+        if hopf.frontier_mismatch(r, params) < 0.0:
+            return prev, r
+        prev = r
     raise BracketError(
-        "no sign change of the boundary function on (0, r_max); "
+        "no sign change of the frontier mismatch on (0, r_max); "
         "supply --bracket explicitly"
     )
 
@@ -244,7 +242,7 @@ def _locate_hopf(cfg: RunConfig) -> hopf.HopfPoint:
 
     A k-parameterized config fixes k and uses the closed frontier
     relations; a gamma-parameterized config holds gamma fixed and locates
-    the root of the boundary function (bracket from --bracket or a scan).
+    the root of the frontier mismatch (bracket from --bracket or a scan).
     """
     if cfg.k is not None:
         return hopf.hopf_from_pqk(cfg.n, cfg.beta0, cfg.delta, cfg.k)

@@ -37,9 +37,7 @@ from .errors import (
     BracketError,
     ConvergenceError,
     DegenerateCrossingError,
-    DomainError,
     NoImaginaryCrossingError,
-    NoPositiveEquilibriumError,
     NumericsError,
     ResonanceError,
 )
@@ -61,6 +59,7 @@ __all__ = [
     "HopfPoint",
     "NormalFormData",
     "hopf_from_pqk",
+    "frontier_mismatch",
     "find_hopf_r",
     "transversality",
     "psi1_zero",
@@ -86,6 +85,8 @@ _RESIDUAL_TOL = 1e-10
 _G_ROOT_TOL = 1e-11
 # g is a difference of two angles in [0, pi]: its rounding level.
 _G_ROUNDING = 4.0 * math.ulp(math.pi)
+# Relative half-width of the g bracket around the root of the frontier mismatch.
+_G_BRACKET = 1e-9
 
 
 class _HopfPointFields(NamedTuple):
@@ -163,6 +164,12 @@ class NormalFormData(NamedTuple):
     criticality: str
 
 
+def _frontier(p: float, q: float) -> Tuple[float, float]:
+    # omega* and r* of the n = 0 crossing, for q < 0 and |p| < |q|
+    omega = math.sqrt(q * q - p * p)
+    return omega, math.acos(p / q) / omega
+
+
 def hopf_from_pqk(n: float, beta0: float, delta: float, k: float) -> HopfPoint:
     """Locate the Hopf point directly from (n, beta0, delta, k).
 
@@ -183,70 +190,56 @@ def hopf_from_pqk(n: float, beta0: float, delta: float, k: float) -> HopfPoint:
         raise NoImaginaryCrossingError(
             f"|q| = {abs(q)} <= |p| = {abs(p)}: no pure-imaginary crossing"
         )
-    omega = math.sqrt(q * q - p * p)
-    r = math.acos(p / q) / omega
+    omega, r = _frontier(p, q)
     params = ModelParameters.from_k(beta0, n, delta, k, r)
     return HopfPoint(
         r_star=r, omega_star=omega, p_star=p, q_star=q, params=params, x2_star=report.x2
     )
 
 
+def frontier_mismatch(r: float, params: ModelParameters) -> float:
+    """D(r) = r*(k(r)) - r, the delay mismatch from the frontier at fixed gamma.
+
+    gamma is taken from `params`; k, p and q are recomputed at the delay
+    r >= 0, and r*(k) = arccos(p/q) / sqrt(q^2 - p^2) is the closed form of
+    :func:`hopf_from_pqk`.  D is extended continuously wherever that form
+    has no crossing: +inf where x2 is absent, where q >= 0 and where
+    p/q <= -1 (r* grows without bound as p/q falls to -1), and 1/|q| - r
+    where p/q >= 1 (the limit of r* as p/q rises to 1).  Its zeros are
+    exactly the n = 0 crossings; unlike g it does not vanish where p does.
+    """
+    local = params.with_r(r)
+    if not local.x2_exists:
+        return math.inf
+    triple = characteristic_triple(local)
+    p, q = triple.p, triple.q
+    if q >= 0.0 or p >= -q:  # p/q <= -1
+        return math.inf
+    if p <= q:  # p/q >= 1
+        return 1.0 / abs(q) - r
+    return _frontier(p, q)[1] - r
+
+
 def find_hopf_r(
     params: ModelParameters, bracket: Tuple[float, float]
 ) -> HopfPoint:
-    """Locate the Hopf delay as the root of g(r) inside `bracket`.
+    """Locate the Hopf delay at fixed gamma inside `bracket`.
 
-    gamma is taken from `params` and held fixed.  A bracket end where g
-    is not evaluable (crossing frequency gone, or x2 absent) is pulled
-    toward the other end until g exists there; the boundary function is
-    defined on a neighborhood of the root, so a usable sub-bracket
-    survives whenever the original one straddles the crossing.  Inside
-    the bracket, g is read as -pi/2 in a gap below r_n (-p r > 1 or
-    p/q < -1): every crossing has q < 0, so r < r_n, and there the
-    continuous extension of g lies in (-pi/2, 0), which keeps the sign
-    change.  The root is polished to rounding level, where |g| is a few
-    ulps of pi or the bracket a few ulps of r wide, and |g| < 1e-11 is
-    guaranteed; the crossing frequency is omega0 there.
+    gamma is taken from `params` and held fixed.  The bracket ends must be
+    finite and nonnegative, and :func:`frontier_mismatch` must change sign
+    between them (it may be +inf at an end); its root is the crossing.  The
+    independent route then polishes the root of g on a bracket of relative
+    half-width 1e-9 around it, to rounding level: |g| a few ulps of pi or
+    the bracket a few ulps of r wide.  |g| < 1e-11 is guaranteed, and the
+    crossing frequency is omega0 there.
     """
-    a, b = bracket
-    if not (math.isfinite(a) and math.isfinite(b)) or a == b:
-        raise BracketError(f"degenerate bracket ({a}, {b})")
-    if a > b:
-        a, b = b, a
-
-    def g_or_none(rr: float):
-        try:
-            return g_of_r(rr, params)
-        except (DomainError, NoPositiveEquilibriumError):
-            return None
-
-    ga = g_or_none(a)
-    gb = g_or_none(b)
-    for _ in range(80):
-        if ga is not None and gb is not None:
-            break
-        if ga is None:
-            a = a + 0.25 * (b - a)
-            ga = g_or_none(a)
-        if gb is None:
-            b = b - 0.25 * (b - a)
-            gb = g_or_none(b)
-        if b - a < 1e-15:
-            break
-    if ga is None or gb is None:
-        raise BracketError(
-            f"g is not evaluable anywhere on the bracket {bracket}"
-        )
-
-    def g_extended(rr: float) -> float:
-        try:
-            return g_of_r(rr, params)
-        except DomainError:
-            if rr < equilibria(params).r_n:
-                return -0.5 * math.pi
-            raise
-
-    r = bracketed_root(g_extended, a, b, f_tol=_G_ROUNDING, fa=ga, fb=gb)
+    if not all(math.isfinite(end) and end >= 0.0 for end in bracket):
+        raise BracketError(f"bracket ends must be finite and nonnegative, got {bracket}")
+    # near the root, D = r* - r cancels two delays below the upper end: its rounding level
+    r0 = bracketed_root(lambda rr: frontier_mismatch(rr, params), *bracket,
+                        f_tol=4.0 * math.ulp(max(bracket)))
+    r = bracketed_root(lambda rr: g_of_r(rr, params), r0 * (1.0 - _G_BRACKET),
+                       r0 * (1.0 + _G_BRACKET), f_tol=_G_ROUNDING)
     local = params.with_r(r)
     triple = characteristic_triple(local)
     w = omega0(triple)

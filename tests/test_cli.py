@@ -4,7 +4,7 @@ import math
 import pytest
 
 import refvals as rv
-from hemohopf import cli, ddesim, model
+from hemohopf import cli, ddesim, hopf, model
 from hemohopf.errors import ConfigError
 
 REF_CONFIG = """\
@@ -16,11 +16,20 @@ k = 1.180746972
 r = 0.3559207407
 """
 
+GAMMA_CONFIG = "beta0=1.77\nn=12\ndelta=0.05\ngamma=1.48067\nr=0.36\n"
+
 
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "params.cfg"
     path.write_text(REF_CONFIG)
+    return str(path)
+
+
+@pytest.fixture
+def gamma_config_path(tmp_path):
+    path = tmp_path / "gamma.cfg"
+    path.write_text(GAMMA_CONFIG)
     return str(path)
 
 
@@ -437,7 +446,21 @@ def test_hopf_failing_cross_check_prints_no_half_report(config_path, capsys):
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "g is not evaluable anywhere on the bracket (0.5, 0.6)" in captured.err
+    assert "no sign change on bracket (0.5, 0.6)" in captured.err
+
+
+@pytest.mark.parametrize("bracket", [("-1", "0.4"), ("nan", "0.4"), ("0.3", "inf")])
+def test_bracket_end_negative_or_not_finite_is_refused_before_evaluation(
+    gamma_config_path, capsys, monkeypatch, bracket
+):
+    def no_evaluation(r, params):
+        raise AssertionError(f"evaluated the frontier mismatch at r = {r}")
+
+    monkeypatch.setattr(hopf, "frontier_mismatch", no_evaluation)
+    assert cli.main(["hopf", gamma_config_path, "--bracket", *bracket]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bracket ends must be finite and nonnegative" in captured.err
 
 
 def test_flag_overrides_require_single_parameterization(config_path, capsys):
@@ -463,6 +486,27 @@ def test_hopf_command_gamma_parameterized(tmp_path, capsys):
     assert "boundary-root route:" in out
     assert "strategy route (at the located k):" in out
     assert "r*     = 0.35592018752" in out
+
+
+def test_hopf_bracket_from_zero_reaches_past_the_first_crossing(gamma_config_path, capsys):
+    # k = 2 at r = 0, and the end 0.4 lies past r* = 0.35592
+    assert cli.main(["hopf", gamma_config_path, "--bracket", "0", "0.4"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("r*     = 0.35592018752\n") == 2
+
+
+def test_second_reference_crossing_is_reported(gamma_config_path, capsys):
+    # x2 regains stability at r = 0.44421, just below r_max = 0.44932; the
+    # frontier mismatch is +inf at the end 0.449, where q > 0
+    assert cli.main(["hopf", gamma_config_path, "--bracket", "0.40", "0.449"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("r*     = 0.444212289607\n") == 2
+    assert cli.main(["normal-form", gamma_config_path, "--bracket", "0.40", "0.449"]) == 0
+    out = capsys.readouterr().out
+    assert "hopf point: r* = 0.444212289607 " in out
+    assert "l1 = -388.282902559 " in out
+    assert "mu' = -463.01246782 " in out
+    assert "criticality: supercritical\n" in out
 
 
 def test_normal_form_gamma_parameterized(tmp_path, capsys):

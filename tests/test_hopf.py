@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import sys
 
 import numpy as np
@@ -11,10 +12,9 @@ from hemohopf import ddesim, hopf, linstab, model
 from hemohopf.errors import (
     BracketError,
     ConvergenceError,
-    DomainError,
     NoImaginaryCrossingError,
     NoPositiveEquilibriumError,
-    NumericsError,
+    ParameterError,
     ResonanceError,
 )
 
@@ -88,6 +88,73 @@ def test_strategy_route_rejects_no_crossing():
         hopf.hopf_from_pqk(12.0, 1.77, 0.05, 1.0)  # x2 absent
 
 
+# ----------------------------------------------------------- frontier mismatch
+
+
+def test_frontier_mismatch_vanishes_at_the_frontier_delay():
+    # D(r*) = r*(k') - r* with k' = 2 exp(-gamma* r*), k re-derived from the
+    # delay: exactly 0 where the round trip returns k, and otherwise the move
+    # of r*(k) over one ulp of k, which its conditioning can make up to about
+    # 1e2 ulps of r* (seeds 1 to 20)
+    rng = random.Random(1)
+    checked = 0
+    while checked < 1000:
+        draw = (rng.uniform(2.0, 20.0), rng.uniform(0.5, 3.0),
+                rng.uniform(0.01, 0.3), rng.uniform(1.0, 2.0))
+        try:
+            hp = hopf.hopf_from_pqk(*draw)
+        except ParameterError:
+            continue  # outside the frontier box's regime A > 1, B1 < 0, |q| > |p|
+        checked += 1
+        mismatch = hopf.frontier_mismatch(hp.r_star, hp.params)
+        k_back = hp.params.with_r(hp.r_star).k
+        if k_back == draw[3]:
+            assert mismatch == 0.0
+        else:
+            assert mismatch == hopf.hopf_from_pqk(*draw[:3], k_back).r_star - hp.r_star
+        assert abs(mismatch) <= 1e-12 * hp.r_star
+
+
+def test_frontier_mismatch_is_infinite_off_the_frontier(ref_params):
+    eq = model.equilibria(ref_params)
+    assert hopf.frontier_mismatch(1.01 * eq.r_max, ref_params) == math.inf  # x2 absent
+    r_q_positive = 0.5 * (eq.r_n + eq.r_max)
+    assert linstab.characteristic_triple(ref_params.with_r(r_q_positive)).q > 0.0
+    assert hopf.frontier_mismatch(r_q_positive, ref_params) == math.inf
+    stable = model.ModelParameters.from_k(1.77, 12.0, 0.5, 1.309, 1.0)
+    triple = linstab.characteristic_triple(stable)
+    assert triple.p / triple.q < -1.0
+    assert hopf.frontier_mismatch(1.0, stable) == math.inf
+
+
+def test_frontier_mismatch_is_continuous_across_p_over_q_one(ref_params, monkeypatch):
+    # p - q = delta + (k - 1)|B1| > 0 wherever x2 exists, so p/q < 1 on every
+    # model; a substituted triple reaches p/q >= 1
+    q, r = -2.0, 0.3
+
+    def mismatch_at(ratio):
+        monkeypatch.setattr(hopf, "characteristic_triple",
+                            lambda params: linstab.CharacteristicTriple(ratio * q, q, params.r))
+        return hopf.frontier_mismatch(r, ref_params)
+
+    at_one = mismatch_at(1.0)
+    assert at_one == 1.0 / abs(q) - r
+    for eps in (1e-3, 1e-5, 1e-7):
+        assert abs(mismatch_at(1.0 - eps) - at_one) < eps
+        assert abs(mismatch_at(1.0 + eps) - at_one) < eps
+
+
+def test_frontier_mismatch_does_not_vanish_where_p_does(ref_params):
+    # g vanishes wherever p = 0, since T_inv(0) = arccos(0) = pi/2; at the
+    # reference p = 0 delay no crossing happens, and D = pi/(2|q|) - r = 30
+    r0 = linstab.bracketed_root(
+        lambda r: linstab.characteristic_triple(ref_params.with_r(r)).p, 0.44, 0.449, 0.0
+    )
+    assert abs(r0 - 0.4475767) < 1e-7
+    assert abs(linstab.g_of_r(r0, ref_params)) < 1e-9
+    assert hopf.frontier_mismatch(r0, ref_params) > 1.0
+
+
 # --------------------------------------------------------------- g-root route
 
 
@@ -158,8 +225,8 @@ def test_find_hopf_r_agrees_with_frontier_on_polish_limited_draws(draw):
     assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
 
 
-# Seed-1 frontier draws (n, beta0, delta, k) on which an iterate of the g-root
-# search lands in a gap of g inside the +-10% bracket (-p r > 1 or p/q < -1).
+# Seed-1 frontier draws (n, beta0, delta, k) whose +-10% bracket holds
+# delays where g is undefined (-p r > 1 or p/q < -1).
 GAP_DRAWS = [
     (19.5148943234781, 0.9935644610382434, 0.04328115865855004, 1.1300455031825622),
     (10.784006018460481, 2.0397273601874626, 0.13068178379833878, 1.1036219429405922),
@@ -169,36 +236,20 @@ GAP_DRAWS = [
 
 
 @pytest.mark.parametrize("draw", GAP_DRAWS)
-def test_find_hopf_r_reads_a_gap_below_r_n_as_negative_g(draw, monkeypatch):
-    defined, gaps = [], []
-
-    def recording_g(rr, params):
-        try:
-            value = linstab.g_of_r(rr, params)
-        except DomainError:
-            gaps.append(rr)
-            raise
-        defined.append(rr)
-        return value
-
-    monkeypatch.setattr(hopf, "g_of_r", recording_g)
+def test_find_hopf_r_agrees_with_frontier_across_gaps_of_g(draw):
     hp = hopf.hopf_from_pqk(*draw)
     hp2 = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
-    # the search itself stepped into a gap between two delays where g exists
-    assert any(min(defined) < rr < max(defined) for rr in gaps)
     assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
 
 
 @pytest.mark.parametrize("draw", LONG_DELAY_DRAWS)
-def test_find_hopf_r_long_delay_draws_end_without_convergence_error(draw):
-    # g is undefined on the upper part of the +-10% bracket (|p/q| > 1), so
-    # the pulled bracket excludes r* and holds the zero of g where p
-    # crosses 0 (T_inv(0) = arccos(0) = pi/2), which is no Hopf point:
-    # HopfPoint's residual check refuses it.  The search itself must end.
+def test_find_hopf_r_agrees_with_frontier_on_long_delay_draws(draw):
+    # g is undefined on the upper part of the +-10% bracket (|p/q| > 1) and
+    # vanishes where p crosses 0 (T_inv(0) = arccos(0) = pi/2), which is no
+    # Hopf point; the frontier mismatch has neither defect
     hp = hopf.hopf_from_pqk(*draw)
-    with pytest.raises(NumericsError, match="not a characteristic root") as info:
-        hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
-    assert not isinstance(info.value, ConvergenceError)
+    hp2 = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
+    assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
 
 
 def test_find_hopf_r_bracket_errors(ref_params):
