@@ -261,13 +261,12 @@ def _cmd_hopf(cfg: RunConfig, out) -> int:
     if cfg.k is not None:
         # cross-check with the boundary-root route at the recovered gamma
         route = "strategy"
-        bracket = cfg.bracket
-        if bracket is None:
-            r_max = model.equilibria(hp.params).r_max
-            bracket = (0.9 * hp.r_star, min(1.1 * hp.r_star, 0.999 * r_max))
+        # D(r*) is within about 1e-12 r* of 0, and a wider default bracket
+        # can hold a second crossing, which leaves D one sign at both ends
+        bracket = cfg.bracket or (hp.r_star * (1.0 - 1e-6), hp.r_star * (1.0 + 1e-6))
         hp2 = hopf.find_hopf_r(hp.params, bracket)
         g_res = abs(linstab.g_of_r(hp2.r_star, hp2.params))
-        route2 = f"boundary-root route (bracket {bracket[0]:.6g}..{bracket[1]:.6g}):"
+        route2 = f"boundary-root route (bracket {bracket[0]:.9g}..{bracket[1]:.9g}):"
     else:
         # cross-check with the strategy route at the located point's k
         route = "boundary-root"

@@ -43,6 +43,7 @@ from .errors import (
 )
 from .linstab import (
     CharacteristicTriple,
+    _crossing,
     bracketed_root,
     characteristic_triple,
     g_of_r,
@@ -164,12 +165,6 @@ class NormalFormData(NamedTuple):
     criticality: str
 
 
-def _frontier(p: float, q: float) -> Tuple[float, float]:
-    # omega* and r* of the n = 0 crossing, for q < 0 and |p| < |q|
-    omega = math.sqrt(q * q - p * p)
-    return omega, math.acos(p / q) / omega
-
-
 def hopf_from_pqk(n: float, beta0: float, delta: float, k: float) -> HopfPoint:
     """Locate the Hopf point directly from (n, beta0, delta, k).
 
@@ -182,15 +177,15 @@ def hopf_from_pqk(n: float, beta0: float, delta: float, k: float) -> HopfPoint:
     triple = characteristic_triple(model_k)
     p, q = triple.p, triple.q
     report = equilibria(model_k)
+    omega, r = _crossing(p, q)
     if q >= 0.0:
         raise NoImaginaryCrossingError(
             f"B1 = {report.B1_at_x2} >= 0: no pure-imaginary crossing in this regime"
         )
-    if abs(q) <= abs(p):
+    if r == math.inf:
         raise NoImaginaryCrossingError(
             f"|q| = {abs(q)} <= |p| = {abs(p)}: no pure-imaginary crossing"
         )
-    omega, r = _frontier(p, q)
     params = ModelParameters.from_k(beta0, n, delta, k, r)
     return HopfPoint(
         r_star=r, omega_star=omega, p_star=p, q_star=q, params=params, x2_star=report.x2
@@ -198,26 +193,20 @@ def hopf_from_pqk(n: float, beta0: float, delta: float, k: float) -> HopfPoint:
 
 
 def frontier_mismatch(r: float, params: ModelParameters) -> float:
-    """D(r) = r*(k(r)) - r, the delay mismatch from the frontier at fixed gamma.
+    """D(r) = r0(k(r)) - r, the delay mismatch from the frontier at fixed gamma.
 
     gamma is taken from `params`; k, p and q are recomputed at the delay
-    r >= 0, and r*(k) = arccos(p/q) / sqrt(q^2 - p^2) is the closed form of
-    :func:`hopf_from_pqk`.  D is extended continuously wherever that form
-    has no crossing: +inf where x2 is absent, where q >= 0 and where
-    p/q <= -1 (r* grows without bound as p/q falls to -1), and 1/|q| - r
-    where p/q >= 1 (the limit of r* as p/q rises to 1).  Its zeros are
+    r >= 0, and r0 = arccos(p/q) / sqrt(q^2 - p^2) is the crossing delay of
+    :func:`hopf_from_pqk`.  D is +inf where x2 is absent and where no root
+    crosses (p >= -q), so x2 is stable exactly where D > 0 (Cooke &
+    Grossman, J. Math. Anal. Appl. 86 (1982) 592) and the zeros of D are
     exactly the n = 0 crossings; unlike g it does not vanish where p does.
     """
     local = params.with_r(r)
     if not local.x2_exists:
         return math.inf
     triple = characteristic_triple(local)
-    p, q = triple.p, triple.q
-    if q >= 0.0 or p >= -q:  # p/q <= -1
-        return math.inf
-    if p <= q:  # p/q >= 1
-        return 1.0 / abs(q) - r
-    return _frontier(p, q)[1] - r
+    return _crossing(triple.p, triple.q)[1] - r
 
 
 def find_hopf_r(
@@ -235,9 +224,16 @@ def find_hopf_r(
     """
     if not all(math.isfinite(end) and end >= 0.0 for end in bracket):
         raise BracketError(f"bracket ends must be finite and nonnegative, got {bracket}")
+    a, b = bracket
+    da, db = frontier_mismatch(a, params), frontier_mismatch(b, params)
+    if da != 0.0 and db != 0.0 and (da > 0.0) == (db > 0.0):
+        raise BracketError(
+            f"no sign change on bracket ({a}, {b}) of the frontier mismatch D: "
+            f"D(a) = {da}, D(b) = {db} (inf means no crossing at that end)"
+        )
     # near the root, D = r* - r cancels two delays below the upper end: its rounding level
-    r0 = bracketed_root(lambda rr: frontier_mismatch(rr, params), *bracket,
-                        f_tol=4.0 * math.ulp(max(bracket)))
+    r0 = bracketed_root(lambda rr: frontier_mismatch(rr, params), a, b,
+                        f_tol=4.0 * math.ulp(max(bracket)), fa=da, fb=db)
     r = bracketed_root(lambda rr: g_of_r(rr, params), r0 * (1.0 - _G_BRACKET),
                        r0 * (1.0 + _G_BRACKET), f_tol=_G_ROUNDING)
     local = params.with_r(r)

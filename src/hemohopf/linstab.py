@@ -8,14 +8,14 @@ whose eigenvalues solve the transcendental equation
 
     lam + p = q exp(-lam r),      p = delta + B1,  q = k B1.
 
-For B1 < 0 the stability boundary is expressed through the strictly
-decreasing function T(y) = y cot(y) on [0, pi): the candidate crossing
-frequency is omega0 = T^{-1}(-p r) / r, and the sign of
+x2 is stable exactly for r < r0(p, q), the delay at which a root pair
+crosses the imaginary axis (see `_crossing`).  The paper's boundary
+function, through the strictly decreasing T(y) = y cot(y) on [0, pi),
 
-    g(r) = T^{-1}(-p(r) r) - arccos(p(r) / q(r))
+    g(r) = T^{-1}(-p(r) r) - arccos(p(r) / q(r)),
 
-decides which side of the boundary a given delay lies on (both p and q
-depend on r through k when gamma is held fixed).
+vanishes at the same crossings and is kept as an independent check (both
+p and q depend on r through k when gamma is held fixed).
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ __all__ = [
     "rightmost_root",
 ]
 
-#: Absolute tolerance for boundary predicates (p = 0, A = 1, g = 0, r|p| = 1).
+#: Tolerance of the boundary predicates: absolute for B1 = 0, p = 0 and
+#: A = 1, relative to r0 for r = r0.
 BOUNDARY_TOL = 1e-9
 
 #: Largest relative characteristic residual `rightmost_root` certifies.
@@ -97,9 +98,8 @@ class CharacteristicTriple(_CharacteristicTripleFields):
 class StabilityVerdict(NamedTuple):
     """Outcome of classifying one equilibrium.
 
-    ``stable_window`` holds the delay bounds supporting the verdict where
-    the classification case has any (the bounds are computed from the
-    local p, q, which themselves vary with r).
+    For x2, ``stable_window`` is (0, r0) with r0 computed from the local
+    p, q, which themselves vary with r when gamma is held fixed.
     """
 
     target: str
@@ -199,6 +199,22 @@ def omega0(triple: CharacteristicTriple) -> float:
     return T_inv(v) / r
 
 
+def _crossing(p: float, q: float) -> Tuple[float, float]:
+    """(omega*, r0) of ``lam + p = q exp(-lam r)``: x2 is stable exactly for
+    r < r0 (Hayes, J. London Math. Soc. 25 (1950) 226).
+
+    For q < -|p| the root pair +-i omega*, omega* = sqrt(q^2 - p^2), crosses
+    the imaginary axis at r0 = arccos(p/q) / omega*.  For p >= -q no root
+    ever crosses, and (0, +inf) is returned.  Wherever x2 exists,
+    p - q = delta n (A - 1) / A > 0, so one of the two holds: no other
+    region of (p, q) can occur.
+    """
+    if p >= -q:
+        return 0.0, math.inf
+    omega = math.sqrt(q * q - p * p)
+    return omega, math.acos(p / q) / omega
+
+
 def classify_x1(params: ModelParameters) -> StabilityVerdict:
     """Stability of the trivial equilibrium x1 = 0.
 
@@ -222,111 +238,39 @@ def classify_x1(params: ModelParameters) -> StabilityVerdict:
 def classify_x2(params: ModelParameters) -> StabilityVerdict:
     """Stability of the positive equilibrium x2.
 
-    Case split on B1 = B1(x2) and p = delta + B1:
-
-    * B1 > 0 (case II): stable unconditionally.
-    * B1 = 0: the characteristic equation degenerates to lam = -delta,
-      stable.
-    * B1 < 0, p < 0 (case I.A): stable iff |p| < |q| and
-      arccos(p/q)/omega0 < r < 1/|p|; unstable at r|p| = 1; marginal on
-      the crossing locus g = 0.
-    * B1 < 0, p > 0 (case I.B): stable iff p > |q|, or p <= |q| and
-      r < arccos(p/q)/omega0; marginal on g = 0.
-    * B1 < 0, p = 0: stable iff -q r < pi/2, marginal at equality.
+    x2 is stable for r < r0, unstable for r > r0 and marginal within
+    ``BOUNDARY_TOL`` r0 of it, where r0 = r0(p, q) is the crossing delay of
+    :func:`_crossing` at the local k; ``stable_window`` is (0, r0) and
+    ``omega0`` the frequency omega* of the pair that crosses at r0 (None
+    when r0 = +inf).  The case label is the paper's split on B1 = B1(x2)
+    and p = delta + B1: II (B1 > 0), B1_zero, I.boundary_p0 (p = 0), I.A
+    (p < 0) and I.B (p > 0).
     """
-    triple = characteristic_triple(params)
-    p, q, r = triple.p, triple.q, triple.r
+    p, q, r = characteristic_triple(params)
     b1 = q / params.k
-
-    if r == 0.0 and b1 < -BOUNDARY_TOL and abs(p) > BOUNDARY_TOL:
-        # delay-free limit: the single eigenvalue is q - p
-        lam = q - p
-        case = CASE_IA if p < 0.0 else CASE_IB
-        if abs(lam) <= BOUNDARY_TOL:
-            status = MARGINAL
-        else:
-            status = STABLE if lam < 0.0 else UNSTABLE
-        return StabilityVerdict(
-            target="x2",
-            case_label=case,
-            status=status,
-            notes=f"no delay: eigenvalue q - p = {lam}",
-        )
-
     if abs(b1) <= BOUNDARY_TOL:
-        return StabilityVerdict(
-            target="x2",
-            case_label=CASE_B1_ZERO,
-            status=STABLE,
-            notes="B1 = 0: characteristic equation degenerates to lam = -delta",
-        )
-    if b1 > 0.0:
-        return StabilityVerdict(
-            target="x2",
-            case_label=CASE_II,
-            status=STABLE,
-            notes="B1 > 0: stable for every delay in this regime",
-        )
-
-    # B1 < 0 from here on; q = k B1 < 0.
-    if abs(p) <= BOUNDARY_TOL:
-        half_pi = 0.5 * math.pi
-        m = -q * r
-        w0 = half_pi / r if r > 0.0 else None
-        window = (0.0, half_pi / (-q))
-        if abs(m - half_pi) <= BOUNDARY_TOL:
-            status, notes = MARGINAL, "-q r = pi/2: pure-imaginary pair, crossing point"
-        elif m < half_pi:
-            status, notes = STABLE, "-q r < pi/2"
-        else:
-            status, notes = UNSTABLE, "-q r > pi/2"
-        return StabilityVerdict(
-            target="x2",
-            case_label=CASE_P0,
-            status=status,
-            omega0=w0,
-            stable_window=window,
-            notes=notes,
-        )
-
-    # B1 < 0 and p != 0 from here on: case I.A (p < 0) or I.B (p > 0).
-    case = CASE_IA if p < 0.0 else CASE_IB
-    if p < 0.0 and r * abs(p) >= 1.0 - BOUNDARY_TOL:
-        return StabilityVerdict(
-            target="x2", case_label=case, status=UNSTABLE, notes=f"r|p| = {r * abs(p)} >= 1"
-        )
-    if p < 0.0 and abs(p) >= abs(q):
-        return StabilityVerdict(
-            target="x2",
-            case_label=case,
-            status=UNSTABLE,
-            notes=f"|p| = {abs(p)} >= |q| = {abs(q)}",
-        )
-    if p > abs(q):
-        return StabilityVerdict(
-            target="x2",
-            case_label=case,
-            status=STABLE,
-            notes=f"p = {p} > |q| = {abs(q)}: stable for every delay",
-        )
-    # The frontier is g = omega0 r - arccos(p/q) = 0.  Its stable side is
-    # g > 0 in I.A, window (arccos(p/q)/omega0, 1/|p|), and g < 0 in I.B,
-    # window (0, arccos(p/q)/omega0).
-    w0 = omega0(triple)
-    acc = math.acos(max(p / q, -1.0))  # I.B reaches p/q = -1; clamp roundoff
-    window = (acc / w0, 1.0 / abs(p)) if p < 0.0 else (0.0, acc / w0)
-    g = w0 * r - acc
-    if abs(g) <= BOUNDARY_TOL:
-        status, notes = MARGINAL, "g(r) = 0: on the stability frontier"
+        case = CASE_B1_ZERO
+    elif b1 > 0.0:
+        case = CASE_II
+    elif abs(p) <= BOUNDARY_TOL:
+        case = CASE_P0
     else:
-        status = STABLE if (g > 0.0) == (p < 0.0) else UNSTABLE
-        notes = f"g = {g} > 0" if g > 0.0 else f"g = {g} < 0"
+        case = CASE_IA if p < 0.0 else CASE_IB
+    omega, r0 = _crossing(p, q)
+    if r0 == math.inf:
+        status, notes = STABLE, "p >= -q: r0 = inf, stable for every delay"
+    elif abs(r - r0) <= BOUNDARY_TOL * r0:
+        status, notes = MARGINAL, f"r = r0 = {r0!r}: on the stability frontier"
+    elif r < r0:
+        status, notes = STABLE, f"r < r0 = {r0!r}"
+    else:
+        status, notes = UNSTABLE, f"r > r0 = {r0!r}"
     return StabilityVerdict(
         target="x2",
         case_label=case,
         status=status,
-        omega0=w0,
-        stable_window=window,
+        omega0=omega if r0 < math.inf else None,
+        stable_window=(0.0, r0),
         notes=notes,
     )
 
@@ -482,8 +426,10 @@ def bracketed_root(func, a: float, b: float, f_tol: float, *, fa=None, fb=None):
     called at that end.  Each iteration takes the secant point of the
     bracket (its midpoint if that is not strictly inside) and halves the
     stored value of an end kept twice in a row, so that both ends close
-    in.  Stops at |f| < f_tol or when the bracket is a few units in the
-    last place wide, and returns the evaluated point of smallest |f|.
+    in.  A secant point that rounds onto an end with both end values finite
+    (a tiny value there) is moved one float inside that end first.  Stops
+    at |f| < f_tol or when the bracket is a few units in the last place
+    wide, and returns the evaluated point of smallest |f|.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or a == b:
         raise BracketError(f"degenerate bracket ({a}, {b})")
@@ -507,6 +453,8 @@ def bracketed_root(func, a: float, b: float, f_tol: float, *, fa=None, fb=None):
         if abs(fx) < f_tol or b - a <= _ROUNDING * max(abs(a), abs(b)):
             return x
         c = b - fb * (b - a) / (fb - fa)
+        if (c == a or c == b) and math.isfinite(fa) and math.isfinite(fb):
+            c = math.nextafter(a, b) if c == a else math.nextafter(b, a)
         if not a < c < b:
             c = 0.5 * (a + b)
         fc = func(c)

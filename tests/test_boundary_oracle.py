@@ -1,5 +1,5 @@
-"""40-digit mpmath oracles for the boundary route: T_inv, classify_x2's
-frontier data and the located Hopf delay.
+"""40-digit mpmath oracles for the boundary route: T_inv, the crossing
+delay r0 of classify_x2, g and the located Hopf delay.
 
 `T_inv` is checked against the exact inverse of T(y) = y cot(y), relative
 to the condition number of that inverse.  The exact values pinned in
@@ -16,7 +16,6 @@ import random
 
 import pytest
 
-import test_cli_golden as golden
 from hemohopf import hopf, linstab, model
 
 mp = pytest.importorskip("mpmath")
@@ -39,14 +38,12 @@ def exact_t_inv(v: float):
         return (lo + hi) / 2
 
 
-def exact_frontier(triple):
-    """(omega0, arccos(p/q) / omega0, g) of a float triple, exactly."""
+def exact_g(triple):
+    """g = T^{-1}(-p r) - arccos(p/q) of a float triple, exactly."""
     p, q, r = triple
     y = exact_t_inv(-p * r)
     with mp.workdps(DPS):
-        acc = mp.acos(mp.mpf(p) / mp.mpf(q))
-        w0 = y / mp.mpf(r)
-        return w0, acc / w0, y - acc
+        return y - mp.acos(mp.mpf(p) / mp.mpf(q))
 
 
 def exact_pq(params, r):
@@ -99,37 +96,36 @@ def test_T_inv_error_within_the_condition_number():
 
 # ------------------------------------------------------- classify_x2 pins
 
-# (args of from_k, omega0, the window end arccos(p/q) / omega0, g) as
-# pinned before, with T_inv by bisection to |T(y) - v| < 1e-13
-OLD_VERDICTS = [
-    ((1.77, 12.0, 0.05, 1.180746972, 0.35),
-     1.7878398009273984, 0.33080633726128766, 0.034315194169847074),
-    ((1.77, 12.0, 0.05, 1.180746972, 0.38),
-     1.1082945611689423, 0.5336385802804533, -0.17027680291054426),
-    ((1.0, 2.0, 0.1, 1.25, 10.0),
-     0.16886826899584778, 10.494299835742392, -0.08347155762674952),
-    ((1.0, 2.0, 0.1, 1.25, 50.0),
-     0.040575156762208735, 43.67584475325534, 0.2566035905252093),
+# the argument sets of the `test_linstab` whole-verdict pins with a crossing
+VERDICT_ARGS = [
+    (1.77, 12.0, 0.05, 1.180746972, 0.35),
+    (1.77, 12.0, 0.05, 1.180746972, 0.38),
+    (1.0, 2.0, 0.1, 1.25, 10.0),
+    (1.0, 2.0, 0.1, 1.25, 50.0),
 ]
 
 
-def _window_end(verdict):
-    lo, hi = verdict.stable_window
-    return lo if verdict.case_label == linstab.CASE_IA else hi
+def exact_crossing(triple):
+    """(omega*, r0) = (sqrt(q^2 - p^2), arccos(p/q) / omega*) of a float triple."""
+    with mp.workdps(DPS):
+        p, q = mp.mpf(triple.p), mp.mpf(triple.q)
+        omega = mp.sqrt(q * q - p * p)
+        return omega, mp.acos(p / q) / omega
 
 
-@pytest.mark.parametrize("args, old_w0, old_end, old_g", OLD_VERDICTS)
-def test_classify_x2_repinned_values_are_closer_to_the_oracle(args, old_w0, old_end, old_g):
+@pytest.mark.parametrize("args", VERDICT_ARGS)
+def test_classify_x2_crossing_matches_the_closed_form(args):
     params = model.ModelParameters.from_k(*args)
     verdict = linstab.classify_x2(params)
-    new_g = float(verdict.notes.split()[2])
-    w0, end, g = exact_frontier(linstab.characteristic_triple(params))
-    assert err(verdict.omega0, w0) <= err(old_w0, w0)
-    assert err(_window_end(verdict), end) <= err(old_end, end)
-    assert err(new_g, g) <= err(old_g, g)
+    omega, r0 = exact_crossing(linstab.characteristic_triple(params))
+    assert verdict.stable_window[0] == 0.0
+    # measured within 0.71 eps relative on these four
+    assert err(verdict.omega0, omega) <= 4.0 * EPS * float(omega)
+    assert err(verdict.stable_window[1], r0) <= 4.0 * EPS * float(r0)
 
 
-# the `g = ...` line of `stability`, as pinned before
+# the `g = ...` line of `stability`, as pinned before and before that
+PINNED_STABILITY_G = {"k": 8.193924379007456e-07, "gamma": -0.0952031640035933}
 OLD_STABILITY_G = {"k": 8.193923315413798e-07, "gamma": -0.09520316400371631}
 
 
@@ -142,10 +138,9 @@ def _config_params(config):
 @pytest.mark.parametrize("config", sorted(OLD_STABILITY_G))
 def test_stability_g_pin_is_closer_to_the_oracle(config):
     params = _config_params(config)
-    verdict = linstab.classify_x2(params)
-    new_g = float(verdict.notes.split()[2])
-    assert f"    g = {new_g!r} " in golden.GOLDEN["stability", config]
-    _, _, g = exact_frontier(linstab.characteristic_triple(params))
+    new_g = linstab.g_of_r(params.r, params)
+    assert new_g == PINNED_STABILITY_G[config]
+    g = exact_g(linstab.characteristic_triple(params))
     assert err(new_g, g) <= err(OLD_STABILITY_G[config], g)
 
 

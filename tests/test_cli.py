@@ -449,6 +449,25 @@ def test_hopf_failing_cross_check_prints_no_half_report(config_path, capsys):
     assert "no sign change on bracket (0.5, 0.6)" in captured.err
 
 
+def test_hopf_cross_check_bracket_holds_one_crossing(tmp_path, capsys):
+    # a seed-1 frontier draw written as a k config at its r*: on the +-10%
+    # bracket around r* the frontier mismatch D has a second crossing and
+    # one sign at both ends; the default bracket is +-1e-6 relative
+    n, beta0, delta, k = (17.076403561926313, 1.8911358066310835,
+                          0.19626536525040922, 1.1859062658947177)
+    hp = hopf.hopf_from_pqk(n, beta0, delta, k)
+    path = tmp_path / "draw.cfg"
+    path.write_text(f"beta0 = {beta0!r}\nn = {n!r}\ndelta = {delta!r}\n"
+                    f"k = {k!r}\nr = {hp.r_star!r}\n")
+    assert cli.main(["hopf", str(path)]) == 0
+    out = capsys.readouterr().out
+    lo, hi = hp.r_star * (1.0 - 1e-6), hp.r_star * (1.0 + 1e-6)
+    assert f"boundary-root route (bracket {lo:.9g}..{hi:.9g}):" in out
+    agreement = float(out.split("route agreement |dr| = ")[1])
+    assert agreement <= 1e-8 * hp.r_star
+    assert cli.main(["normal-form", str(path)]) == 0
+
+
 @pytest.mark.parametrize("bracket", [("-1", "0.4"), ("nan", "0.4"), ("0.3", "inf")])
 def test_bracket_end_negative_or_not_finite_is_refused_before_evaluation(
     gamma_config_path, capsys, monkeypatch, bracket

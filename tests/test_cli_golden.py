@@ -1,8 +1,8 @@
 """Exact stdout of the analytic commands on a k-config and a gamma-config.
 
 These pin every printed digit of `equilibria`, `stability`, `hopf` and
-`normal-form`, so a refactor of the linearization at x2 must leave the
-reports byte-identical.
+`normal-form`, and the bytes of one `stability --r-grid` CSV, so a
+refactor of the linearization at x2 must leave the reports byte-identical.
 """
 
 import pytest
@@ -40,14 +40,14 @@ r_max  = 0.449317015984   r_n = 0.447632380703
     ("stability", "k"): """\
 x1: case X1, unstable
     positive equilibrium exists (A > 1)
-x2: case I.A, stable  omega0=1.66168893216  window=(0.355920247592, 0.404183990063)
-    g = 8.193924379007456e-07 > 0
+x2: case I.A, stable  omega0=1.66168599041  window=(0, 0.355920877691)
+    r < r0 = 0.3559208776910636
 """,
     ("stability", "gamma"): """\
 x1: case X1, unstable
     positive equilibrium exists (A > 1)
-x2: case I.A, unstable  omega0=1.35051084759  window=(0.430494186828, 0.391330655374)
-    g = -0.0952031640035933 < 0
+x2: case I.A, unstable  omega0=1.67927737537  window=(0, 0.34621264936)
+    r > r0 = 0.34621264935961404
 """,
     ("hopf", "k"): """\
 strategy route:
@@ -56,11 +56,11 @@ strategy route:
   gamma* = 1.48066592401
   p* = -2.47412075833   q* = -2.98034794236   x2* = 1.15085968116
   characteristic residual = 2.220e-16
-boundary-root route (bracket 0.320329..0.391513):
+boundary-root route (bracket 0.355920522..0.355921234):
   r*     = 0.355920877691
   omega* = 1.66168599041
-  g residual = 2.109e-15
-route agreement |dr| = 1.110e-16
+  g residual = 3.331e-16
+route agreement |dr| = 0.000e+00
 """,
     ("hopf", "gamma"): """\
 boundary-root route:
@@ -132,3 +132,41 @@ def test_analytic_command_stdout_is_pinned(tmp_path, capsys, command, config):
     captured = capsys.readouterr()
     assert captured.out == GOLDEN[command, config]
     assert captured.err == ""
+
+
+# the gamma config's x2 is stable below r* = 0.35592, unstable up to the
+# second crossing 0.44421, stable again, and in case II from r_n = 0.44763
+GAMMA_GRID = ("0.355", "0.449", "21")
+GAMMA_GRID_CSV = """\
+r,case,status,g_of_r,re_rightmost
+0.35499999999999998,I.A,stable,0.018110179701760654,-0.023598259352019646
+0.35969999999999996,I.A,unstable,-0.087162734257227648,0.097250891818283058
+0.3644,I.A,unstable,-0.24709474058165637,0.21902944630528642
+0.36909999999999998,I.A,unstable,nan,0.3419625589791333
+0.37379999999999997,I.A,unstable,nan,0.46625666826162959
+0.3785,I.A,unstable,nan,0.59208451695873698
+0.38319999999999999,I.A,unstable,nan,0.71956102678599887
+0.38789999999999997,I.A,unstable,nan,0.84870444532300926
+0.3926,I.A,unstable,nan,0.97937336653297535
+0.39729999999999999,I.A,unstable,nan,1.1111634103917369
+0.40200000000000002,I.A,unstable,nan,1.2432347944406343
+0.40670000000000001,I.A,unstable,nan,1.793683975024468
+0.41139999999999999,I.A,unstable,nan,2.3037439784879243
+0.41610000000000003,I.A,unstable,nan,2.6768891186321762
+0.42080000000000001,I.A,unstable,nan,2.9698868174554005
+0.42549999999999999,I.A,unstable,nan,3.1677603370544829
+0.43020000000000003,I.A,unstable,nan,3.212000795430157
+0.43490000000000001,I.A,unstable,nan,2.9643224701555444
+0.43959999999999999,I.A,unstable,nan,2.0495822812025235
+0.44430000000000003,I.A,stable,0.069756757338913344,-0.041198719545595619
+0.44900000000000001,II,stable,nan,-0.0061375387597160103
+"""
+
+
+def test_stability_grid_csv_is_pinned(tmp_path, capsys):
+    path = tmp_path / "params.cfg"
+    path.write_text(GAMMA_CONFIG)
+    csv_path = tmp_path / "grid.csv"
+    assert cli.main(["stability", str(path), "--r-grid", *GAMMA_GRID, "-o", str(csv_path)]) == 0
+    assert csv_path.read_bytes() == GAMMA_GRID_CSV.encode()
+    assert capsys.readouterr().err == ""

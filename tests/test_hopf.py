@@ -115,6 +115,29 @@ def test_frontier_mismatch_vanishes_at_the_frontier_delay():
         assert abs(mismatch) <= 1e-12 * hp.r_star
 
 
+def test_classify_x2_window_ends_at_the_frontier_delay():
+    # one closed form for the crossing: at any delay of a k config, the
+    # stable window of x2 ends exactly at the strategy route's r*
+    rng = random.Random(3)
+    checked = 0
+    while checked < 1000:
+        draw = (rng.uniform(2.0, 20.0), rng.uniform(0.5, 3.0),
+                rng.uniform(0.01, 0.3), rng.uniform(1.0, 2.0))
+        try:
+            hp = hopf.hopf_from_pqk(*draw)
+        except ParameterError:
+            continue
+        checked += 1
+        for scale in (0.25, 0.999, 1.0, 1.001, 3.0):
+            verdict = linstab.classify_x2(model.ModelParameters.from_k(
+                draw[1], draw[0], draw[2], draw[3], scale * hp.r_star))
+            assert verdict.stable_window == (0.0, hp.r_star)
+            assert verdict.omega0 == hp.omega_star
+            expected = {0.25: linstab.STABLE, 0.999: linstab.STABLE, 1.0: linstab.MARGINAL,
+                        1.001: linstab.UNSTABLE, 3.0: linstab.UNSTABLE}[scale]
+            assert verdict.status == expected
+
+
 def test_frontier_mismatch_is_infinite_off_the_frontier(ref_params):
     eq = model.equilibria(ref_params)
     assert hopf.frontier_mismatch(1.01 * eq.r_max, ref_params) == math.inf  # x2 absent
@@ -125,23 +148,6 @@ def test_frontier_mismatch_is_infinite_off_the_frontier(ref_params):
     triple = linstab.characteristic_triple(stable)
     assert triple.p / triple.q < -1.0
     assert hopf.frontier_mismatch(1.0, stable) == math.inf
-
-
-def test_frontier_mismatch_is_continuous_across_p_over_q_one(ref_params, monkeypatch):
-    # p - q = delta + (k - 1)|B1| > 0 wherever x2 exists, so p/q < 1 on every
-    # model; a substituted triple reaches p/q >= 1
-    q, r = -2.0, 0.3
-
-    def mismatch_at(ratio):
-        monkeypatch.setattr(hopf, "characteristic_triple",
-                            lambda params: linstab.CharacteristicTriple(ratio * q, q, params.r))
-        return hopf.frontier_mismatch(r, ref_params)
-
-    at_one = mismatch_at(1.0)
-    assert at_one == 1.0 / abs(q) - r
-    for eps in (1e-3, 1e-5, 1e-7):
-        assert abs(mismatch_at(1.0 - eps) - at_one) < eps
-        assert abs(mismatch_at(1.0 + eps) - at_one) < eps
 
 
 def test_frontier_mismatch_does_not_vanish_where_p_does(ref_params):
@@ -250,6 +256,44 @@ def test_find_hopf_r_agrees_with_frontier_on_long_delay_draws(draw):
     hp = hopf.hopf_from_pqk(*draw)
     hp2 = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
     assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
+
+
+#: Seed-1 frontier draws whose g polish took 24-25 g evaluations when the
+#: secant point rounded onto an end and the search fell back to bisection
+SECANT_ON_END_DRAWS = [
+    (10.627808406354927, 1.9834876195063793, 0.024791974489215784, 1.0145931381474043),
+    (17.452861508457822, 2.46113892141598, 0.07290932857147699, 1.0400817879921676),
+    (13.373630635916001, 2.7641175531637443, 0.06983825913791109, 1.0309531620037107),
+    (10.312762806460418, 0.7983193106610044, 0.03333316719531122, 1.059653529784012),
+    (16.7278733951262, 2.786946134530215, 0.10277717422424767, 1.0410871153949288),
+    (8.179904170069847, 2.187500645724417, 0.02930267831373494, 1.0164887266466687),
+    (15.339597119446351, 2.4292960059857225, 0.10727745408671546, 1.0534136999787804),
+]
+
+
+@pytest.mark.parametrize("draw", SECANT_ON_END_DRAWS)
+def test_find_hopf_r_polishes_g_without_bisection(draw, monkeypatch):
+    calls = []
+
+    def counted(r, params):
+        calls.append(r)
+        return linstab.g_of_r(r, params)
+
+    hp = hopf.hopf_from_pqk(*draw)
+    monkeypatch.setattr(hopf, "g_of_r", counted)
+    hp2 = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
+    assert len(calls) <= 6
+    assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
+
+
+def test_find_hopf_r_refusal_names_the_frontier_mismatch(ref_params):
+    # D < 0 on (0.35592, 0.44421), D > 0 at 0.446, and D = +inf past r_max
+    r_max = model.equilibria(ref_params).r_max
+    with pytest.raises(BracketError, match=r"no sign change on bracket \(0.36, 0.4\) "
+                       r"of the frontier mismatch D: D\(a\) = -"):
+        hopf.find_hopf_r(ref_params, (0.36, 0.40))
+    with pytest.raises(BracketError, match=r"D\(b\) = inf \(inf means no crossing at that end\)"):
+        hopf.find_hopf_r(ref_params, (0.446, 1.1 * r_max))
 
 
 def test_find_hopf_r_bracket_errors(ref_params):

@@ -181,34 +181,67 @@ def test_classify_x2_p_dominates_q_branch():
 
 
 @pytest.mark.parametrize("args, expected", [
-    # I.A stable: r inside (arccos(p/q) / omega0, 1 / |p|)
+    # I.A stable: r below r0 = arccos(p/q) / omega*
     ((1.77, 12.0, 0.05, 1.180746972, 0.35), linstab.StabilityVerdict(
-        target="x2", case_label="I.A", status="stable", omega0=1.787839800927248,
-        stable_window=(0.3308063372613155, 0.40418399006305056),
-        notes="g = 0.03431519416979445 > 0")),
-    # I.A unstable: g < 0
+        target="x2", case_label="I.A", status="stable", omega0=1.6616859904130086,
+        stable_window=(0.0, 0.3559208776910636),
+        notes="r < r0 = 0.3559208776910636")),
+    # I.A unstable: r above r0 (p and q depend on k only, so r0 is the same)
     ((1.77, 12.0, 0.05, 1.180746972, 0.38), linstab.StabilityVerdict(
-        target="x2", case_label="I.A", status="unstable", omega0=1.1082945611696038,
-        stable_window=(0.5336385802801348, 0.40418399006305056),
-        notes="g = -0.1702768029102929 < 0")),
-    # I.B stable: r below arccos(p/q) / omega0
+        target="x2", case_label="I.A", status="unstable", omega0=1.6616859904130086,
+        stable_window=(0.0, 0.3559208776910636),
+        notes="r > r0 = 0.3559208776910636")),
+    # I.B stable: r below r0
     ((1.0, 2.0, 0.1, 1.25, 10.0), linstab.StabilityVerdict(
-        target="x2", case_label="I.B", status="stable", omega0=0.1688682689958469,
-        stable_window=(0.0, 10.494299835742448),
-        notes="g = -0.0834715576267584 < 0")),
-    # I.B unstable: g > 0
+        target="x2", case_label="I.B", status="stable", omega0=0.09797958971132713,
+        stable_window=(0.0, 18.086973550373564),
+        notes="r < r0 = 18.086973550373564")),
+    # I.B unstable: r above r0
     ((1.0, 2.0, 0.1, 1.25, 50.0), linstab.StabilityVerdict(
-        target="x2", case_label="I.B", status="unstable", omega0=0.04057515676220869,
-        stable_window=(0.0, 43.67584475325539),
-        notes="g = 0.2566035905252071 > 0")),
-    # I.B with p > |q|: stable for every delay, no frontier
+        target="x2", case_label="I.B", status="unstable", omega0=0.09797958971132713,
+        stable_window=(0.0, 18.086973550373564),
+        notes="r > r0 = 18.086973550373564")),
+    # I.B with p > |q|: no root crosses, stable for every delay
     ((1.77, 12.0, 0.5, 1.309, 0.2), linstab.StabilityVerdict(
         target="x2", case_label="I.B", status="stable",
-        notes="p = 0.4519826377738852 > |q| = 0.06285472715398428: "
-              "stable for every delay")),
+        stable_window=(0.0, math.inf),
+        notes="p >= -q: r0 = inf, stable for every delay")),
 ])
 def test_classify_x2_whole_verdict(args, expected):
     assert linstab.classify_x2(model.ModelParameters.from_k(*args)) == expected
+
+
+def test_p_minus_q_is_positive_wherever_x2_exists():
+    # p - q = delta - (k - 1) B1 = delta n (A - 1) / A: with q < 0 this puts
+    # p/q below 1, so the crossing delay r0 has no third region
+    rng = np.random.default_rng(4417)
+    for _ in range(2000):
+        params = draw_valid_params(rng)
+        t = linstab.characteristic_triple(params)
+        A = params.A
+        identity = params.delta * params.n * (A - 1.0) / A
+        assert t.p - t.q > 0.0
+        assert abs((t.p - t.q) - identity) <= 1e-12 * (abs(t.p) + abs(t.q) + params.delta)
+
+
+#: the reference config at fixed gamma and its two crossings, rounded
+#: outward to the interior of each interval (r_max = 0.44932)
+GAMMA_REF_INTERVALS = [
+    ((0.0, 0.35592), linstab.STABLE),
+    ((0.35593, 0.44421), linstab.UNSTABLE),
+    ((0.44422, 0.44931), linstab.STABLE),
+]
+
+
+@pytest.mark.parametrize("interval, status", GAMMA_REF_INTERVALS)
+def test_classify_x2_switches_twice_at_fixed_gamma(interval, status):
+    params = model.ModelParameters.from_gamma(rv.BETA0, rv.N, rv.DELTA, rv.GAMMA_PRINT, 0.36)
+    lo, hi = interval
+    for frac in (0.01, 0.25, 0.5, 0.75, 0.99):
+        local = params.with_r(lo + frac * (hi - lo))
+        assert linstab.classify_x2(local).status == status
+        root = linstab.rightmost_root(linstab.characteristic_triple(local))
+        assert (root.real < 0.0) == (status == linstab.STABLE)
 
 
 def test_classify_x2_p_zero_boundary(ref_params):
