@@ -37,6 +37,7 @@ from .hopf import (
     psi1_zero,
     projection_weight,
     f_coefficients,
+    f21_coefficient,
     w_boundary_values,
     w20_closed_form,
     w11_closed_form,

@@ -179,16 +179,18 @@ def _print_verdict(v: linstab.StabilityVerdict, out) -> None:
 
 def _cmd_stability(cfg: RunConfig, out) -> int:
     params = _build_params(cfg)
-    # The grid request is checked before anything is printed, so a refused
-    # grid leaves no half report on stdout.
+    # The grid request and both verdicts are checked before anything is
+    # printed, so a refusal leaves no half report on stdout.
     grid = None
     if cfg.r_grid is not None:
         if cfg.output_path is None:
             raise ConfigError("stability with an r grid requires --output")
         grid = _grid_values(cfg.r_grid)
-    _print_verdict(linstab.classify_x1(params), out)
-    if params.x2_exists:
-        _print_verdict(linstab.classify_x2(params), out)
+    x1 = linstab.classify_x1(params)
+    x2 = linstab.classify_x2(params) if params.x2_exists else None
+    _print_verdict(x1, out)
+    if x2 is not None:
+        _print_verdict(x2, out)
     else:
         print("x2: absent (A <= 1)", file=out)
     if grid is not None:

@@ -159,9 +159,9 @@ def integrate(
     Classical fourth-order Runge-Kutta with fixed step h = r / steps_per_delay.
     Delayed states at whole steps are stored nodes; half-step stage values
     are cubic Hermite midpoints of the bracketing cell.  Raises
-    :class:`BlowUpError` if the state leaves the finite range, and
-    :class:`ParameterError` before any work for the inputs `step_count`
-    refuses.
+    :class:`BlowUpError` with the time of the failing step if the state
+    leaves the finite range or x^n overflows, and :class:`ParameterError`
+    before any work for the inputs `step_count` refuses.
 
     The right-hand side is destruction(x) + production(x(t - r)), and a
     step needs only four destructions and two productions: k1 is the
@@ -187,37 +187,41 @@ def integrate(
     def production(xd: float) -> float:
         return kb0 * xd / (1.0 + (xd**n if xd > 0.0 else 0.0))
 
-    xi = float(history(0.0))
-    dx0 = destruction(xi) + production(float(history(-r)))
-    if not math.isfinite(xi) or not math.isfinite(dx0):
-        raise BlowUpError("non-finite state at t = 0", time=0.0)
-    xs, dxs = array("d", (xi,)), array("d", (dx0,))
-    # (production at the Hermite midpoint, production at the right node) of
-    # each cell, history cells [j, j + 1] for j = -m .. -1 first; step i
-    # reads the cell one delay back, so each pair is consumed once.
-    delayed = deque((production(history((j + 0.5) * h)), production(history((j + 1) * h)))
-                    for j in range(-m, 0))
-    # Step 0 reads phi(-m h), which may differ from phi(-r) in the last bit.
-    k1 = destruction(xi) + production(history(-m * h))
-    dxi = dx0  # the derivative stored at the current node
+    i = -1  # the step that fails reaches t = (i + 1) h
+    try:
+        xi = float(history(0.0))
+        dx0 = destruction(xi) + production(float(history(-r)))
+        if not math.isfinite(xi) or not math.isfinite(dx0):
+            raise BlowUpError("non-finite state at t = 0", time=0.0)
+        xs, dxs = array("d", (xi,)), array("d", (dx0,))
+        # (production at the Hermite midpoint, production at the right node) of
+        # each cell, history cells [j, j + 1] for j = -m .. -1 first; step i
+        # reads the cell one delay back, so each pair is consumed once.
+        delayed = deque((production(history((j + 0.5) * h)),
+                         production(history((j + 1) * h))) for j in range(-m, 0))
+        # Step 0 reads phi(-m h), which may differ from phi(-r) in the last bit.
+        k1 = destruction(xi) + production(history(-m * h))
+        dxi = dx0  # the derivative stored at the current node
 
-    for i in range(n_steps):
-        p_mid, p_end = delayed.popleft()
-        k2 = destruction(xi + half_h * k1) + p_mid
-        k3 = destruction(xi + half_h * k2) + p_mid
-        k4 = destruction(xi + h * k3) + p_end
-        x_prev, dx_prev = xi, dxi
-        xi = xi + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not math.isfinite(xi) or abs(xi) > 1e100:
-            raise BlowUpError(
-                f"state blew up at t = {(i + 1) * h}", time=(i + 1) * h
-            )
-        k1 = dxi = destruction(xi) + p_end
-        xs.append(xi)
-        dxs.append(k1)
-        # the cell [i, i + 1] just accepted, with its Hermite midpoint
-        delayed.append((production(0.5 * (x_prev + xi) + eighth_h * (dx_prev - k1)),
-                        production(xi)))
+        for i in range(n_steps):
+            p_mid, p_end = delayed.popleft()
+            k2 = destruction(xi + half_h * k1) + p_mid
+            k3 = destruction(xi + half_h * k2) + p_mid
+            k4 = destruction(xi + h * k3) + p_end
+            x_prev, dx_prev = xi, dxi
+            xi = xi + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not math.isfinite(xi) or abs(xi) > 1e100:
+                raise OverflowError
+            k1 = dxi = destruction(xi) + p_end
+            xs.append(xi)
+            dxs.append(k1)
+            # the cell [i, i + 1] just accepted, with its Hermite midpoint
+            delayed.append((production(0.5 * (x_prev + xi) + eighth_h * (dx_prev - k1)),
+                            production(xi)))
+    except OverflowError:
+        # the state left the float range, or x**n did before it
+        t_fail = (i + 1) * h
+        raise BlowUpError(f"state blew up at t = {t_fail}", time=t_fail) from None
 
     t = array("d", (i * h for i in range(n_steps + 1)))
     return Trajectory(t=t, x=xs, dx=dxs, step=h, params=params)
@@ -323,7 +327,9 @@ def amplitude_scaling(
 
     For a supercritical point inside the square-root regime the ratio is
     close to 2.  Both probe runs must classify as cycles, otherwise the
-    measurement is inconclusive.
+    measurement is inconclusive.  Criticality is not checked: a subcritical
+    point also gives a ratio (0.9995 on one), so a caller checks
+    ``criticality_report(hp).criticality`` first, as `scaling` does.
     """
     if delta_r == 0.0:
         raise ParameterError("delta_r must be nonzero")

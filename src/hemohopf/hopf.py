@@ -19,12 +19,12 @@ first Lyapunov coefficient
 
     l1 = Re(i g20 g11 + omega* g21) / (2 omega*^2).
 
-The g_jk are projections g_jk = Psi1(0) f_jk of the Taylor coefficients
-of the nonlinearity; f21 additionally needs boundary values of the
-quadratic manifold corrections w20, w11, obtained here by solving the
-two 2x2 linear systems formed by the integrated correction ODEs and the
-matching conditions at s = 0 (the long printed closed forms, with the
-constants c and c1, are kept as an independent cross-check).
+The normal form is read off Delta(lambda) = lambda + p - q e^{-lambda r}:
+g_jk = Psi1(0) f_jk with Psi1(0) = 1/Delta_lambda(i omega*), the crossing
+speed is -Delta_r/Delta_lambda there, and the boundary values of the
+manifold corrections w20, w11 that f21 needs take one division each, by
+e^{2 i omega* r*} Delta(2 i omega*) and by Delta(0) (the printed closed
+forms, with c and c1, are kept as a cross-check).
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ __all__ = [
     "psi1_zero",
     "projection_weight",
     "f_coefficients",
+    "f21_coefficient",
     "w_boundary_values",
     "w20_closed_form",
     "w11_closed_form",
@@ -260,36 +261,25 @@ def _b1_chain_derivatives(hp: HopfPoint) -> Tuple[float, float]:
     dk = -prm.gamma * prm.k
     dA = prm.beta0 * dk / prm.delta
     db1 = prm.beta0 * ((prm.n - 1.0) * A - 2.0 * prm.n) / A**3 * dA
-    dp = db1
-    dq = dk * b1 + prm.k * db1
-    return dp, dq
+    return db1, dk * b1 + prm.k * db1
 
 
 def transversality(hp: HopfPoint) -> Tuple[float, float]:
     """Crossing speed (mu', omega') of the critical root pair in r.
 
-    Implicit differentiation of the real/imaginary split of the
-    characteristic equation at (mu = 0, omega = omega*), including the
-    r-dependence of k and B1, yields the linear system
+    lambda'(r*) = -Delta_r / Delta_lambda at lambda = i omega* for
+    Delta(lambda, r) = lambda + p(r) - q(r) e^{-lambda r}, where p and q
+    move with r through k and B1.  With q e^{-i omega* r*} = p + i omega*,
 
-        [1 + r p   -omega r] [mu'   ]   [q' cos(wr) - p' + omega^2]
-        [r omega    1 + r p] [omega'] = [-q' sin(wr) - p omega    ]
+        Delta_r = p' - (q'/q)(p + i omega*) + i omega* (p + i omega*),
+
+    and 1/Delta_lambda is Psi1(0), so lambda' = -Psi1(0) Delta_r.
     """
-    p, w, r = hp.p_star, hp.omega_star, hp.r_star
+    p, q, w = hp.p_star, hp.q_star, hp.omega_star
     dp, dq = _b1_chain_derivatives(hp)
-    cos_wr = math.cos(w * r)
-    sin_wr = math.sin(w * r)
-    a11 = 1.0 + r * p
-    a12 = -w * r
-    a21 = r * w
-    det = a11 * a11 + (w * r) ** 2
-    if det < 1e-12:
-        raise DegenerateCrossingError(f"transversality system determinant {det}")
-    rhs1 = dq * cos_wr - dp + w * w
-    rhs2 = -dq * sin_wr - p * w
-    mu_prime = (rhs1 * a11 - a12 * rhs2) / det
-    omega_prime = (a11 * rhs2 - a21 * rhs1) / det
-    return mu_prime, omega_prime
+    root_term = complex(p, w)  # q e^{-i omega* r*}
+    speed = -psi1_zero(hp) * (dp - dq / q * root_term + 1j * w * root_term)
+    return speed.real, speed.imag
 
 
 def projection_weight(p: float, omega: float, r: float) -> complex:
@@ -298,10 +288,11 @@ def projection_weight(p: float, omega: float, r: float) -> complex:
     This is 1/Delta'(i omega) for Delta(lambda) = lambda + p - q e^{-lambda r},
     Delta'(lambda) = 1 + q r e^{-lambda r}, since q e^{-i omega r} = p + i omega
     at the root; it makes <Psi1, phi1> = 1 for Psi1(s) = Psi1(0) e^{-i omega s}.
+    Raises :class:`DegenerateCrossingError` when |Delta'(i omega)|^2 < 1e-12.
     """
     den = (1.0 + p * r) ** 2 + (omega * r) ** 2
-    if den == 0.0:
-        raise NumericsError("projection weight denominator vanished")
+    if den < 1e-12:
+        raise DegenerateCrossingError(f"|Delta'(i omega*)|^2 = {den} < 1e-12")
     return (1.0 + (p - 1j * omega) * r) / den
 
 
@@ -311,35 +302,39 @@ def psi1_zero(hp: HopfPoint) -> complex:
 
 
 def f_coefficients(
-    tc: TaylorCoefficients,
-    hp: HopfPoint,
-    w20_0: complex = 0.0,
-    w20_mr: complex = 0.0,
-    w11_0: complex = 0.0,
-    w11_mr: complex = 0.0,
-) -> Tuple[complex, complex, complex, complex]:
-    """Series coefficients f20, f11, f02, f21 of the projected nonlinearity.
-
-    The second-order coefficients need only the Taylor data:
+    tc: TaylorCoefficients, hp: HopfPoint
+) -> Tuple[complex, complex, complex]:
+    """Second-order coefficients f20, f11, f02 of the projected nonlinearity:
 
         f20 = -B2 (1 - k e^{-2 i w r}),  f11 = B2 (k - 1),  f02 = conj(f20).
-
-    f21 additionally uses the boundary values of w20 and w11; passing
-    zeros is valid when only the second-order coefficients are wanted.
     """
     k = hp.params.k
-    w, r = hp.omega_star, hp.r_star
-    e_m = cmath.exp(-1j * w * r)
-    e_p = cmath.exp(1j * w * r)
-    b2, b3 = tc.b2, tc.b3
-    f20 = -b2 * (1.0 - k * e_m * e_m)
-    f11 = complex(b2 * (k - 1.0))
-    f02 = -b2 * (1.0 - k * e_p * e_p)
-    f21 = (
-        b2 * (-2.0 * w11_0 - w20_0 + 2.0 * k * e_m * w11_mr + k * e_p * w20_mr)
-        - b3 * (1.0 - k * e_m)
+    e_m = cmath.exp(-1j * hp.omega_star * hp.r_star)
+    f20 = -tc.b2 * (1.0 - k * e_m * e_m)
+    return f20, complex(tc.b2 * (k - 1.0)), f20.conjugate()
+
+
+def f21_coefficient(
+    tc: TaylorCoefficients,
+    hp: HopfPoint,
+    w20_0: complex,
+    w20_mr: complex,
+    w11_0: complex,
+    w11_mr: complex,
+) -> complex:
+    """Cubic coefficient f21 of the projected nonlinearity, from the boundary
+    values of w20 and w11 (:func:`w_boundary_values`):
+
+        f21 = B2 (-2 w11(0) - w20(0) + 2 k e^{-i w r} w11(-r) + k e^{i w r} w20(-r))
+              - B3 (1 - k e^{-i w r}).
+    """
+    k = hp.params.k
+    e_m = cmath.exp(-1j * hp.omega_star * hp.r_star)
+    return (
+        tc.b2 * (-2.0 * w11_0 - w20_0 + 2.0 * k * e_m * w11_mr
+                 + k * e_m.conjugate() * w20_mr)
+        - tc.b3 * (1.0 - k * e_m)
     )
-    return f20, f11, f02, f21
 
 
 def w_boundary_values(
@@ -350,7 +345,7 @@ def w_boundary_values(
     f11: complex,
     hp: HopfPoint,
 ) -> Tuple[complex, complex, complex, complex]:
-    """Boundary values w20(0), w20(-r), w11(0), w11(-r) by linear solve.
+    """Boundary values w20(0), w20(-r), w11(0), w11(-r).
 
     w20 satisfies, with E = e^{i w r},
 
@@ -362,41 +357,31 @@ def w_boundary_values(
         w11(0) - w11(-r) = -(i/w) g11 (1 - 1/E) + (i/w) conj(g11)(1 - E)
         p w11(0) - q w11(-r) = f11 - g11 - conj(g11).
 
-    Each system is singular exactly when 2 i w (respectively 0) is itself
-    a characteristic root; that resonance is reported as an error.
+    The first equation gives w(0) in terms of w(-r); put into the second,
+    it leaves w(-r) times E^2 Delta(2 i w) = (2 i w + p) E^2 - q, and
+    Delta(0) = p - q.  Each vanishes exactly when 2 i w (respectively 0) is
+    itself a characteristic root; that resonance is reported as an error.
     """
     p, q = hp.p_star, hp.q_star
     w, r = hp.omega_star, hp.r_star
     e = cmath.exp(1j * w * r)
-
-    # w20 system
-    a11, a12 = 1.0 + 0.0j, -(e * e)
-    a21, a22 = 2j * w + p, complex(-q)
-    b1 = (1j * g20 / w) * (1.0 - e) + (1j * g02.conjugate() / (3.0 * w)) * (
-        1.0 - e**3
-    )
-    b2 = f20 - g20 - g02.conjugate()
-    det = a11 * a22 - a12 * a21
-    if abs(det) < 1e-12:
+    lam2 = 2j * w + p
+    delta_2iw = lam2 * e * e - q
+    if abs(delta_2iw) < 1e-12:
         raise ResonanceError(
             "w20 system singular: 2 i omega* collides with a characteristic root"
         )
-    w20_0 = (b1 * a22 - a12 * b2) / det
-    w20_mr = (a11 * b2 - a21 * b1) / det
-
-    # w11 system
-    c11, c12 = 1.0 + 0.0j, -1.0 + 0.0j
-    c21, c22 = complex(p), complex(-q)
-    d1 = -(1j / w) * g11 * (1.0 - 1.0 / e) + (1j / w) * g11.conjugate() * (1.0 - e)
-    d2 = f11 - g11 - g11.conjugate()
-    det11 = c11 * c22 - c12 * c21
-    if abs(det11) < 1e-12:
+    delta_0 = p - q
+    if abs(delta_0) < 1e-12:
         raise ResonanceError(
             "w11 system singular: 0 collides with a characteristic root (p = q)"
         )
-    w11_0 = (d1 * c22 - c12 * d2) / det11
-    w11_mr = (c11 * d2 - c21 * d1) / det11
-    return w20_0, w20_mr, w11_0, w11_mr
+    jump20 = ((1j * g20 / w) * (1.0 - e)
+              + (1j * g02.conjugate() / (3.0 * w)) * (1.0 - e**3))
+    w20_mr = (f20 - g20 - g02.conjugate() - lam2 * jump20) / delta_2iw
+    jump11 = -(1j / w) * g11 * (1.0 - 1.0 / e) + (1j / w) * g11.conjugate() * (1.0 - e)
+    w11_mr = (f11 - g11 - g11.conjugate() - p * jump11) / delta_0
+    return jump20 + e * e * w20_mr, w20_mr, jump11 + w11_mr, w11_mr
 
 
 def w20_closed_form(
@@ -470,10 +455,10 @@ def criticality_report(hp: HopfPoint) -> NormalFormData:
     params = hp.params
     tc = taylor_coefficients(params, equilibria(params))
     psi = psi1_zero(hp)
-    f20, f11, f02, _ = f_coefficients(tc, hp)
+    f20, f11, f02 = f_coefficients(tc, hp)
     g20, g11, g02 = psi * f20, psi * f11, psi * f02
     w20_0, w20_mr, w11_0, w11_mr = w_boundary_values(g20, g11, g02, f20, f11, hp)
-    _, _, _, f21 = f_coefficients(tc, hp, w20_0, w20_mr, w11_0, w11_mr)
+    f21 = f21_coefficient(tc, hp, w20_0, w20_mr, w11_0, w11_mr)
     g21 = psi * f21
     l1 = lyapunov_l1(g20, g11, g21, hp.omega_star)
     mu_prime, omega_prime = transversality(hp)

@@ -30,6 +30,7 @@ import numpy as np
 import refvals as rv
 from pairing import pairing
 from hemohopf import ddesim, hopf, linstab, model
+from test_linstab import non_boundary_draws
 from test_model import draw_valid_params
 
 
@@ -291,35 +292,12 @@ def test_criterion_9_property_suites(ref_hopf, ref_params):
     )
 
     # classifier versus the exact rightmost root on 1000 non-boundary draws
-    rng = np.random.default_rng(7121)
-    agree = True
-    detail = "1000 draws agree"
-    count = 0
-    while count < 1000:
-        p = draw_valid_params(rng)
-        t = linstab.characteristic_triple(p)
-        b1 = t.q / p.k
-        margins = [
-            abs(b1),
-            abs(t.p),
-            abs(abs(t.p) - abs(t.q)),
-            abs(t.r * abs(t.p) - 1.0),
-        ]
-        if b1 < 0 and t.p < 0 and t.r * abs(t.p) < 1.0 and abs(t.p) < abs(t.q):
-            margins.append(abs(linstab.omega0(t) * t.r - math.acos(t.p / t.q)))
-        if b1 < 0 and 0 < t.p <= abs(t.q):
-            margins.append(
-                abs(linstab.omega0(t) * t.r - math.acos(max(t.p / t.q, -1.0)))
-            )
-        if min(margins) < 1e-6:
-            continue
-        verdict = linstab.classify_x2(p)
+    agree, detail = True, "1000 draws agree"
+    for p, t, verdict in non_boundary_draws(1000):
         root = linstab.rightmost_root(t)
         if (root.real < 0) != (verdict.status == linstab.STABLE):
-            agree = False
-            detail = f"disagreement at {p}"
+            agree, detail = False, f"disagreement at {p}"
             break
-        count += 1
     checks.append(
         ("classifier agrees with the exact rightmost root on 1000 draws", agree, detail)
     )

@@ -392,6 +392,28 @@ def test_scaling_command_inconclusive_is_exit_3(config_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+# x^n overflows in an RK4 step while |x| is still below 1e100
+OVERFLOW_CONFIGS = [
+    ("beta0 = 25.79\nn = 18.29\ndelta = 7.36\nk = 0.564\nr = 32.59\n", [], "32.59"),
+    ("beta0 = 1.77\nn = 12\ndelta = 5\ngamma = 0.1\nr = 10\n",
+     ["--steps-per-delay", "2"], "10"),
+]
+
+
+@pytest.mark.parametrize("config, flags, r", OVERFLOW_CONFIGS, ids=["k", "gamma"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_overflow_is_a_numerical_failure(tmp_path, capsys, config, flags, r, command):
+    path = tmp_path / "overflow.cfg"
+    path.write_text(config)
+    out_csv = tmp_path / "out.csv"
+    grid = ["--r-grid", r, r, "1"] if command == "sweep" else []
+    assert cli.main([command, str(path), "-o", str(out_csv)] + flags + grid) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: state blew up at t = ")
+    assert not out_csv.exists()
+
+
 # a seed-1 frontier draw past the l1 = 0 curve: l1 = +0.0103 at r* = 11.755
 SUBCRITICAL_CONFIG = """\
 beta0 = 2.1072

@@ -127,6 +127,23 @@ def test_non_finite_history_raises_blow_up(ref_params):
         ddesim.integrate(params, lambda s: float("nan"), 5.0)
 
 
+# k = 0.564, r = 32.59: RK4 is unstable at h delta = 4.8 and x^18.29 overflows
+# while |x| is still far below 1e100; likewise x^12 at two steps per delay.
+@pytest.mark.parametrize("params, history, steps_per_delay, t_fail", [
+    (model.ModelParameters.from_k(25.79, 18.29, 7.36, 0.564, 32.59),
+     ddesim.default_history(32.59), 50, 7 * 32.59 / 50),
+    (model.ModelParameters.from_gamma(1.77, 12.0, 5.0, 0.1, 10.0),
+     ddesim.default_history(10.0), 2, 30.0),
+    (model.ModelParameters.from_gamma(1.77, 12.0, 0.05, 1.0, 0.3),
+     ddesim.constant_history(1e200), 50, 0.0),
+], ids=["k", "gamma", "history"])
+def test_power_overflow_raises_blow_up_with_its_time(params, history, steps_per_delay,
+                                                     t_fail):
+    with pytest.raises(BlowUpError, match="state blew up at t = ") as err:
+        ddesim.integrate(params, history, 200.0, steps_per_delay)
+    assert err.value.time == pytest.approx(t_fail, rel=1e-12)
+
+
 def test_trajectory_interpolation_consistency(ref_params):
     params = ref_params.with_r(0.35)
     traj = ddesim.integrate(params, ddesim.default_history(0.35), 5.0, 50)

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hemohopf import ddesim, hopf, linstab, model
 from hemohopf.errors import (
     BracketError,
     ConvergenceError,
+    DegenerateCrossingError,
     NoImaginaryCrossingError,
     NoPositiveEquilibriumError,
     ParameterError,
@@ -338,6 +340,13 @@ def test_projection_weight_short_delay_limit():
     assert abs(hopf.projection_weight(-2.5, 1.7, 1e-14) - 1.0) < 1e-12
 
 
+def test_projection_weight_refuses_a_degenerate_crossing():
+    # |Delta'(i omega)|^2 = (1 + p r)^2 + (omega r)^2 is 1e-14 here, then 4e-12
+    with pytest.raises(DegenerateCrossingError):
+        hopf.projection_weight(-1.0, 1e-7, 1.0)
+    assert abs(hopf.projection_weight(-1.0, 2e-6, 1.0)) > 1e5
+
+
 def test_projection_weight_conjugate_symmetry(ref_hopf):
     # the companion row of the projection is the conjugate of the first
     p, w, r = ref_hopf.p_star, ref_hopf.omega_star, ref_hopf.r_star
@@ -393,7 +402,7 @@ def test_pairing_normalization(args):
 
 def test_f_coefficients_structure(ref_hopf, ref_params):
     tc = model.taylor_coefficients(ref_params, model.equilibria(ref_params))
-    f20, f11, f02, _ = hopf.f_coefficients(tc, ref_hopf)
+    f20, f11, f02 = hopf.f_coefficients(tc, ref_hopf)
     assert f02 == f20.conjugate()
     assert f11.imag == 0.0
     assert abs(f11 - tc.b2 * (ref_params.k - 1.0)) < 1e-14 * abs(f11)
@@ -401,7 +410,9 @@ def test_f_coefficients_structure(ref_hopf, ref_params):
 
 def test_f_coefficients_vanish_without_quadratic_term(ref_hopf):
     tc = model.TaylorCoefficients(b1=-2.5, b2=0.0, b3=-61.0)
-    f20, f11, f02, f21 = hopf.f_coefficients(tc, ref_hopf)
+    f20, f11, f02 = hopf.f_coefficients(tc, ref_hopf)
+    # without B2 the manifold terms drop out of f21
+    f21 = hopf.f21_coefficient(tc, ref_hopf, 1.0 + 2.0j, -3.0j, 0.5, 4.0 - 1.0j)
     assert f20 == 0.0 and f11 == 0.0 and f02 == 0.0
     assert f21 == -tc.b3 * (
         1.0 - ref_hopf.params.k * cmath.exp(-1j * ref_hopf.omega_star * ref_hopf.r_star)
@@ -415,7 +426,7 @@ def _second_order_data(hp):
     params = hp.params
     tc = model.taylor_coefficients(params, model.equilibria(params))
     psi = hopf.psi1_zero(hp)
-    f20, f11, f02, _ = hopf.f_coefficients(tc, hp)
+    f20, f11, f02 = hopf.f_coefficients(tc, hp)
     return tc, psi, f20, f11, f02
 
 
@@ -480,6 +491,22 @@ def test_normal_form_stores_the_closed_forms(args):
         nf.w11_closed_at_0, nf.w11_closed_at_minus_r, nf.c1)
 
 
+def test_normal_form_forms_each_f_coefficient_once(ref_hopf, monkeypatch):
+    calls = []
+    for name in ("f_coefficients", "f21_coefficient"):
+        def counted(*args, _name=name, _original=getattr(hopf, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(hopf, name, counted)
+    nf = hopf.criticality_report(ref_hopf)
+    assert calls == ["f_coefficients", "f21_coefficient"]
+    monkeypatch.undo()
+    tc = model.taylor_coefficients(ref_hopf.params, model.equilibria(ref_hopf.params))
+    assert (nf.f20, nf.f11, nf.f02) == hopf.f_coefficients(tc, ref_hopf)
+    assert nf.f21 == hopf.f21_coefficient(tc, ref_hopf, nf.w20_at_0, nf.w20_at_minus_r,
+                                          nf.w11_at_0, nf.w11_at_minus_r)
+
+
 def test_w_reference_values(ref_hopf):
     tc, psi, f20, f11, f02 = _second_order_data(ref_hopf)
     g20, g11, g02 = psi * f20, psi * f11, psi * f02
@@ -499,6 +526,17 @@ def test_w_homogeneous_case_is_zero(ref_hopf):
         0.0, 0.0, 0.0, 0.0, 0.0, ref_hopf
     )
     assert w20_0 == 0.0 and w20_mr == 0.0 and w11_0 == 0.0 and w11_mr == 0.0
+
+
+def test_w_boundary_values_report_both_resonances():
+    # at p = 0 and omega r = pi/4, E^2 Delta(2 i omega) = 2 i omega i - q = 0 for q = -2
+    point = types.SimpleNamespace(p_star=0.0, q_star=-2.0, omega_star=1.0,
+                                  r_star=math.pi / 4.0)
+    with pytest.raises(ResonanceError, match="w20 system singular"):
+        hopf.w_boundary_values(1.0, 1.0, 1.0, 1.0, 1.0, point)
+    point.q_star = 0.0  # Delta(0) = p - q = 0
+    with pytest.raises(ResonanceError, match="w11 system singular"):
+        hopf.w_boundary_values(1.0, 1.0, 1.0, 1.0, 1.0, point)
 
 
 def test_w11_resonance_detected(ref_hopf):

@@ -365,23 +365,19 @@ def test_rightmost_root_refuses_an_uncertified_result():
             linstab.rightmost_root(linstab.CharacteristicTriple(p, q, r))
 
 
-def _non_boundary_draws(count, seed=7121):
-    """Random x2 triples and verdicts kept at least 1e-6 from every
-    boundary locus of the case classification."""
+def non_boundary_draws(count, seed=7121):
+    """Random x2 triples and verdicts kept at least 1e-6 r0 from the
+    crossing delay r0 = classify_x2(p).stable_window[1], the one delay
+    where the verdict changes."""
     rng = np.random.default_rng(seed)
     draws = []
     while len(draws) < count:
         p = draw_valid_params(rng)
-        t = linstab.characteristic_triple(p)
-        b1 = t.q / p.k
-        margins = [abs(b1), abs(t.p), abs(abs(t.p) - abs(t.q)), abs(t.r * abs(t.p) - 1.0)]
-        if b1 < 0 and t.p < 0 and t.r * abs(t.p) < 1.0 and abs(t.p) < abs(t.q):
-            margins.append(abs(linstab.omega0(t) * t.r - math.acos(t.p / t.q)))
-        if b1 < 0 and 0 < t.p <= abs(t.q):
-            margins.append(abs(linstab.omega0(t) * t.r - math.acos(max(t.p / t.q, -1.0))))
-        if min(margins) < 1e-6:
+        verdict = linstab.classify_x2(p)
+        r0 = verdict.stable_window[1]
+        if abs(p.r - r0) < 1e-6 * r0:
             continue
-        draws.append((p, t, linstab.classify_x2(p)))
+        draws.append((p, linstab.characteristic_triple(p), verdict))
     return draws
 
 
@@ -389,7 +385,7 @@ def test_classifier_agrees_with_root_oracle():
     """Sign of the rightmost root matches the case classification on a
     randomized sweep, away from marginal boundaries."""
     statuses = set()
-    for p, t, verdict in _non_boundary_draws(1000):
+    for p, t, verdict in non_boundary_draws(1000):
         root = linstab.rightmost_root(t)
         assert verdict.status in (linstab.STABLE, linstab.UNSTABLE)
         assert (root.real < 0) == (verdict.status == linstab.STABLE), (
@@ -401,7 +397,7 @@ def test_classifier_agrees_with_root_oracle():
 
 def test_rightmost_root_matches_scipy_lambertw():
     special = pytest.importorskip("scipy.special")
-    triples = [t for _, t, _ in _non_boundary_draws(1000)]
+    triples = [t for _, t, _ in non_boundary_draws(1000)]
     # the three starting-guess regions of the W_0 iteration, each sign of z
     for z in (-0.87, -0.5, -0.3, -0.05, -1e-12, -1e-20, 1e-20, 1e-12, 0.3, 1.0, 2.5,
               40.0, -40.0):
