@@ -1,27 +1,30 @@
 """Command-line front end.
 
-Reads a plain ``key = value`` parameter file, applies flag overrides, and
-dispatches to the analysis modules.  Human-readable reports go to stdout;
-machine-readable output is CSV with LF line endings and full double
-precision, so identical inputs produce byte-identical files.
+Reads a plain ``key = value`` parameter file in UTF-8, applies flag
+overrides, and dispatches to the analysis modules.  Human-readable reports
+go to stdout; machine-readable output is CSV with LF line endings and full
+double precision, so identical inputs produce byte-identical files.
 
-Exit codes: 0 success, 2 invalid configuration or parameters, 3 numerical
-failure.
+Exit codes: 0 success, 2 invalid configuration or parameters (a config file
+that cannot be read or decoded and an output path that cannot be written
+included), 3 numerical failure.  A command's report is buffered and reaches
+stdout only on exit 0, so a refusal or a failure leaves stdout empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import re
 import sys
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from . import ddesim, hopf, linstab, model
 from .errors import (BracketError, ConfigError, InconclusiveError, NumericsError,
                      ParameterError)
 
-__all__ = ["RunConfig", "parse_config", "run", "main"]
+__all__ = ["parse_config", "main"]
 
 _ALLOWED_KEYS = ("beta0", "n", "delta", "gamma", "k", "r")
 _REQUIRED_KEYS = ("beta0", "n", "delta")
@@ -35,26 +38,6 @@ MAX_GRID_POINTS = 100_000
 #: first integration; about 46 s of integration at 2.3 us per step on a
 #: 2-vCPU Xeon.
 MAX_SWEEP_STEPS = 20_000_000
-
-
-class RunConfig(NamedTuple):
-    """Merged configuration of one CLI invocation."""
-
-    command: str
-    beta0: float
-    n: float
-    delta: float
-    gamma: Optional[float] = None
-    k: Optional[float] = None
-    r: Optional[float] = None
-    output_path: Optional[str] = None
-    t_end: Optional[float] = None
-    steps_per_delay: int = ddesim.STEPS_PER_DELAY
-    stride: int = 1
-    transient_fraction: float = 0.5
-    bracket: Optional[Tuple[float, float]] = None
-    delta_r: float = 2e-3
-    r_grid: Optional[Tuple[float, float, int]] = None
 
 
 def parse_config(text: str) -> dict:
@@ -109,7 +92,7 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _build_params(cfg: RunConfig) -> model.ModelParameters:
+def _build_params(cfg: argparse.Namespace) -> model.ModelParameters:
     if cfg.r is None:
         raise ConfigError(f"command '{cfg.command}' requires the delay r")
     if cfg.gamma is not None:
@@ -117,29 +100,6 @@ def _build_params(cfg: RunConfig) -> model.ModelParameters:
             cfg.beta0, cfg.n, cfg.delta, cfg.gamma, cfg.r
         )
     return model.ModelParameters.from_k(cfg.beta0, cfg.n, cfg.delta, cfg.k, cfg.r)
-
-
-def _resolve_gamma(cfg: RunConfig) -> float:
-    """The fixed loss rate for r-sweeps, derived from (k, r) if needed."""
-    if cfg.gamma is not None:
-        return cfg.gamma
-    if cfg.k is not None and cfg.r is not None:
-        return model.gamma_from_k(cfg.k, cfg.r)
-    raise ConfigError(
-        f"command '{cfg.command}' needs gamma, either directly or derivable "
-        "from k together with r"
-    )
-
-
-def _grid_values(grid: Tuple[float, float, int]):
-    start, stop, count = grid
-    # every delay of the grid must be a valid r > 0
-    if count < 1 or not (math.isfinite(stop) and 0.0 < start <= stop):
-        raise ConfigError(f"bad r grid {grid}")
-    if count == 1:
-        return [start]
-    step = (stop - start) / (count - 1)
-    return [start + i * step for i in range(count)]
 
 
 def _print_report(params: model.ModelParameters, out) -> None:
@@ -160,7 +120,7 @@ def _print_report(params: model.ModelParameters, out) -> None:
     print(f"r_max  = {_fmt(report.r_max)}   r_n = {_fmt(report.r_n)}", file=out)
 
 
-def _cmd_equilibria(cfg: RunConfig, out) -> int:
+def _cmd_equilibria(cfg: argparse.Namespace, out) -> int:
     _print_report(_build_params(cfg), out)
     return 0
 
@@ -177,25 +137,18 @@ def _print_verdict(v: linstab.StabilityVerdict, out) -> None:
         print(f"    {v.notes}", file=out)
 
 
-def _cmd_stability(cfg: RunConfig, out) -> int:
+def _cmd_stability(cfg: argparse.Namespace, out) -> int:
     params = _build_params(cfg)
-    # The grid request and both verdicts are checked before anything is
-    # printed, so a refusal leaves no half report on stdout.
-    grid = None
-    if cfg.r_grid is not None:
-        if cfg.output_path is None:
-            raise ConfigError("stability with an r grid requires --output")
-        grid = _grid_values(cfg.r_grid)
-    x1 = linstab.classify_x1(params)
-    x2 = linstab.classify_x2(params) if params.x2_exists else None
-    _print_verdict(x1, out)
-    if x2 is not None:
-        _print_verdict(x2, out)
+    _print_verdict(linstab.classify_x1(params), out)
+    if params.x2_exists:
+        _print_verdict(linstab.classify_x2(params), out)
     else:
         print("x2: absent (A <= 1)", file=out)
-    if grid is not None:
+    if cfg.r_grid is not None:
+        if cfg.output is None:
+            raise ConfigError("stability with an r grid requires --output")
         rows = []
-        for r in grid:
+        for r in cfg.r_grid:
             local = params.with_r(r)
             if local.x2_exists:
                 verdict = linstab.classify_x2(local)
@@ -212,12 +165,12 @@ def _cmd_stability(cfg: RunConfig, out) -> int:
             else:
                 case, status, g_val, re_right = "none", "none", math.nan, math.nan
             rows.append((r, case, status, g_val, re_right))
-        with open(cfg.output_path, "w", newline="\n") as fh:
+        with open(cfg.output, "w", newline="\n") as fh:
             fh.write("r,case,status,g_of_r,re_rightmost\n")
             for r, case, status, g_val, re_right in rows:
                 fh.write(f"{r:.17g},{case},{status},"
                          f"{_csv_cell(g_val)},{_csv_cell(re_right)}\n")
-        print(f"wrote {len(rows)} rows to {cfg.output_path}", file=out)
+        print(f"wrote {len(rows)} rows to {cfg.output}", file=out)
     return 0
 
 
@@ -239,7 +192,7 @@ def _bracket_by_scan(params: model.ModelParameters):
     )
 
 
-def _locate_hopf(cfg: RunConfig) -> hopf.HopfPoint:
+def _locate_hopf(cfg: argparse.Namespace) -> hopf.HopfPoint:
     """The Hopf point anchored to the config's own parameterization.
 
     A k-parameterized config fixes k and uses the closed frontier
@@ -248,16 +201,13 @@ def _locate_hopf(cfg: RunConfig) -> hopf.HopfPoint:
     """
     if cfg.k is not None:
         return hopf.hopf_from_pqk(cfg.n, cfg.beta0, cfg.delta, cfg.k)
-    gamma = _resolve_gamma(cfg)
     # any delay gives the same fixed-gamma family; the stored r is unused
-    params = model.ModelParameters.from_gamma(cfg.beta0, cfg.n, cfg.delta, gamma, 0.0)
+    params = model.ModelParameters.from_gamma(cfg.beta0, cfg.n, cfg.delta, cfg.gamma, 0.0)
     bracket = cfg.bracket if cfg.bracket is not None else _bracket_by_scan(params)
     return hopf.find_hopf_r(params, bracket)
 
 
-def _cmd_hopf(cfg: RunConfig, out) -> int:
-    # Both routes run before anything is printed, so a failing cross-check
-    # leaves no half report on stdout.
+def _cmd_hopf(cfg: argparse.Namespace, out) -> int:
     hp = _locate_hopf(cfg)
     resid = abs(linstab.char_value(1j * hp.omega_star, hp.triple))
     if cfg.k is not None:
@@ -291,7 +241,7 @@ def _cmd_hopf(cfg: RunConfig, out) -> int:
     return 0
 
 
-def _cmd_normal_form(cfg: RunConfig, out) -> int:
+def _cmd_normal_form(cfg: argparse.Namespace, out) -> int:
     hp = _locate_hopf(cfg)
     nf = hopf.criticality_report(hp)
     print(f"hopf point: r* = {_fmt(hp.r_star)}  omega* = {_fmt(hp.omega_star)}  "
@@ -320,7 +270,7 @@ def _cmd_normal_form(cfg: RunConfig, out) -> int:
     return 0
 
 
-def _check_orbit_flags(cfg: RunConfig) -> None:
+def _check_orbit_flags(cfg: argparse.Namespace) -> None:
     """Refuse a bad --transient-fraction or --stride before any integration;
     `orbit_metrics` and `write_trajectory_csv` would only refuse after it."""
     if not 0.0 < cfg.transient_fraction < 1.0:
@@ -331,8 +281,8 @@ def _check_orbit_flags(cfg: RunConfig) -> None:
         raise ConfigError(f"--stride must be >= 1, got {cfg.stride}")
 
 
-def _cmd_simulate(cfg: RunConfig, out) -> int:
-    if cfg.output_path is None:
+def _cmd_simulate(cfg: argparse.Namespace, out) -> int:
+    if cfg.output is None:
         raise ConfigError("simulate requires --output for the trajectory CSV")
     _check_orbit_flags(cfg)
     params = _build_params(cfg)
@@ -340,45 +290,49 @@ def _cmd_simulate(cfg: RunConfig, out) -> int:
     traj = ddesim.integrate(
         params, ddesim.default_history(params.r), t_end, cfg.steps_per_delay
     )
-    ddesim.write_trajectory_csv(traj, cfg.output_path, stride=cfg.stride)
+    ddesim.write_trajectory_csv(traj, cfg.output, stride=cfg.stride)
     metrics = ddesim.orbit_metrics(traj, cfg.transient_fraction)
-    print(f"wrote {len(traj.t)} rows to {cfg.output_path}", file=out)
+    print(f"wrote {len(traj.t)} rows to {cfg.output}", file=out)
     print(f"kind = {metrics.kind}   amplitude = {_fmt(metrics.amplitude)}   "
           f"period = {_fmt(metrics.period) if metrics.period else 'n/a'}   "
           f"distance to x2 = {metrics.distance_to_x2:.3e}", file=out)
     return 0
 
 
-def _cmd_sweep(cfg: RunConfig, out) -> int:
+def _cmd_sweep(cfg: argparse.Namespace, out) -> int:
     if cfg.r_grid is None:
         raise ConfigError("sweep requires --r-grid START STOP COUNT")
-    if cfg.output_path is None:
+    if cfg.output is None:
         raise ConfigError("sweep requires --output for the metrics CSV")
     _check_orbit_flags(cfg)
-    gamma = _resolve_gamma(cfg)
+    gamma = cfg.gamma
+    if gamma is None:
+        if cfg.r is None:
+            raise ConfigError("command 'sweep' needs gamma, either directly or "
+                              "derivable from k together with r")
+        gamma = model.gamma_from_k(cfg.k, cfg.r)
     t_end = cfg.t_end if cfg.t_end is not None else 200.0
-    grid = _grid_values(cfg.r_grid)
-    steps = sum(ddesim.step_count(r, t_end, cfg.steps_per_delay) for r in grid)
+    steps = sum(ddesim.step_count(r, t_end, cfg.steps_per_delay) for r in cfg.r_grid)
     if steps > MAX_SWEEP_STEPS:
         raise ParameterError(f"sweep needs {steps} steps in total, more than "
                              f"MAX_SWEEP_STEPS = {MAX_SWEEP_STEPS}")
     rows = []
-    for r in grid:
+    for r in cfg.r_grid:
         params = model.ModelParameters.from_gamma(cfg.beta0, cfg.n, cfg.delta, gamma, r)
         traj = ddesim.integrate(
             params, ddesim.default_history(r), t_end, cfg.steps_per_delay
         )
         metrics = ddesim.orbit_metrics(traj, cfg.transient_fraction)
         rows.append((r, metrics.kind, metrics.amplitude, metrics.period))
-    with open(cfg.output_path, "w", newline="\n") as fh:
+    with open(cfg.output, "w", newline="\n") as fh:
         fh.write("r,kind,amplitude,period\n")
         for r, kind, amplitude, period in rows:
             fh.write(f"{r:.17g},{kind},{_csv_cell(amplitude)},{_csv_cell(period)}\n")
-    print(f"wrote {len(rows)} rows to {cfg.output_path}", file=out)
+    print(f"wrote {len(rows)} rows to {cfg.output}", file=out)
     return 0
 
 
-def _cmd_scaling(cfg: RunConfig, out) -> int:
+def _cmd_scaling(cfg: argparse.Namespace, out) -> int:
     _check_orbit_flags(cfg)
     hp = _locate_hopf(cfg)
     nf = hopf.criticality_report(hp)
@@ -409,19 +363,6 @@ _DISPATCH = {
     "scaling": _cmd_scaling,
 }
 COMMANDS = tuple(_DISPATCH)
-
-
-def run(cfg: RunConfig, out=None) -> int:
-    """Execute one configured command; returns the process exit code."""
-    out = out if out is not None else sys.stdout
-    try:
-        return _DISPATCH[cfg.command](cfg, out)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericsError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -457,28 +398,29 @@ def _build_argparser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge(args) -> RunConfig:
-    with open(args.config) as fh:
+def _merge(args: argparse.Namespace) -> argparse.Namespace:
+    """Fold the config file into the parsed flags and resolve them in place.
+
+    beta0, n, delta, gamma, k and r take the flag over the file value,
+    `bracket` becomes a tuple, and `r_grid` the list of its delays.
+    """
+    with open(args.config, encoding="utf-8") as fh:
         values = parse_config(fh.read())
-    gamma = values.get("gamma")
-    k = values.get("k")
-    r = values.get("r")
     if args.gamma is not None and args.k is not None:
         raise ConfigError("flags give both gamma and k; supply exactly one")
-    if args.gamma is not None:
-        gamma, k = args.gamma, None
-    elif args.k is not None:
-        gamma, k = None, args.k
-    if args.r is not None:
-        # Delay overrides sweep r at fixed gamma; anchor gamma at the file's
-        # (k, r) pair when the file parameterized through k.
-        if gamma is None and k is not None and r is not None:
-            gamma, k = model.gamma_from_k(k, r), None
-        r = args.r
-    beta0 = args.beta0 if args.beta0 is not None else values["beta0"]
-    n = args.n if args.n is not None else values["n"]
-    delta = args.delta if args.delta is not None else values["delta"]
-    r_grid = None
+    if args.gamma is None and args.k is None:
+        args.gamma, args.k = values.get("gamma"), values.get("k")
+    if args.r is None:
+        args.r = values.get("r")
+    elif args.gamma is None and "r" in values:
+        # Delay overrides sweep r at fixed gamma; anchor gamma at k and the
+        # file's r when k parameterizes the run.
+        args.gamma, args.k = model.gamma_from_k(args.k, values["r"]), None
+    for key in _REQUIRED_KEYS:
+        if getattr(args, key) is None:
+            setattr(args, key, values[key])
+    if args.bracket is not None:
+        args.bracket = tuple(args.bracket)
     if args.r_grid is not None:
         start, stop, count = args.r_grid
         if not (count.is_integer() and count >= 1):
@@ -486,34 +428,34 @@ def _merge(args) -> RunConfig:
         if count > MAX_GRID_POINTS:
             raise ConfigError(f"--r-grid COUNT {count:.6g} exceeds "
                               f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
-        r_grid = (start, stop, int(count))
-    return RunConfig(
-        command=args.command,
-        beta0=beta0,
-        n=n,
-        delta=delta,
-        gamma=gamma,
-        k=k,
-        r=r,
-        output_path=args.output,
-        t_end=args.t_end,
-        steps_per_delay=args.steps_per_delay,
-        stride=args.stride,
-        transient_fraction=args.transient_fraction,
-        bracket=tuple(args.bracket) if args.bracket is not None else None,
-        delta_r=args.delta_r,
-        r_grid=r_grid,
-    )
+        count = int(count)
+        # every delay of the grid must be a valid r > 0
+        if not (math.isfinite(stop) and 0.0 < start <= stop):
+            raise ConfigError(f"bad r grid {(start, stop, count)}")
+        step = (stop - start) / (count - 1) if count > 1 else 0.0
+        args.r_grid = [start + i * step for i in range(count)]
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code: 0, 2 or 3.
+
+    Every refusal and failure is caught here.  The report is buffered, so
+    stdout is written only when the command succeeds.
+    """
     args = _build_argparser().parse_args(argv)
+    out = io.StringIO()
     try:
-        cfg = _merge(args)
-    except (ParameterError, OSError) as exc:
+        code = _DISPATCH[args.command](_merge(args), out)
+    except (ParameterError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
+    except NumericsError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    if code == 0:
+        sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

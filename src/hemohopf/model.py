@@ -101,6 +101,8 @@ class ModelParameters(_ModelParameterFields):
             raise ParameterError(
                 f"k={k!r} inconsistent with 2 exp(-gamma r)={expected!r}"
             )
+        if not math.isfinite(self.A):
+            raise ParameterError(f"A = beta0 (k - 1)/delta must be finite, got {self.A}")
         return self
 
     @classmethod

@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -126,7 +129,7 @@ def test_help_names_every_command(capsys):
 def test_options_parse_before_and_after_config(config_path, argv):
     argv = [config_path if arg == "CFG" else arg for arg in argv]
     cfg = cli._merge(cli._build_argparser().parse_args(argv))
-    assert (cfg.command, cfg.r, cfg.delta_r, cfg.output_path) == (
+    assert (cfg.command, cfg.r, cfg.delta_r, cfg.output) == (
         "stability", 0.35, -2e-3, "s.csv")
 
 
@@ -256,7 +259,8 @@ def test_stability_grid_count_at_the_cap_is_accepted(config_path):
         ["stability", config_path, "--r-grid", "0.1", "0.3",
          str(cli.MAX_GRID_POINTS), "--output", "stab.csv"]
     )
-    assert cli._merge(args).r_grid == (0.1, 0.3, cli.MAX_GRID_POINTS)
+    grid = cli._merge(args).r_grid
+    assert (len(grid), grid[0], grid[-1]) == (cli.MAX_GRID_POINTS, 0.1, 0.3)
 
 
 @pytest.mark.parametrize("flags", [
@@ -502,6 +506,62 @@ def test_bracket_end_negative_or_not_finite_is_refused_before_evaluation(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "bracket ends must be finite and nonnegative" in captured.err
+
+
+UNDECODABLE_CONFIG = REF_CONFIG.encode() + b"# \xff\n"
+
+
+@pytest.mark.parametrize("config, argv", [
+    (REF_CONFIG.encode(), ["simulate", "--r", "0.36", "--t-end", "10", "-o", "missing/t.csv"]),
+    (REF_CONFIG.encode(), ["simulate", "--r", "0.36", "--t-end", "10", "-o", "."]),
+    (REF_CONFIG.encode(), ["sweep", "--r-grid", "0.35", "0.36", "2", "--t-end", "10",
+                           "-o", "missing/s.csv"]),
+    # the verdicts are ready before the open fails; none may reach stdout
+    (REF_CONFIG.encode(), ["stability", "--r-grid", "0.3", "0.4", "3", "-o", "missing/s.csv"]),
+    (UNDECODABLE_CONFIG, ["simulate", "--r", "0.36", "--t-end", "10", "-o", "t.csv"]),
+], ids=["simulate-missing-dir", "simulate-into-dir", "sweep-missing-dir",
+        "stability-grid-missing-dir", "undecodable-config"])
+def test_unreadable_config_or_unwritable_output_is_exit_2(tmp_path, capsys, config, argv):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(config)
+    command, *flags = argv
+    flags[-1] = str(tmp_path / flags[-1])  # the -o path
+    assert cli.main([command, str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]  # no CSV left behind
+
+
+def test_unwritable_output_shows_no_traceback_in_a_fresh_interpreter(config_path, tmp_path):
+    # the contract a caller spawning the CLI relies on: exit 2, no traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hemohopf.cli", "simulate", config_path, "--r", "0.36",
+         "--t-end", "10", "-o", str(tmp_path)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+# A = beta0 (k - 1)/delta overflows; at r = 0.01 too, where k = 1.980
+OVERFLOWING_A_CONFIG = "beta0 = 1e308\nn = 2\ndelta = 0.5\ngamma = 1\nr = 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["equilibria"], ["stability"], ["hopf"], ["simulate", "--r", "0.01", "-o", "OUT"],
+])
+def test_overflowing_A_is_refused_by_name(tmp_path, capsys, argv):
+    path = tmp_path / "big.cfg"
+    path.write_text(OVERFLOWING_A_CONFIG)
+    flags = [str(tmp_path / "t.csv") if arg == "OUT" else arg for arg in argv[1:]]
+    assert cli.main([argv[0], str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: A = beta0 (k - 1)/delta must be finite, got inf\n"
 
 
 def test_flag_overrides_require_single_parameterization(config_path, capsys):

@@ -1,10 +1,12 @@
 """Property suite over the command line: every input ends in exit 0, 2 or 3.
 
 Random configurations (ordinary values, and 0, negatives, nan, inf and
-1e308) meet random commands and flags.  No exception other than
-argparse's ``SystemExit(2)`` may escape `cli.main`, and a refusal (exit 2)
-or a numerical failure (exit 3) leaves stdout empty.  The step and grid
-caps are patched low so that every example stays fast.
+1e308, now and then with a line that is not UTF-8) meet random commands
+and flags, and an output path that is sometimes a missing directory or a
+directory.  No exception other than argparse's ``SystemExit(2)`` may
+escape `cli.main`, and a refusal (exit 2) or a numerical failure (exit 3)
+leaves stdout empty.  The step and grid caps are patched low so that every
+example stays fast.
 """
 
 import contextlib
@@ -14,7 +16,7 @@ import math
 import pytest
 
 from hemohopf import cli, ddesim
-from test_cli import OVERFLOW_CONFIGS
+from test_cli import OVERFLOW_CONFIGS, REF_CONFIG
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -42,11 +44,15 @@ def _value(draw, key=None):
 
 @st.composite
 def configs(draw):
-    """Config file text: beta0, n, delta, gamma or k, and maybe r."""
+    """Config file bytes: beta0, n, delta, gamma or k, and maybe r; one time
+    in ten with a comment line that is not UTF-8."""
     keys = ["beta0", "n", "delta", draw(st.sampled_from(["gamma", "k"]))]
     if draw(st.integers(0, 3)) != 0:
         keys.append("r")
-    return "".join(f"{key} = {_value(draw, key)!r}\n" for key in keys)
+    lines = [f"{key} = {_value(draw, key)!r}\n".encode() for key in keys]
+    if draw(st.sampled_from(range(10))) == 9:
+        lines.insert(draw(st.integers(0, len(lines))), b"# \xff\n")
+    return b"".join(lines)
 
 
 @st.composite
@@ -70,7 +76,12 @@ def flags(draw):
     maybe(2, "--r-grid", repr(_value(draw, "r")), repr(_value(draw, "r")),
           repr(float(draw(st.integers(-1, 60)))))
     if draw(st.integers(0, 4)):
-        argv.append("-o")  # _run adds the path
+        # a file in the work directory, or one time in five a missing
+        # directory or the work directory itself; _run makes it absolute
+        path = "out.csv"
+        if draw(st.integers(0, 9)) in (4, 5):
+            path = draw(st.sampled_from(["missing/out.csv", "."]))
+        argv.extend(["-o", path])
     return argv
 
 
@@ -85,10 +96,11 @@ def workdir(tmp_path_factory):
 
 def _run(workdir, config, argv):
     path = workdir / "run.cfg"
-    path.write_text(config)
+    path.write_bytes(config)
     argv = [argv[0], str(path)] + argv[1:]
     if "-o" in argv:
-        argv.insert(argv.index("-o") + 1, str(workdir / "out.csv"))
+        i = argv.index("-o") + 1
+        argv[i] = str(workdir / argv[i])
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
@@ -100,8 +112,12 @@ def _run(workdir, config, argv):
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(config=configs(), argv=flags())
-@example(config=OVERFLOW_CONFIGS[0][0], argv=["simulate", *OVERFLOW_CONFIGS[0][1], "-o"])
-@example(config=OVERFLOW_CONFIGS[1][0], argv=["simulate", *OVERFLOW_CONFIGS[1][1], "-o"])
+@example(config=OVERFLOW_CONFIGS[0][0].encode(),
+         argv=["simulate", *OVERFLOW_CONFIGS[0][1], "-o", "out.csv"])
+@example(config=OVERFLOW_CONFIGS[1][0].encode(),
+         argv=["simulate", *OVERFLOW_CONFIGS[1][1], "-o", "out.csv"])
+# random runs that draw a bad -o path rarely get as far as the write
+@example(config=REF_CONFIG.encode(), argv=["simulate", "--r", "0.36", "--t-end", "10", "-o", "."])
 def test_main_exits_0_2_or_3_and_refusals_print_nothing(workdir, config, argv):
     code, stdout = _run(workdir, config, argv)
     assert code in (0, 2, 3)

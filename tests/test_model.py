@@ -80,6 +80,12 @@ def test_parameters_reject_invalid():
             model.ModelParameters.from_gamma(**{**good, key: bad})
 
 
+def test_parameters_reject_an_overflowing_A():
+    # A = beta0 (k - 1)/delta = 1e308 * 1/0.5 overflows at r = 0, where k = 2
+    with pytest.raises(ParameterError, match=r"A = beta0 \(k - 1\)/delta must be finite"):
+        model.ModelParameters.from_gamma(1e308, 2.0, 0.5, 1.0, 0.0)
+
+
 def test_parameters_k_consistency_enforced():
     with pytest.raises(ParameterError):
         model.ModelParameters(
