@@ -398,14 +398,27 @@ def _build_argparser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path: str) -> str:
+    """Text of the config file; a byte that is not UTF-8 is refused with
+    the file and its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; number its line as parse_config does
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ConfigError(f"cannot decode byte 0x{data[exc.start]:02x} as UTF-8 "
+                          f"({exc.reason})", line=line, path=path) from None
+
+
 def _merge(args: argparse.Namespace) -> argparse.Namespace:
     """Fold the config file into the parsed flags and resolve them in place.
 
     beta0, n, delta, gamma, k and r take the flag over the file value,
     `bracket` becomes a tuple, and `r_grid` the list of its delays.
     """
-    with open(args.config, encoding="utf-8") as fh:
-        values = parse_config(fh.read())
+    values = parse_config(_read_config(args.config))
     if args.gamma is not None and args.k is not None:
         raise ConfigError("flags give both gamma and k; supply exactly one")
     if args.gamma is None and args.k is None:
@@ -447,7 +460,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out = io.StringIO()
     try:
         code = _DISPATCH[args.command](_merge(args), out)
-    except (ParameterError, OSError, UnicodeDecodeError) as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

@@ -12,12 +12,16 @@ class ParameterError(ValueError):
 
 
 class ConfigError(ParameterError):
-    """Malformed run configuration; carries the offending line number."""
+    """Malformed run configuration; carries the offending line number and,
+    where known, the path of the config file."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         self.line = line
+        self.path = path
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
 
 

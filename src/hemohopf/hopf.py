@@ -38,12 +38,14 @@ from .errors import (
     ConvergenceError,
     DegenerateCrossingError,
     NoImaginaryCrossingError,
+    NoPositiveEquilibriumError,
     NumericsError,
     ResonanceError,
 )
 from .linstab import (
     CharacteristicTriple,
     _crossing,
+    _pq_at_delay,
     bracketed_root,
     characteristic_triple,
     g_of_r,
@@ -196,18 +198,21 @@ def hopf_from_pqk(n: float, beta0: float, delta: float, k: float) -> HopfPoint:
 def frontier_mismatch(r: float, params: ModelParameters) -> float:
     """D(r) = r0(k(r)) - r, the delay mismatch from the frontier at fixed gamma.
 
-    gamma is taken from `params`; k, p and q are recomputed at the delay
-    r >= 0, and r0 = arccos(p/q) / sqrt(q^2 - p^2) is the crossing delay of
+    gamma is taken from `params`; (p, q) at the delay r >= 0 is formed
+    straight from (beta0, n, delta, gamma) by `linstab._pq_at_delay`, and
+    r0 = arccos(p/q) / sqrt(q^2 - p^2) is the crossing delay of
     :func:`hopf_from_pqk`.  D is +inf where x2 is absent and where no root
     crosses (p >= -q), so x2 is stable exactly where D > 0 (Cooke &
     Grossman, J. Math. Anal. Appl. 86 (1982) 592) and the zeros of D are
     exactly the n = 0 crossings; unlike g it does not vanish where p does.
+    A negative or non-finite r and a non-finite A raise `ParameterError`,
+    a non-finite p or q `DomainError`.
     """
-    local = params.with_r(r)
-    if not local.x2_exists:
+    try:
+        p, q = _pq_at_delay(r, params)
+    except NoPositiveEquilibriumError:
         return math.inf
-    triple = characteristic_triple(local)
-    return _crossing(triple.p, triple.q)[1] - r
+    return _crossing(p, q)[1] - r
 
 
 def find_hopf_r(

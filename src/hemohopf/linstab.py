@@ -29,10 +29,12 @@ from .errors import (
     ConvergenceError,
     DomainError,
     NoPositiveEquilibriumError,
+    ParameterError,
 )
+from .model import ModelParameters, _b1_at_x2, _checked_A, derive_k
 # `equilibria` is unused here; perfbench/selftest.py looks it up as
 # `linstab.equilibria`.
-from .model import ModelParameters, _b1_at_x2, equilibria  # noqa: F401
+from .model import equilibria  # noqa: F401
 
 __all__ = [
     "CharacteristicTriple",
@@ -71,6 +73,11 @@ CASE_II = "II"
 CASE_B1_ZERO = "B1_zero"
 
 
+def _check_pq(p: float, q: float) -> None:
+    if not (math.isfinite(p) and math.isfinite(q)):
+        raise DomainError(f"p, q must be finite, got p={p}, q={q}")
+
+
 class _CharacteristicTripleFields(NamedTuple):
     p: float
     q: float
@@ -83,8 +90,7 @@ class CharacteristicTriple(_CharacteristicTripleFields):
     __slots__ = ()
 
     def __new__(cls, p, q, r):
-        if not (math.isfinite(p) and math.isfinite(q)):
-            raise DomainError(f"p, q must be finite, got p={p}, q={q}")
+        _check_pq(p, q)
         if not math.isfinite(r) or r < 0.0:
             raise DomainError(f"delay r must be nonnegative, got {r}")
         return super().__new__(cls, p, q, r)
@@ -110,14 +116,40 @@ class StabilityVerdict(NamedTuple):
     notes: str = ""
 
 
-def characteristic_triple(params: ModelParameters) -> CharacteristicTriple:
-    """Triple (p, q, r) for the linearization at x2, p = delta + B1(x2) and
-    q = k B1(x2): the one place where p and q are formed."""
-    A = params.A
+def _pq_at_x2(
+    beta0: float, n: float, delta: float, k: float, A: float
+) -> Tuple[float, float]:
+    # p = delta + B1(x2) and q = k B1(x2) at x2 = (A - 1)^(1/n)
     if A <= 1.0:
         raise NoPositiveEquilibriumError(f"no positive equilibrium: A = {A} <= 1")
-    b1 = _b1_at_x2(params.beta0, params.n, A)
-    return CharacteristicTriple(p=params.delta + b1, q=params.k * b1, r=params.r)
+    b1 = _b1_at_x2(beta0, n, A)
+    return delta + b1, k * b1
+
+
+def characteristic_triple(params: ModelParameters) -> CharacteristicTriple:
+    """Triple (p, q, r) for the linearization at x2, p = delta + B1(x2) and
+    q = k B1(x2): the one place where p and q are formed, shared with
+    `_pq_at_delay`."""
+    p, q = _pq_at_x2(params.beta0, params.n, params.delta, params.k, params.A)
+    return CharacteristicTriple(p=p, q=q, r=params.r)
+
+
+def _pq_at_delay(r: float, params: ModelParameters) -> Tuple[float, float]:
+    """(p, q) at x2 at the delay r, with the gamma of `params` held fixed.
+
+    The values and refusals of ``characteristic_triple(params.with_r(r))``,
+    formed straight from (beta0, n, delta, gamma) without building either:
+    `ParameterError` for a negative or non-finite r, an r that is neither
+    int nor float, or a non-finite A, `NoPositiveEquilibriumError` where
+    A <= 1, and `DomainError` for a non-finite p or q.
+    """
+    beta0, delta = params.beta0, params.delta
+    k = derive_k(params.gamma, r)
+    if not isinstance(r, (int, float)):  # as ModelParameters refuses, e.g., numpy.float32
+        raise ParameterError(f"r must be a finite number, got {r!r}")
+    p, q = _pq_at_x2(beta0, params.n, delta, k, _checked_A(beta0, delta, k))
+    _check_pq(p, q)
+    return p, q
 
 
 def char_value(lam: complex, triple: CharacteristicTriple) -> complex:
@@ -278,14 +310,16 @@ def classify_x2(params: ModelParameters) -> StabilityVerdict:
 def g_of_r(r: float, params: ModelParameters) -> float:
     """Boundary function g(r) = T^{-1}(-p(r) r) - arccos(p(r)/q(r)).
 
-    gamma is taken from `params` and held fixed; k, B1, p, q are
-    recomputed at the requested delay.  Requires the positive equilibrium
-    to exist at r and both subterms to be in domain.
+    gamma is taken from `params` and held fixed; (p, q) at r is formed
+    straight from (beta0, n, delta, gamma) by `_pq_at_delay`, with its
+    refusals: `NoPositiveEquilibriumError` where x2 is absent at r,
+    `ParameterError` for a non-finite A and `DomainError` for a non-finite
+    p or q.  r must be finite and positive, and both subterms in domain
+    (`DomainError` otherwise).
     """
     if not math.isfinite(r) or r <= 0.0:
         raise DomainError(f"g is evaluated for r > 0, got {r}")
-    triple = characteristic_triple(params.with_r(r))
-    p, q = triple.p, triple.q
+    p, q = _pq_at_delay(r, params)
     v = -p * r
     if v > 1.0:
         raise DomainError(f"T_inv argument -p*r = {v} > 1 at r = {r}")

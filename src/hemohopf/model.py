@@ -52,6 +52,14 @@ def derive_k(gamma: float, r: float) -> float:
     return 2.0 * math.exp(-gamma * r)
 
 
+def _checked_A(beta0: float, delta: float, k: float) -> float:
+    # Equilibrium balance ratio A = beta0 (k - 1) / delta, refused if it overflows.
+    A = beta0 * (k - 1.0) / delta
+    if not math.isfinite(A):
+        raise ParameterError(f"A = beta0 (k - 1)/delta must be finite, got {A}")
+    return A
+
+
 def gamma_from_k(k: float, r: float) -> float:
     """Loss rate gamma = -ln(k/2)/r recovered from (k, r), r > 0."""
     if not (math.isfinite(k) and math.isfinite(r)):
@@ -101,8 +109,7 @@ class ModelParameters(_ModelParameterFields):
             raise ParameterError(
                 f"k={k!r} inconsistent with 2 exp(-gamma r)={expected!r}"
             )
-        if not math.isfinite(self.A):
-            raise ParameterError(f"A = beta0 (k - 1)/delta must be finite, got {self.A}")
+        _checked_A(beta0, delta, k)
         return self
 
     @classmethod
@@ -128,7 +135,7 @@ class ModelParameters(_ModelParameterFields):
     @property
     def A(self) -> float:
         """Equilibrium balance ratio beta0 (k - 1) / delta."""
-        return self.beta0 * (self.k - 1.0) / self.delta
+        return _checked_A(self.beta0, self.delta, self.k)
 
     @property
     def x2_exists(self) -> bool:
@@ -205,13 +212,19 @@ def equilibria(params: ModelParameters) -> EquilibriumReport:
 
     The trivial equilibrium x1 = 0 always exists with linearization
     coefficient beta0.  The positive equilibrium x2 = (A - 1)^(1/n)
-    exists iff A > 1, which in delay terms reads r < r_max.
+    exists iff A > 1, which in delay terms reads r < r_max.  x2 is finite
+    wherever A is, but B1(x2) overflows for A near the float limit and is
+    refused.
     """
     beta0, n, delta, gamma = params.beta0, params.n, params.delta, params.gamma
     A = params.A
     if A > 1.0:
         x2 = (A - 1.0) ** (1.0 / n)
         b1_x2 = _b1_at_x2(beta0, n, A)
+        if not math.isfinite(b1_x2):
+            raise ParameterError(
+                f"B1(x2) = beta0 (n - (n - 1) A)/A^2 must be finite, got {b1_x2}"
+            )
     else:
         x2 = None
         b1_x2 = None

@@ -508,6 +508,7 @@ def test_bracket_end_negative_or_not_finite_is_refused_before_evaluation(
     assert "bracket ends must be finite and nonnegative" in captured.err
 
 
+# the bad byte sits on line 7, after the 6 lines of REF_CONFIG
 UNDECODABLE_CONFIG = REF_CONFIG.encode() + b"# \xff\n"
 
 
@@ -531,6 +532,10 @@ def test_unreadable_config_or_unwritable_output_is_exit_2(tmp_path, capsys, conf
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]  # no CSV left behind
+    if config is UNDECODABLE_CONFIG:
+        # the refusal names the file and the line of the bad byte
+        assert captured.err == (f"error: {path}: line 7: cannot decode byte 0xff "
+                                "as UTF-8 (invalid start byte)\n")
 
 
 def test_unwritable_output_shows_no_traceback_in_a_fresh_interpreter(config_path, tmp_path):
@@ -562,6 +567,25 @@ def test_overflowing_A_is_refused_by_name(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: A = beta0 (k - 1)/delta must be finite, got inf\n"
+
+
+# A = 1.62e308 is finite at r = 0.1, but B1(x2) = beta0 (n - (n - 1) A)/A^2 is not
+OVERFLOWING_B1_CONFIG = "beta0 = 1e308\nn = 2\ndelta = 0.5\ngamma = 1\nr = 0.1\n"
+
+
+@pytest.mark.parametrize("command, err", [
+    ("equilibria", "B1(x2) = beta0 (n - (n - 1) A)/A^2 must be finite, got nan"),
+    ("stability", "p, q must be finite, got p=nan, q=nan"),
+    # hopf scans the fixed-gamma family from r = 0, where A overflows
+    ("hopf", "A = beta0 (k - 1)/delta must be finite, got inf"),
+])
+def test_overflowing_B1_is_refused_by_name(tmp_path, capsys, command, err):
+    path = tmp_path / "big.cfg"
+    path.write_text(OVERFLOWING_B1_CONFIG)
+    assert cli.main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
 
 
 def test_flag_overrides_require_single_parameterization(config_path, capsys):

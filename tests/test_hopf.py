@@ -14,6 +14,7 @@ from hemohopf.errors import (
     BracketError,
     ConvergenceError,
     DegenerateCrossingError,
+    DomainError,
     NoImaginaryCrossingError,
     NoPositiveEquilibriumError,
     ParameterError,
@@ -303,6 +304,96 @@ def test_find_hopf_r_bracket_errors(ref_params):
         hopf.find_hopf_r(ref_params, (0.36, 0.40))  # g < 0 throughout
     with pytest.raises(BracketError):
         hopf.find_hopf_r(ref_params, (0.35, 0.35))
+
+
+# ------------------------------------------- (p, q) at a moved delay, reference
+
+
+def reference_frontier_mismatch(r, params):
+    # D as it was composed before (p, q) at r was formed directly
+    local = params.with_r(r)
+    if not local.x2_exists:
+        return math.inf
+    triple = linstab.characteristic_triple(local)
+    return linstab._crossing(triple.p, triple.q)[1] - r
+
+
+def reference_g_of_r(r, params):
+    # g as it was composed before (p, q) at r was formed directly
+    if not math.isfinite(r) or r <= 0.0:
+        raise DomainError(f"g is evaluated for r > 0, got {r}")
+    triple = linstab.characteristic_triple(params.with_r(r))
+    p, q = triple.p, triple.q
+    v = -p * r
+    if v > 1.0:
+        raise DomainError(f"T_inv argument -p*r = {v} > 1 at r = {r}")
+    if q == 0.0 or abs(p / q) > 1.0:
+        raise DomainError(f"arccos argument p/q = {p}/{q} outside [-1, 1] at r = {r}")
+    return linstab.T_inv(v) - math.acos(p / q)
+
+
+def moved_delay_outcome(func, r, params):
+    """The value of func(r, params) to the bit (as its repr), or the class and
+    message of its refusal."""
+    try:
+        return repr(func(r, params))
+    except ParameterError as exc:
+        return type(exc), str(exc)
+
+
+#: gamma configs for the reference comparison: the reference set, seed-1
+#: frontier draws, and a config whose A overflows for small delays and
+#: whose B1(x2) overflows where A is finite
+MOVED_DELAY_CONFIGS = {
+    "reference": model.ModelParameters.from_k(rv.BETA0, rv.N, rv.DELTA, rv.K, rv.R_REF),
+    **{f"gap-draw-{i}": hopf.hopf_from_pqk(*draw).params
+       for i, draw in enumerate(GAP_DRAWS[:2])},
+    "long-delay-draw": hopf.hopf_from_pqk(*LONG_DELAY_DRAWS[0]).params,
+    "near-float-limit": model.ModelParameters.from_gamma(1e308, 2.0, 0.5, 1.0, 0.1),
+}
+
+
+def moved_delays(params, count=600):
+    """A grid over (0, 1.2 r_max], r_max itself with its neighbours, and
+    delays every evaluation must refuse."""
+    # r_max in closed form: equilibria refuses the near-float-limit config
+    r_max = -math.log(0.5 * (1.0 + params.delta / params.beta0)) / params.gamma
+    grid = [1.2 * r_max * i / count for i in range(1, count + 1)]
+    edges = [r_max, math.nextafter(r_max, 0.0), math.nextafter(r_max, math.inf)]
+    # ModelParameters refuses a delay that is neither int nor float
+    other_types = [np.float32(0.5 * r_max), np.int64(1)]
+    return grid + edges + other_types + [0.0, -0.0, -1e-3, -math.inf, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("name", MOVED_DELAY_CONFIGS)
+def test_frontier_mismatch_is_the_reference_to_the_bit(name):
+    params = MOVED_DELAY_CONFIGS[name]
+    outcomes = []
+    for r in moved_delays(params):
+        outcome = moved_delay_outcome(hopf.frontier_mismatch, r, params)
+        assert outcome == moved_delay_outcome(reference_frontier_mismatch, r, params), r
+        outcomes.append(outcome)
+    # the grid reaches where x2 is absent or p >= -q, and the negative delays
+    assert repr(math.inf) in outcomes
+    assert (ParameterError, "delay r must be nonnegative, got -0.001") in outcomes
+
+
+def test_frontier_mismatch_refuses_the_near_float_limit_config_by_stage():
+    # A overflows near r = 0; where A is finite, B1(x2), and so p and q, overflow
+    params = MOVED_DELAY_CONFIGS["near-float-limit"]
+    with pytest.raises(ParameterError, match=r"A = beta0 \(k - 1\)/delta must be finite"):
+        hopf.frontier_mismatch(1e-3, params)
+    with pytest.raises(DomainError, match="p, q must be finite, got p=nan, q=nan"):
+        hopf.frontier_mismatch(0.1, params)
+
+
+@pytest.mark.parametrize("draw", GAP_DRAWS + LONG_DELAY_DRAWS)
+def test_find_hopf_r_takes_the_reference_iterates(draw, monkeypatch):
+    hp = hopf.hopf_from_pqk(*draw)
+    located = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
+    monkeypatch.setattr(hopf, "frontier_mismatch", reference_frontier_mismatch)
+    monkeypatch.setattr(hopf, "g_of_r", reference_g_of_r)
+    assert hopf.find_hopf_r(hp.params, _frontier_bracket(hp)) == located
 
 
 # -------------------------------------------------------------- transversality

@@ -6,7 +6,19 @@ import pytest
 
 import refvals as rv
 from hemohopf import linstab, model
-from hemohopf.errors import BracketError, ConvergenceError, DomainError
+from hemohopf.errors import (
+    BracketError,
+    ConvergenceError,
+    DomainError,
+    NoPositiveEquilibriumError,
+    ParameterError,
+)
+from test_hopf import (
+    MOVED_DELAY_CONFIGS,
+    moved_delay_outcome,
+    moved_delays,
+    reference_g_of_r,
+)
 from test_model import draw_valid_params
 
 
@@ -292,10 +304,29 @@ def test_g_domain_error_names_subterm(ref_params):
 
 def test_g_requires_equilibrium(ref_params):
     r_max = model.equilibria(ref_params).r_max
-    from hemohopf.errors import NoPositiveEquilibriumError
-
     with pytest.raises(NoPositiveEquilibriumError):
         linstab.g_of_r(1.1 * r_max, ref_params)
+
+
+@pytest.mark.parametrize("name", MOVED_DELAY_CONFIGS)
+def test_g_is_the_reference_to_the_bit(name):
+    params = MOVED_DELAY_CONFIGS[name]
+    classes = set()
+    for r in moved_delays(params):
+        outcome = moved_delay_outcome(linstab.g_of_r, r, params)
+        assert outcome == moved_delay_outcome(reference_g_of_r, r, params), r
+        if isinstance(outcome, tuple):
+            classes.add(outcome[0])
+    # every grid reaches r <= 0, x2 absent and a subterm out of domain
+    assert {DomainError, NoPositiveEquilibriumError} <= classes
+
+
+def test_g_refuses_the_near_float_limit_config_by_stage():
+    params = MOVED_DELAY_CONFIGS["near-float-limit"]
+    with pytest.raises(ParameterError, match=r"A = beta0 \(k - 1\)/delta must be finite"):
+        linstab.g_of_r(1e-3, params)
+    with pytest.raises(DomainError, match="p, q must be finite, got p=nan, q=nan"):
+        linstab.g_of_r(0.1, params)
 
 
 # ------------------------------------------------------------ root polishing

@@ -177,6 +177,13 @@ def test_equilibria_stationarity_residual():
     assert abs((p.k - 1.0) * beta_x2 - p.delta) < 1e-12 * p.delta
 
 
+def test_equilibria_refuse_an_overflowing_B1():
+    # A = 1.62e308 is finite at r = 0.1, but A^2 in B1(x2) overflows
+    params = model.ModelParameters.from_gamma(1e308, 2.0, 0.5, 1.0, 0.1)
+    with pytest.raises(ParameterError, match=r"B1\(x2\) = .* must be finite, got nan"):
+        model.equilibria(params)
+
+
 def test_equilibria_absent_when_k_small():
     p = model.ModelParameters.from_gamma(1.77, 12.0, 0.05, 1.0, math.log(2.0))
     report = model.equilibria(p)  # k = 1 exactly, A = 0
