@@ -9,7 +9,6 @@ from .model import (
     TaylorCoefficients,
     derive_k,
     gamma_from_k,
-    beta_derivatives,
     equilibria,
     taylor_coefficients,
 )

@@ -47,7 +47,7 @@ __all__ = [
 #: Half peak-to-trough amplitudes below this classify as equilibrium.
 AMPLITUDE_FLOOR = 1e-4
 
-#: Relative spread of successive peak heights tolerated for a cycle.
+#: Relative spread tolerated for a cycle between peaks one period apart.
 CYCLE_SPREAD_TOL = 0.05
 
 #: Default steps per delay interval. At 50 the reference cycle measurements
@@ -115,9 +115,10 @@ class OrbitMetrics(NamedTuple):
     """Classification of the tail of a trajectory.
 
     kind = cycle requires the half peak-to-trough amplitude to exceed
-    AMPLITUDE_FLOOR and successive peak heights to agree within
+    AMPLITUDE_FLOOR and peaks one period apart to agree within
     CYCLE_SPREAD_TOL; kind = equilibrium covers both near-constant tails
-    and oscillations with a monotone-decaying envelope.
+    and oscillations with a monotone-decaying envelope.  ``period`` is
+    the full period, however many peaks it holds.
     """
 
     kind: str
@@ -268,9 +269,9 @@ def orbit_metrics(traj: Trajectory, transient_fraction: float = 0.5) -> OrbitMet
 
     The first `transient_fraction` of the time span is dropped; the rest
     is searched for local extrema.  Too few extrema with a small range
-    means equilibrium; many extrema of near-equal height mean a cycle;
-    a shrinking envelope means decay to equilibrium; anything else is
-    undetermined.
+    means equilibrium; many extrema whose heights repeat every m-th peak
+    mean a cycle of m peaks per period; a shrinking envelope means decay
+    to equilibrium; anything else is undetermined.
     """
     if not 0.0 < transient_fraction < 1.0:
         raise ParameterError(
@@ -300,9 +301,17 @@ def orbit_metrics(traj: Trajectory, transient_fraction: float = 0.5) -> OrbitMet
         return OrbitMetrics(KIND_EQUILIBRIUM, amplitude, None, distance)
 
     if n_extrema >= 10:
-        spread = (max(max_h) - min(max_h)) / amplitude
-        if spread < CYCLE_SPREAD_TOL:
-            period = _mean([b - a for a, b in zip(max_t, max_t[1:])])
+        # m maxima per period: the index gap between the first two near the
+        # tallest; each residue class mod m must then agree, over > 2 periods
+        top = max(max_h)
+        near = [i for i, h in enumerate(max_h)
+                if top - h < CYCLE_SPREAD_TOL * amplitude]
+        m = near[1] - near[0] if len(near) > 1 else 0
+        if m and len(max_h) > 2 * m and all(
+            (max(max_h[j::m]) - min(max_h[j::m])) / amplitude < CYCLE_SPREAD_TOL
+            for j in range(m)
+        ):
+            period = _mean([b - a for a, b in zip(max_t, max_t[m:])])
             return OrbitMetrics(KIND_CYCLE, amplitude, period, distance)
 
     # decaying envelope: maxima descending and minima ascending

@@ -54,6 +54,7 @@ from .linstab import (
 from .model import (
     ModelParameters,
     TaylorCoefficients,
+    _b1_slopes,
     equilibria,
     taylor_coefficients,
 )
@@ -259,13 +260,12 @@ def find_hopf_r(
 
 def _b1_chain_derivatives(hp: HopfPoint) -> Tuple[float, float]:
     # d/dr of p and q at the Hopf point, through k(r) = 2 exp(-gamma r):
-    # dk/dr = -gamma k, dA/dk = beta0/delta, dB1/dA = beta0((n-1)A - 2n)/A^3.
+    # dk/dr = -gamma k, dA/A = dk/(k - 1) as A is proportional to k - 1,
+    # and A dB1/dA from the model.
     prm = hp.params
     b1 = hp.q_star / prm.k
-    A = prm.A
     dk = -prm.gamma * prm.k
-    dA = prm.beta0 * dk / prm.delta
-    db1 = prm.beta0 * ((prm.n - 1.0) * A - 2.0 * prm.n) / A**3 * dA
+    db1 = _b1_slopes(prm.beta0, prm.n, prm.A)[0] * dk / (prm.k - 1.0)
     return db1, dk * b1 + prm.k * db1
 
 

@@ -9,6 +9,10 @@ delay-dependent amplification k = 2 exp(-gamma r).  Everything downstream
 (linear stability, Hopf analysis, simulation) is driven by the values
 computed here: the equilibria x1 = 0 and x2 > 0, and the Taylor
 coefficients B_m of beta(x) x at x2.
+
+The B_m are closed forms in A = 1 + x^n.  B1 = beta0 (n - (n - 1) A)/A^2
+holds at every x, so B2 = dB1/dA A' and B3 = d2B1/dA2 A'^2 + dB1/dA A''
+by the chain rule, with A' = n (A - 1)/x and A'' = (n - 1) A'/x.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .errors import DomainError, NoPositiveEquilibriumError, ParameterError
+from .errors import NoPositiveEquilibriumError, ParameterError
 
 __all__ = [
     "ModelParameters",
@@ -24,7 +28,6 @@ __all__ = [
     "TaylorCoefficients",
     "derive_k",
     "gamma_from_k",
-    "beta_derivatives",
     "equilibria",
     "taylor_coefficients",
 ]
@@ -143,47 +146,6 @@ class ModelParameters(_ModelParameterFields):
         return self.A > 1.0
 
 
-def _pow(x: float, e: float) -> float:
-    # x ** e for x >= 0, resolving the x == 0 corner: 0^0 = 1, 0^positive = 0.
-    if x == 0.0:
-        if e > 0.0:
-            return 0.0
-        if e == 0.0:
-            return 1.0
-        raise DomainError(f"x^({e}) diverges at x = 0")
-    return x**e
-
-
-def beta_derivatives(x: float, params: ModelParameters, max_order: int = 3):
-    """Closed-form derivatives of beta(x) = beta0 / (1 + x^n).
-
-    Returns the tuple (beta(x), beta'(x), ..., beta^(max_order)(x)).
-    Orders above 3 are not implemented.
-    """
-    if max_order > 3 or max_order < 0:
-        raise DomainError(f"derivative order must be in 0..3, got {max_order}")
-    if x < 0.0:
-        raise ParameterError(f"x must be nonnegative, got {x}")
-    beta0, n = params.beta0, params.n
-
-    def term(coeff: float, exponent: float) -> float:
-        # a vanishing coefficient kills the power even where it diverges
-        return 0.0 if coeff == 0.0 else coeff * _pow(x, exponent)
-
-    u = 1.0 + _pow(x, n)
-    out = [beta0 / u]
-    if max_order >= 1:
-        u1 = term(n, n - 1.0)
-        out.append(-beta0 * u1 / u**2)
-    if max_order >= 2:
-        u2 = term(n * (n - 1.0), n - 2.0)
-        out.append(beta0 * (2.0 * u1**2 / u**3 - u2 / u**2))
-    if max_order >= 3:
-        u3 = term(n * (n - 1.0) * (n - 2.0), n - 3.0)
-        out.append(beta0 * (6.0 * u1 * u2 / u**3 - 6.0 * u1**3 / u**4 - u3 / u**2))
-    return tuple(out)
-
-
 class EquilibriumReport(NamedTuple):
     """Equilibria and the delay thresholds governing their existence.
 
@@ -205,6 +167,13 @@ class EquilibriumReport(NamedTuple):
 def _b1_at_x2(beta0: float, n: float, A: float) -> float:
     # Linearization coefficient beta'(x2) x2 + beta(x2) in closed form.
     return beta0 * (n - (n - 1.0) * A) / (A * A)
+
+
+def _b1_slopes(beta0: float, n: float, A: float):
+    # A dB1/dA and A^2 d2B1/dA2 of B1(A) = beta0 (n - (n - 1) A)/A^2, from
+    # c = beta0/A: no power of A is formed, so no A overflows or underflows them.
+    c = beta0 / A
+    return c * ((n - 1.0) - 2.0 * n / A), 2.0 * c * (3.0 * n / A - (n - 1.0))
 
 
 def equilibria(params: ModelParameters) -> EquilibriumReport:
@@ -259,15 +228,27 @@ class TaylorCoefficients(NamedTuple):
 def taylor_coefficients(
     params: ModelParameters, report: EquilibriumReport
 ) -> TaylorCoefficients:
-    """B_1..B_3 at the positive equilibrium of `report`."""
+    """B_1..B_3 at the positive equilibrium of `report`.
+
+    B1 = beta0 (n - (n - 1) A)/A^2 holds for every x with A(x) = 1 + x^n,
+    so the higher coefficients follow by the chain rule in A:
+
+        B2 = dB1/dA A',   B3 = d2B1/dA2 A'^2 + dB1/dA A'',
+
+    with A' = n (A - 1)/x2 and A'' = (n - 1) A'/x2 at x2, and B1 is
+    ``report.B1_at_x2``.  They are evaluated as B2 = (A dB1/dA) (A'/A) and
+    B3 = ((A^2 d2B1/dA2) (A'/A) + (A dB1/dA) (n - 1)/x2) (A'/A), so no
+    power of A is formed.
+    """
     if report.x2 is None:
         raise NoPositiveEquilibriumError(
             f"no positive equilibrium: A = {report.A} <= 1"
         )
-    x2 = report.x2
-    b0, d1, d2, d3 = beta_derivatives(x2, params, max_order=3)
+    x2, A, n = report.x2, report.A, params.n
+    g1, g2 = _b1_slopes(params.beta0, n, A)
+    e = n * (A - 1.0) / A / x2  # A'/A
     return TaylorCoefficients(
-        b1=d1 * x2 + b0,
-        b2=d2 * x2 + 2.0 * d1,
-        b3=d3 * x2 + 3.0 * d2,
+        b1=report.B1_at_x2,
+        b2=g1 * e,
+        b3=(g2 * e + g1 * (n - 1.0) / x2) * e,
     )

@@ -588,6 +588,26 @@ def test_overflowing_B1_is_refused_by_name(tmp_path, capsys, command, err):
     assert captured.err == f"error: {err}\n"
 
 
+# A = beta0 = 1e80 .. 1e150: the Taylor data at x2 form no power of A
+LARGE_BETA0_CONFIG = "n = 12\ndelta = 0.5\nk = 1.5\nr = 0.3\nbeta0 = {}\n"
+
+
+@pytest.mark.parametrize("beta0", ["1e80", "1e110", "1e150"])
+def test_large_beta0_normal_form_and_scaling_do_not_overflow(tmp_path, capsys, beta0):
+    path = tmp_path / "large.cfg"
+    path.write_text(LARGE_BETA0_CONFIG.format(beta0))
+    # l1 is tiny here and falls under the absolute L1_DEGENERATE_TOL
+    assert cli.main(["normal-form", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("criticality: degenerate\n")
+    assert captured.err == ""
+    assert cli.main(["scaling", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "numerical failure: the Hopf point is degenerate (l1 = ")
+
+
 def test_flag_overrides_require_single_parameterization(config_path, capsys):
     code = cli.main(["equilibria", config_path, "--gamma", "1.4", "--k", "1.2"])
     assert code == 2

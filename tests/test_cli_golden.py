@@ -86,10 +86,10 @@ g20 = -34.5278448378 +9.53439617681i
 g11 = 1.04588971865 -5.18026644008i
 g02 = 28.1239926291 +22.1837286811i
 g21 = -31.6258705711 -30.2007969743i
-w20(0)  = -0.227043372911 -0.374494572101i   closed form -0.227043372911 -0.374494572101i   |diff| = 3.195e-15
-w20(-r) = -1.73278713826 -2.28326758144i   closed form -1.73278713826 -2.28326758144i   |diff| = 5.063e-15
-w11(0)  = 0.063893237095 +0i   closed form 0.063893237095 +0i   |diff| = 9.021e-16
-w11(-r) = 0.421073984561 +0i   closed form 0.421073984561 +0i   |diff| = 8.882e-16
+w20(0)  = -0.227043372911 -0.374494572101i   closed form -0.227043372911 -0.374494572101i   |diff| = 7.466e-15
+w20(-r) = -1.73278713826 -2.28326758144i   closed form -1.73278713826 -2.28326758144i   |diff| = 2.220e-15
+w11(0)  = 0.063893237095 +0i   closed form 0.063893237095 +0i   |diff| = 4.441e-16
+w11(-r) = 0.421073984561 +0i   closed form 0.421073984561 +0i   |diff| = 4.441e-16
 c  = -0.483979331644 +0.48450517448i
 c1 = 1.97539767035
 l1 = -43.7106330483   s = -1
@@ -109,10 +109,10 @@ g20 = -34.5278844019 +9.53439462512i
 g11 = 1.045887991 -5.1802643631i
 g02 = 28.1240404625 +22.1837289517i
 g21 = -31.6262442064 -30.2008293225i
-w20(0)  = -0.227042628148 -0.37449390403i   closed form -0.227042628148 -0.37449390403i   |diff| = 3.853e-15
-w20(-r) = -1.73278181593 -2.28326433471i   closed form -1.73278181593 -2.28326433471i   |diff| = 9.930e-16
-w11(0)  = 0.0638930031385 -2.61452460346e-15i   closed form 0.0638930031385 -1.57341559549e-15i   |diff| = 1.041e-15
-w11(-r) = 0.421072503663 -2.17043539361e-15i   closed form 0.421072503663 -1.30616361108e-15i   |diff| = 8.643e-16
+w20(0)  = -0.227042628148 -0.37449390403i   closed form -0.227042628148 -0.37449390403i   |diff| = 7.814e-15
+w20(-r) = -1.73278181593 -2.28326433471i   closed form -1.73278181593 -2.28326433471i   |diff| = 6.280e-15
+w11(0)  = 0.0638930031385 -1.30726230173e-15i   closed form 0.0638930031385 -3.14683119097e-15i   |diff| = 1.844e-15
+w11(-r) = 0.421072503663 -1.0852176968e-15i   closed form 0.421072503663 -2.61232722215e-15i   |diff| = 1.527e-15
 c  = -0.483979988094 +0.484504929511i
 c1 = 1.97539869539
 l1 = -43.710708181   s = -1

@@ -206,6 +206,25 @@ def test_cycle_period_near_onset_matches_linear_theory(ref_params, ref_hopf):
     assert abs(metrics.period - 2.0 * math.pi / root.imag) < 0.05 * metrics.period
 
 
+@pytest.mark.parametrize("r, t_end, period", [
+    (0.43, 2000.0, 11.53986),
+    (0.443, 3000.0, 29.4392),
+])
+def test_cycle_with_several_maxima_per_period(ref_params, r, t_end, period):
+    # the tail's maxima alternate tall and short (1.4243 / 0.7215 at r = 0.43),
+    # so their full spread is wide, but every other one repeats; the periods
+    # are those of a Fourier harmonic-balance solution of the cycle
+    traj = ddesim.integrate(ref_params.with_r(r), ddesim.default_history(r), t_end)
+    metrics = ddesim.orbit_metrics(traj, 0.5)
+    assert metrics.kind == ddesim.KIND_CYCLE
+    assert abs(metrics.period - period) < 1e-5 * period
+    start = len(traj.t) // 2
+    (_, max_h), _ = ddesim._hermite_extrema(traj.t[start:], traj.x[start:],
+                                            traj.dx[start:], traj.step)
+    assert (max(max_h) - min(max_h)) / metrics.amplitude > ddesim.CYCLE_SPREAD_TOL
+    assert abs(max_h[0] - max_h[2]) < abs(max_h[0] - max_h[1])
+
+
 def test_hermite_extrema_of_an_analytic_trajectory(ref_params):
     # x = cos(w t) with its exact derivative; the extrema sit at k pi / w
     w, h = 1.7, 0.01

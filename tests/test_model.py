@@ -5,11 +5,7 @@ import pytest
 
 import refvals as rv
 from hemohopf import model
-from hemohopf.errors import (
-    DomainError,
-    NoPositiveEquilibriumError,
-    ParameterError,
-)
+from hemohopf.errors import NoPositiveEquilibriumError, ParameterError
 
 
 def ref_model_params():
@@ -98,62 +94,6 @@ def test_with_r_rederives_k():
     q = p.with_r(0.2)
     assert q.k == model.derive_k(p.gamma, 0.2)
     assert q.gamma == p.gamma
-
-
-# --------------------------------------------------------- beta derivatives
-
-
-def test_beta_at_zero():
-    p = ref_model_params()
-    vals = model.beta_derivatives(0.0, p, max_order=1)
-    assert vals[0] == rv.BETA0
-    assert vals[1] == 0.0
-
-
-def test_beta_stationarity_identity():
-    # beta(x2) = delta / (k - 1) at the positive equilibrium
-    p = ref_model_params()
-    report = model.equilibria(p)
-    b = model.beta_derivatives(report.x2, p, max_order=0)[0]
-    target = p.delta / (p.k - 1.0)
-    assert abs(b - target) < 1e-12 * target
-
-
-def test_beta_derivatives_match_finite_differences():
-    p = ref_model_params()
-    x = model.equilibria(p).x2
-    d = model.beta_derivatives(x, p, max_order=3)
-
-    h = 1e-5
-    fd1 = (beta_fn(x + h) - beta_fn(x - h)) / (2.0 * h)
-    assert abs(fd1 - d[1]) < 1e-5 * abs(d[1])
-
-    h = 1e-4
-    fd2 = (beta_fn(x + h) - 2.0 * beta_fn(x) + beta_fn(x - h)) / h**2
-    assert abs(fd2 - d[2]) < 1e-5 * abs(d[2])
-
-    h = 1e-3  # fourth-order stencil keeps roundoff and truncation tiny
-    fd3 = (
-        beta_fn(x - 3 * h)
-        - 8.0 * beta_fn(x - 2 * h)
-        + 13.0 * beta_fn(x - h)
-        - 13.0 * beta_fn(x + h)
-        + 8.0 * beta_fn(x + 2 * h)
-        - beta_fn(x + 3 * h)
-    ) / (8.0 * h**3)
-    assert abs(fd3 - d[3]) < 1e-5 * abs(d[3])
-
-
-def test_beta_unsupported_order():
-    p = ref_model_params()
-    with pytest.raises(DomainError):
-        model.beta_derivatives(1.0, p, max_order=4)
-
-
-def test_beta_negative_x_rejected():
-    p = ref_model_params()
-    with pytest.raises(ParameterError):
-        model.beta_derivatives(-0.5, p)
 
 
 # ---------------------------------------------------------------- equilibria
@@ -286,14 +226,14 @@ def test_taylor_requires_positive_equilibrium():
 # ----------------------------------------------------- randomized properties
 
 
-def draw_valid_params(rng):
+def draw_valid_params(rng, n_range=(2.0, 15.0)):
     """Random parameters with an existing positive equilibrium."""
     while True:
         beta0 = rng.uniform(0.5, 5.0)
         delta = rng.uniform(0.01, 0.5)
         if delta >= beta0:
             continue
-        n = rng.uniform(2.0, 15.0)
+        n = rng.uniform(*n_range)
         gamma = rng.uniform(0.3, 3.0)
         r_max = -math.log(0.5 * (1.0 + delta / beta0)) / gamma
         if r_max <= 0.0:
@@ -313,23 +253,43 @@ def test_stationarity_residual_on_random_sweep():
         assert abs(residual) < 1e-12
 
 
-def test_b1_closed_form_on_random_sweep():
-    rng = np.random.default_rng(42)
-    for _ in range(100):
-        p = draw_valid_params(rng)
+def _taylor_oracle(p, A, order):
+    # derivatives 0..order of beta0 x/(1 + x^n) at x2 = (A - 1)^(1/n), 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        beta0, n = mpmath.mpf(p.beta0), mpmath.mpf(p.n)
+        x2 = (mpmath.mpf(A) - 1) ** (1 / n)
+        return x2, list(mpmath.diffs(lambda x: beta0 * x / (1 + x**n), x2, order))
+
+
+@pytest.mark.parametrize("beta0, delta", [
+    (1e150, 0.5), (2e130, 1e-20), (1e-100, 1e-250),
+])
+def test_taylor_closed_forms_at_extreme_scales(beta0, delta):
+    # A = 1e150 or 5e149: the terms neither overflow nor underflow
+    p = model.ModelParameters.from_k(beta0, 12.0, delta, 1.5, 0.3)
+    report = model.equilibria(p)
+    tc = model.taylor_coefficients(p, report)
+    _, exact = _taylor_oracle(p, report.A, 3)
+    for m in (1, 2, 3):
+        assert abs(tc[m] - exact[m]) <= 1e-13 * abs(exact[m])
+
+
+def test_taylor_closed_forms_match_a_40_digit_oracle():
+    # B_m is the m-th derivative of beta0 x/(1 + x^n) at x2 = (A - 1)^(1/n),
+    # x2 taken exactly from the float A.  The bound is 1e-12 relative plus
+    # the change of B_m under 2 ulps of A, |A dB_m/dA| 2 eps with
+    # dB_m/dA = B_{m+1}/A'(x2): near a zero of B_m (B3 = 0 lies inside the
+    # draws) no evaluation from a rounded A holds a purely relative bound.
+    eps = 2.0**-52
+    rng = np.random.default_rng(3)
+    for _ in range(1500):
+        p = draw_valid_params(rng, n_range=(1.05, 20.0))
         report = model.equilibria(p)
-        b0, b1 = model.beta_derivatives(report.x2, p, max_order=1)[:2]
-        direct = b1 * report.x2 + b0
-        assert abs(direct - report.B1_at_x2) < 1e-9 * max(1.0, abs(direct))
-
-
-def test_beta_third_derivative_at_zero_quadratic_hill():
-    # for n = 2 the third derivative at 0 exists and vanishes (the
-    # diverging power carries a zero coefficient)
-    p = model.ModelParameters.from_gamma(1.77, 2.0, 0.05, 1.0, 0.3)
-    vals = model.beta_derivatives(0.0, p, max_order=3)
-    assert vals[3] == 0.0
-    # fractional exponents below the order genuinely diverge there
-    p = model.ModelParameters.from_gamma(1.77, 2.5, 0.05, 1.0, 0.3)
-    with pytest.raises(DomainError):
-        model.beta_derivatives(0.0, p, max_order=3)
+        tc = model.taylor_coefficients(p, report)
+        x2, exact = _taylor_oracle(p, report.A, 4)
+        a_slope = p.n * x2 ** (p.n - 1)
+        for m in (1, 2, 3):
+            a_ulps = 2 * eps * abs(report.A * exact[m + 1] / a_slope)
+            bound = 1e-12 * abs(exact[m]) + a_ulps
+            assert abs(tc[m] - exact[m]) <= bound, (p, m, tc[m], exact[m])
