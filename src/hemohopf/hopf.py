@@ -43,6 +43,8 @@ from .errors import (
     ResonanceError,
 )
 from .linstab import (
+    BOUNDARY_TOL,
+    ROOT_RESIDUAL_TOL,
     CharacteristicTriple,
     _crossing,
     _pq_at_delay,
@@ -81,11 +83,6 @@ SUPERCRITICAL = "supercritical"
 SUBCRITICAL = "subcritical"
 DEGENERATE = "degenerate"
 
-#: |l1| below this is reported as a degenerate bifurcation.
-L1_DEGENERATE_TOL = 1e-9
-
-_RESIDUAL_TOL = 1e-10
-
 # Largest |g| that `find_hopf_r` accepts at the located root.
 _G_ROOT_TOL = 1e-11
 # g is a difference of two angles in [0, pi]: its rounding level.
@@ -106,26 +103,22 @@ class _HopfPointFields(NamedTuple):
 class HopfPoint(_HopfPointFields):
     """A located Hopf bifurcation point of the positive equilibrium.
 
-    Self-validating: construction checks that +-i omega* solves the
-    characteristic equation and that the frontier relations hold.
+    Self-validating: construction checks that (omega*, r*) is the crossing
+    `linstab._crossing` gives for (p*, q*), to ``ROOT_RESIDUAL_TOL`` relative,
+    so that +-i omega* is a characteristic root; no check depends on the time unit.
     """
 
     __slots__ = ()
 
     def __new__(cls, r_star, omega_star, p_star, q_star, params, x2_star):
-        p, q, w, r = p_star, q_star, omega_star, r_star
-        res = abs(1j * w + p - q * cmath.exp(-1j * w * r))
-        if res >= _RESIDUAL_TOL:
-            raise NumericsError(
-                f"i*omega is not a characteristic root: residual {res}"
-            )
-        if abs(q) <= abs(p):
-            raise NumericsError(f"frontier needs |q| > |p|, got p={p}, q={q}")
-        if abs(w - math.sqrt(q * q - p * p)) >= _RESIDUAL_TOL:
-            raise NumericsError("omega* != sqrt(q^2 - p^2)")
-        if abs(r - math.acos(p / q) / w) >= _RESIDUAL_TOL:
-            raise NumericsError("r* != arccos(p/q) / omega*")
-        if abs(params.r - r) > 1e-12 * max(1.0, abs(r)):
+        omega, r0 = _crossing(p_star, q_star)
+        if r0 == math.inf:
+            raise NumericsError(f"no root crosses at p={p_star}, q={q_star} (p >= -q)")
+        if not abs(omega_star - omega) <= ROOT_RESIDUAL_TOL * omega:
+            raise NumericsError(f"omega* = {omega_star!r} != sqrt(q^2 - p^2) = {omega!r}")
+        if not abs(r_star - r0) <= ROOT_RESIDUAL_TOL * r0:
+            raise NumericsError(f"r* = {r_star!r} != arccos(p/q) / omega* = {r0!r}")
+        if not abs(params.r - r_star) <= 1e-12 * r_star:
             raise NumericsError("params delay inconsistent with r_star")
         return super().__new__(cls, r_star, omega_star, p_star, q_star, params, x2_star)
 
@@ -365,19 +358,20 @@ def w_boundary_values(
     The first equation gives w(0) in terms of w(-r); put into the second,
     it leaves w(-r) times E^2 Delta(2 i w) = (2 i w + p) E^2 - q, and
     Delta(0) = p - q.  Each vanishes exactly when 2 i w (respectively 0) is
-    itself a characteristic root; that resonance is reported as an error.
+    itself a characteristic root; within 1e-12 of the sizes of its terms,
+    |2 i w + p| + |q| or |p| + |q|, that resonance is reported as an error.
     """
     p, q = hp.p_star, hp.q_star
     w, r = hp.omega_star, hp.r_star
     e = cmath.exp(1j * w * r)
     lam2 = 2j * w + p
     delta_2iw = lam2 * e * e - q
-    if abs(delta_2iw) < 1e-12:
+    if abs(delta_2iw) <= 1e-12 * (abs(lam2) + abs(q)):
         raise ResonanceError(
             "w20 system singular: 2 i omega* collides with a characteristic root"
         )
     delta_0 = p - q
-    if abs(delta_0) < 1e-12:
+    if abs(delta_0) <= 1e-12 * (abs(p) + abs(q)):
         raise ResonanceError(
             "w11 system singular: 0 collides with a characteristic root (p = q)"
         )
@@ -443,8 +437,9 @@ def lyapunov_l1(g20: complex, g11: complex, g21: complex, omega_star: float) -> 
     return (1j * g20 * g11 + omega_star * g21).real / (2.0 * omega_star**2)
 
 
-def _criticality(l1: float) -> str:
-    if abs(l1) < L1_DEGENERATE_TOL:
+def _criticality(l1: float, scale: float) -> str:
+    # `scale` is the size of the terms of l1
+    if abs(l1) <= BOUNDARY_TOL * scale:
         return DEGENERATE
     return SUPERCRITICAL if l1 < 0.0 else SUBCRITICAL
 
@@ -455,7 +450,8 @@ def criticality_report(hp: HopfPoint) -> NormalFormData:
     Chains Taylor data, projection, manifold coefficients, the cubic
     coefficient g21, the first Lyapunov coefficient, and the crossing
     speed into one report.  Supercritical means l1 < 0: a stable cycle
-    exists on the side of r* where the equilibrium is unstable.
+    exists on the side of r* where the equilibrium is unstable.  Degenerate
+    means |l1| <= BOUNDARY_TOL (|g20 g11| + omega* |g21|) / (2 omega*^2).
     """
     params = hp.params
     tc = taylor_coefficients(params, equilibria(params))
@@ -465,11 +461,12 @@ def criticality_report(hp: HopfPoint) -> NormalFormData:
     w20_0, w20_mr, w11_0, w11_mr = w_boundary_values(g20, g11, g02, f20, f11, hp)
     f21 = f21_coefficient(tc, hp, w20_0, w20_mr, w11_0, w11_mr)
     g21 = psi * f21
-    l1 = lyapunov_l1(g20, g11, g21, hp.omega_star)
+    w = hp.omega_star
+    l1 = lyapunov_l1(g20, g11, g21, w)
     mu_prime, omega_prime = transversality(hp)
     w20_cf_0, w20_cf_mr, c = w20_closed_form(g20, g02, f20, hp)
     w11_cf_0, w11_cf_mr, c1 = w11_closed_form(g11, f11, hp)
-    crit = _criticality(l1)
+    crit = _criticality(l1, (abs(g20 * g11) + w * abs(g21)) / (2.0 * w * w))
     s = 0 if crit == DEGENERATE else (-1 if l1 < 0.0 else 1)
     return NormalFormData(
         psi1_zero=psi,

@@ -51,8 +51,8 @@ __all__ = [
     "rightmost_root",
 ]
 
-#: Tolerance of the boundary predicates: absolute for B1 = 0, p = 0 and
-#: A = 1, relative to r0 for r = r0.
+#: Tolerance of the boundary predicates, relative to the sizes of the terms
+#: of the quantity tested (A - 1, B1, p, r - r0, and l1 in `hopf`).
 BOUNDARY_TOL = 1e-9
 
 #: Largest relative characteristic residual `rightmost_root` certifies.
@@ -276,15 +276,17 @@ def classify_x2(params: ModelParameters) -> StabilityVerdict:
     ``omega0`` the frequency omega* of the pair that crosses at r0 (None
     when r0 = +inf).  The case label is the paper's split on B1 = B1(x2)
     and p = delta + B1: II (B1 > 0), B1_zero, I.boundary_p0 (p = 0), I.A
-    (p < 0) and I.B (p > 0).
+    (p < 0) and I.B (p > 0); B1 (as n - (n - 1) A) and p are 0 within
+    ``BOUNDARY_TOL`` of n + (n - 1) A and of delta + |B1|.
     """
     p, q, r = characteristic_triple(params)
+    n, A = params.n, params.A
     b1 = q / params.k
-    if abs(b1) <= BOUNDARY_TOL:
+    if abs(n - (n - 1.0) * A) <= BOUNDARY_TOL * (n + (n - 1.0) * A):
         case = CASE_B1_ZERO
     elif b1 > 0.0:
         case = CASE_II
-    elif abs(p) <= BOUNDARY_TOL:
+    elif abs(p) <= BOUNDARY_TOL * (params.delta + abs(b1)):
         case = CASE_P0
     else:
         case = CASE_IA if p < 0.0 else CASE_IB

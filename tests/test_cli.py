@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -596,16 +597,85 @@ LARGE_BETA0_CONFIG = "n = 12\ndelta = 0.5\nk = 1.5\nr = 0.3\nbeta0 = {}\n"
 def test_large_beta0_normal_form_and_scaling_do_not_overflow(tmp_path, capsys, beta0):
     path = tmp_path / "large.cfg"
     path.write_text(LARGE_BETA0_CONFIG.format(beta0))
-    # l1 is tiny here and falls under the absolute L1_DEGENERATE_TOL
+    # l1 is 1e-12 .. 1e-24 here, but l1 x2^2 is the same on all three: the
+    # criticality band is relative to the terms of l1, so this is no degeneracy
     assert cli.main(["normal-form", str(path)]) == 0
     captured = capsys.readouterr()
-    assert captured.out.endswith("criticality: degenerate\n")
+    assert captured.out.endswith("criticality: supercritical\n"
+                                 "  stable periodic solution for r > r*\n")
     assert captured.err == ""
+    hp = hopf.hopf_from_pqk(12.0, float(beta0), 0.5, 1.5)
+    l1 = hopf.criticality_report(hp).l1
+    assert l1 * hp.x2_star**2 == pytest.approx(-42.3477512483, rel=1e-9)
+    # explicit RK4 at rates of order beta0 blows up on the first steps
     assert cli.main(["scaling", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(
-        "numerical failure: the Hopf point is degenerate (l1 = ")
+    assert captured.err.startswith("numerical failure: state blew up at t = ")
+    assert "Traceback" not in captured.err
+
+
+# The reference k config at r = 0.36, and the gamma config at the gamma* of
+# the reference k, so that its Hopf point is the same.
+TIME_UNIT_CONFIGS = {
+    "k": {"beta0": 1.77, "n": 12.0, "delta": 0.05, "k": 1.180746972, "r": 0.36},
+    "gamma": {"beta0": 1.77, "n": 12.0, "delta": 0.05, "gamma": 1.4806659240099702,
+              "r": 0.36},
+}
+TIME_UNIT_SCALES = [1e-12, 1e-10, 1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9, 1e12]
+ANALYTIC_COMMANDS = ("equilibria", "stability", "hopf", "normal-form")
+_VERDICT_WORDS = re.compile(r"case [^,]+, \w+|absent|^criticality: \w+", re.M)
+
+
+def in_time_unit(values, s):
+    """`values` in a time unit 1/s as long: beta0, delta and gamma times s,
+    r over s; k and n are pure numbers."""
+    scale = {"beta0": s, "delta": s, "gamma": s}
+    return {key: v / s if key == "r" else v * scale.get(key, 1.0)
+            for key, v in values.items()}
+
+
+def verdict_words(out):
+    """The verdicts of a report: the case labels and statuses, whether x2
+    is absent, and the criticality."""
+    return _VERDICT_WORDS.findall(out)
+
+
+def _analytic_verdicts(tmp_path, capsys, values):
+    """{command: (exit code, verdict words)} of the analytic commands on `values`."""
+    path = tmp_path / "unit.cfg"
+    path.write_text("".join(f"{key} = {v!r}\n" for key, v in values.items()))
+    verdicts = {}
+    for command in ANALYTIC_COMMANDS:
+        code = cli.main([command, str(path)])
+        verdicts[command] = code, verdict_words(capsys.readouterr().out)
+    return verdicts
+
+
+def _time_unit_hopf(name, s):
+    v = in_time_unit(TIME_UNIT_CONFIGS[name], s)
+    if name == "k":
+        return hopf.hopf_from_pqk(v["n"], v["beta0"], v["delta"], v["k"])
+    params = model.ModelParameters.from_gamma(v["beta0"], v["n"], v["delta"],
+                                              v["gamma"], v["r"])
+    return hopf.find_hopf_r(params, (0.3 / s, 0.4 / s))
+
+
+@pytest.mark.parametrize("s", TIME_UNIT_SCALES)
+@pytest.mark.parametrize("name", sorted(TIME_UNIT_CONFIGS))
+def test_analytic_verdicts_do_not_depend_on_the_time_unit(tmp_path, capsys, name, s):
+    values = TIME_UNIT_CONFIGS[name]
+    expected = _analytic_verdicts(tmp_path, capsys, values)
+    assert expected == {
+        "equilibria": (0, []),
+        "stability": (0, ["case X1, unstable", "case I.A, unstable"]),
+        "hopf": (0, []),
+        "normal-form": (0, ["criticality: supercritical"]),
+    }
+    assert _analytic_verdicts(tmp_path, capsys, in_time_unit(values, s)) == expected
+    hp, hp_s = _time_unit_hopf(name, 1.0), _time_unit_hopf(name, s)
+    assert hp_s.r_star * s == pytest.approx(hp.r_star, rel=1e-12, abs=0.0)
+    assert hp_s.omega_star / s == pytest.approx(hp.omega_star, rel=1e-12, abs=0.0)
 
 
 def test_flag_overrides_require_single_parameterization(config_path, capsys):

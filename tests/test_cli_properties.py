@@ -7,6 +7,9 @@ directory.  No exception other than argparse's ``SystemExit(2)`` may
 escape `cli.main`, and a refusal (exit 2) or a numerical failure (exit 3)
 leaves stdout empty.  The step and grid caps are patched low so that every
 example stays fast.
+
+A second suite draws ordinary configurations only and checks that the
+analytic commands give the same exit code and verdicts in three time units.
 """
 
 import contextlib
@@ -16,7 +19,8 @@ import math
 import pytest
 
 from hemohopf import cli, ddesim
-from test_cli import OVERFLOW_CONFIGS, REF_CONFIG
+from test_cli import (ANALYTIC_COMMANDS, OVERFLOW_CONFIGS, REF_CONFIG, in_time_unit,
+                      verdict_words)
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -123,3 +127,28 @@ def test_main_exits_0_2_or_3_and_refusals_print_nothing(workdir, config, argv):
     assert code in (0, 2, 3)
     if code != 0:
         assert stdout == ""
+
+
+@st.composite
+def ordinary_configs(draw):
+    """beta0, n, delta, gamma or k, and r, each drawn from its ordinary range."""
+    keys = ["beta0", "n", "delta", draw(st.sampled_from(["gamma", "k"])), "r"]
+    return {key: draw(st.floats(*ORDINARY[key])) for key in keys}
+
+
+def _verdicts(workdir, values):
+    config = "".join(f"{key} = {v!r}\n" for key, v in values.items()).encode()
+    verdicts = {}
+    for command in ANALYTIC_COMMANDS:
+        code, stdout = _run(workdir, config, [command])
+        verdicts[command] = code, verdict_words(stdout)
+    return verdicts
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(values=ordinary_configs())
+def test_analytic_verdicts_hold_in_every_time_unit(workdir, values):
+    # rates times s and the delay over s describe the same dynamics
+    expected = _verdicts(workdir, values)
+    for s in (1e-6, 1e6):
+        assert _verdicts(workdir, in_time_unit(values, s)) == expected

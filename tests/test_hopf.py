@@ -698,10 +698,12 @@ def test_criticality_report_other_points(args):
 
 
 def test_criticality_sign_rule():
-    assert hopf._criticality(-2.0) == hopf.SUPERCRITICAL
-    assert hopf._criticality(2.0) == hopf.SUBCRITICAL
-    assert hopf._criticality(5e-10) == hopf.DEGENERATE
-    assert hopf._criticality(-5e-10) == hopf.DEGENERATE
+    # the verdict depends only on l1 relative to the size of its terms
+    for scale in (1.0, 1e-17):
+        assert hopf._criticality(-2.0 * scale, scale) == hopf.SUPERCRITICAL
+        assert hopf._criticality(2.0 * scale, scale) == hopf.SUBCRITICAL
+        assert hopf._criticality(5e-10 * scale, scale) == hopf.DEGENERATE
+        assert hopf._criticality(-5e-10 * scale, scale) == hopf.DEGENERATE
 
 
 # ------------------------------------------------ center manifold against the flow

@@ -24,6 +24,12 @@ def _ref_hopf():
     return hopf.hopf_from_pqk(rv.N, rv.BETA0, rv.DELTA, rv.K)
 
 
+def _ref_hopf_1e6():
+    # the reference point in a time unit a millionth as long: the rates
+    # times 1e6, r* over 1e6
+    return hopf.hopf_from_pqk(rv.N, rv.BETA0 * 1e6, rv.DELTA * 1e6, rv.K)
+
+
 def _ref_triple():
     return linstab.CharacteristicTriple(p=rv.P_REF, q=rv.Q_REF, r=rv.R_REF)
 
@@ -43,11 +49,20 @@ def _unchecked(record, changes):
     return tuple.__new__(type(record), values.values())
 
 
+def _omega_off(record):
+    """omega* of the Hopf point `record`, moved by 1e-9 relative."""
+    return {"omega_star": record.omega_star * (1.0 + 1e-9)}
+
+
+# changes: the bad field values, or a function of the record that gives them
 BAD_VALUES = [
     pytest.param(_ref_params, {"r": -1.0}, ParameterError, id="params-negative-r"),
     pytest.param(_ref_params, {"k": 1.5}, ParameterError, id="params-inconsistent-k"),
     pytest.param(_ref_triple, {"r": -1.0}, DomainError, id="triple-negative-r"),
     pytest.param(_ref_hopf, {"omega_star": 1.7}, NumericsError, id="hopf-wrong-omega"),
+    pytest.param(_ref_hopf, _omega_off, NumericsError, id="hopf-omega-off-1e-9"),
+    pytest.param(_ref_hopf_1e6, _omega_off, NumericsError,
+                 id="hopf-omega-off-1e-9-time-unit-1e-6"),
 ]
 
 
@@ -55,6 +70,8 @@ BAD_VALUES = [
 def test_every_route_to_a_bad_record_raises_the_constructor_error(make, changes,
                                                                   error):
     record = make()
+    if callable(changes):
+        changes = changes(record)
     values = {**record._asdict(), **changes}
     expected = _error(lambda: type(record)(**values))
     assert issubclass(expected[0], error)
@@ -71,7 +88,7 @@ def test_with_r_raises_the_constructor_error():
     assert _error(lambda: params.with_r(-1.0)) == expected
 
 
-@pytest.mark.parametrize("make", [_ref_params, _ref_triple, _ref_hopf])
+@pytest.mark.parametrize("make", [_ref_params, _ref_triple, _ref_hopf, _ref_hopf_1e6])
 def test_valid_records_survive_every_route(make):
     record = make()
     cls = type(record)
