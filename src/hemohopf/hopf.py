@@ -46,17 +46,20 @@ from .linstab import (
     BOUNDARY_TOL,
     ROOT_RESIDUAL_TOL,
     CharacteristicTriple,
+    _check_pq,
     _crossing,
     _pq_at_delay,
+    _pq_at_x2,
     bracketed_root,
-    characteristic_triple,
     g_of_r,
     omega0,
 )
 from .model import (
     ModelParameters,
     TaylorCoefficients,
+    _b1_at_x2,
     _b1_slopes,
+    _x2,
     equilibria,
     taylor_coefficients,
 )
@@ -170,14 +173,13 @@ def hopf_from_pqk(n: float, beta0: float, delta: float, k: float) -> HopfPoint:
     consistent with the result is gamma* = -ln(k/2)/r*.
     """
     # A, x2, B1, p and q depend on k but not on r, so any delay will do here
-    model_k = ModelParameters.from_k(beta0, n, delta, k, 1.0)
-    triple = characteristic_triple(model_k)
-    p, q = triple.p, triple.q
-    report = equilibria(model_k)
+    A = ModelParameters.from_k(beta0, n, delta, k, 1.0).A
+    p, q = _pq_at_x2(beta0, n, delta, k, A)
+    _check_pq(p, q)
     omega, r = _crossing(p, q)
     if q >= 0.0:
         raise NoImaginaryCrossingError(
-            f"B1 = {report.B1_at_x2} >= 0: no pure-imaginary crossing in this regime"
+            f"B1 = {_b1_at_x2(beta0, n, A)} >= 0: no pure-imaginary crossing in this regime"
         )
     if r == math.inf:
         raise NoImaginaryCrossingError(
@@ -185,7 +187,7 @@ def hopf_from_pqk(n: float, beta0: float, delta: float, k: float) -> HopfPoint:
         )
     params = ModelParameters.from_k(beta0, n, delta, k, r)
     return HopfPoint(
-        r_star=r, omega_star=omega, p_star=p, q_star=q, params=params, x2_star=report.x2
+        r_star=r, omega_star=omega, p_star=p, q_star=q, params=params, x2_star=_x2(n, A)
     )
 
 
@@ -217,10 +219,12 @@ def find_hopf_r(
     gamma is taken from `params` and held fixed.  The bracket ends must be
     finite and nonnegative, and :func:`frontier_mismatch` must change sign
     between them (it may be +inf at an end); its root is the crossing.  The
-    independent route then polishes the root of g on a bracket of relative
-    half-width 1e-9 around it, to rounding level: |g| a few ulps of pi or
-    the bracket a few ulps of r wide.  |g| < 1e-11 is guaranteed, and the
-    crossing frequency is omega0 there.
+    independent route then evaluates g there.  The root of D is accepted
+    when |g| is below a few ulps of pi, g's rounding level (98.6% of seed-1
+    frontier draws); otherwise the root of g is polished on a bracket of
+    relative half-width 1e-9 around it, to that level or to a bracket a few
+    ulps of r wide.  |g| < 1e-11 is guaranteed, and the crossing frequency
+    is omega0 there.
     """
     if not all(math.isfinite(end) and end >= 0.0 for end in bracket):
         raise BracketError(f"bracket ends must be finite and nonnegative, got {bracket}")
@@ -234,15 +238,18 @@ def find_hopf_r(
     # near the root, D = r* - r cancels two delays below the upper end: its rounding level
     r0 = bracketed_root(lambda rr: frontier_mismatch(rr, params), a, b,
                         f_tol=4.0 * math.ulp(max(bracket)), fa=da, fb=db)
-    r = bracketed_root(lambda rr: g_of_r(rr, params), r0 * (1.0 - _G_BRACKET),
-                       r0 * (1.0 + _G_BRACKET), f_tol=_G_ROUNDING)
+    r = r0
+    # the polish's own stopping test: where it holds, r0 is a root of g to rounding
+    if not abs(g_of_r(r0, params)) < _G_ROUNDING:
+        r = bracketed_root(lambda rr: g_of_r(rr, params), r0 * (1.0 - _G_BRACKET),
+                           r0 * (1.0 + _G_BRACKET), f_tol=_G_ROUNDING)
+    p, q = _pq_at_delay(r, params)
+    w = omega0(CharacteristicTriple(p=p, q=q, r=r))
     local = params.with_r(r)
-    triple = characteristic_triple(local)
-    w = omega0(triple)
     # HopfPoint checks first: a sign change of g that is no crossing fails there
-    hp = HopfPoint(r_star=r, omega_star=w, p_star=triple.p, q_star=triple.q,
-                   params=local, x2_star=equilibria(local).x2)
-    g = w * r - math.acos(triple.p / triple.q)
+    hp = HopfPoint(r_star=r, omega_star=w, p_star=p, q_star=q,
+                   params=local, x2_star=_x2(params.n, local.A))
+    g = w * r - math.acos(p / q)
     if not abs(g) < _G_ROOT_TOL:
         raise ConvergenceError(
             f"boundary root polished only to |g| = {abs(g):.3e} >= {_G_ROOT_TOL:g}",

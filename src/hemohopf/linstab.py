@@ -279,8 +279,9 @@ def classify_x2(params: ModelParameters) -> StabilityVerdict:
     (p < 0) and I.B (p > 0); B1 (as n - (n - 1) A) and p are 0 within
     ``BOUNDARY_TOL`` of n + (n - 1) A and of delta + |B1|.
     """
-    p, q, r = characteristic_triple(params)
-    n, A = params.n, params.A
+    n, A, r = params.n, params.A, params.r
+    p, q = _pq_at_x2(params.beta0, n, params.delta, params.k, A)
+    _check_pq(p, q)
     b1 = q / params.k
     if abs(n - (n - 1.0) * A) <= BOUNDARY_TOL * (n + (n - 1.0) * A):
         case = CASE_B1_ZERO

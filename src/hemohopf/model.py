@@ -131,9 +131,21 @@ class ModelParameters(_ModelParameterFields):
         return cls(beta0, n, delta, gamma_from_k(k, r), r, k)
 
     def with_r(self, r: float) -> "ModelParameters":
-        """Same physical parameters at a different delay (k rederived)."""
-        return type(self)(self.beta0, self.n, self.delta, self.gamma, r,
-                          derive_k(self.gamma, r))
+        """Same physical parameters at a different delay (k rederived).
+
+        Checks only what changes, in the constructor's order and with its
+        errors: the delay (`derive_k` refuses a negative or non-finite r,
+        then an r that is neither int nor float is refused) and the new
+        A = beta0 (k - 1)/delta.  beta0, n, delta and gamma passed the
+        constructor's checks when `self` was built, as every instance does,
+        and k = 2 exp(-gamma r) is consistent by construction.
+        """
+        k = derive_k(self.gamma, r)
+        if not isinstance(r, (int, float)):  # e.g. numpy.float32
+            raise ParameterError(f"r must be a finite number, got {r!r}")
+        _checked_A(self.beta0, self.delta, k)
+        return super().__new__(type(self), self.beta0, self.n, self.delta,
+                               self.gamma, r, k)
 
     @property
     def A(self) -> float:
@@ -176,6 +188,11 @@ def _b1_slopes(beta0: float, n: float, A: float):
     return c * ((n - 1.0) - 2.0 * n / A), 2.0 * c * (3.0 * n / A - (n - 1.0))
 
 
+def _x2(n: float, A: float) -> float:
+    # The positive equilibrium x2 = (A - 1)^(1/n), for A > 1.
+    return (A - 1.0) ** (1.0 / n)
+
+
 def equilibria(params: ModelParameters) -> EquilibriumReport:
     """Equilibrium report for validated parameters.
 
@@ -188,7 +205,7 @@ def equilibria(params: ModelParameters) -> EquilibriumReport:
     beta0, n, delta, gamma = params.beta0, params.n, params.delta, params.gamma
     A = params.A
     if A > 1.0:
-        x2 = (A - 1.0) ** (1.0 / n)
+        x2 = _x2(n, A)
         b1_x2 = _b1_at_x2(beta0, n, A)
         if not math.isfinite(b1_x2):
             raise ParameterError(

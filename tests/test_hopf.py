@@ -191,10 +191,8 @@ def test_find_hopf_r_evaluates_g_fewer_times(ref_params, monkeypatch):
 
     monkeypatch.setattr(hopf, "g_of_r", counted)
     hp = hopf.find_hopf_r(ref_params, (0.30, 0.40))
-    # 12 evaluations when the root was polished only to |g| < 1e-11 and the
-    # bracket ends were evaluated twice; 3 of these probe the bracket ends
-    assert len(calls) <= 11
-    assert len(set(calls)) == len(calls)
+    # the root of D is a root of g to rounding here, so g is evaluated there only
+    assert calls == [hp.r_star]
     assert abs(linstab.g_of_r(hp.r_star, ref_params)) < 1e-14
 
 
@@ -286,6 +284,33 @@ def test_find_hopf_r_polishes_g_without_bisection(draw, monkeypatch):
     monkeypatch.setattr(hopf, "g_of_r", counted)
     hp2 = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
     assert len(calls) <= 6
+    assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
+
+
+#: Seed-1 frontier draws where |g| at the root of D is not below g's rounding
+#: level, so the root of g is polished on the +-1e-9 bracket
+POLISH_NEEDED_DRAWS = [
+    (19.786852974908587, 1.5525339685756683, 0.043511872371759255, 1.1673834374613317),
+    (18.33043595299339, 2.1556712645860894, 0.1093178845353198, 1.239150256485174),
+    (7.678254232659764, 2.8144644740232496, 0.2592214757180992, 1.1332532915119207),
+    (7.71092679131033, 0.8427203748511198, 0.1140017341521307, 1.1741510795526624),
+]
+
+
+@pytest.mark.parametrize("draw", POLISH_NEEDED_DRAWS)
+def test_find_hopf_r_polishes_g_off_its_rounding_level(draw, monkeypatch):
+    calls = []
+
+    def counted(r, params):
+        calls.append(r)
+        return linstab.g_of_r(r, params)
+
+    hp = hopf.hopf_from_pqk(*draw)
+    monkeypatch.setattr(hopf, "g_of_r", counted)
+    hp2 = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
+    assert not abs(linstab.g_of_r(calls[0], hp.params)) < hopf._G_ROUNDING
+    assert len(calls) > 1
+    assert abs(linstab.g_of_r(hp2.r_star, hp.params)) < 1e-11
     assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
 
 

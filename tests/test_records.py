@@ -14,6 +14,7 @@ import pytest
 import refvals as rv
 from hemohopf import hopf, linstab, model
 from hemohopf.errors import DomainError, NumericsError, ParameterError
+from test_hopf import MOVED_DELAY_CONFIGS, moved_delay_outcome, moved_delays
 
 
 def _ref_params():
@@ -86,6 +87,33 @@ def test_with_r_raises_the_constructor_error():
     expected = _error(lambda: model.ModelParameters(**{**params._asdict(), "r": -1.0}))
     assert expected[0] is ParameterError
     assert _error(lambda: params.with_r(-1.0)) == expected
+
+
+def _with_r(r, params):
+    return params.with_r(r)
+
+
+def _from_gamma(r, params):
+    return model.ModelParameters.from_gamma(params.beta0, params.n, params.delta,
+                                            params.gamma, r)
+
+
+@pytest.mark.parametrize("name", MOVED_DELAY_CONFIGS)
+def test_with_r_is_the_constructor_on_the_moved_delay_grid(name):
+    # with_r checks only the delay and the new A: every other field passed
+    # the constructor when `params` was built; A overflows on the
+    # near-float-limit config's short delays
+    params = MOVED_DELAY_CONFIGS[name]
+    refusals = []
+    for r in moved_delays(params):
+        outcome = moved_delay_outcome(_with_r, r, params)
+        assert outcome == moved_delay_outcome(_from_gamma, r, params), r
+        if isinstance(outcome, tuple):
+            refusals.append(outcome[1])
+    # the grid reaches a negative delay, a non-finite one and one of the wrong type
+    for start in ("delay r must be nonnegative", "non-finite inputs",
+                  "r must be a finite number"):
+        assert any(message.startswith(start) for message in refusals), start
 
 
 @pytest.mark.parametrize("make", [_ref_params, _ref_triple, _ref_hopf, _ref_hopf_1e6])
