@@ -368,4 +368,4 @@ def write_trajectory_csv(traj: Trajectory, path, stride: int = 1) -> None:
     ts, xs = traj.t[::stride].tolist(), traj.x[::stride].tolist()
     with open(path, "w", newline="\n") as fh:
         fh.write("t,x\n")
-        fh.writelines(f"{t:.17g},{x:.17g}\n" for t, x in zip(ts, xs))
+        fh.writelines(map("%.17g,%.17g\n".__mod__, zip(ts, xs)))

@@ -30,6 +30,7 @@ forms, with c and c1, are kept as a cross-check).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import NamedTuple, Tuple
 
@@ -46,10 +47,11 @@ from .linstab import (
     BOUNDARY_TOL,
     ROOT_RESIDUAL_TOL,
     CharacteristicTriple,
-    _check_pq,
+    _boundary_terms,
     _crossing,
     _pq_at_delay,
     _pq_at_x2,
+    _pq_kernel,
     bracketed_root,
     g_of_r,
     omega0,
@@ -59,9 +61,11 @@ from .model import (
     TaylorCoefficients,
     _b1_at_x2,
     _b1_slopes,
+    _check_delay,
+    _check_fields,
+    _taylor_at,
     _x2,
-    equilibria,
-    taylor_coefficients,
+    gamma_from_k,
 )
 
 __all__ = [
@@ -170,12 +174,13 @@ def hopf_from_pqk(n: float, beta0: float, delta: float, k: float) -> HopfPoint:
 
     Takes (p, q) at x2 from the model and applies the frontier relations
     omega* = sqrt(q^2 - p^2), r* = arccos(p/q)/omega*.  The loss rate
-    consistent with the result is gamma* = -ln(k/2)/r*.
+    consistent with the result is gamma* = -ln(k/2)/r*.  The inputs are
+    checked once, as ``ModelParameters.from_k(beta0, n, delta, k, 1.0)``
+    checks them, before the regime errors; the record is built at r* only.
     """
     # A, x2, B1, p and q depend on k but not on r, so any delay will do here
-    A = ModelParameters.from_k(beta0, n, delta, k, 1.0).A
+    A = _check_fields(beta0, n, delta, gamma_from_k(k, 1.0), 1.0, k)
     p, q = _pq_at_x2(beta0, n, delta, k, A)
-    _check_pq(p, q)
     omega, r = _crossing(p, q)
     if q >= 0.0:
         raise NoImaginaryCrossingError(
@@ -185,27 +190,33 @@ def hopf_from_pqk(n: float, beta0: float, delta: float, k: float) -> HopfPoint:
         raise NoImaginaryCrossingError(
             f"|q| = {abs(q)} <= |p| = {abs(p)}: no pure-imaginary crossing"
         )
-    params = ModelParameters.from_k(beta0, n, delta, k, r)
-    return HopfPoint(
-        r_star=r, omega_star=omega, p_star=p, q_star=q, params=params, x2_star=_x2(n, A)
-    )
+    # only the delay is new at r*: gamma_from_k refuses it unless finite and
+    # positive, as from_k would, and 2 exp(-gamma* r*) then returns k to rounding
+    params = ModelParameters._unchecked(beta0, n, delta, gamma_from_k(k, r), r, k)
+    return HopfPoint(r, omega, p, q, params, _x2(n, A))
 
 
 def frontier_mismatch(r: float, params: ModelParameters) -> float:
     """D(r) = r0(k(r)) - r, the delay mismatch from the frontier at fixed gamma.
 
-    gamma is taken from `params`; (p, q) at the delay r >= 0 is formed
-    straight from (beta0, n, delta, gamma) by `linstab._pq_at_delay`, and
-    r0 = arccos(p/q) / sqrt(q^2 - p^2) is the crossing delay of
-    :func:`hopf_from_pqk`.  D is +inf where x2 is absent and where no root
-    crosses (p >= -q), so x2 is stable exactly where D > 0 (Cooke &
-    Grossman, J. Math. Anal. Appl. 86 (1982) 592) and the zeros of D are
-    exactly the n = 0 crossings; unlike g it does not vanish where p does.
-    A negative or non-finite r and a non-finite A raise `ParameterError`,
-    a non-finite p or q `DomainError`.
+    gamma is taken from `params`; r is checked as `params.with_r(r)` checks
+    it, then (p, q) at r is formed from (beta0, n, delta, gamma) by
+    `linstab._pq_kernel`, and r0 = arccos(p/q) / sqrt(q^2 - p^2) is the
+    crossing delay of :func:`hopf_from_pqk`.  D is +inf where x2 is absent
+    and where no root crosses (p >= -q), so x2 is stable exactly where D > 0
+    (Cooke & Grossman, J. Math. Anal. Appl. 86 (1982) 592) and the zeros of
+    D are exactly the n = 0 crossings; unlike g it does not vanish where p
+    does.  A negative or non-finite r, one neither int nor float, and a
+    non-finite A raise `ParameterError`, a non-finite p or q `DomainError`.
     """
+    _check_delay(params.gamma, r)
+    return _mismatch(params.beta0, params.n, params.delta, params.gamma, r)
+
+
+def _mismatch(beta0, n, delta, gamma, r):
+    # D at a checked delay, from floats: the kernel `find_hopf_r` iterates
     try:
-        p, q = _pq_at_delay(r, params)
+        p, q = _pq_kernel(beta0, n, delta, gamma, r)
     except NoPositiveEquilibriumError:
         return math.inf
     return _crossing(p, q)[1] - r
@@ -217,14 +228,15 @@ def find_hopf_r(
     """Locate the Hopf delay at fixed gamma inside `bracket`.
 
     gamma is taken from `params` and held fixed.  The bracket ends must be
-    finite and nonnegative, and :func:`frontier_mismatch` must change sign
-    between them (it may be +inf at an end); its root is the crossing.  The
-    independent route then evaluates g there.  The root of D is accepted
-    when |g| is below a few ulps of pi, g's rounding level (98.6% of seed-1
-    frontier draws); otherwise the root of g is polished on a bracket of
-    relative half-width 1e-9 around it, to that level or to a bracket a few
-    ulps of r wide.  |g| < 1e-11 is guaranteed, and the crossing frequency
-    is omega0 there.
+    finite and nonnegative, pass :func:`frontier_mismatch`'s checks of a
+    delay, and D must change sign between them (it may be +inf at an end);
+    the Illinois iteration then runs D on floats, unchecked, and its root is
+    the crossing.  The independent route evaluates g there once.  The root
+    of D is accepted when |g| is below a few ulps of pi, g's rounding level
+    (98.6% of seed-1 frontier draws), with omega0's T^{-1}(-p r)/r from that
+    evaluation; otherwise the root of g is polished on a bracket of relative
+    half-width 1e-9 around it, to that level or to a bracket a few ulps of r
+    wide, and omega* is omega0 there.  |g| < 1e-11 is guaranteed either way.
     """
     if not all(math.isfinite(end) and end >= 0.0 for end in bracket):
         raise BracketError(f"bracket ends must be finite and nonnegative, got {bracket}")
@@ -235,20 +247,21 @@ def find_hopf_r(
             f"no sign change on bracket ({a}, {b}) of the frontier mismatch D: "
             f"D(a) = {da}, D(b) = {db} (inf means no crossing at that end)"
         )
+    mismatch = functools.partial(_mismatch, params.beta0, params.n, params.delta, params.gamma)
     # near the root, D = r* - r cancels two delays below the upper end: its rounding level
-    r0 = bracketed_root(lambda rr: frontier_mismatch(rr, params), a, b,
-                        f_tol=4.0 * math.ulp(max(bracket)), fa=da, fb=db)
-    r = r0
-    # the polish's own stopping test: where it holds, r0 is a root of g to rounding
-    if not abs(g_of_r(r0, params)) < _G_ROUNDING:
-        r = bracketed_root(lambda rr: g_of_r(rr, params), r0 * (1.0 - _G_BRACKET),
-                           r0 * (1.0 + _G_BRACKET), f_tol=_G_ROUNDING)
-    p, q = _pq_at_delay(r, params)
-    w = omega0(CharacteristicTriple(p=p, q=q, r=r))
+    r = bracketed_root(mismatch, a, b, f_tol=4.0 * math.ulp(max(bracket)), fa=da, fb=db)
+    g, p, q, y = _boundary_terms(r, params)
+    # the polish's own stopping test: where it holds, r is a root of g to rounding
+    if abs(g) < _G_ROUNDING:
+        w = y / r  # omega0's T^{-1}(-p r) / r, from the solve g made
+    else:
+        r = bracketed_root(lambda rr: g_of_r(rr, params), r * (1.0 - _G_BRACKET),
+                           r * (1.0 + _G_BRACKET), f_tol=_G_ROUNDING)
+        p, q = _pq_at_delay(r, params)
+        w = omega0(CharacteristicTriple(p=p, q=q, r=r))
     local = params.with_r(r)
     # HopfPoint checks first: a sign change of g that is no crossing fails there
-    hp = HopfPoint(r_star=r, omega_star=w, p_star=p, q_star=q,
-                   params=local, x2_star=_x2(params.n, local.A))
+    hp = HopfPoint(r, w, p, q, local, _x2(params.n, local.A))
     g = w * r - math.acos(p / q)
     if not abs(g) < _G_ROOT_TOL:
         raise ConvergenceError(
@@ -258,15 +271,18 @@ def find_hopf_r(
     return hp
 
 
-def _b1_chain_derivatives(hp: HopfPoint) -> Tuple[float, float]:
-    # d/dr of p and q at the Hopf point, through k(r) = 2 exp(-gamma r):
-    # dk/dr = -gamma k, dA/A = dk/(k - 1) as A is proportional to k - 1,
-    # and A dB1/dA from the model.
+def _crossing_speed(hp: HopfPoint, psi: complex, slope: float) -> Tuple[float, float]:
+    # (mu', omega') = -Psi1(0) Delta_r (see `transversality`), with `slope`
+    # A dB1/dA from `_b1_slopes`.  p' and q' come through k(r) = 2 exp(-gamma r):
+    # dk/dr = -gamma k, and dA/A = dk/(k - 1) as A is proportional to k - 1.
     prm = hp.params
-    b1 = hp.q_star / prm.k
+    p, q, w = hp.p_star, hp.q_star, hp.omega_star
     dk = -prm.gamma * prm.k
-    db1 = _b1_slopes(prm.beta0, prm.n, prm.A)[0] * dk / (prm.k - 1.0)
-    return db1, dk * b1 + prm.k * db1
+    dp = slope * dk / (prm.k - 1.0)  # p' = B1'
+    dq = dk * (q / prm.k) + prm.k * dp
+    root_term = complex(p, w)  # q e^{-i omega* r*}
+    speed = -psi * (dp - dq / q * root_term + 1j * w * root_term)
+    return speed.real, speed.imag
 
 
 def transversality(hp: HopfPoint) -> Tuple[float, float]:
@@ -280,11 +296,8 @@ def transversality(hp: HopfPoint) -> Tuple[float, float]:
 
     and 1/Delta_lambda is Psi1(0), so lambda' = -Psi1(0) Delta_r.
     """
-    p, q, w = hp.p_star, hp.q_star, hp.omega_star
-    dp, dq = _b1_chain_derivatives(hp)
-    root_term = complex(p, w)  # q e^{-i omega* r*}
-    speed = -psi1_zero(hp) * (dp - dq / q * root_term + 1j * w * root_term)
-    return speed.real, speed.imag
+    prm = hp.params
+    return _crossing_speed(hp, psi1_zero(hp), _b1_slopes(prm.beta0, prm.n, prm.A)[0])
 
 
 def projection_weight(p: float, omega: float, r: float) -> complex:
@@ -459,9 +472,13 @@ def criticality_report(hp: HopfPoint) -> NormalFormData:
     speed into one report.  Supercritical means l1 < 0: a stable cycle
     exists on the side of r* where the equilibrium is unstable.  Degenerate
     means |l1| <= BOUNDARY_TOL (|g20 g11| + omega* |g21|) / (2 omega*^2).
+    The Taylor data are taken at ``hp.x2_star``, with no equilibria report;
+    Psi1(0) and A dB1/dA are formed once, for the normal form and mu'.
     """
     params = hp.params
-    tc = taylor_coefficients(params, equilibria(params))
+    n, A = params.n, params.A
+    slopes = _b1_slopes(params.beta0, n, A)
+    tc = _taylor_at(n, A, hp.x2_star, _b1_at_x2(params.beta0, n, A), slopes)
     psi = psi1_zero(hp)
     f20, f11, f02 = f_coefficients(tc, hp)
     g20, g11, g02 = psi * f20, psi * f11, psi * f02
@@ -470,34 +487,13 @@ def criticality_report(hp: HopfPoint) -> NormalFormData:
     g21 = psi * f21
     w = hp.omega_star
     l1 = lyapunov_l1(g20, g11, g21, w)
-    mu_prime, omega_prime = transversality(hp)
+    mu_prime, omega_prime = _crossing_speed(hp, psi, slopes[0])
     w20_cf_0, w20_cf_mr, c = w20_closed_form(g20, g02, f20, hp)
     w11_cf_0, w11_cf_mr, c1 = w11_closed_form(g11, f11, hp)
     crit = _criticality(l1, (abs(g20 * g11) + w * abs(g21)) / (2.0 * w * w))
     s = 0 if crit == DEGENERATE else (-1 if l1 < 0.0 else 1)
     return NormalFormData(
-        psi1_zero=psi,
-        f20=f20,
-        f11=f11,
-        f02=f02,
-        f21=f21,
-        g20=g20,
-        g11=g11,
-        g02=g02,
-        g21=g21,
-        w20_at_0=w20_0,
-        w20_at_minus_r=w20_mr,
-        w11_at_0=w11_0,
-        w11_at_minus_r=w11_mr,
-        w20_closed_at_0=w20_cf_0,
-        w20_closed_at_minus_r=w20_cf_mr,
-        w11_closed_at_0=w11_cf_0,
-        w11_closed_at_minus_r=w11_cf_mr,
-        c=c,
-        c1=c1,
-        l1=l1,
-        s=s,
-        mu_prime=mu_prime,
-        omega_prime=omega_prime,
-        criticality=crit,
+        psi, f20, f11, f02, f21, g20, g11, g02, g21,
+        w20_0, w20_mr, w11_0, w11_mr, w20_cf_0, w20_cf_mr, w11_cf_0, w11_cf_mr,
+        c, c1, l1, s, mu_prime, omega_prime, crit,
     )

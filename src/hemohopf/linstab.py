@@ -29,9 +29,8 @@ from .errors import (
     ConvergenceError,
     DomainError,
     NoPositiveEquilibriumError,
-    ParameterError,
 )
-from .model import ModelParameters, _b1_at_x2, _checked_A, derive_k
+from .model import ModelParameters, _b1_at_x2, _check_delay, _checked_A, _k_of
 # `equilibria` is unused here; perfbench/selftest.py looks it up as
 # `linstab.equilibria`.
 from .model import equilibria  # noqa: F401
@@ -119,37 +118,39 @@ class StabilityVerdict(NamedTuple):
 def _pq_at_x2(
     beta0: float, n: float, delta: float, k: float, A: float
 ) -> Tuple[float, float]:
-    # p = delta + B1(x2) and q = k B1(x2) at x2 = (A - 1)^(1/n)
+    # p = delta + B1(x2) and q = k B1(x2) at x2 = (A - 1)^(1/n), refused unless finite
     if A <= 1.0:
         raise NoPositiveEquilibriumError(f"no positive equilibrium: A = {A} <= 1")
     b1 = _b1_at_x2(beta0, n, A)
-    return delta + b1, k * b1
+    p, q = delta + b1, k * b1
+    _check_pq(p, q)
+    return p, q
 
 
 def characteristic_triple(params: ModelParameters) -> CharacteristicTriple:
     """Triple (p, q, r) for the linearization at x2, p = delta + B1(x2) and
     q = k B1(x2): the one place where p and q are formed, shared with
-    `_pq_at_delay`."""
+    `_pq_kernel`."""
     p, q = _pq_at_x2(params.beta0, params.n, params.delta, params.k, params.A)
     return CharacteristicTriple(p=p, q=q, r=params.r)
+
+
+def _pq_kernel(beta0, n, delta, gamma, r) -> Tuple[float, float]:
+    # (p, q) at x2 at a checked delay r with gamma fixed, from checked floats.
+    # Refuses only a non-finite A, an absent x2 and a non-finite p or q.
+    k = _k_of(gamma, r)
+    return _pq_at_x2(beta0, n, delta, k, _checked_A(beta0, delta, k))
 
 
 def _pq_at_delay(r: float, params: ModelParameters) -> Tuple[float, float]:
     """(p, q) at x2 at the delay r, with the gamma of `params` held fixed.
 
     The values and refusals of ``characteristic_triple(params.with_r(r))``,
-    formed straight from (beta0, n, delta, gamma) without building either:
-    `ParameterError` for a negative or non-finite r, an r that is neither
-    int nor float, or a non-finite A, `NoPositiveEquilibriumError` where
-    A <= 1, and `DomainError` for a non-finite p or q.
+    without building either: r is checked as `with_r` checks it, then
+    `_pq_kernel` forms (p, q).
     """
-    beta0, delta = params.beta0, params.delta
-    k = derive_k(params.gamma, r)
-    if not isinstance(r, (int, float)):  # as ModelParameters refuses, e.g., numpy.float32
-        raise ParameterError(f"r must be a finite number, got {r!r}")
-    p, q = _pq_at_x2(beta0, params.n, delta, k, _checked_A(beta0, delta, k))
-    _check_pq(p, q)
-    return p, q
+    _check_delay(params.gamma, r)
+    return _pq_kernel(params.beta0, params.n, params.delta, params.gamma, r)
 
 
 def char_value(lam: complex, triple: CharacteristicTriple) -> complex:
@@ -281,7 +282,6 @@ def classify_x2(params: ModelParameters) -> StabilityVerdict:
     """
     n, A, r = params.n, params.A, params.r
     p, q = _pq_at_x2(params.beta0, n, params.delta, params.k, A)
-    _check_pq(p, q)
     b1 = q / params.k
     if abs(n - (n - 1.0) * A) <= BOUNDARY_TOL * (n + (n - 1.0) * A):
         case = CASE_B1_ZERO
@@ -300,26 +300,26 @@ def classify_x2(params: ModelParameters) -> StabilityVerdict:
         status, notes = STABLE, f"r < r0 = {r0!r}"
     else:
         status, notes = UNSTABLE, f"r > r0 = {r0!r}"
-    return StabilityVerdict(
-        target="x2",
-        case_label=case,
-        status=status,
-        omega0=omega if r0 < math.inf else None,
-        stable_window=(0.0, r0),
-        notes=notes,
-    )
+    return StabilityVerdict("x2", case, status, omega if r0 < math.inf else None,
+                            (0.0, r0), notes)
 
 
 def g_of_r(r: float, params: ModelParameters) -> float:
     """Boundary function g(r) = T^{-1}(-p(r) r) - arccos(p(r)/q(r)).
 
-    gamma is taken from `params` and held fixed; (p, q) at r is formed
-    straight from (beta0, n, delta, gamma) by `_pq_at_delay`, with its
-    refusals: `NoPositiveEquilibriumError` where x2 is absent at r,
-    `ParameterError` for a non-finite A and `DomainError` for a non-finite
-    p or q.  r must be finite and positive, and both subterms in domain
-    (`DomainError` otherwise).
+    gamma is taken from `params` and held fixed.  r must be finite and
+    positive (`DomainError`), and int or float (`ParameterError`); (p, q)
+    at r is then formed by `_pq_kernel`, with its refusals:
+    `NoPositiveEquilibriumError` where x2 is absent at r, `ParameterError`
+    for a non-finite A and `DomainError` for a non-finite p or q.  Both
+    subterms must be in domain (`DomainError` otherwise).
     """
+    return _boundary_terms(r, params)[0]
+
+
+def _boundary_terms(r: float, params: ModelParameters):
+    # (g(r), p, q, y) with y = T_inv(-p r), with the refusals of g_of_r:
+    # `find_hopf_r` takes omega* = y / r, omega0's expression, from them
     if not math.isfinite(r) or r <= 0.0:
         raise DomainError(f"g is evaluated for r > 0, got {r}")
     p, q = _pq_at_delay(r, params)
@@ -328,7 +328,8 @@ def g_of_r(r: float, params: ModelParameters) -> float:
         raise DomainError(f"T_inv argument -p*r = {v} > 1 at r = {r}")
     if q == 0.0 or abs(p / q) > 1.0:
         raise DomainError(f"arccos argument p/q = {p}/{q} outside [-1, 1] at r = {r}")
-    return T_inv(v) - math.acos(p / q)
+    y = T_inv(v)
+    return y - math.acos(p / q), p, q, y
 
 
 def char_root_newton(

@@ -52,7 +52,21 @@ def derive_k(gamma: float, r: float) -> float:
         raise ParameterError(f"gamma must be positive, got {gamma}")
     if r < 0.0:
         raise ParameterError(f"delay r must be nonnegative, got {r}")
+    return _k_of(gamma, r)
+
+
+def _k_of(gamma: float, r: float) -> float:
+    # k = 2 exp(-gamma r), for a gamma and r that passed derive_k's checks
     return 2.0 * math.exp(-gamma * r)
+
+
+def _check_delay(gamma: float, r: float) -> float:
+    # k at a new delay r of checked parameters, with the refusals of
+    # ModelParameters in its order: derive_k's, then a type neither int nor float
+    k = derive_k(gamma, r)
+    if not isinstance(r, (int, float)):  # e.g. numpy.float32
+        raise ParameterError(f"r must be a finite number, got {r!r}")
+    return k
 
 
 def _checked_A(beta0: float, delta: float, k: float) -> float:
@@ -83,6 +97,29 @@ class _ModelParameterFields(NamedTuple):
     k: float
 
 
+def _check_fields(beta0, n, delta, gamma, r, k) -> float:
+    # the checks of ModelParameters, in its order; returns A, checked last
+    for name, v in zip(_ModelParameterFields._fields, (beta0, n, delta, gamma, r, k)):
+        if not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ParameterError(f"{name} must be a finite number, got {v!r}")
+    if beta0 <= 0.0:
+        raise ParameterError(f"beta0 must be positive, got {beta0}")
+    if delta <= 0.0:
+        raise ParameterError(f"delta must be positive, got {delta}")
+    if gamma <= 0.0:
+        raise ParameterError(f"gamma must be positive, got {gamma}")
+    if r < 0.0:
+        raise ParameterError(f"delay r must be nonnegative, got {r}")
+    if n <= 1.0:
+        raise ParameterError(f"Hill exponent n must exceed 1, got {n}")
+    expected = derive_k(gamma, r)
+    if abs(k - expected) > K_CONSISTENCY_RTOL * abs(expected):
+        raise ParameterError(
+            f"k={k!r} inconsistent with 2 exp(-gamma r)={expected!r}"
+        )
+    return _checked_A(beta0, delta, k)
+
+
 class ModelParameters(_ModelParameterFields):
     """The five model parameters plus the derived amplification k.
 
@@ -93,32 +130,18 @@ class ModelParameters(_ModelParameterFields):
     __slots__ = ()
 
     def __new__(cls, beta0, n, delta, gamma, r, k):
-        self = super().__new__(cls, beta0, n, delta, gamma, r, k)
-        for name, v in zip(self._fields, self):
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ParameterError(f"{name} must be a finite number, got {v!r}")
-        if beta0 <= 0.0:
-            raise ParameterError(f"beta0 must be positive, got {beta0}")
-        if delta <= 0.0:
-            raise ParameterError(f"delta must be positive, got {delta}")
-        if gamma <= 0.0:
-            raise ParameterError(f"gamma must be positive, got {gamma}")
-        if r < 0.0:
-            raise ParameterError(f"delay r must be nonnegative, got {r}")
-        if n <= 1.0:
-            raise ParameterError(f"Hill exponent n must exceed 1, got {n}")
-        expected = derive_k(gamma, r)
-        if abs(k - expected) > K_CONSISTENCY_RTOL * abs(expected):
-            raise ParameterError(
-                f"k={k!r} inconsistent with 2 exp(-gamma r)={expected!r}"
-            )
-        _checked_A(beta0, delta, k)
-        return self
+        _check_fields(beta0, n, delta, gamma, r, k)
+        return super().__new__(cls, beta0, n, delta, gamma, r, k)
 
     @classmethod
     def _make(cls, iterable):
         # NamedTuple's _make (and so _replace) would skip the checks above
         return cls(*iterable)
+
+    @classmethod
+    def _unchecked(cls, beta0, n, delta, gamma, r, k) -> "ModelParameters":
+        # for fields that passed `_check_fields`, or that cannot fail it
+        return super().__new__(cls, beta0, n, delta, gamma, r, k)
 
     @classmethod
     def from_gamma(cls, beta0, n, delta, gamma, r) -> "ModelParameters":
@@ -140,12 +163,9 @@ class ModelParameters(_ModelParameterFields):
         constructor's checks when `self` was built, as every instance does,
         and k = 2 exp(-gamma r) is consistent by construction.
         """
-        k = derive_k(self.gamma, r)
-        if not isinstance(r, (int, float)):  # e.g. numpy.float32
-            raise ParameterError(f"r must be a finite number, got {r!r}")
+        k = _check_delay(self.gamma, r)
         _checked_A(self.beta0, self.delta, k)
-        return super().__new__(type(self), self.beta0, self.n, self.delta,
-                               self.gamma, r, k)
+        return self._unchecked(self.beta0, self.n, self.delta, self.gamma, r, k)
 
     @property
     def A(self) -> float:
@@ -261,11 +281,12 @@ def taylor_coefficients(
         raise NoPositiveEquilibriumError(
             f"no positive equilibrium: A = {report.A} <= 1"
         )
-    x2, A, n = report.x2, report.A, params.n
-    g1, g2 = _b1_slopes(params.beta0, n, A)
+    slopes = _b1_slopes(params.beta0, params.n, report.A)
+    return _taylor_at(params.n, report.A, report.x2, report.B1_at_x2, slopes)
+
+
+def _taylor_at(n, A, x2, b1, slopes) -> TaylorCoefficients:
+    # B1..B3 at x2 from B1 and the `_b1_slopes` (A dB1/dA, A^2 d2B1/dA2)
+    g1, g2 = slopes
     e = n * (A - 1.0) / A / x2  # A'/A
-    return TaylorCoefficients(
-        b1=report.B1_at_x2,
-        b2=g1 * e,
-        b3=(g2 * e + g1 * (n - 1.0) / x2) * e,
-    )
+    return TaylorCoefficients(b1, g1 * e, (g2 * e + g1 * (n - 1.0) / x2) * e)

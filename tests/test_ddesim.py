@@ -1,5 +1,6 @@
 import csv
 import math
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -425,6 +426,21 @@ def test_trajectory_csv_roundtrip(tmp_path, ref_params):
     for (t_text, x_text), t_val, x_val in zip(rows[1:], traj.t, traj.x):
         assert float(t_text) == t_val
         assert float(x_text) == x_val
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_trajectory_csv_bytes_are_the_f_string_rows(tmp_path, traj_036, stride):
+    # the r = 0.36 run, then values whose %-format and f-string could differ
+    # in form: signed zeros, subnormals, the float limits, exponent forms
+    edge = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+            1e-5, 123456789012345680.0, 0.1, -1.0 / 3.0, 1e16, 2.5]
+    edge_traj = traj_036._replace(t=array("d", range(len(edge))), x=array("d", edge))
+    for name, traj in (("run", traj_036), ("edge", edge_traj)):
+        path = tmp_path / f"{name}.csv"
+        ddesim.write_trajectory_csv(traj, path, stride=stride)
+        rows = range(0, len(traj.t), stride)
+        expected = "t,x\n" + "".join(f"{traj.t[i]:.17g},{traj.x[i]:.17g}\n" for i in rows)
+        assert path.read_bytes() == expected.encode(), name
 
 
 def test_trajectory_csv_stride(tmp_path, ref_params):

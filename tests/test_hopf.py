@@ -17,6 +17,7 @@ from hemohopf.errors import (
     DomainError,
     NoImaginaryCrossingError,
     NoPositiveEquilibriumError,
+    NumericsError,
     ParameterError,
     ResonanceError,
 )
@@ -89,6 +90,56 @@ def test_strategy_route_rejects_no_crossing():
         hopf.hopf_from_pqk(12.0, 1.77, 0.05, 1.0295)  # B1 > 0
     with pytest.raises(NoPositiveEquilibriumError):
         hopf.hopf_from_pqk(12.0, 1.77, 0.05, 1.0)  # x2 absent
+
+
+def _pqk_input_grid():
+    """(n, beta0, delta, k) around the reference inputs: non-finite, zero and
+    negative values of each, n = 1, k = 2, the smallest subnormal k,
+    numpy.float32 values, and inputs whose A overflows."""
+    base = (rv.N, rv.BETA0, rv.DELTA, rv.K)
+    grid = [base]
+    for i in range(4):
+        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0, np.float32(base[i])):
+            grid.append(base[:i] + (value,) + base[i + 1:])
+    grid += [(1.0,) + base[1:], base[:3] + (2.0,), base[:3] + (5e-324,),
+             (rv.N, 1e308, rv.DELTA, rv.K), (rv.N, rv.BETA0, 1e-308, 1.5),
+             base[:3] + (1.0,), (12.0, 1.77, 0.5, 1.309), (12.0, 1.77, 0.05, 1.0295)]
+    return grid
+
+
+def _outcome(func, *args):
+    try:
+        return func(*args)
+    except (ValueError, NumericsError) as exc:  # ParameterError is a ValueError
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("draw", _pqk_input_grid())
+def test_hopf_from_pqk_refuses_as_from_k_then_by_regime(draw):
+    # the inputs are checked once, as ModelParameters.from_k(..., 1.0) checks
+    # them; past those checks only a regime error or a located point remains
+    n, beta0, delta, k = draw
+    expected = _outcome(model.ModelParameters.from_k, beta0, n, delta, k, 1.0)
+    located = _outcome(hopf.hopf_from_pqk, n, beta0, delta, k)
+    if not isinstance(expected, model.ModelParameters):
+        assert located == expected
+    elif not isinstance(located, hopf.HopfPoint):
+        assert located[0] in (NoPositiveEquilibriumError, NoImaginaryCrossingError,
+                              DomainError), located
+    else:
+        # the record built once at r* is the checked one
+        assert located.params == model.ModelParameters.from_k(beta0, n, delta, k,
+                                                              located.r_star)
+
+
+def test_hopf_from_pqk_grid_reaches_every_stage():
+    outcomes = [_outcome(hopf.hopf_from_pqk, n, beta0, delta, k)
+                for n, beta0, delta, k in _pqk_input_grid()]
+    errors = {o[0] for o in outcomes if not isinstance(o, hopf.HopfPoint)}
+    assert {ParameterError, ValueError, NoPositiveEquilibriumError,
+            NoImaginaryCrossingError, DomainError} <= errors
+    assert any(isinstance(o, hopf.HopfPoint) for o in outcomes)
+    assert (ParameterError, "A = beta0 (k - 1)/delta must be finite, got inf") in outcomes
 
 
 # ----------------------------------------------------------- frontier mismatch
@@ -182,23 +233,43 @@ def test_find_hopf_r_with_quoted_gamma(ref_hopf):
     assert abs(hp.r_star - ref_hopf.r_star) < 1e-6
 
 
+def _count_calls(monkeypatch, module, name, calls):
+    # patch module.name to append its first argument to `calls`
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 def test_find_hopf_r_evaluates_g_fewer_times(ref_params, monkeypatch):
-    calls = []
-
-    def counted(r, params):
-        calls.append(r)
-        return linstab.g_of_r(r, params)
-
-    monkeypatch.setattr(hopf, "g_of_r", counted)
+    # g at the root of D is formed by `_boundary_terms`, and the g polish
+    # calls `g_of_r`: both seams are counted, and so is every T_inv solve
+    at_root, polish, solves = [], [], []
+    _count_calls(monkeypatch, hopf, "_boundary_terms", at_root)
+    _count_calls(monkeypatch, hopf, "g_of_r", polish)
+    _count_calls(monkeypatch, linstab, "T_inv", solves)
     hp = hopf.find_hopf_r(ref_params, (0.30, 0.40))
-    # the root of D is a root of g to rounding here, so g is evaluated there only
-    assert calls == [hp.r_star]
+    # the root of D is a root of g to rounding here, so g is evaluated there
+    # only, and omega* reuses that evaluation's T_inv solve
+    assert at_root == [hp.r_star]
+    assert polish == []
+    assert len(solves) == 1
+    monkeypatch.undo()
     assert abs(linstab.g_of_r(hp.r_star, ref_params)) < 1e-14
+    assert hp.omega_star == linstab.omega0(hp.triple)
 
 
 def test_find_hopf_r_guarantees_the_g_residual(ref_params, monkeypatch):
     # a boundary function shifted by 2e-11 has its root where the true g
     # is 2e-11: HopfPoint's 1e-10 checks pass there, the g guarantee not
+    def shifted_terms(r, params):
+        g, p, q, y = linstab._boundary_terms(r, params)
+        return g - 2e-11, p, q, y
+
+    monkeypatch.setattr(hopf, "_boundary_terms", shifted_terms)
     monkeypatch.setattr(hopf, "g_of_r", lambda r, params: linstab.g_of_r(r, params) - 2e-11)
     with pytest.raises(ConvergenceError, match="polished only to"):
         hopf.find_hopf_r(ref_params, (0.30, 0.40))
@@ -275,13 +346,9 @@ SECANT_ON_END_DRAWS = [
 @pytest.mark.parametrize("draw", SECANT_ON_END_DRAWS)
 def test_find_hopf_r_polishes_g_without_bisection(draw, monkeypatch):
     calls = []
-
-    def counted(r, params):
-        calls.append(r)
-        return linstab.g_of_r(r, params)
-
     hp = hopf.hopf_from_pqk(*draw)
-    monkeypatch.setattr(hopf, "g_of_r", counted)
+    _count_calls(monkeypatch, hopf, "_boundary_terms", calls)
+    _count_calls(monkeypatch, hopf, "g_of_r", calls)
     hp2 = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
     assert len(calls) <= 6
     assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
@@ -299,17 +366,14 @@ POLISH_NEEDED_DRAWS = [
 
 @pytest.mark.parametrize("draw", POLISH_NEEDED_DRAWS)
 def test_find_hopf_r_polishes_g_off_its_rounding_level(draw, monkeypatch):
-    calls = []
-
-    def counted(r, params):
-        calls.append(r)
-        return linstab.g_of_r(r, params)
-
+    at_root, polish = [], []
     hp = hopf.hopf_from_pqk(*draw)
-    monkeypatch.setattr(hopf, "g_of_r", counted)
+    _count_calls(monkeypatch, hopf, "_boundary_terms", at_root)
+    _count_calls(monkeypatch, hopf, "g_of_r", polish)
     hp2 = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
-    assert not abs(linstab.g_of_r(calls[0], hp.params)) < hopf._G_ROUNDING
-    assert len(calls) > 1
+    assert len(at_root) == 1
+    assert not abs(linstab.g_of_r(at_root[0], hp.params)) < hopf._G_ROUNDING
+    assert len(polish) > 0
     assert abs(linstab.g_of_r(hp2.r_star, hp.params)) < 1e-11
     assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
 
@@ -412,13 +476,46 @@ def test_frontier_mismatch_refuses_the_near_float_limit_config_by_stage():
         hopf.frontier_mismatch(0.1, params)
 
 
+def reference_boundary_terms(r, params):
+    # `_boundary_terms` composed from the reference g: (g, p, q, T_inv(-p r))
+    triple = linstab.characteristic_triple(params.with_r(r))
+    g = reference_g_of_r(r, params)
+    return g, triple.p, triple.q, linstab.T_inv(-triple.p * r)
+
+
+@pytest.mark.parametrize("name", MOVED_DELAY_CONFIGS)
+def test_the_iterated_mismatch_kernel_is_the_reference_to_the_bit(name):
+    # find_hopf_r checks each bracket end (finite, nonnegative, int or float),
+    # then iterates D on floats with no further check: at every delay those
+    # checks admit, that kernel is the reference D, value or refusal
+    params = MOVED_DELAY_CONFIGS[name]
+    fields = (params.beta0, params.n, params.delta, params.gamma)
+    admitted = [r for r in moved_delays(params)
+                if isinstance(r, (int, float)) and math.isfinite(r) and r >= 0.0]
+    assert len(admitted) == 605  # the grid, r_max and its neighbours, 0.0 and -0.0
+    for r in admitted:
+        outcome = moved_delay_outcome(lambda rr, _: hopf._mismatch(*fields, rr), r, params)
+        assert outcome == moved_delay_outcome(reference_frontier_mismatch, r, params), r
+
+
 @pytest.mark.parametrize("draw", GAP_DRAWS + LONG_DELAY_DRAWS)
 def test_find_hopf_r_takes_the_reference_iterates(draw, monkeypatch):
     hp = hopf.hopf_from_pqk(*draw)
     located = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
-    monkeypatch.setattr(hopf, "frontier_mismatch", reference_frontier_mismatch)
+    fields = (hp.params.beta0, hp.params.n, hp.params.delta, hp.params.gamma)
+    delays = []
+
+    def reference_kernel(*args):
+        assert args[:4] == fields
+        delays.append(args[4])
+        return reference_frontier_mismatch(args[4], hp.params)
+
+    monkeypatch.setattr(hopf, "_mismatch", reference_kernel)
+    monkeypatch.setattr(hopf, "_boundary_terms", reference_boundary_terms)
     monkeypatch.setattr(hopf, "g_of_r", reference_g_of_r)
     assert hopf.find_hopf_r(hp.params, _frontier_bracket(hp)) == located
+    # the patch reached the iteration, not only the two bracket ends
+    assert len(delays) > 2
 
 
 # -------------------------------------------------------------- transversality
@@ -621,6 +718,24 @@ def test_normal_form_forms_each_f_coefficient_once(ref_hopf, monkeypatch):
     assert (nf.f20, nf.f11, nf.f02) == hopf.f_coefficients(tc, ref_hopf)
     assert nf.f21 == hopf.f21_coefficient(tc, ref_hopf, nf.w20_at_0, nf.w20_at_minus_r,
                                           nf.w11_at_0, nf.w11_at_minus_r)
+
+
+def test_criticality_report_forms_no_equilibria_report_and_psi1_once(ref_hopf, monkeypatch):
+    reports, weights, slopes = [], [], []
+    for module in (model, hopf):
+        if hasattr(module, "equilibria"):
+            _count_calls(monkeypatch, module, "equilibria", reports)
+    _count_calls(monkeypatch, hopf, "projection_weight", weights)
+    _count_calls(monkeypatch, hopf, "_b1_slopes", slopes)
+    nf = hopf.criticality_report(ref_hopf)
+    # x2 is the Hopf point's, and Psi1(0) and A dB1/dA are shared with the
+    # crossing speed
+    assert reports == []
+    assert weights == [ref_hopf.p_star]
+    assert slopes == [ref_hopf.params.beta0]
+    monkeypatch.undo()
+    assert nf.psi1_zero == hopf.psi1_zero(ref_hopf)
+    assert (nf.mu_prime, nf.omega_prime) == hopf.transversality(ref_hopf)
 
 
 def test_w_reference_values(ref_hopf):
