@@ -140,7 +140,8 @@ def step_count(r: float, t_end: float, steps_per_delay: int = STEPS_PER_DELAY) -
     if not t_end > 0.0:
         raise ParameterError(f"t_end must be positive, got {t_end}")
     h = r / steps_per_delay
-    steps = t_end / h - 1e-9
+    # h underflows to 0 for a subnormal r: no number of steps reaches t_end
+    steps = t_end / h - 1e-9 if h else math.inf
     if steps > MAX_STEPS:
         raise ParameterError(
             f"t_end = {t_end} at step {h:.6g} needs {steps:.6g} steps, "

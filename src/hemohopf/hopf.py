@@ -49,7 +49,6 @@ from .linstab import (
     CharacteristicTriple,
     _boundary_terms,
     _crossing,
-    _pq_at_delay,
     _pq_at_x2,
     _pq_kernel,
     bracketed_root,
@@ -257,7 +256,8 @@ def find_hopf_r(
     else:
         r = bracketed_root(lambda rr: g_of_r(rr, params), r * (1.0 - _G_BRACKET),
                            r * (1.0 + _G_BRACKET), f_tol=_G_ROUNDING)
-        p, q = _pq_at_delay(r, params)
+        # g_of_r evaluated and so checked every point bracketed_root returns
+        p, q = _pq_kernel(params.beta0, params.n, params.delta, params.gamma, r)
         w = omega0(CharacteristicTriple(p=p, q=q, r=r))
     local = params.with_r(r)
     # HopfPoint checks first: a sign change of g that is no crossing fails there
@@ -453,8 +453,15 @@ def w11_closed_form(
 
 
 def lyapunov_l1(g20: complex, g11: complex, g21: complex, omega_star: float) -> float:
-    """First Lyapunov coefficient Re(i g20 g11 + omega* g21) / (2 omega*^2)."""
-    return (1j * g20 * g11 + omega_star * g21).real / (2.0 * omega_star**2)
+    """First Lyapunov coefficient Re(i g20 g11 + omega* g21) / (2 omega*^2).
+
+    `NumericsError` where omega*^2 overflows or underflows to 0.
+    """
+    try:
+        return (1j * g20 * g11 + omega_star * g21).real / (2.0 * omega_star**2)
+    except (OverflowError, ZeroDivisionError):
+        raise NumericsError(f"omega*^2 leaves the float range at omega* = {omega_star!r}: "
+                            "l1 cannot be formed in this time unit") from None
 
 
 def _criticality(l1: float, scale: float) -> str:

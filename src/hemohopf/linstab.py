@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -59,6 +60,8 @@ ROOT_RESIDUAL_TOL = 1e-10
 
 # A relative step or width of a few units in the last place: rounding level.
 _ROUNDING = 4.0 * 2.0**-52
+# The smallest positive normal float.
+_TINY = sys.float_info.min
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -129,8 +132,7 @@ def _pq_at_x2(
 
 def characteristic_triple(params: ModelParameters) -> CharacteristicTriple:
     """Triple (p, q, r) for the linearization at x2, p = delta + B1(x2) and
-    q = k B1(x2): the one place where p and q are formed, shared with
-    `_pq_kernel`."""
+    q = k B1(x2), formed by `_pq_at_x2` as in `_pq_kernel`."""
     p, q = _pq_at_x2(params.beta0, params.n, params.delta, params.k, params.A)
     return CharacteristicTriple(p=p, q=q, r=params.r)
 
@@ -140,17 +142,6 @@ def _pq_kernel(beta0, n, delta, gamma, r) -> Tuple[float, float]:
     # Refuses only a non-finite A, an absent x2 and a non-finite p or q.
     k = _k_of(gamma, r)
     return _pq_at_x2(beta0, n, delta, k, _checked_A(beta0, delta, k))
-
-
-def _pq_at_delay(r: float, params: ModelParameters) -> Tuple[float, float]:
-    """(p, q) at x2 at the delay r, with the gamma of `params` held fixed.
-
-    The values and refusals of ``characteristic_triple(params.with_r(r))``,
-    without building either: r is checked as `with_r` checks it, then
-    `_pq_kernel` forms (p, q).
-    """
-    _check_delay(params.gamma, r)
-    return _pq_kernel(params.beta0, params.n, params.delta, params.gamma, r)
 
 
 def char_value(lam: complex, triple: CharacteristicTriple) -> complex:
@@ -244,7 +235,10 @@ def _crossing(p: float, q: float) -> Tuple[float, float]:
     """
     if p >= -q:
         return 0.0, math.inf
-    omega = math.sqrt(q * q - p * p)
+    w2 = q * q - p * p
+    # outside the normal range w2 has overflowed or lost its digits; the
+    # factors p - q and -q - p are both positive here and keep them
+    omega = math.sqrt(w2) if _TINY <= w2 < math.inf else math.sqrt(p - q) * math.sqrt(-q - p)
     return omega, math.acos(p / q) / omega
 
 
@@ -322,7 +316,8 @@ def _boundary_terms(r: float, params: ModelParameters):
     # `find_hopf_r` takes omega* = y / r, omega0's expression, from them
     if not math.isfinite(r) or r <= 0.0:
         raise DomainError(f"g is evaluated for r > 0, got {r}")
-    p, q = _pq_at_delay(r, params)
+    _check_delay(params.gamma, r)
+    p, q = _pq_kernel(params.beta0, params.n, params.delta, params.gamma, r)
     v = -p * r
     if v > 1.0:
         raise DomainError(f"T_inv argument -p*r = {v} > 1 at r = {r}")
@@ -462,10 +457,11 @@ def bracketed_root(func, a: float, b: float, f_tol: float, *, fa=None, fb=None):
     The bracket endpoints must produce values of opposite sign; values
     already known may be passed as `fa` and `fb`, and `func` is then not
     called at that end.  Each iteration takes the secant point of the
-    bracket (its midpoint if that is not strictly inside) and halves the
-    stored value of an end kept twice in a row, so that both ends close
-    in.  A secant point that rounds onto an end with both end values finite
-    (a tiny value there) is moved one float inside that end first.  Stops
+    bracket (its midpoint if that is not strictly inside, or if the secant
+    step underflows) and halves the stored value of an end kept twice in a
+    row, so that both ends close in.  A secant point that rounds onto an
+    end with both end values finite (a tiny value there) is moved one float
+    inside that end first.  Stops
     at |f| < f_tol or when the bracket is a few units in the last place
     wide, and returns the evaluated point of smallest |f|.
     """
@@ -490,7 +486,9 @@ def bracketed_root(func, a: float, b: float, f_tol: float, *, fa=None, fb=None):
     for _ in range(200):
         if abs(fx) < f_tol or b - a <= _ROUNDING * max(abs(a), abs(b)):
             return x
-        c = b - fb * (b - a) / (fb - fa)
+        num = fb * (b - a)
+        # a numerator below the normal range has lost its digits: bisect
+        c = b - num / (fb - fa) if abs(num) >= _TINY else 0.5 * (a + b)
         if (c == a or c == b) and math.isfinite(fa) and math.isfinite(fb):
             c = math.nextafter(a, b) if c == a else math.nextafter(b, a)
         if not a < c < b:

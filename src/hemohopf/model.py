@@ -85,6 +85,8 @@ def gamma_from_k(k: float, r: float) -> float:
         raise ParameterError(f"recovering gamma requires r > 0, got r={r}")
     if not 0.0 < k < 2.0:
         raise ParameterError(f"k must lie in (0, 2) to recover gamma > 0, got {k}")
+    if k / 2.0 == 0.0:
+        raise ParameterError(f"k = {k!r} is too small to recover gamma: k/2 underflows to 0")
     return -math.log(k / 2.0) / r
 
 
@@ -112,7 +114,7 @@ def _check_fields(beta0, n, delta, gamma, r, k) -> float:
         raise ParameterError(f"delay r must be nonnegative, got {r}")
     if n <= 1.0:
         raise ParameterError(f"Hill exponent n must exceed 1, got {n}")
-    expected = derive_k(gamma, r)
+    expected = _k_of(gamma, r)
     if abs(k - expected) > K_CONSISTENCY_RTOL * abs(expected):
         raise ParameterError(
             f"k={k!r} inconsistent with 2 exp(-gamma r)={expected!r}"
@@ -235,7 +237,9 @@ def equilibria(params: ModelParameters) -> EquilibriumReport:
         x2 = None
         b1_x2 = None
     r_max = -math.log(0.5 * (1.0 + delta / beta0)) / gamma
-    r_n = -math.log(0.5 * (delta * n / (beta0 * (n - 1.0)) + 1.0)) / gamma
+    b = beta0 * (n - 1.0)
+    # b underflows to 0 for a subnormal beta0: no delay gives B1(x2) < 0
+    r_n = -math.log(0.5 * (delta * n / b + 1.0)) / gamma if b else -math.inf
     return EquilibriumReport(
         x1=0.0, x2=x2, A=A, B1_at_x1=beta0, B1_at_x2=b1_x2, r_max=r_max, r_n=r_n
     )

@@ -9,7 +9,7 @@ import pytest
 
 import refvals as rv
 from hemohopf import cli, ddesim, hopf, model
-from hemohopf.errors import ConfigError
+from hemohopf.errors import ConfigError, NumericsError
 
 REF_CONFIG = """\
 # benchmark parameter set
@@ -622,7 +622,8 @@ TIME_UNIT_CONFIGS = {
     "gamma": {"beta0": 1.77, "n": 12.0, "delta": 0.05, "gamma": 1.4806659240099702,
               "r": 0.36},
 }
-TIME_UNIT_SCALES = [1e-12, 1e-10, 1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9, 1e12]
+TIME_UNIT_SCALES = [1e-300, 1e-200, 1e-150, 1e-12, 1e-10, 1e-9, 1e-6, 1e-3,
+                    1e3, 1e6, 1e9, 1e12, 1e150, 1e200, 1e300]
 ANALYTIC_COMMANDS = ("equilibria", "stability", "hopf", "normal-form")
 _VERDICT_WORDS = re.compile(r"case [^,]+, \w+|absent|^criticality: \w+", re.M)
 
@@ -635,6 +636,10 @@ def in_time_unit(values, s):
             for key, v in values.items()}
 
 
+def config_text(values):
+    return "".join(f"{key} = {v!r}\n" for key, v in values.items())
+
+
 def verdict_words(out):
     """The verdicts of a report: the case labels and statuses, whether x2
     is absent, and the criticality."""
@@ -644,7 +649,7 @@ def verdict_words(out):
 def _analytic_verdicts(tmp_path, capsys, values):
     """{command: (exit code, verdict words)} of the analytic commands on `values`."""
     path = tmp_path / "unit.cfg"
-    path.write_text("".join(f"{key} = {v!r}\n" for key, v in values.items()))
+    path.write_text(config_text(values))
     verdicts = {}
     for command in ANALYTIC_COMMANDS:
         code = cli.main([command, str(path)])
@@ -672,10 +677,74 @@ def test_analytic_verdicts_do_not_depend_on_the_time_unit(tmp_path, capsys, name
         "hopf": (0, []),
         "normal-form": (0, ["criticality: supercritical"]),
     }
-    assert _analytic_verdicts(tmp_path, capsys, in_time_unit(values, s)) == expected
+    verdicts = _analytic_verdicts(tmp_path, capsys, in_time_unit(values, s))
     hp, hp_s = _time_unit_hopf(name, 1.0), _time_unit_hopf(name, s)
+    if not 1e-170 < s < 1e154:
+        # omega* is s times its s = 1 value, and omega*^2 leaves the float range
+        assert verdicts.pop("normal-form") == (3, [])
+        expected.pop("normal-form")
+        with pytest.raises(NumericsError, match=r"omega\*\^2 leaves the float range"):
+            hopf.criticality_report(hp_s)
+    assert verdicts == expected
     assert hp_s.r_star * s == pytest.approx(hp.r_star, rel=1e-12, abs=0.0)
     assert hp_s.omega_star / s == pytest.approx(hp.omega_star, rel=1e-12, abs=0.0)
+
+
+def _reference_in_time_unit(name, s, r):
+    return config_text(in_time_unit(dict(TIME_UNIT_CONFIGS[name], r=r), s))
+
+
+# A run at each place where an input at the edge of the float range once
+# ended in a bare exception: (config, argv, exit code, the start of stderr on
+# a refusal or a line of stdout on exit 0).
+EDGE_RUNS = {
+    # k/2 underflows to 0 in gamma = -ln(k/2)/r
+    "k-underflow": ("beta0 = 1.77\nn = 12\ndelta = 0.05\nk = 5e-324\nr = 0.36\n",
+                    ["hopf"], 2,
+                    "error: k = 5e-324 is too small to recover gamma: k/2 underflows to 0"),
+    # beta0 (n - 1) underflows in r_n: the B1 < 0 regime is empty, r_n = -inf
+    "r_n-underflow": ("beta0 = 5e-324\nn = 1.5\ndelta = 0.05\ngamma = 1.48\nr = 0.36\n",
+                      ["equilibria"], 0, "r_max  = -inf   r_n = -inf"),
+    # q^2 - p^2 underflows to 0; the crossing delay (pi/2)/|q| overflows
+    "crossing-underflow": ("beta0 = 1e-300\nn = 2\ndelta = 5e-324\n"
+                           "k = 1.9999999999999998\nr = 1\n", ["stability"], 0,
+                           "x2: case I.boundary_p0, stable  window=(0, inf)"),
+    # the step r / steps_per_delay underflows to 0
+    "step-underflow": (GAMMA_CONFIG, ["simulate", "--r", "5e-324", "-o", "t.csv"], 2,
+                       "error: t_end = 200.0 at step 0 needs inf steps"),
+    # omega*^2 overflows, and underflows to 0
+    "omega-overflow": (_reference_in_time_unit("gamma", 1e154, 0.36), ["normal-form"], 3,
+                       "numerical failure: omega*^2 leaves the float range"),
+    "omega-underflow": (_reference_in_time_unit("gamma", 1e-170, 0.36), ["normal-form"], 3,
+                        "numerical failure: omega*^2 leaves the float range"),
+    # q^2 - p^2 overflows to inf - inf = nan, which once read as unstable
+    "crossing-overflow": (_reference_in_time_unit("gamma", 1e200, 0.35), ["stability"], 0,
+                          "x2: case I.A, stable"),
+    # the secant numerator of the root search underflows: it bisects there
+    "secant-underflow": (_reference_in_time_unit("gamma", 1e150, 0.36), ["hopf"], 0,
+                         "boundary-root route:"),
+    # q^2 - p^2 overflows, and underflows to 0, on the way to r*
+    "hopf-crossing-overflow": (_reference_in_time_unit("k", 1e154, 0.36), ["hopf"], 0,
+                               "strategy route:"),
+    "hopf-crossing-underflow": (_reference_in_time_unit("gamma", 1e-160, 0.36), ["hopf"],
+                                0, "boundary-root route:"),
+}
+
+
+@pytest.mark.parametrize("config, argv, code, line", EDGE_RUNS.values(), ids=EDGE_RUNS)
+def test_edges_of_the_float_range_exit_by_name(tmp_path, capsys, config, argv, code, line):
+    path = tmp_path / "edge.cfg"
+    path.write_text(config)
+    flags = [str(tmp_path / arg) if arg.endswith(".csv") else arg for arg in argv[1:]]
+    assert cli.main([argv[0], str(path), *flags]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == 0:
+        assert captured.err == ""
+        assert line in captured.out
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith(line)
 
 
 def test_flag_overrides_require_single_parameterization(config_path, capsys):

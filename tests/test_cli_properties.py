@@ -1,9 +1,11 @@
 """Property suite over the command line: every input ends in exit 0, 2 or 3.
 
-Random configurations (ordinary values, and 0, negatives, nan, inf and
-1e308, now and then with a line that is not UTF-8) meet random commands
-and flags, and an output path that is sometimes a missing directory or a
-directory.  No exception other than argparse's ``SystemExit(2)`` may
+Random configurations (ordinary values, and 0, negatives, nan, inf, 1e308,
+the largest float, 1e-300 and the smallest subnormal 5e-324, now and then
+with a line that is not UTF-8) meet random commands and flags, and an
+output path that is sometimes a missing directory or a directory; the
+configs at the edges of the float range in `test_cli.EDGE_RUNS` are
+explicit examples.  No exception other than argparse's ``SystemExit(2)`` may
 escape `cli.main`, and a refusal (exit 2) or a numerical failure (exit 3)
 leaves stdout empty.  The step and grid caps are patched low so that every
 example stays fast.
@@ -19,13 +21,14 @@ import math
 import pytest
 
 from hemohopf import cli, ddesim
-from test_cli import (ANALYTIC_COMMANDS, OVERFLOW_CONFIGS, REF_CONFIG, in_time_unit,
-                      verdict_words)
+from test_cli import (ANALYTIC_COMMANDS, EDGE_RUNS, OVERFLOW_CONFIGS, REF_CONFIG,
+                      config_text, in_time_unit, verdict_words)
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-SPECIAL = st.sampled_from([0.0, -1.5, math.nan, math.inf, -math.inf, 1e308])
+SPECIAL = st.sampled_from([0.0, -1.5, math.nan, math.inf, -math.inf, 1e308, 5e-324, 1e-300,
+                           1.7976931348623157e308])
 # ordinary ranges around the reference configuration, so that runs also get
 # past the refusals
 ORDINARY = {
@@ -114,8 +117,16 @@ def _run(workdir, config, argv):
     return code, stdout.getvalue()
 
 
+def _edge_examples(test):
+    """One explicit example for each run of `EDGE_RUNS`."""
+    for config, argv, _, _ in EDGE_RUNS.values():
+        test = example(config=config.encode(), argv=argv)(test)
+    return test
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(config=configs(), argv=flags())
+@_edge_examples
 @example(config=OVERFLOW_CONFIGS[0][0].encode(),
          argv=["simulate", *OVERFLOW_CONFIGS[0][1], "-o", "out.csv"])
 @example(config=OVERFLOW_CONFIGS[1][0].encode(),
@@ -137,7 +148,7 @@ def ordinary_configs(draw):
 
 
 def _verdicts(workdir, values):
-    config = "".join(f"{key} = {v!r}\n" for key, v in values.items()).encode()
+    config = config_text(values).encode()
     verdicts = {}
     for command in ANALYTIC_COMMANDS:
         code, stdout = _run(workdir, config, [command])

@@ -136,7 +136,7 @@ def test_hopf_from_pqk_grid_reaches_every_stage():
     outcomes = [_outcome(hopf.hopf_from_pqk, n, beta0, delta, k)
                 for n, beta0, delta, k in _pqk_input_grid()]
     errors = {o[0] for o in outcomes if not isinstance(o, hopf.HopfPoint)}
-    assert {ParameterError, ValueError, NoPositiveEquilibriumError,
+    assert {ParameterError, NoPositiveEquilibriumError,
             NoImaginaryCrossingError, DomainError} <= errors
     assert any(isinstance(o, hopf.HopfPoint) for o in outcomes)
     assert (ParameterError, "A = beta0 (k - 1)/delta must be finite, got inf") in outcomes
@@ -301,6 +301,8 @@ def test_find_hopf_r_agrees_with_frontier_on_polish_limited_draws(draw):
     hp = hopf.hopf_from_pqk(*draw)
     hp2 = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
     assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
+    local = hp2.params.with_r(hp2.r_star)
+    assert hp2.omega_star == linstab.omega0(linstab.characteristic_triple(local))
 
 
 # Seed-1 frontier draws (n, beta0, delta, k) whose +-10% bracket holds
@@ -376,6 +378,8 @@ def test_find_hopf_r_polishes_g_off_its_rounding_level(draw, monkeypatch):
     assert len(polish) > 0
     assert abs(linstab.g_of_r(hp2.r_star, hp.params)) < 1e-11
     assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
+    local = hp2.params.with_r(hp2.r_star)
+    assert hp2.omega_star == linstab.omega0(linstab.characteristic_triple(local))
 
 
 def test_find_hopf_r_refusal_names_the_frontier_mismatch(ref_params):
