@@ -61,6 +61,10 @@ STEPS_PER_DELAY = 50
 #: runs take at most 55,879 (t_end = 400 at r* + 2e-3).
 MAX_STEPS = 2_000_000
 
+#: Largest steps_per_delay accepted: one delay of history cells is queued before
+#: the first step (11 MB peak here), and MAX_STEPS then reaches only 20 delays.
+MAX_STEPS_PER_DELAY = 100_000
+
 KIND_EQUILIBRIUM = "equilibrium"
 KIND_CYCLE = "cycle"
 KIND_UNDETERMINED = "undetermined"
@@ -131,12 +135,14 @@ def step_count(r: float, t_end: float, steps_per_delay: int = STEPS_PER_DELAY) -
     """Number of steps `integrate` takes to reach t_end: ceil(t_end / h).
 
     h = r / steps_per_delay.  Raises :class:`ParameterError` for r <= 0,
-    steps_per_delay < 1, t_end not positive, or more than MAX_STEPS steps.
+    steps_per_delay outside [1, MAX_STEPS_PER_DELAY], t_end not positive, or
+    more than MAX_STEPS steps.
     """
     if not r > 0.0:
         raise ParameterError(f"integration requires r > 0, got {r}")
-    if steps_per_delay < 1:
-        raise ParameterError(f"steps_per_delay must be >= 1, got {steps_per_delay}")
+    if not 1 <= steps_per_delay <= MAX_STEPS_PER_DELAY:
+        raise ParameterError(f"steps_per_delay must be in [1, MAX_STEPS_PER_DELAY = "
+                             f"{MAX_STEPS_PER_DELAY}], got {steps_per_delay}")
     if not t_end > 0.0:
         raise ParameterError(f"t_end must be positive, got {t_end}")
     h = r / steps_per_delay

@@ -47,14 +47,15 @@ from .linstab import (
     BOUNDARY_TOL,
     ROOT_RESIDUAL_TOL,
     CharacteristicTriple,
-    _boundary_terms,
+    _TINY,
     _crossing,
     _pq_at_x2,
     _pq_kernel,
     bracketed_root,
     g_of_r,
-    omega0,
 )
+# `omega0` is unused here; perfbench/selftest.py looks it up as `hopf.omega0`.
+from .linstab import omega0  # noqa: F401
 from .model import (
     ModelParameters,
     TaylorCoefficients,
@@ -91,10 +92,6 @@ DEGENERATE = "degenerate"
 
 # Largest |g| that `find_hopf_r` accepts at the located root.
 _G_ROOT_TOL = 1e-11
-# g is a difference of two angles in [0, pi]: its rounding level.
-_G_ROUNDING = 4.0 * math.ulp(math.pi)
-# Relative half-width of the g bracket around the root of the frontier mismatch.
-_G_BRACKET = 1e-9
 
 
 class _HopfPointFields(NamedTuple):
@@ -119,7 +116,8 @@ class HopfPoint(_HopfPointFields):
     def __new__(cls, r_star, omega_star, p_star, q_star, params, x2_star):
         omega, r0 = _crossing(p_star, q_star)
         if r0 == math.inf:
-            raise NumericsError(f"no root crosses at p={p_star}, q={q_star} (p >= -q)")
+            why = "p >= -q" if omega == 0.0 else "the crossing delay overflows"
+            raise NumericsError(f"no root crosses at p={p_star}, q={q_star} ({why})")
         if not abs(omega_star - omega) <= ROOT_RESIDUAL_TOL * omega:
             raise NumericsError(f"omega* = {omega_star!r} != sqrt(q^2 - p^2) = {omega!r}")
         if not abs(r_star - r0) <= ROOT_RESIDUAL_TOL * r0:
@@ -185,10 +183,12 @@ def hopf_from_pqk(n: float, beta0: float, delta: float, k: float) -> HopfPoint:
         raise NoImaginaryCrossingError(
             f"B1 = {_b1_at_x2(beta0, n, A)} >= 0: no pure-imaginary crossing in this regime"
         )
-    if r == math.inf:
+    if omega == 0.0:
         raise NoImaginaryCrossingError(
             f"|q| = {abs(q)} <= |p| = {abs(p)}: no pure-imaginary crossing"
         )
+    if r == math.inf:
+        raise NumericsError(f"r* = arccos(p/q) / omega* overflows at omega* = {omega!r}")
     # only the delay is new at r*: gamma_from_k refuses it unless finite and
     # positive, as from_k would, and 2 exp(-gamma* r*) then returns k to rounding
     params = ModelParameters._unchecked(beta0, n, delta, gamma_from_k(k, r), r, k)
@@ -230,12 +230,9 @@ def find_hopf_r(
     finite and nonnegative, pass :func:`frontier_mismatch`'s checks of a
     delay, and D must change sign between them (it may be +inf at an end);
     the Illinois iteration then runs D on floats, unchecked, and its root is
-    the crossing.  The independent route evaluates g there once.  The root
-    of D is accepted when |g| is below a few ulps of pi, g's rounding level
-    (98.6% of seed-1 frontier draws), with omega0's T^{-1}(-p r)/r from that
-    evaluation; otherwise the root of g is polished on a bracket of relative
-    half-width 1e-9 around it, to that level or to a bracket a few ulps of r
-    wide, and omega* is omega0 there.  |g| < 1e-11 is guaranteed either way.
+    r*.  omega* is the closed frontier relation of :func:`hopf_from_pqk` at
+    (p, q) there.  The independent route, g, is evaluated once at r*, and
+    `ConvergenceError` is raised unless |g| < 1e-11.
     """
     if not all(math.isfinite(end) and end >= 0.0 for end in bracket):
         raise BracketError(f"bracket ends must be finite and nonnegative, got {bracket}")
@@ -249,23 +246,15 @@ def find_hopf_r(
     mismatch = functools.partial(_mismatch, params.beta0, params.n, params.delta, params.gamma)
     # near the root, D = r* - r cancels two delays below the upper end: its rounding level
     r = bracketed_root(mismatch, a, b, f_tol=4.0 * math.ulp(max(bracket)), fa=da, fb=db)
-    g, p, q, y = _boundary_terms(r, params)
-    # the polish's own stopping test: where it holds, r is a root of g to rounding
-    if abs(g) < _G_ROUNDING:
-        w = y / r  # omega0's T^{-1}(-p r) / r, from the solve g made
-    else:
-        r = bracketed_root(lambda rr: g_of_r(rr, params), r * (1.0 - _G_BRACKET),
-                           r * (1.0 + _G_BRACKET), f_tol=_G_ROUNDING)
-        # g_of_r evaluated and so checked every point bracketed_root returns
-        p, q = _pq_kernel(params.beta0, params.n, params.delta, params.gamma, r)
-        w = omega0(CharacteristicTriple(p=p, q=q, r=r))
+    p, q = _pq_kernel(params.beta0, params.n, params.delta, params.gamma, r)
     local = params.with_r(r)
-    # HopfPoint checks first: a sign change of g that is no crossing fails there
-    hp = HopfPoint(r, w, p, q, local, _x2(params.n, local.A))
-    g = w * r - math.acos(p / q)
+    # HopfPoint checks first: a sign change of D that is no crossing fails there
+    hp = HopfPoint(r, _crossing(p, q)[0], p, q, local, _x2(params.n, local.A))
+    g = g_of_r(r, params)
     if not abs(g) < _G_ROOT_TOL:
         raise ConvergenceError(
-            f"boundary root polished only to |g| = {abs(g):.3e} >= {_G_ROOT_TOL:g}",
+            f"boundary function g = {g:.3e} at the root r* = {r!r} of D: "
+            f"|g| >= {_G_ROOT_TOL:g}",
             last_iterate=r,
         )
     return hp
@@ -455,13 +444,17 @@ def w11_closed_form(
 def lyapunov_l1(g20: complex, g11: complex, g21: complex, omega_star: float) -> float:
     """First Lyapunov coefficient Re(i g20 g11 + omega* g21) / (2 omega*^2).
 
-    `NumericsError` where omega*^2 overflows or underflows to 0.
+    `NumericsError` where omega*^2 overflows or falls below the normal range,
+    where it has lost its digits.
     """
     try:
-        return (1j * g20 * g11 + omega_star * g21).real / (2.0 * omega_star**2)
-    except (OverflowError, ZeroDivisionError):
+        w2 = omega_star**2
+    except OverflowError:
+        w2 = math.inf
+    if not _TINY <= w2 < math.inf:
         raise NumericsError(f"omega*^2 leaves the float range at omega* = {omega_star!r}: "
-                            "l1 cannot be formed in this time unit") from None
+                            "l1 cannot be formed in this time unit")
+    return (1j * g20 * g11 + omega_star * g21).real / (2.0 * w2)
 
 
 def _criticality(l1: float, scale: float) -> str:

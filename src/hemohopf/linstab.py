@@ -229,7 +229,8 @@ def _crossing(p: float, q: float) -> Tuple[float, float]:
 
     For q < -|p| the root pair +-i omega*, omega* = sqrt(q^2 - p^2), crosses
     the imaginary axis at r0 = arccos(p/q) / omega*.  For p >= -q no root
-    ever crosses, and (0, +inf) is returned.  Wherever x2 exists,
+    ever crosses, and (0, +inf) is returned: omega* is 0 only there, while
+    r0 is also +inf where the crossing delay overflows.  Wherever x2 exists,
     p - q = delta n (A - 1) / A > 0, so one of the two holds: no other
     region of (p, q) can occur.
     """
@@ -286,8 +287,10 @@ def classify_x2(params: ModelParameters) -> StabilityVerdict:
     else:
         case = CASE_IA if p < 0.0 else CASE_IB
     omega, r0 = _crossing(p, q)
-    if r0 == math.inf:
+    if omega == 0.0:
         status, notes = STABLE, "p >= -q: r0 = inf, stable for every delay"
+    elif r0 == math.inf:
+        status, notes = STABLE, "p < -q, but r0 overflows: stable for every float delay"
     elif abs(r - r0) <= BOUNDARY_TOL * r0:
         status, notes = MARGINAL, f"r = r0 = {r0!r}: on the stability frontier"
     elif r < r0:
@@ -308,12 +311,6 @@ def g_of_r(r: float, params: ModelParameters) -> float:
     for a non-finite A and `DomainError` for a non-finite p or q.  Both
     subterms must be in domain (`DomainError` otherwise).
     """
-    return _boundary_terms(r, params)[0]
-
-
-def _boundary_terms(r: float, params: ModelParameters):
-    # (g(r), p, q, y) with y = T_inv(-p r), with the refusals of g_of_r:
-    # `find_hopf_r` takes omega* = y / r, omega0's expression, from them
     if not math.isfinite(r) or r <= 0.0:
         raise DomainError(f"g is evaluated for r > 0, got {r}")
     _check_delay(params.gamma, r)
@@ -323,8 +320,7 @@ def _boundary_terms(r: float, params: ModelParameters):
         raise DomainError(f"T_inv argument -p*r = {v} > 1 at r = {r}")
     if q == 0.0 or abs(p / q) > 1.0:
         raise DomainError(f"arccos argument p/q = {p}/{q} outside [-1, 1] at r = {r}")
-    y = T_inv(v)
-    return y - math.acos(p / q), p, q, y
+    return T_inv(v) - math.acos(p / q)
 
 
 def char_root_newton(

@@ -679,8 +679,8 @@ def test_analytic_verdicts_do_not_depend_on_the_time_unit(tmp_path, capsys, name
     }
     verdicts = _analytic_verdicts(tmp_path, capsys, in_time_unit(values, s))
     hp, hp_s = _time_unit_hopf(name, 1.0), _time_unit_hopf(name, s)
-    if not 1e-170 < s < 1e154:
-        # omega* is s times its s = 1 value, and omega*^2 leaves the float range
+    if not 1e-154 < s < 1e154:
+        # omega* is s times its s = 1 value, and omega*^2 leaves the normal range
         assert verdicts.pop("normal-form") == (3, [])
         expected.pop("normal-form")
         with pytest.raises(NumericsError, match=r"omega\*\^2 leaves the float range"):
@@ -694,9 +694,11 @@ def _reference_in_time_unit(name, s, r):
     return config_text(in_time_unit(dict(TIME_UNIT_CONFIGS[name], r=r), s))
 
 
+CROSSING_UNDERFLOW = "beta0 = 1e-300\nn = 2\ndelta = 5e-324\nk = 1.9999999999999998\nr = 1\n"
+
 # A run at each place where an input at the edge of the float range once
-# ended in a bare exception: (config, argv, exit code, the start of stderr on
-# a refusal or a line of stdout on exit 0).
+# ended in a bare exception or a false message: (config, argv, exit code, the
+# start of stderr on a refusal or a line of stdout on exit 0).
 EDGE_RUNS = {
     # k/2 underflows to 0 in gamma = -ln(k/2)/r
     "k-underflow": ("beta0 = 1.77\nn = 12\ndelta = 0.05\nk = 5e-324\nr = 0.36\n",
@@ -705,18 +707,34 @@ EDGE_RUNS = {
     # beta0 (n - 1) underflows in r_n: the B1 < 0 regime is empty, r_n = -inf
     "r_n-underflow": ("beta0 = 5e-324\nn = 1.5\ndelta = 0.05\ngamma = 1.48\nr = 0.36\n",
                       ["equilibria"], 0, "r_max  = -inf   r_n = -inf"),
-    # q^2 - p^2 underflows to 0; the crossing delay (pi/2)/|q| overflows
-    "crossing-underflow": ("beta0 = 1e-300\nn = 2\ndelta = 5e-324\n"
-                           "k = 1.9999999999999998\nr = 1\n", ["stability"], 0,
-                           "x2: case I.boundary_p0, stable  window=(0, inf)"),
+    # q^2 - p^2 underflows to 0; p = 0 < -q, but the crossing delay (pi/2)/|q|
+    # overflows
+    "crossing-underflow": (CROSSING_UNDERFLOW, ["stability"], 0,
+                           "x2: case I.boundary_p0, stable  window=(0, inf)\n"
+                           "    p < -q, but r0 overflows: stable for every float delay\n"),
+    "hopf-crossing-delay-overflow": (CROSSING_UNDERFLOW, ["hopf"], 3,
+                                     "numerical failure: r* = arccos(p/q) / omega* "
+                                     "overflows at omega* = 1e-323"),
     # the step r / steps_per_delay underflows to 0
     "step-underflow": (GAMMA_CONFIG, ["simulate", "--r", "5e-324", "-o", "t.csv"], 2,
                        "error: t_end = 200.0 at step 0 needs inf steps"),
-    # omega*^2 overflows, and underflows to 0
+    # steps_per_delay does not convert to a float in r / steps_per_delay
+    "steps-per-delay-overflow": (GAMMA_CONFIG, ["simulate", "--r", "0.36", "-o", "t.csv",
+                                                "--steps-per-delay", "1" + "0" * 400], 2,
+                                 "error: steps_per_delay must be in [1, "
+                                 "MAX_STEPS_PER_DELAY = 100000], got 1" + "0" * 400),
+    # omega*^2 overflows, underflows to 0, and is subnormal
     "omega-overflow": (_reference_in_time_unit("gamma", 1e154, 0.36), ["normal-form"], 3,
                        "numerical failure: omega*^2 leaves the float range"),
     "omega-underflow": (_reference_in_time_unit("gamma", 1e-170, 0.36), ["normal-form"], 3,
                         "numerical failure: omega*^2 leaves the float range"),
+    # (at 1e-162 the closed-form constant c once failed first, as a resonance)
+    "omega-subnormal-1e-159": (_reference_in_time_unit("gamma", 1e-159, 0.36),
+                               ["normal-form"], 3,
+                               "numerical failure: omega*^2 leaves the float range"),
+    "omega-subnormal-1e-162": (_reference_in_time_unit("gamma", 1e-162, 0.36),
+                               ["normal-form"], 3,
+                               "numerical failure: omega*^2 leaves the float range"),
     # q^2 - p^2 overflows to inf - inf = nan, which once read as unstable
     "crossing-overflow": (_reference_in_time_unit("gamma", 1e200, 0.35), ["stability"], 0,
                           "x2: case I.A, stable"),
@@ -788,7 +806,7 @@ def test_second_reference_crossing_is_reported(gamma_config_path, capsys):
     assert cli.main(["normal-form", gamma_config_path, "--bracket", "0.40", "0.449"]) == 0
     out = capsys.readouterr().out
     assert "hopf point: r* = 0.444212289607 " in out
-    assert "l1 = -388.282902559 " in out
+    assert "l1 = -388.28290256 " in out
     assert "mu' = -463.01246782 " in out
     assert "criticality: supercritical\n" in out
 

@@ -68,7 +68,7 @@ boundary-root route:
   omega* = 1.66168723061
   gamma* = 1.48067
   p* = -2.47412637577   q* = -2.98035329712   x2* = 1.15085936274
-  characteristic residual = 1.986e-15
+  characteristic residual = 6.280e-16
 strategy route (at the located k):
   r*     = 0.35592018752
   omega* = 1.66168723061
@@ -109,10 +109,10 @@ g20 = -34.5278844019 +9.53439462512i
 g11 = 1.045887991 -5.1802643631i
 g02 = 28.1240404625 +22.1837289517i
 g21 = -31.6262442064 -30.2008293225i
-w20(0)  = -0.227042628148 -0.37449390403i   closed form -0.227042628148 -0.37449390403i   |diff| = 1.937e-15
-w20(-r) = -1.73278181593 -2.28326433471i   closed form -1.73278181593 -2.28326433471i   |diff| = 2.047e-15
-w11(0)  = 0.0638930031385 +0i   closed form 0.0638930031385 +0i   |diff| = 2.637e-16
-w11(-r) = 0.421072503663 +0i   closed form 0.421072503663 +0i   |diff| = 2.220e-16
+w20(0)  = -0.227042628148 -0.37449390403i   closed form -0.227042628148 -0.37449390403i   |diff| = 4.727e-15
+w20(-r) = -1.73278181593 -2.28326433471i   closed form -1.73278181593 -2.28326433471i   |diff| = 7.095e-15
+w11(0)  = 0.0638930031385 -2.61452460346e-15i   closed form 0.0638930031385 -3.14683119097e-15i   |diff| = 5.325e-16
+w11(-r) = 0.421072503663 -2.17043539361e-15i   closed form 0.421072503663 -2.61232722215e-15i   |diff| = 4.419e-16
 c  = -0.483979988094 +0.484504929511i
 c1 = 1.97539869539
 l1 = -43.710708181   s = -1

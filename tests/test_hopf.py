@@ -92,6 +92,19 @@ def test_strategy_route_rejects_no_crossing():
         hopf.hopf_from_pqk(12.0, 1.77, 0.05, 1.0)  # x2 absent
 
 
+def test_a_crossing_delay_that_overflows_is_no_missing_crossing(ref_hopf):
+    # p = 0 < -q = 1e-323: a root pair crosses, omega* = 1e-323, but
+    # r* = (pi/2) / omega* overflows
+    with pytest.raises(NumericsError, match=r"r\* = arccos\(p/q\) / omega\* overflows "
+                       r"at omega\* = 1e-323"):
+        hopf.hopf_from_pqk(2.0, 1e-300, 5e-324, 1.9999999999999998)
+    with pytest.raises(NumericsError, match=r"no root crosses at p=0.0, q=-1e-323 "
+                       r"\(the crossing delay overflows\)"):
+        hopf.HopfPoint(math.inf, 1e-323, 0.0, -1e-323, ref_hopf.params, ref_hopf.x2_star)
+    with pytest.raises(NumericsError, match=r"no root crosses at p=1.0, q=-1.0 \(p >= -q\)"):
+        hopf.HopfPoint(1.0, 0.0, 1.0, -1.0, ref_hopf.params, ref_hopf.x2_star)
+
+
 def _pqk_input_grid():
     """(n, beta0, delta, k) around the reference inputs: non-finite, zero and
     negative values of each, n = 1, k = 2, the smallest subnormal k,
@@ -245,44 +258,65 @@ def _count_calls(monkeypatch, module, name, calls):
 
 
 def test_find_hopf_r_evaluates_g_fewer_times(ref_params, monkeypatch):
-    # g at the root of D is formed by `_boundary_terms`, and the g polish
-    # calls `g_of_r`: both seams are counted, and so is every T_inv solve
-    at_root, polish, solves = [], [], []
-    _count_calls(monkeypatch, hopf, "_boundary_terms", at_root)
-    _count_calls(monkeypatch, hopf, "g_of_r", polish)
+    # g is evaluated once, at the root of D, through `hopf.g_of_r`: that seam
+    # is counted, and so is every T_inv solve
+    at_root, solves = [], []
+    _count_calls(monkeypatch, hopf, "g_of_r", at_root)
     _count_calls(monkeypatch, linstab, "T_inv", solves)
     hp = hopf.find_hopf_r(ref_params, (0.30, 0.40))
-    # the root of D is a root of g to rounding here, so g is evaluated there
-    # only, and omega* reuses that evaluation's T_inv solve
     assert at_root == [hp.r_star]
-    assert polish == []
     assert len(solves) == 1
     monkeypatch.undo()
     assert abs(linstab.g_of_r(hp.r_star, ref_params)) < 1e-14
-    assert hp.omega_star == linstab.omega0(hp.triple)
+    assert hp.omega_star == linstab._crossing(hp.p_star, hp.q_star)[0]
 
 
 def test_find_hopf_r_guarantees_the_g_residual(ref_params, monkeypatch):
-    # a boundary function shifted by 2e-11 has its root where the true g
-    # is 2e-11: HopfPoint's 1e-10 checks pass there, the g guarantee not
-    def shifted_terms(r, params):
-        g, p, q, y = linstab._boundary_terms(r, params)
-        return g - 2e-11, p, q, y
-
-    monkeypatch.setattr(hopf, "_boundary_terms", shifted_terms)
+    # a boundary function shifted by 2e-11 is 2e-11 at the root of D:
+    # HopfPoint's 1e-10 checks pass there, the g check not
     monkeypatch.setattr(hopf, "g_of_r", lambda r, params: linstab.g_of_r(r, params) - 2e-11)
-    with pytest.raises(ConvergenceError, match="polished only to"):
+    with pytest.raises(ConvergenceError, match=r"boundary function g = -2\.000e-11 at "
+                       r"the root r\* = 0\.35592087769\d* of D: \|g\| >= 1e-11"):
         hopf.find_hopf_r(ref_params, (0.30, 0.40))
 
 
-#: (n, beta0, delta, k) of frontier draws whose g root, polished only to
-#: |g| < 1e-11, failed HopfPoint's check omega* = sqrt(q^2 - p^2) to 1e-10
-POLISH_LIMITED_DRAWS = [
-    (15.664091288895923, 2.0005220753306237, 0.25392833675469795, 1.368107999405649),
-    (13.74634878832299, 1.6215292946202005, 0.29652886153763075, 1.7193814951479869),
-    (17.969444393297902, 2.367151098615527, 0.29152960043553217, 1.5430287394303668),
-    (17.66692974328575, 1.5129074583029936, 0.20691078057309062, 1.6206371614737383),
-]
+#: Seed-1 frontier draws (n, beta0, delta, k) where g at the root of D once
+#: failed a check: the root of g, polished only to |g| < 1e-11, failed
+#: HopfPoint's omega* = sqrt(q^2 - p^2) to 1e-10 ("polish-limited"); |g|
+#: was above a few ulps of pi ("polish-needed"); or a secant point of the
+#: search on g rounded onto an end ("secant-on-end")
+CLOSED_FORM_OMEGA_DRAWS = {
+    "polish-limited-0": (15.664091288895923, 2.0005220753306237, 0.25392833675469795,
+                         1.368107999405649),
+    "polish-limited-1": (13.74634878832299, 1.6215292946202005, 0.29652886153763075,
+                         1.7193814951479869),
+    "polish-limited-2": (17.969444393297902, 2.367151098615527, 0.29152960043553217,
+                         1.5430287394303668),
+    "polish-limited-3": (17.66692974328575, 1.5129074583029936, 0.20691078057309062,
+                         1.6206371614737383),
+    "polish-needed-0": (19.786852974908587, 1.5525339685756683, 0.043511872371759255,
+                        1.1673834374613317),
+    "polish-needed-1": (18.33043595299339, 2.1556712645860894, 0.1093178845353198,
+                        1.239150256485174),
+    "polish-needed-2": (7.678254232659764, 2.8144644740232496, 0.2592214757180992,
+                        1.1332532915119207),
+    "polish-needed-3": (7.71092679131033, 0.8427203748511198, 0.1140017341521307,
+                        1.1741510795526624),
+    "secant-on-end-0": (10.627808406354927, 1.9834876195063793, 0.024791974489215784,
+                        1.0145931381474043),
+    "secant-on-end-1": (17.452861508457822, 2.46113892141598, 0.07290932857147699,
+                        1.0400817879921676),
+    "secant-on-end-2": (13.373630635916001, 2.7641175531637443, 0.06983825913791109,
+                        1.0309531620037107),
+    "secant-on-end-3": (10.312762806460418, 0.7983193106610044, 0.03333316719531122,
+                        1.059653529784012),
+    "secant-on-end-4": (16.7278733951262, 2.786946134530215, 0.10277717422424767,
+                        1.0410871153949288),
+    "secant-on-end-5": (8.179904170069847, 2.187500645724417, 0.02930267831373494,
+                        1.0164887266466687),
+    "secant-on-end-6": (15.339597119446351, 2.4292960059857225, 0.10727745408671546,
+                        1.0534136999787804),
+}
 
 #: draws with r* = 24.8 and 62.5, where an ulp of r exceeds 1e-15
 LONG_DELAY_DRAWS = [
@@ -296,13 +330,17 @@ def _frontier_bracket(hp):
     return (0.9 * hp.r_star, min(1.1 * hp.r_star, 0.999 * r_max))
 
 
-@pytest.mark.parametrize("draw", POLISH_LIMITED_DRAWS)
-def test_find_hopf_r_agrees_with_frontier_on_polish_limited_draws(draw):
+@pytest.mark.parametrize("draw", CLOSED_FORM_OMEGA_DRAWS.values(), ids=CLOSED_FORM_OMEGA_DRAWS)
+def test_find_hopf_r_takes_omega_from_the_frontier_relations(draw, monkeypatch):
+    # omega* is the closed form at (p*, q*), and g is checked once, at r*
     hp = hopf.hopf_from_pqk(*draw)
+    calls = []
+    _count_calls(monkeypatch, hopf, "g_of_r", calls)
     hp2 = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
+    assert calls == [hp2.r_star]
+    assert hp2.omega_star == linstab._crossing(hp2.p_star, hp2.q_star)[0]
+    assert abs(linstab.g_of_r(hp2.r_star, hp.params)) < 1e-11
     assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
-    local = hp2.params.with_r(hp2.r_star)
-    assert hp2.omega_star == linstab.omega0(linstab.characteristic_triple(local))
 
 
 # Seed-1 frontier draws (n, beta0, delta, k) whose +-10% bracket holds
@@ -330,56 +368,6 @@ def test_find_hopf_r_agrees_with_frontier_on_long_delay_draws(draw):
     hp = hopf.hopf_from_pqk(*draw)
     hp2 = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
     assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
-
-
-#: Seed-1 frontier draws whose g polish took 24-25 g evaluations when the
-#: secant point rounded onto an end and the search fell back to bisection
-SECANT_ON_END_DRAWS = [
-    (10.627808406354927, 1.9834876195063793, 0.024791974489215784, 1.0145931381474043),
-    (17.452861508457822, 2.46113892141598, 0.07290932857147699, 1.0400817879921676),
-    (13.373630635916001, 2.7641175531637443, 0.06983825913791109, 1.0309531620037107),
-    (10.312762806460418, 0.7983193106610044, 0.03333316719531122, 1.059653529784012),
-    (16.7278733951262, 2.786946134530215, 0.10277717422424767, 1.0410871153949288),
-    (8.179904170069847, 2.187500645724417, 0.02930267831373494, 1.0164887266466687),
-    (15.339597119446351, 2.4292960059857225, 0.10727745408671546, 1.0534136999787804),
-]
-
-
-@pytest.mark.parametrize("draw", SECANT_ON_END_DRAWS)
-def test_find_hopf_r_polishes_g_without_bisection(draw, monkeypatch):
-    calls = []
-    hp = hopf.hopf_from_pqk(*draw)
-    _count_calls(monkeypatch, hopf, "_boundary_terms", calls)
-    _count_calls(monkeypatch, hopf, "g_of_r", calls)
-    hp2 = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
-    assert len(calls) <= 6
-    assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
-
-
-#: Seed-1 frontier draws where |g| at the root of D is not below g's rounding
-#: level, so the root of g is polished on the +-1e-9 bracket
-POLISH_NEEDED_DRAWS = [
-    (19.786852974908587, 1.5525339685756683, 0.043511872371759255, 1.1673834374613317),
-    (18.33043595299339, 2.1556712645860894, 0.1093178845353198, 1.239150256485174),
-    (7.678254232659764, 2.8144644740232496, 0.2592214757180992, 1.1332532915119207),
-    (7.71092679131033, 0.8427203748511198, 0.1140017341521307, 1.1741510795526624),
-]
-
-
-@pytest.mark.parametrize("draw", POLISH_NEEDED_DRAWS)
-def test_find_hopf_r_polishes_g_off_its_rounding_level(draw, monkeypatch):
-    at_root, polish = [], []
-    hp = hopf.hopf_from_pqk(*draw)
-    _count_calls(monkeypatch, hopf, "_boundary_terms", at_root)
-    _count_calls(monkeypatch, hopf, "g_of_r", polish)
-    hp2 = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
-    assert len(at_root) == 1
-    assert not abs(linstab.g_of_r(at_root[0], hp.params)) < hopf._G_ROUNDING
-    assert len(polish) > 0
-    assert abs(linstab.g_of_r(hp2.r_star, hp.params)) < 1e-11
-    assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
-    local = hp2.params.with_r(hp2.r_star)
-    assert hp2.omega_star == linstab.omega0(linstab.characteristic_triple(local))
 
 
 def test_find_hopf_r_refusal_names_the_frontier_mismatch(ref_params):
@@ -480,13 +468,6 @@ def test_frontier_mismatch_refuses_the_near_float_limit_config_by_stage():
         hopf.frontier_mismatch(0.1, params)
 
 
-def reference_boundary_terms(r, params):
-    # `_boundary_terms` composed from the reference g: (g, p, q, T_inv(-p r))
-    triple = linstab.characteristic_triple(params.with_r(r))
-    g = reference_g_of_r(r, params)
-    return g, triple.p, triple.q, linstab.T_inv(-triple.p * r)
-
-
 @pytest.mark.parametrize("name", MOVED_DELAY_CONFIGS)
 def test_the_iterated_mismatch_kernel_is_the_reference_to_the_bit(name):
     # find_hopf_r checks each bracket end (finite, nonnegative, int or float),
@@ -515,7 +496,6 @@ def test_find_hopf_r_takes_the_reference_iterates(draw, monkeypatch):
         return reference_frontier_mismatch(args[4], hp.params)
 
     monkeypatch.setattr(hopf, "_mismatch", reference_kernel)
-    monkeypatch.setattr(hopf, "_boundary_terms", reference_boundary_terms)
     monkeypatch.setattr(hopf, "g_of_r", reference_g_of_r)
     assert hopf.find_hopf_r(hp.params, _frontier_bracket(hp)) == located
     # the patch reached the iteration, not only the two bracket ends
