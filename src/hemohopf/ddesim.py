@@ -18,13 +18,20 @@ STEPS_PER_DELAY can be as small as 50.
 The module is standard library only: a trajectory is three ``array('d')``
 columns, and the diagnostics are plain Python passes over the tail, so
 `simulate`, `sweep` and `scaling` run without importing numpy.  Convert
-with ``numpy.asarray(traj.x)`` for array arithmetic.
+with ``numpy.asarray(traj.x)`` for array arithmetic.  The RK4 step loop
+alone also exists in C (``_rk4.c``): the first `integrate` of a process
+compiles it with the system ``cc`` into ``__pycache__/`` beside this file,
+unless a build for the same source is there, loads it with ctypes, and
+runs it if it reproduces `_python_loop` to the bit on a short probe.
+Without a compiler, with an unwritable cache, or on a failed load or probe,
+`_python_loop` runs; both loops give the same bits.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import os
 from array import array
 from collections import deque
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -55,15 +62,19 @@ CYCLE_SPREAD_TOL = 0.05
 #: an independent DOP853 integration; the README has the table.
 STEPS_PER_DELAY = 50
 
-#: Largest number of steps `integrate` accepts (about 4.5 s and 91 MB peak
-#: RSS for `integrate` plus `orbit_metrics` on a 2-vCPU Xeon; the three
-#: `array('d')` columns are 48 MB of it); at STEPS_PER_DELAY the reference
-#: runs take at most 55,879 (t_end = 400 at r* + 2e-3).
+#: Largest number of steps `integrate` accepts (about 0.6 s with the compiled
+#: loop, 3-4 s with the Python loop, and 92 MB peak RSS for `integrate` plus
+#: `orbit_metrics` on a 2-vCPU Xeon; the three `array('d')` columns are 48 MB
+#: of it); at STEPS_PER_DELAY the reference runs take at most 55,879
+#: (t_end = 400 at r* + 2e-3).
 MAX_STEPS = 2_000_000
 
 #: Largest steps_per_delay accepted: one delay of history cells is queued before
 #: the first step (11 MB peak here), and MAX_STEPS then reaches only 20 delays.
 MAX_STEPS_PER_DELAY = 100_000
+
+#: Rows `write_trajectory_csv` formats in one string operation.
+_CSV_CHUNK_ROWS = 1024
 
 KIND_EQUILIBRIUM = "equilibrium"
 KIND_CYCLE = "cycle"
@@ -178,9 +189,10 @@ def integrate(
     midpoint, and k4 and the stored derivative share the production at
     the delayed node.  Both come off one queue: the m history cells are
     queued before the first step, and each accepted cell is queued as it
-    is accepted, one delay before it is read, so the loop only appends to
-    the stored columns.  The floating-point operations and their order are
-    those of five full evaluations, so the numbers are too.
+    is accepted, one delay before it is read.  The floating-point
+    operations and their order are those of five full evaluations, so the
+    numbers are too.  The steps run in the compiled loop of ``_rk4.c``
+    where it could be built, else in `_python_loop`; both give the same bits.
     """
     r = params.r
     n_steps = step_count(r, t_end, steps_per_delay)
@@ -188,30 +200,60 @@ def integrate(
     kb0 = k * beta0
     m = steps_per_delay
     h = r / m
-    half_h, eighth_h, sixth_h = 0.5 * h, 0.125 * h, h / 6.0
+    destruction, production = _rhs_terms(beta0, n, delta, kb0)
+    try:
+        x0 = float(history(0.0))
+        dx0 = destruction(x0) + production(float(history(-r)))
+        if not math.isfinite(x0) or not math.isfinite(dx0):
+            raise BlowUpError("non-finite state at t = 0", time=0.0)
+        # (production at the Hermite midpoint, production at the right node) of
+        # the history cells [j, j + 1] for j = -m .. -1, flat; step i reads and
+        # refills pair i mod m, the cell one delay back.
+        ring = array("d", [p for j in range(-m, 0)
+                           for p in (production(history((j + 0.5) * h)),
+                                     production(history((j + 1) * h)))])
+        # Step 0 reads phi(-m h), which may differ from phi(-r) in the last bit.
+        k1 = destruction(x0) + production(history(-m * h))
+    except OverflowError:
+        # x**n of a history value overflowed
+        raise BlowUpError("state blew up at t = 0.0", time=0.0) from None
+    t, x, dx = (array("d", [0.0]) * (n_steps + 1) for _ in range(3))
+    x[0], dx[0] = x0, dx0
+    i = _step_loop()(n_steps, m, h, beta0, n, delta, kb0, k1, ring, t, x, dx)
+    if i < n_steps:
+        # the state left the float range, or x**n did before it
+        t_fail = (i + 1) * h
+        raise BlowUpError(f"state blew up at t = {t_fail}", time=t_fail)
+    return Trajectory(t=t, x=x, dx=dx, step=h, params=params)
+
+
+def _rhs_terms(beta0: float, n: float, delta: float, kb0: float):
+    """The destruction and production terms of the right-hand side."""
     def destruction(x: float) -> float:
         return -(beta0 / (1.0 + (x**n if x > 0.0 else 0.0)) + delta) * x
 
     def production(xd: float) -> float:
         return kb0 * xd / (1.0 + (xd**n if xd > 0.0 else 0.0))
 
-    i = -1  # the step that fails reaches t = (i + 1) h
-    try:
-        xi = float(history(0.0))
-        dx0 = destruction(xi) + production(float(history(-r)))
-        if not math.isfinite(xi) or not math.isfinite(dx0):
-            raise BlowUpError("non-finite state at t = 0", time=0.0)
-        xs, dxs = array("d", (xi,)), array("d", (dx0,))
-        # (production at the Hermite midpoint, production at the right node) of
-        # each cell, history cells [j, j + 1] for j = -m .. -1 first; step i
-        # reads the cell one delay back, so each pair is consumed once.
-        delayed = deque((production(history((j + 0.5) * h)),
-                         production(history((j + 1) * h))) for j in range(-m, 0))
-        # Step 0 reads phi(-m h), which may differ from phi(-r) in the last bit.
-        k1 = destruction(xi) + production(history(-m * h))
-        dxi = dx0  # the derivative stored at the current node
+    return destruction, production
 
-        for i in range(n_steps):
+
+def _python_loop(n_steps: int, m: int, h: float, beta0: float, n: float, delta: float,
+                 kb0: float, k1: float, ring: array, t: array, x: array, dx: array) -> int:
+    """The RK4 step loop of `integrate`, and the reference for ``_rk4.c``.
+
+    Runs steps 0 .. n_steps - 1 from the node x[0], dx[0] with first stage
+    k1, taking the delayed productions off `ring`, and fills t, x and dx
+    at 1 .. n_steps.  Returns n_steps, or the index of the first step where
+    x**n overflowed or the state left [-1e100, 1e100].
+    """
+    destruction, production = _rhs_terms(beta0, n, delta, kb0)
+    half_h, eighth_h, sixth_h = 0.5 * h, 0.125 * h, h / 6.0
+    delayed = deque(zip(ring[::2], ring[1::2]))
+    xi, dxi = x[0], dx[0]  # the current node and its stored derivative
+    j = 0  # step j - 1 ends at node j
+    try:
+        for j in range(1, n_steps + 1):
             p_mid, p_end = delayed.popleft()
             k2 = destruction(xi + half_h * k1) + p_mid
             k3 = destruction(xi + half_h * k2) + p_mid
@@ -219,20 +261,105 @@ def integrate(
             x_prev, dx_prev = xi, dxi
             xi = xi + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not math.isfinite(xi) or abs(xi) > 1e100:
-                raise OverflowError
+                return j - 1
             k1 = dxi = destruction(xi) + p_end
-            xs.append(xi)
-            dxs.append(k1)
-            # the cell [i, i + 1] just accepted, with its Hermite midpoint
+            t[j] = j * h
+            x[j] = xi
+            dx[j] = k1
+            # the cell [j - 1, j] just accepted, with its Hermite midpoint
             delayed.append((production(0.5 * (x_prev + xi) + eighth_h * (dx_prev - k1)),
                             production(xi)))
     except OverflowError:
-        # the state left the float range, or x**n did before it
-        t_fail = (i + 1) * h
-        raise BlowUpError(f"state blew up at t = {t_fail}", time=t_fail) from None
+        return j - 1
+    return n_steps
 
-    t = array("d", (i * h for i in range(n_steps + 1)))
-    return Trajectory(t=t, x=xs, dx=dxs, step=h, params=params)
+
+#: The step loop `integrate` runs, chosen by its first call in a process.
+_loop: Optional[Callable[..., int]] = None
+
+#: The C source of the compiled loop, and where its build is cached, beside
+#: this module's bytecode.
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rk4.c")
+_CACHE_DIR = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
+
+#: Compiler flags of the compiled loop: no contraction into fused multiply-adds
+#: and no -ffast-math, so that every operation rounds as CPython's does.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _step_loop() -> Callable[..., int]:
+    """The compiled loop where it builds and passes its probe, else `_python_loop`."""
+    global _loop
+    if _loop is None:
+        _loop = _load_kernel(_CACHE_DIR) or _python_loop
+    return _loop
+
+
+def _load_kernel(cache_dir: str) -> Optional[Callable[..., int]]:
+    """Build ``_rk4.c`` into `cache_dir` once per source, load it with ctypes,
+    and return it as a drop-in for `_python_loop` if it reproduces that loop's
+    bits on a short probe.  None where there is no ``cc``, the cache cannot be
+    written, the build or the load fails, or the probe differs.
+    """
+    import ctypes
+    import zlib
+
+    try:
+        with open(_SOURCE, "rb") as fh:
+            key = zlib.crc32(fh.read() + repr((_CFLAGS, os.uname().machine)).encode())
+        lib_path = os.path.join(cache_dir, f"_rk4-{key:08x}.so")
+        if not (os.path.exists(lib_path) or _build(lib_path)):
+            return None
+        kernel = ctypes.CDLL(lib_path).hemohopf_rk4
+    except (OSError, AttributeError):
+        return None
+    kernel.restype = ctypes.c_int64
+    kernel.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_double] * 6
+                       + [ctypes.c_void_p] * 4)
+
+    def compiled_loop(n_steps, m, h, beta0, n, delta, kb0, k1, ring, t, x, dx):
+        # the kernel writes through these pointers: they must hold what it reads and writes
+        if not (len(ring) == 2 * m and len(t) == len(x) == len(dx) == n_steps + 1
+                and ring.typecode == t.typecode == x.typecode == dx.typecode == "d"):
+            raise ValueError("step loop columns do not fit n_steps and m")
+        return kernel(n_steps, m, h, beta0, n, delta, kb0, k1, ring.buffer_info()[0],
+                      t.buffer_info()[0], x.buffer_info()[0], dx.buffer_info()[0])
+
+    return compiled_loop if _probe(compiled_loop) == _probe(_python_loop) else None
+
+
+def _build(lib_path: str) -> bool:
+    """Compile ``_rk4.c`` with ``cc`` to a temporary file moved onto `lib_path`,
+    so that a concurrent process never loads a partial library."""
+    import shutil
+    import subprocess
+
+    cc = shutil.which("cc")
+    if cc is None:
+        return False
+    tmp = f"{lib_path}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(lib_path), exist_ok=True)
+        subprocess.run([cc, *_CFLAGS, "-o", tmp, _SOURCE, "-lm"], check=True,
+                       stdin=subprocess.DEVNULL, capture_output=True, timeout=120)
+        os.replace(tmp, lib_path)
+    except (OSError, subprocess.SubprocessError):
+        return False
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return True
+
+
+def _probe(loop: Callable[..., int]):
+    """Return value and column bytes of `loop` on 200 steps, 7 per delay, of the
+    reference parameters from a negative start, so that both branches of the
+    Hill terms run."""
+    ring = array("d", (0.1 * j for j in range(14)))
+    t, x, dx = (array("d", [0.0]) * 201 for _ in range(3))
+    x[0], dx[0] = -0.5, 1.0
+    i = loop(200, 7, 0.36 / 7, 1.77, 12.0, 0.05, 1.17 * 1.77, 0.9, ring, t, x, dx)
+    return i, t.tobytes(), x.tobytes(), dx.tobytes()
 
 
 def _hermite_extrema(t: Sequence[float], x: Sequence[float],
@@ -357,9 +484,10 @@ def amplitude_scaling(
         )
     amps = []
     for rp in probes:
-        local = params.with_r(rp)
-        traj = integrate(local, default_history(rp), t_end, steps_per_delay)
-        metrics = orbit_metrics(traj, transient_fraction)
+        # no name holds the trajectory, so it is freed before the next probe
+        metrics = orbit_metrics(
+            integrate(params.with_r(rp), default_history(rp), t_end, steps_per_delay),
+            transient_fraction)
         if metrics.kind != KIND_CYCLE:
             raise InconclusiveError(
                 f"run at r = {rp} classified as {metrics.kind}, not cycle"
@@ -372,7 +500,11 @@ def write_trajectory_csv(traj: Trajectory, path, stride: int = 1) -> None:
     """Write the trajectory as CSV `t,x` rows at full double precision."""
     if stride < 1:
         raise ParameterError(f"stride must be >= 1, got {stride}")
-    ts, xs = traj.t[::stride].tolist(), traj.x[::stride].tolist()
+    ts, xs = traj.t[::stride], traj.x[::stride]
+    values = array("d", [0.0]) * (2 * len(ts))  # t0, x0, t1, x1, ...
+    values[::2], values[1::2] = ts, xs
     with open(path, "w", newline="\n") as fh:
         fh.write("t,x\n")
-        fh.writelines(map("%.17g,%.17g\n".__mod__, zip(ts, xs)))
+        for start in range(0, len(values), 2 * _CSV_CHUNK_ROWS):
+            chunk = values[start:start + 2 * _CSV_CHUNK_ROWS]
+            fh.write("%.17g,%.17g\n" * (len(chunk) // 2) % tuple(chunk))

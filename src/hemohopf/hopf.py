@@ -150,13 +150,13 @@ class NormalFormData(NamedTuple):
     g21: complex
     w20_at_0: complex
     w20_at_minus_r: complex
-    w11_at_0: complex
-    w11_at_minus_r: complex
+    w11_at_0: float
+    w11_at_minus_r: float
     # the printed closed forms of the four boundary values, the cross-check
     w20_closed_at_0: complex
     w20_closed_at_minus_r: complex
-    w11_closed_at_0: complex
-    w11_closed_at_minus_r: complex
+    w11_closed_at_0: float
+    w11_closed_at_minus_r: float
     c: complex
     c1: float
     l1: float
@@ -326,8 +326,8 @@ def f21_coefficient(
     hp: HopfPoint,
     w20_0: complex,
     w20_mr: complex,
-    w11_0: complex,
-    w11_mr: complex,
+    w11_0: float,
+    w11_mr: float,
 ) -> complex:
     """Cubic coefficient f21 of the projected nonlinearity, from the boundary
     values of w20 and w11 (:func:`w_boundary_values`):
@@ -351,8 +351,8 @@ def w_boundary_values(
     f20: complex,
     f11: complex,
     hp: HopfPoint,
-) -> Tuple[complex, complex, complex, complex]:
-    """Boundary values w20(0), w20(-r), w11(0), w11(-r).
+) -> Tuple[complex, complex, float, float]:
+    """Boundary values w20(0), w20(-r), w11(0), w11(-r); w11 is real.
 
     w20 satisfies, with E = e^{i w r},
 
@@ -389,7 +389,8 @@ def w_boundary_values(
     w20_mr = (f20 - g20 - g02.conjugate() - lam2 * jump20) / delta_2iw
     jump11 = -(1j / w) * g11 * (1.0 - 1.0 / e) + (1j / w) * g11.conjugate() * (1.0 - e)
     w11_mr = (f11 - g11 - g11.conjugate() - p * jump11) / delta_0
-    return jump20 + e * e * w20_mr, w20_mr, jump11 + w11_mr, w11_mr
+    # w11 is real (|E| = 1 makes jump11 real); its imaginary part is rounding
+    return jump20 + e * e * w20_mr, w20_mr, (jump11 + w11_mr).real, w11_mr.real
 
 
 def w20_closed_form(
@@ -425,7 +426,7 @@ def w20_closed_form(
 
 def w11_closed_form(
     g11: complex, f11: complex, hp: HopfPoint
-) -> Tuple[complex, complex, float]:
+) -> Tuple[float, float, float]:
     """Printed closed forms for w11(0), w11(-r) and their constant c1."""
     p, q = hp.p_star, hp.q_star
     w, r = hp.omega_star, hp.r_star
@@ -436,8 +437,9 @@ def w11_closed_form(
     g11c = g11.conjugate()
     common = f11 - g11 - g11c
     swing = g11 * (1.0 - 1.0 / e) - g11c * (1.0 - e)
-    w11_0 = c1 * (common + (q * 1j / w) * swing)
-    w11_mr = c1 * (common + (p * 1j / w) * swing)
+    # real, as w11 is: the imaginary parts are rounding
+    w11_0 = (c1 * (common + (q * 1j / w) * swing)).real
+    w11_mr = (c1 * (common + (p * 1j / w) * swing)).real
     return w11_0, w11_mr, c1
 
 

@@ -111,8 +111,8 @@ g02 = 28.1240404625 +22.1837289517i
 g21 = -31.6262442064 -30.2008293225i
 w20(0)  = -0.227042628148 -0.37449390403i   closed form -0.227042628148 -0.37449390403i   |diff| = 4.727e-15
 w20(-r) = -1.73278181593 -2.28326433471i   closed form -1.73278181593 -2.28326433471i   |diff| = 7.095e-15
-w11(0)  = 0.0638930031385 -2.61452460346e-15i   closed form 0.0638930031385 -3.14683119097e-15i   |diff| = 5.325e-16
-w11(-r) = 0.421072503663 -2.17043539361e-15i   closed form 0.421072503663 -2.61232722215e-15i   |diff| = 4.419e-16
+w11(0)  = 0.0638930031385 +0i   closed form 0.0638930031385 +0i   |diff| = 1.388e-17
+w11(-r) = 0.421072503663 +0i   closed form 0.421072503663 +0i   |diff| = 0.000e+00
 c  = -0.483979988094 +0.484504929511i
 c1 = 1.97539869539
 l1 = -43.710708181   s = -1

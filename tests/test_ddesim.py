@@ -1,5 +1,7 @@
 import csv
 import math
+import random
+import shutil
 from array import array
 from fractions import Fraction
 
@@ -7,11 +9,27 @@ import numpy as np
 import pytest
 
 import refvals as rv
-from hemohopf import ddesim, hopf, linstab, model
+from hemohopf import cli, ddesim, hopf, linstab, model
 from hemohopf.errors import BlowUpError, InconclusiveError, ParameterError
 
 
 # ------------------------------------------------------------------ integrate
+
+
+def _both_loops(argnames, cases):
+    """Parametrize over `cases` (each a pytest.param with an id) on the step
+    loop `integrate` selects, under the case's id, and again with the Python
+    loop forced, under the id suffixed "-python"."""
+    return pytest.mark.parametrize(f"{argnames}, loop", [
+        pytest.param(*case.values, loop, id=case.id + suffix)
+        for case in cases for loop, suffix in (("selected", ""), ("python", "-python"))
+    ])
+
+
+def _use_loop(monkeypatch, loop):
+    # the Python loop is forced through the loader, which integrate asks for its loop
+    if loop == "python":
+        monkeypatch.setattr(ddesim, "_step_loop", lambda: ddesim._python_loop)
 
 
 def test_constant_history_is_fixed_point(ref_params):
@@ -57,15 +75,16 @@ def _five_evaluation_rk4(params, history, t_end, m):
     return (np.arange(n_steps + 1, dtype=float) * h).tolist(), xs, dxs
 
 
-@pytest.mark.parametrize("r, m, t_end, history", [
-    (0.35, 50, 60.0, "default"),
-    (0.36, 7, 60.0, "default"),
-    (0.36, 200, 20.0, "default"),
-    (0.3579, 13, 40.0, "constant"),
-    (0.401, 50, 20.0, "jump"),
+@_both_loops("r, m, t_end, history", [
+    pytest.param(0.35, 50, 60.0, "default", id="0.35-50-60.0-default"),
+    pytest.param(0.36, 7, 60.0, "default", id="0.36-7-60.0-default"),
+    pytest.param(0.36, 200, 20.0, "default", id="0.36-200-20.0-default"),
+    pytest.param(0.3579, 13, 40.0, "constant", id="0.3579-13-40.0-constant"),
+    pytest.param(0.401, 50, 20.0, "jump", id="0.401-50-20.0-jump"),
 ])
-def test_integrate_matches_the_five_evaluation_loop_bit_for_bit(ref_params, r, m,
-                                                                 t_end, history):
+def test_integrate_matches_the_five_evaluation_loop_bit_for_bit(ref_params, monkeypatch, r,
+                                                                 m, t_end, history, loop):
+    _use_loop(monkeypatch, loop)
     params = ref_params.with_r(r)
     if history == "default":
         hist = ddesim.default_history(r)
@@ -130,19 +149,97 @@ def test_non_finite_history_raises_blow_up(ref_params):
 
 # k = 0.564, r = 32.59: RK4 is unstable at h delta = 4.8 and x^18.29 overflows
 # while |x| is still far below 1e100; likewise x^12 at two steps per delay.
-@pytest.mark.parametrize("params, history, steps_per_delay, t_fail", [
-    (model.ModelParameters.from_k(25.79, 18.29, 7.36, 0.564, 32.59),
-     ddesim.default_history(32.59), 50, 7 * 32.59 / 50),
-    (model.ModelParameters.from_gamma(1.77, 12.0, 5.0, 0.1, 10.0),
-     ddesim.default_history(10.0), 2, 30.0),
-    (model.ModelParameters.from_gamma(1.77, 12.0, 0.05, 1.0, 0.3),
-     ddesim.constant_history(1e200), 50, 0.0),
-], ids=["k", "gamma", "history"])
-def test_power_overflow_raises_blow_up_with_its_time(params, history, steps_per_delay,
-                                                     t_fail):
+# At n = 2 the state grows 5-fold a step, unstable at h delta = 3.5, and
+# leaves [-1e100, 1e100] before x^2 overflows.
+@_both_loops("params, history, steps_per_delay, t_fail", [
+    pytest.param(model.ModelParameters.from_k(25.79, 18.29, 7.36, 0.564, 32.59),
+                 ddesim.default_history(32.59), 50, 7 * 32.59 / 50, id="k"),
+    pytest.param(model.ModelParameters.from_gamma(1.77, 12.0, 5.0, 0.1, 10.0),
+                 ddesim.default_history(10.0), 2, 30.0, id="gamma"),
+    pytest.param(model.ModelParameters.from_gamma(1.77, 12.0, 0.05, 1.0, 0.3),
+                 ddesim.constant_history(1e200), 50, 0.0, id="history"),
+    pytest.param(model.ModelParameters.from_gamma(1.77, 2.0, 5.0, 0.1, 1.4),
+                 ddesim.default_history(1.4), 2, 139 * 1.4 / 2, id="state"),
+])
+def test_power_overflow_raises_blow_up_with_its_time(monkeypatch, params, history,
+                                                     steps_per_delay, t_fail, loop):
+    _use_loop(monkeypatch, loop)
     with pytest.raises(BlowUpError, match="state blew up at t = ") as err:
         ddesim.integrate(params, history, 200.0, steps_per_delay)
     assert err.value.time == pytest.approx(t_fail, rel=1e-12)
+
+
+def test_compiled_and_python_loops_agree_bit_for_bit_on_frontier_draws(monkeypatch):
+    # frontier-box draws at random delays, some far past RK4's stability
+    # limit, from the reference history, a negative one or a large one
+    compiled = ddesim._step_loop()
+    if compiled is ddesim._python_loop:
+        pytest.skip("the compiled loop is not available: no cc, or its build failed")
+    rng = random.Random(30)
+    finished = blown_up = 0
+    for _ in range(200):
+        n, beta0 = rng.uniform(2.0, 20.0), rng.uniform(0.5, 3.0)
+        delta, k = rng.uniform(0.01, 0.3), rng.uniform(1.0, 2.0)
+        r = 10.0 ** rng.uniform(-2.0, 2.0)
+        m = rng.choice((1, 3, 7, 50, 64))
+        params = model.ModelParameters.from_k(beta0, n, delta, k, r)
+        t_end = rng.randint(10, 2000) * (r / m)
+        history = rng.choice((ddesim.default_history(r),
+                              ddesim.constant_history(-rng.uniform(0.0, 2.0)),
+                              ddesim.constant_history(10.0 ** rng.uniform(0.0, 20.0))))
+        results = []
+        for loop in (compiled, ddesim._python_loop):
+            monkeypatch.setattr(ddesim, "_step_loop", lambda loop=loop: loop)
+            try:
+                traj = ddesim.integrate(params, history, t_end, m)
+            except BlowUpError as exc:
+                results.append((exc.time, str(exc)))
+            else:
+                results.append((traj.t.tobytes(), traj.x.tobytes(), traj.dx.tobytes()))
+        assert results[0] == results[1], (params, m, t_end)
+        finished += len(results[0]) == 3
+        blown_up += len(results[0]) == 2 and results[0][0] > 0.0  # inside the loop
+    assert finished > 100 and blown_up >= 10
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_compiled_loop_is_built_and_selected_with_a_compiler(tmp_path):
+    loop = ddesim._load_kernel(str(tmp_path / "cache"))
+    assert loop is not None and loop is not ddesim._python_loop
+    # one library named by its source, and no temporary file left behind
+    (lib,) = (tmp_path / "cache").iterdir()
+    assert lib.name.startswith("_rk4-") and lib.suffix == ".so"
+    assert ddesim._load_kernel(str(tmp_path / "cache")) is not None  # loads the cached build
+    assert ddesim._step_loop() is not ddesim._python_loop
+
+
+@pytest.mark.parametrize("failure", ["no-compiler", "unwritable-cache"])
+def test_failed_build_falls_back_to_the_same_bytes(tmp_path, monkeypatch, capfd, failure):
+    cfg = tmp_path / "gamma.cfg"
+    cfg.write_text(f"beta0 = {rv.BETA0}\nn = {rv.N}\ndelta = {rv.DELTA}\n"
+                   f"gamma = {rv.GAMMA_REF}\nr = 0.36\n")
+
+    def simulate(name):
+        csv_path = tmp_path / f"{name}.csv"
+        code = cli.main(["simulate", str(cfg), "--r", "0.36", "--t-end", "40",
+                         "-o", str(csv_path)])
+        out, err = capfd.readouterr()
+        return code, out.replace(str(csv_path), "CSV"), err, csv_path.read_bytes()
+
+    selected = simulate("selected")
+    cache = tmp_path / "cache"
+    if failure == "no-compiler":
+        monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
+    else:
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "file" / "cache"  # a file in its path: cannot be created
+    monkeypatch.setattr(ddesim, "_CACHE_DIR", str(cache))
+    monkeypatch.setattr(ddesim, "_loop", None)
+    fallback = simulate("fallback")
+    assert ddesim._loop is ddesim._python_loop
+    assert fallback == selected
+    assert fallback[2] == ""
+    assert not cache.exists()
 
 
 def test_trajectory_interpolation_consistency(ref_params):

@@ -667,6 +667,8 @@ def test_w_defining_relations_and_closed_forms(args):
 
     cf20_0, cf20_mr, _ = hopf.w20_closed_form(g20, g02, f20, hp)
     cf11_0, cf11_mr, _ = hopf.w11_closed_form(g11, f11, hp)
+    # w11 is real: both routes return no rounding noise as an imaginary part
+    assert w11_0.imag == w11_mr.imag == cf11_0.imag == cf11_mr.imag == 0.0
     for solved, closed in (
         (w20_0, cf20_0),
         (w20_mr, cf20_mr),
