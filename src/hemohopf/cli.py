@@ -21,8 +21,8 @@ import sys
 from typing import Optional, Sequence
 
 from . import ddesim, hopf, linstab, model
-from .errors import (BracketError, ConfigError, InconclusiveError, NumericsError,
-                     ParameterError)
+from .errors import (BracketError, ConfigError, InconclusiveError,
+                     NoPositiveEquilibriumError, NumericsError, ParameterError)
 
 __all__ = ["parse_config", "main"]
 
@@ -181,6 +181,8 @@ def _bracket_by_scan(params: model.ModelParameters):
     D(0) = r*(2) > 0, so the first delay of the scan where D < 0 closes it.
     """
     r_max = model.equilibria(params).r_max
+    if not r_max > 0.0:
+        raise NoPositiveEquilibriumError(f"x2 exists at no delay r > 0: r_max = {r_max!r}")
     prev = 0.0
     for i in range(1, 400):
         r = r_max * i / 400.0
@@ -199,7 +201,10 @@ def _locate_hopf(cfg: argparse.Namespace) -> hopf.HopfPoint:
     A k-parameterized config fixes k and uses the closed frontier
     relations; a gamma-parameterized config holds gamma fixed and locates
     the root of the frontier mismatch (bracket from --bracket or a scan).
+    --bracket is range-checked on both; it selects a crossing only at fixed gamma.
     """
+    if cfg.bracket is not None:
+        hopf._check_bracket(cfg.bracket)
     if cfg.k is not None:
         return hopf.hopf_from_pqk(cfg.n, cfg.beta0, cfg.delta, cfg.k)
     # any delay gives the same fixed-gamma family; the stored r is unused
@@ -211,34 +216,22 @@ def _locate_hopf(cfg: argparse.Namespace) -> hopf.HopfPoint:
 def _cmd_hopf(cfg: argparse.Namespace, out) -> int:
     hp = _locate_hopf(cfg)
     resid = abs(linstab.char_value(1j * hp.omega_star, hp.triple))
-    if cfg.k is not None:
-        # cross-check with the boundary-root route at the recovered gamma
-        route = "strategy"
-        # D(r*) is within about 1e-12 r* of 0, and a wider default bracket
-        # can hold a second crossing, which leaves D one sign at both ends
-        bracket = cfg.bracket or (hp.r_star * (1.0 - 1e-6), hp.r_star * (1.0 + 1e-6))
-        hp2 = hopf.find_hopf_r(hp.params, bracket)
-        g_res = abs(linstab.g_of_r(hp2.r_star, hp2.params))
-        route2 = f"boundary-root route (bracket {bracket[0]:.9g}..{bracket[1]:.9g}):"
-    else:
-        # cross-check with the strategy route at the located point's k
-        route = "boundary-root"
-        hp2 = hopf.hopf_from_pqk(cfg.n, cfg.beta0, cfg.delta, hp.params.k)
-        g_res = abs(linstab.g_of_r(hp2.r_star, hp.params))
-        route2 = "strategy route (at the located k):"
-
-    print(f"{route} route:", file=out)
+    # checks sharing no formula with the locators: g, through T_inv, and the principal
+    # Lambert-W root, rightmost since r* is the first crossing of (p*, q*) (Hayes 1950)
+    g_res = abs(linstab.g_of_r(hp.r_star, hp.params))
+    lam0 = linstab.rightmost_root(hp.triple)
+    print(f"{'strategy' if cfg.k is not None else 'boundary-root'} route:", file=out)
     print(f"  r*     = {_fmt(hp.r_star)}", file=out)
     print(f"  omega* = {_fmt(hp.omega_star)}", file=out)
     print(f"  gamma* = {_fmt(hp.params.gamma)}", file=out)
     print(f"  p* = {_fmt(hp.p_star)}   q* = {_fmt(hp.q_star)}   "
           f"x2* = {_fmt(hp.x2_star)}", file=out)
     print(f"  characteristic residual = {resid:.3e}", file=out)
-    print(route2, file=out)
-    print(f"  r*     = {_fmt(hp2.r_star)}", file=out)
-    print(f"  omega* = {_fmt(hp2.omega_star)}", file=out)
+    print("independent checks at r*:", file=out)
     print(f"  g residual = {g_res:.3e}", file=out)
-    print(f"route agreement |dr| = {abs(hp.r_star - hp2.r_star):.3e}", file=out)
+    print(f"  Lambert W0 root lam0 = {_fmt_c(lam0)}", file=out)
+    print(f"  |lam0 - i omega*| / omega* = "
+          f"{abs(lam0 - 1j * hp.omega_star) / hp.omega_star:.3e}", file=out)
     return 0
 
 
@@ -291,9 +284,9 @@ def _cmd_simulate(cfg: argparse.Namespace, out) -> int:
     traj = ddesim.integrate(
         params, ddesim.default_history(params.r), t_end, cfg.steps_per_delay
     )
-    ddesim.write_trajectory_csv(traj, cfg.output, stride=cfg.stride)
+    rows = ddesim.write_trajectory_csv(traj, cfg.output, stride=cfg.stride)
     metrics = ddesim.orbit_metrics(traj, cfg.transient_fraction)
-    print(f"wrote {len(traj.t)} rows to {cfg.output}", file=out)
+    print(f"wrote {rows} rows to {cfg.output}", file=out)
     print(f"kind = {metrics.kind}   amplitude = {_fmt(metrics.amplitude)}   "
           f"period = {_fmt(metrics.period) if metrics.period else 'n/a'}   "
           f"distance to x2 = {metrics.distance_to_x2:.3e}", file=out)
@@ -389,7 +382,8 @@ def _build_argparser() -> argparse.ArgumentParser:
                         help="leading share of a run the orbit diagnostics "
                         "skip (default 0.5)")
     parser.add_argument("--bracket", type=float, nargs=2, default=None,
-                        metavar=("LO", "HI"), help="delay bracket of the Hopf root")
+                        metavar=("LO", "HI"), help="delay bracket that selects the "
+                        "Hopf crossing of a gamma config (checked, unused on a k config)")
     parser.add_argument("--delta-r", type=float, default=2e-3,
                         help="scaling offset above r* (default 2e-3)")
     parser.add_argument("--r-grid", type=float, nargs=3, default=None,

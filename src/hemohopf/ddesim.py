@@ -496,8 +496,8 @@ def amplitude_scaling(
     return amps[1] / amps[0]
 
 
-def write_trajectory_csv(traj: Trajectory, path, stride: int = 1) -> None:
-    """Write the trajectory as CSV `t,x` rows at full double precision."""
+def write_trajectory_csv(traj: Trajectory, path, stride: int = 1) -> int:
+    """Write every `stride`-th point as a CSV row `t,x` to 17 digits; return the row count."""
     if stride < 1:
         raise ParameterError(f"stride must be >= 1, got {stride}")
     ts, xs = traj.t[::stride], traj.x[::stride]
@@ -508,3 +508,4 @@ def write_trajectory_csv(traj: Trajectory, path, stride: int = 1) -> None:
         for start in range(0, len(values), 2 * _CSV_CHUNK_ROWS):
             chunk = values[start:start + 2 * _CSV_CHUNK_ROWS]
             fh.write("%.17g,%.17g\n" * (len(chunk) // 2) % tuple(chunk))
+    return len(ts)

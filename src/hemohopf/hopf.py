@@ -221,6 +221,11 @@ def _mismatch(beta0, n, delta, gamma, r):
     return _crossing(p, q)[1] - r
 
 
+def _check_bracket(bracket: Tuple[float, float]) -> None:
+    if not all(math.isfinite(end) and end >= 0.0 for end in bracket):
+        raise BracketError(f"bracket ends must be finite and nonnegative, got {bracket}")
+
+
 def find_hopf_r(
     params: ModelParameters, bracket: Tuple[float, float]
 ) -> HopfPoint:
@@ -234,8 +239,7 @@ def find_hopf_r(
     (p, q) there.  The independent route, g, is evaluated once at r*, and
     `ConvergenceError` is raised unless |g| < 1e-11.
     """
-    if not all(math.isfinite(end) and end >= 0.0 for end in bracket):
-        raise BracketError(f"bracket ends must be finite and nonnegative, got {bracket}")
+    _check_bracket(bracket)
     a, b = bracket
     da, db = frontier_mismatch(a, params), frontier_mismatch(b, params)
     if da != 0.0 and db != 0.0 and (da > 0.0) == (db > 0.0):

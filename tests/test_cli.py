@@ -8,8 +8,9 @@ import sys
 import pytest
 
 import refvals as rv
-from hemohopf import cli, ddesim, hopf, model
-from hemohopf.errors import ConfigError, NumericsError
+from hemohopf import cli, ddesim, hopf, linstab, model
+from hemohopf.errors import ConfigError, ConvergenceError, NumericsError
+from test_hopf import _count_calls
 
 REF_CONFIG = """\
 # benchmark parameter set
@@ -153,13 +154,15 @@ def test_refusals_keep_exit_code_and_empty_stdout(config_path, capsys, argv, cod
     assert captured.err != ""
 
 
-def test_hopf_command_reports_both_routes(config_path, capsys):
+def test_hopf_command_reports_the_point_and_two_checks(config_path, capsys):
     assert cli.main(["hopf", config_path]) == 0
     out = capsys.readouterr().out
     assert "strategy route:" in out
-    assert "boundary-root route" in out
     assert "r*     = 0.355920877691" in out
-    assert "route agreement" in out
+    assert "independent checks at r*:\n  g residual = " in out
+    assert "Lambert W0 root lam0 = " in out
+    assert float(out.split("|lam0 - i omega*| / omega* = ")[1]) <= 1e-12
+    assert "boundary-root route" not in out and "route agreement" not in out
 
 
 def test_normal_form_command_output(config_path, capsys):
@@ -309,6 +312,9 @@ def test_bad_orbit_flags_are_refused_before_integration(config_path, tmp_path, c
     ("simulate", ["--r", "-1e-3"], ["--r=-1e-3"]),
     ("hopf", ["--bracket", "-1e-3", "0.5"], None),
     ("stability", ["--r-grid", "-1e-3", "0.5", "3"], None),
+    # on a k config the bracket selects no crossing, but it is checked all the same
+    ("normal-form", ["--bracket", "-1e-3", "0.5"], None),
+    ("scaling", ["--bracket", "-1e-3", "0.5"], None),
 ])
 def test_negative_flag_values_parse(config_path, tmp_path, capsys, command, spaced,
                                     joined):
@@ -346,6 +352,16 @@ def test_simulate_writes_cycle_csv(config_path, tmp_path, capsys):
     traj = ddesim.Trajectory(t=t, x=x, dx=np.gradient(x, h), step=h, params=params)
     metrics = ddesim.orbit_metrics(traj, 0.5)
     assert metrics.kind == ddesim.KIND_CYCLE
+
+
+@pytest.mark.parametrize("stride", [1, 10])
+def test_simulate_reports_the_rows_it_wrote(config_path, tmp_path, capsys, stride):
+    out_csv = tmp_path / "traj.csv"
+    argv = ["simulate", config_path, "--r", "0.36", "--t-end", "20", "--stride", str(stride)]
+    assert cli.main(argv + ["--output", str(out_csv)]) == 0
+    rows = len(out_csv.read_text().splitlines()) - 1  # less the header
+    assert rows == len(range(0, 2779, stride))  # t = 0 .. 20 in steps of 0.36 / 50
+    assert capsys.readouterr().out.startswith(f"wrote {rows} rows to {out_csv}\n")
 
 
 def test_simulate_deterministic_output(config_path, tmp_path):
@@ -460,38 +476,50 @@ def test_invalid_config_is_exit_2(tmp_path, capsys):
     assert "missing required keys" in capsys.readouterr().err
 
 
-def test_bad_bracket_is_exit_2(config_path, capsys):
-    code = cli.main(["hopf", config_path, "--bracket", "0.36", "0.40"])
+def test_bad_bracket_is_exit_2(gamma_config_path, capsys):
+    # D < 0 at both ends: x2 is unstable from r* = 0.35592 to 0.44421
+    code = cli.main(["hopf", gamma_config_path, "--bracket", "0.36", "0.40"])
     assert code == 2
     assert "error" in capsys.readouterr().err
 
 
-def test_hopf_failing_cross_check_prints_no_half_report(config_path, capsys):
-    # k-parameterized: the strategy route succeeds, the boundary-root
-    # cross-check finds nothing on this bracket
-    code = cli.main(["hopf", config_path, "--bracket", "0.5", "0.6"])
-    assert code == 2
+def test_hopf_failing_cross_check_prints_no_half_report(config_path, capsys, monkeypatch):
+    # the strategy route succeeds, then the Lambert-W check fails
+    def uncertified(triple):
+        raise ConvergenceError("rightmost root has relative residual 1.000e-09 > 1e-10")
+
+    monkeypatch.setattr(linstab, "rightmost_root", uncertified)
+    assert cli.main(["hopf", config_path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "no sign change on bracket (0.5, 0.6)" in captured.err
+    assert captured.err.startswith("numerical failure: rightmost root has relative residual")
 
 
-def test_hopf_cross_check_bracket_holds_one_crossing(tmp_path, capsys):
+def test_hopf_on_a_k_config_locates_once_and_evaluates_g_once(tmp_path, capsys,
+                                                               monkeypatch):
     # a seed-1 frontier draw written as a k config at its r*: on the +-10%
-    # bracket around r* the frontier mismatch D has a second crossing and
-    # one sign at both ends; the default bracket is +-1e-6 relative
+    # bracket around r* the frontier mismatch D has a second crossing; the
+    # closed form is the only locator, and a bracket changes nothing
     n, beta0, delta, k = (17.076403561926313, 1.8911358066310835,
                           0.19626536525040922, 1.1859062658947177)
     hp = hopf.hopf_from_pqk(n, beta0, delta, k)
     path = tmp_path / "draw.cfg"
     path.write_text(f"beta0 = {beta0!r}\nn = {n!r}\ndelta = {delta!r}\n"
                     f"k = {k!r}\nr = {hp.r_star!r}\n")
+
+    def no_second_locator(*args):
+        raise AssertionError("ran find_hopf_r on a k config")
+
+    monkeypatch.setattr(hopf, "find_hopf_r", no_second_locator)
+    g_calls = []
+    _count_calls(monkeypatch, linstab, "g_of_r", g_calls)
+    _count_calls(monkeypatch, hopf, "g_of_r", g_calls)
     assert cli.main(["hopf", str(path)]) == 0
     out = capsys.readouterr().out
-    lo, hi = hp.r_star * (1.0 - 1e-6), hp.r_star * (1.0 + 1e-6)
-    assert f"boundary-root route (bracket {lo:.9g}..{hi:.9g}):" in out
-    agreement = float(out.split("route agreement |dr| = ")[1])
-    assert agreement <= 1e-8 * hp.r_star
+    assert g_calls == [hp.r_star]
+    assert float(out.split("|lam0 - i omega*| / omega* = ")[1]) <= 1e-12
+    assert cli.main(["hopf", str(path), "--bracket", "0.5", "0.6"]) == 0
+    assert capsys.readouterr().out == out
     assert cli.main(["normal-form", str(path)]) == 0
 
 
@@ -688,6 +716,9 @@ def test_analytic_verdicts_do_not_depend_on_the_time_unit(tmp_path, capsys, name
     assert verdicts == expected
     assert hp_s.r_star * s == pytest.approx(hp.r_star, rel=1e-12, abs=0.0)
     assert hp_s.omega_star / s == pytest.approx(hp.omega_star, rel=1e-12, abs=0.0)
+    # the Lambert-W check of `hopf` holds in every unit
+    lam0 = linstab.rightmost_root(hp_s.triple)
+    assert abs(lam0 - 1j * hp_s.omega_star) <= 1e-12 * hp_s.omega_star
 
 
 def _reference_in_time_unit(name, s, r):
@@ -746,6 +777,11 @@ EDGE_RUNS = {
                                "strategy route:"),
     "hopf-crossing-underflow": (_reference_in_time_unit("gamma", 1e-160, 0.36), ["hopf"],
                                 0, "boundary-root route:"),
+    # beta0 < delta: x2 exists at no delay, and the scan of (0, r_max) would
+    # evaluate D at a negative delay
+    "no-x2-at-any-delay": ("beta0 = 0.04\nn = 12\ndelta = 0.05\ngamma = 1.48067\n",
+                           ["normal-form"], 2, "error: x2 exists at no delay r > 0: "
+                           "r_max = -0.07954712100358856"),
 }
 
 
@@ -786,7 +822,7 @@ def test_hopf_command_gamma_parameterized(tmp_path, capsys):
     assert cli.main(["hopf", str(path)]) == 0
     out = capsys.readouterr().out
     assert "boundary-root route:" in out
-    assert "strategy route (at the located k):" in out
+    assert "independent checks at r*:" in out
     assert "r*     = 0.35592018752" in out
 
 
@@ -794,7 +830,7 @@ def test_hopf_bracket_from_zero_reaches_past_the_first_crossing(gamma_config_pat
     # k = 2 at r = 0, and the end 0.4 lies past r* = 0.35592
     assert cli.main(["hopf", gamma_config_path, "--bracket", "0", "0.4"]) == 0
     out = capsys.readouterr().out
-    assert out.count("r*     = 0.35592018752\n") == 2
+    assert out.count("r*     = 0.35592018752\n") == 1
 
 
 def test_second_reference_crossing_is_reported(gamma_config_path, capsys):
@@ -802,7 +838,7 @@ def test_second_reference_crossing_is_reported(gamma_config_path, capsys):
     # frontier mismatch is +inf at the end 0.449, where q > 0
     assert cli.main(["hopf", gamma_config_path, "--bracket", "0.40", "0.449"]) == 0
     out = capsys.readouterr().out
-    assert out.count("r*     = 0.444212289607\n") == 2
+    assert out.count("r*     = 0.444212289607\n") == 1
     assert cli.main(["normal-form", gamma_config_path, "--bracket", "0.40", "0.449"]) == 0
     out = capsys.readouterr().out
     assert "hopf point: r* = 0.444212289607 " in out

@@ -3,7 +3,11 @@
 These pin every printed digit of `equilibria`, `stability`, `hopf` and
 `normal-form`, and the bytes of one `stability --r-grid` CSV, so a
 refactor of the linearization at x2 must leave the reports byte-identical.
+The example outputs in README.md are checked against the same goldens.
 """
+
+import pathlib
+import re
 
 import pytest
 
@@ -56,11 +60,10 @@ strategy route:
   gamma* = 1.48066592401
   p* = -2.47412075833   q* = -2.98034794236   x2* = 1.15085968116
   characteristic residual = 2.220e-16
-boundary-root route (bracket 0.355920522..0.355921234):
-  r*     = 0.355920877691
-  omega* = 1.66168599041
+independent checks at r*:
   g residual = 3.331e-16
-route agreement |dr| = 0.000e+00
+  Lambert W0 root lam0 = 8.881784197e-16 +1.66168599041i
+  |lam0 - i omega*| / omega* = 6.681e-16
 """,
     ("hopf", "gamma"): """\
 boundary-root route:
@@ -69,11 +72,10 @@ boundary-root route:
   gamma* = 1.48067
   p* = -2.47412637577   q* = -2.98035329712   x2* = 1.15085936274
   characteristic residual = 6.280e-16
-strategy route (at the located k):
-  r*     = 0.35592018752
-  omega* = 1.66168723061
-  g residual = 3.775e-15
-route agreement |dr| = 1.110e-16
+independent checks at r*:
+  g residual = 9.992e-16
+  Lambert W0 root lam0 = 0 +1.66168723061i
+  |lam0 - i omega*| / omega* = 0.000e+00
 """,
     ("normal-form", "k"): """\
 hopf point: r* = 0.355920877691  omega* = 1.66168599041  gamma* = 1.48066592401
@@ -170,3 +172,22 @@ def test_stability_grid_csv_is_pinned(tmp_path, capsys):
     assert cli.main(["stability", str(path), "--r-grid", *GAMMA_GRID, "-o", str(csv_path)]) == 0
     assert csv_path.read_bytes() == GAMMA_GRID_CSV.encode()
     assert capsys.readouterr().err == ""
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+#: the golden of each example output in README.md, and the start of that block
+README_EXAMPLES = {
+    ("stability", "gamma"): "x1: ",
+    ("normal-form", "k"): "hopf point: ",
+    ("hopf", "k"): "strategy route:",
+}
+
+
+@pytest.mark.parametrize("command, config", sorted(README_EXAMPLES))
+def test_readme_example_output_is_an_excerpt_of_its_golden(command, config):
+    # every line of the block, in order, is a line of the golden; "..." elides
+    blocks = re.findall(r"^```\n(.*?)^```$", README.read_text(), re.M | re.S)
+    [block] = [b for b in blocks if b.startswith(README_EXAMPLES[command, config])]
+    golden = iter(GOLDEN[command, config].splitlines())
+    for line in block.splitlines():
+        assert line == "..." or line in golden, line

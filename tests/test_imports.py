@@ -102,9 +102,10 @@ def test_simulation_keeps_numpy_arrays_and_csv_format(tmp_path):
         assert isinstance(values, array) and values.typecode == "d"
     for stride in (1, 7):
         path = tmp_path / f"traj{stride}.csv"
-        ddesim.write_trajectory_csv(traj, path, stride=stride)
+        written = ddesim.write_trajectory_csv(traj, path, stride=stride)
         # reference: the row-by-row writer
         rows = range(0, len(traj.t), stride)
+        assert written == len(rows)
         expected = "t,x\n" + "".join(f"{traj.t[i]:.17g},{traj.x[i]:.17g}\n" for i in rows)
         assert path.read_bytes() == expected.encode()
 

@@ -1,11 +1,12 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
 import refvals as rv
-from hemohopf import linstab, model
+from hemohopf import hopf, linstab, model
 from hemohopf.errors import (
     BracketError,
     ConvergenceError,
@@ -363,6 +364,24 @@ def test_rightmost_root_on_crossing(ref_params, ref_hopf):
     root = linstab.rightmost_root(t)
     assert abs(root.real) < 1e-10
     assert abs(root.imag - rv.OMEGA_REF) < 1e-10
+    # the check `hopf` prints: r* is the first crossing of its own (p*, q*), so
+    # W0 carries +-i omega* at both reference gamma crossings and at seeded
+    # draws of the frontier box
+    gamma = model.ModelParameters.from_gamma(rv.BETA0, rv.N, rv.DELTA, 1.48067, 0.36)
+    points = [ref_hopf, hopf.find_hopf_r(gamma, (0.30, 0.40)),
+              hopf.find_hopf_r(gamma, (0.40, 0.449))]
+    assert [round(hp.r_star, 5) for hp in points[1:]] == [0.35592, 0.44421]
+    rng = random.Random(1)
+    while len(points) < 303:
+        draw = (rng.uniform(2.0, 20.0), rng.uniform(0.5, 3.0),
+                rng.uniform(0.01, 0.3), rng.uniform(1.0, 2.0))
+        try:
+            points.append(hopf.hopf_from_pqk(*draw))
+        except ParameterError:
+            continue  # outside the regime A > 1, B1 < 0, |q| > |p|
+    for hp in points:
+        root = linstab.rightmost_root(hp.triple)
+        assert abs(root - 1j * hp.omega_star) <= 1e-12 * hp.omega_star
 
 
 def test_rightmost_root_tracks_stability(ref_params):
