@@ -121,9 +121,8 @@ def _print_report(params: model.ModelParameters, out) -> None:
     print(f"r_max  = {_fmt(report.r_max)}   r_n = {_fmt(report.r_n)}", file=out)
 
 
-def _cmd_equilibria(cfg: argparse.Namespace, out) -> int:
+def _cmd_equilibria(cfg: argparse.Namespace, out) -> None:
     _print_report(_build_params(cfg), out)
-    return 0
 
 
 def _print_verdict(v: linstab.StabilityVerdict, out) -> None:
@@ -138,7 +137,7 @@ def _print_verdict(v: linstab.StabilityVerdict, out) -> None:
         print(f"    {v.notes}", file=out)
 
 
-def _cmd_stability(cfg: argparse.Namespace, out) -> int:
+def _cmd_stability(cfg: argparse.Namespace, out) -> None:
     params = _build_params(cfg)
     _print_verdict(linstab.classify_x1(params), out)
     if params.x2_exists:
@@ -172,7 +171,6 @@ def _cmd_stability(cfg: argparse.Namespace, out) -> int:
                 fh.write(f"{r:.17g},{case},{status},"
                          f"{_csv_cell(g_val)},{_csv_cell(re_right)}\n")
         print(f"wrote {len(rows)} rows to {cfg.output}", file=out)
-    return 0
 
 
 def _bracket_by_scan(params: model.ModelParameters):
@@ -201,10 +199,7 @@ def _locate_hopf(cfg: argparse.Namespace) -> hopf.HopfPoint:
     A k-parameterized config fixes k and uses the closed frontier
     relations; a gamma-parameterized config holds gamma fixed and locates
     the root of the frontier mismatch (bracket from --bracket or a scan).
-    --bracket is range-checked on both; it selects a crossing only at fixed gamma.
     """
-    if cfg.bracket is not None:
-        hopf._check_bracket(cfg.bracket)
     if cfg.k is not None:
         return hopf.hopf_from_pqk(cfg.n, cfg.beta0, cfg.delta, cfg.k)
     # any delay gives the same fixed-gamma family; the stored r is unused
@@ -213,7 +208,7 @@ def _locate_hopf(cfg: argparse.Namespace) -> hopf.HopfPoint:
     return hopf.find_hopf_r(params, bracket)
 
 
-def _cmd_hopf(cfg: argparse.Namespace, out) -> int:
+def _cmd_hopf(cfg: argparse.Namespace, out) -> None:
     hp = _locate_hopf(cfg)
     resid = abs(linstab.char_value(1j * hp.omega_star, hp.triple))
     # checks sharing no formula with the locators: g, through T_inv, and the principal
@@ -232,10 +227,9 @@ def _cmd_hopf(cfg: argparse.Namespace, out) -> int:
     print(f"  Lambert W0 root lam0 = {_fmt_c(lam0)}", file=out)
     print(f"  |lam0 - i omega*| / omega* = "
           f"{abs(lam0 - 1j * hp.omega_star) / hp.omega_star:.3e}", file=out)
-    return 0
 
 
-def _cmd_normal_form(cfg: argparse.Namespace, out) -> int:
+def _cmd_normal_form(cfg: argparse.Namespace, out) -> None:
     hp = _locate_hopf(cfg)
     nf = hopf.criticality_report(hp)
     print(f"hopf point: r* = {_fmt(hp.r_star)}  omega* = {_fmt(hp.omega_star)}  "
@@ -261,26 +255,13 @@ def _cmd_normal_form(cfg: argparse.Namespace, out) -> int:
     print(f"criticality: {nf.criticality}", file=out)
     if nf.criticality == hopf.SUPERCRITICAL:
         print(f"  stable periodic solution for r {side} r*", file=out)
-    return 0
 
 
-def _check_orbit_flags(cfg: argparse.Namespace) -> None:
-    """Refuse a bad --transient-fraction or --stride before any integration;
-    `orbit_metrics` and `write_trajectory_csv` would only refuse after it."""
-    if not 0.0 < cfg.transient_fraction < 1.0:
-        raise ConfigError(
-            f"--transient-fraction must be in (0, 1), got {cfg.transient_fraction}"
-        )
-    if cfg.stride < 1:
-        raise ConfigError(f"--stride must be >= 1, got {cfg.stride}")
-
-
-def _cmd_simulate(cfg: argparse.Namespace, out) -> int:
+def _cmd_simulate(cfg: argparse.Namespace, out) -> None:
     if cfg.output is None:
         raise ConfigError("simulate requires --output for the trajectory CSV")
-    _check_orbit_flags(cfg)
     params = _build_params(cfg)
-    t_end = cfg.t_end if cfg.t_end is not None else 200.0
+    t_end = cfg.t_end if cfg.t_end is not None else ddesim.T_END
     traj = ddesim.integrate(
         params, ddesim.default_history(params.r), t_end, cfg.steps_per_delay
     )
@@ -290,22 +271,20 @@ def _cmd_simulate(cfg: argparse.Namespace, out) -> int:
     print(f"kind = {metrics.kind}   amplitude = {_fmt(metrics.amplitude)}   "
           f"period = {_fmt(metrics.period) if metrics.period else 'n/a'}   "
           f"distance to x2 = {metrics.distance_to_x2:.3e}", file=out)
-    return 0
 
 
-def _cmd_sweep(cfg: argparse.Namespace, out) -> int:
+def _cmd_sweep(cfg: argparse.Namespace, out) -> None:
     if cfg.r_grid is None:
         raise ConfigError("sweep requires --r-grid START STOP COUNT")
     if cfg.output is None:
         raise ConfigError("sweep requires --output for the metrics CSV")
-    _check_orbit_flags(cfg)
     gamma = cfg.gamma
     if gamma is None:
         if cfg.r is None:
             raise ConfigError("command 'sweep' needs gamma, either directly or "
                               "derivable from k together with r")
         gamma = model.gamma_from_k(cfg.k, cfg.r)
-    t_end = cfg.t_end if cfg.t_end is not None else 200.0
+    t_end = cfg.t_end if cfg.t_end is not None else ddesim.T_END
     steps = sum(ddesim.step_count(r, t_end, cfg.steps_per_delay) for r in cfg.r_grid)
     if steps > MAX_SWEEP_STEPS:
         raise ParameterError(f"sweep needs {steps} steps in total, more than "
@@ -323,11 +302,9 @@ def _cmd_sweep(cfg: argparse.Namespace, out) -> int:
         for r, kind, amplitude, period in rows:
             fh.write(f"{r:.17g},{kind},{_csv_cell(amplitude)},{_csv_cell(period)}\n")
     print(f"wrote {len(rows)} rows to {cfg.output}", file=out)
-    return 0
 
 
-def _cmd_scaling(cfg: argparse.Namespace, out) -> int:
-    _check_orbit_flags(cfg)
+def _cmd_scaling(cfg: argparse.Namespace, out) -> None:
     hp = _locate_hopf(cfg)
     nf = hopf.criticality_report(hp)
     if nf.criticality != hopf.SUPERCRITICAL:
@@ -335,7 +312,7 @@ def _cmd_scaling(cfg: argparse.Namespace, out) -> int:
             f"the Hopf point is {nf.criticality} (l1 = {_fmt(nf.l1)}): no stable "
             "cycle grows like sqrt(r - r*), so the amplitude ratio has no prediction"
         )
-    t_end = cfg.t_end if cfg.t_end is not None else 400.0
+    t_end = cfg.t_end if cfg.t_end is not None else ddesim.SCALING_T_END
     ratio = ddesim.amplitude_scaling(
         hp.params, hp.r_star, cfg.delta_r, t_end=t_end,
         steps_per_delay=cfg.steps_per_delay,
@@ -344,7 +321,6 @@ def _cmd_scaling(cfg: argparse.Namespace, out) -> int:
     print(f"amplitude({_fmt(hp.r_star + 4 * cfg.delta_r)}) / "
           f"amplitude({_fmt(hp.r_star + cfg.delta_r)}) = {_fmt(ratio)}", file=out)
     print("square-root growth predicts 2 inside the asymptotic regime", file=out)
-    return 0
 
 
 _DISPATCH = {
@@ -373,14 +349,15 @@ def _build_argparser() -> argparse.ArgumentParser:
                             help=f"override {key} from the config file")
     parser.add_argument("--output", "-o", default=None, help="output CSV path")
     parser.add_argument("--t-end", type=float, default=None,
-                        help="simulated time (default 200; 400 for scaling)")
+                        help=f"simulated time (default {ddesim.T_END:g}; "
+                        f"{ddesim.SCALING_T_END:g} for scaling)")
     parser.add_argument("--steps-per-delay", type=int, default=ddesim.STEPS_PER_DELAY,
                         help="RK4 steps per delay interval (default %(default)s)")
     parser.add_argument("--stride", type=int, default=1,
                         help="write every STRIDE-th trajectory row (default 1)")
-    parser.add_argument("--transient-fraction", type=float, default=0.5,
-                        help="leading share of a run the orbit diagnostics "
-                        "skip (default 0.5)")
+    parser.add_argument("--transient-fraction", type=float,
+                        default=ddesim.TRANSIENT_FRACTION, help="leading share of a "
+                        "run the orbit diagnostics skip (default %(default)s)")
     parser.add_argument("--bracket", type=float, nargs=2, default=None,
                         metavar=("LO", "HI"), help="delay bracket that selects the "
                         "Hopf crossing of a gamma config (checked, unused on a k config)")
@@ -408,27 +385,28 @@ def _read_config(path: str) -> str:
 
 
 def _merge(args: argparse.Namespace) -> argparse.Namespace:
-    """Fold the config file into the parsed flags and resolve them in place.
+    """Fold the config file into the parsed flags, check them and resolve them.
 
-    beta0, n, delta, gamma, k and r take the flag over the file value,
-    `bracket` becomes a tuple, and `r_grid` the list of its delays.
+    Every flag value is checked here, for every command, before any model
+    evaluation.  beta0, n, delta, gamma, k and r take the flag over the file
+    value; `--r` alone, on a file that gives k and r, moves the delay at the
+    gamma of the file's own (k, r).  `bracket` becomes a tuple, `r_grid` the
+    list of its delays.
     """
     values = parse_config(_read_config(args.config))
     if args.gamma is not None and args.k is not None:
         raise ConfigError("flags give both gamma and k; supply exactly one")
-    if args.gamma is None and args.k is None:
-        args.gamma, args.k = values.get("gamma"), values.get("k")
-    if args.r is None:
-        args.r = values.get("r")
-    elif args.gamma is None and "r" in values:
-        # Delay overrides sweep r at fixed gamma; anchor gamma at k and the
-        # file's r when k parameterizes the run.
-        args.gamma, args.k = model.gamma_from_k(args.k, values["r"]), None
-    for key in _REQUIRED_KEYS:
-        if getattr(args, key) is None:
-            setattr(args, key, values[key])
     if args.bracket is not None:
         args.bracket = tuple(args.bracket)
+        hopf._check_bracket(args.bracket)
+    if not 0.0 < args.transient_fraction < 1.0:
+        raise ConfigError(
+            f"--transient-fraction must be in (0, 1), got {args.transient_fraction}"
+        )
+    if args.stride < 1:
+        raise ConfigError(f"--stride must be >= 1, got {args.stride}")
+    if not (math.isfinite(args.delta_r) and args.delta_r != 0.0):
+        raise ConfigError(f"--delta-r must be finite and nonzero, got {args.delta_r}")
     if args.r_grid is not None:
         start, stop, count = args.r_grid
         if not (count.is_integer() and count >= 1):
@@ -442,6 +420,15 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"bad r grid {(start, stop, count)}")
         step = (stop - start) / (count - 1) if count > 1 else 0.0
         args.r_grid = [start + i * step for i in range(count)]
+    if args.gamma is None and args.k is None:
+        args.gamma, args.k = values.get("gamma"), values.get("k")
+        if args.r is not None and args.k is not None and "r" in values:
+            args.gamma, args.k = model.gamma_from_k(args.k, values["r"]), None
+    if args.r is None:
+        args.r = values.get("r")
+    for key in _REQUIRED_KEYS:
+        if getattr(args, key) is None:
+            setattr(args, key, values[key])
     return args
 
 
@@ -454,16 +441,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_argparser().parse_args(argv)
     out = io.StringIO()
     try:
-        code = _DISPATCH[args.command](_merge(args), out)
+        _DISPATCH[args.command](_merge(args), out)
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    if code == 0:
-        sys.stdout.write(out.getvalue())
-    return code
+    sys.stdout.write(out.getvalue())
+    return 0
 
 
 if __name__ == "__main__":

@@ -62,6 +62,16 @@ CYCLE_SPREAD_TOL = 0.05
 #: an independent DOP853 integration; the README has the table.
 STEPS_PER_DELAY = 50
 
+#: Default simulated time of the `simulate` and `sweep` commands.
+T_END = 200.0
+
+#: Default simulated time of `amplitude_scaling` and the `scaling` command:
+#: its probes sit near r*, where a cycle settles slowly.
+SCALING_T_END = 400.0
+
+#: Default leading share of a run that the orbit diagnostics skip.
+TRANSIENT_FRACTION = 0.5
+
 #: Largest number of steps `integrate` accepts (about 0.6 s with the compiled
 #: loop, 3-4 s with the Python loop, and 92 MB peak RSS for `integrate` plus
 #: `orbit_metrics` on a 2-vCPU Xeon; the three `array('d')` columns are 48 MB
@@ -398,7 +408,8 @@ def _mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values) if values else math.nan
 
 
-def orbit_metrics(traj: Trajectory, transient_fraction: float = 0.5) -> OrbitMetrics:
+def orbit_metrics(traj: Trajectory,
+                  transient_fraction: float = TRANSIENT_FRACTION) -> OrbitMetrics:
     """Classify the trajectory tail after discarding the transient.
 
     The first `transient_fraction` of the time span is dropped; the rest
@@ -461,9 +472,9 @@ def amplitude_scaling(
     params: ModelParameters,
     r_star: float,
     delta_r: float,
-    t_end: float = 400.0,
+    t_end: float = SCALING_T_END,
     steps_per_delay: int = STEPS_PER_DELAY,
-    transient_fraction: float = 0.5,
+    transient_fraction: float = TRANSIENT_FRACTION,
 ) -> float:
     """Cycle amplitude ratio between the probes r* + 4 delta_r and r* + delta_r,
     where r* = `r_star` is the Hopf delay of `params`.
@@ -474,8 +485,8 @@ def amplitude_scaling(
     point also gives a ratio (0.9995 on one), so a caller checks
     ``criticality_report(hp).criticality`` first, as `scaling` does.
     """
-    if delta_r == 0.0:
-        raise ParameterError("delta_r must be nonzero")
+    if not (math.isfinite(delta_r) and delta_r != 0.0):
+        raise ParameterError(f"delta_r must be finite and nonzero, got {delta_r}")
     r_max = equilibria(params).r_max
     probes = (r_star + delta_r, r_star + 4.0 * delta_r)
     if max(probes) >= r_max or min(probes) <= 0.0:

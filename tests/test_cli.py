@@ -307,6 +307,65 @@ def test_bad_orbit_flags_are_refused_before_integration(config_path, tmp_path, c
     assert not out_csv.exists()
 
 
+BAD_FLAG_VALUES = [
+    ("--stride", "0"),
+    ("--transient-fraction", "1.5"),
+    ("--transient-fraction", "nan"),
+    ("--bracket", "-1", "0.4"),
+    ("--bracket", "nan", "0.4"),
+    ("--delta-r", "0"),
+    ("--delta-r", "nan"),
+]
+
+
+@pytest.mark.parametrize("flag", BAD_FLAG_VALUES, ids=" ".join)
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_command_refuses_a_bad_flag_value_before_evaluation(
+    config_path, tmp_path, capsys, monkeypatch, command, flag
+):
+    # a command that does not use the flag refuses its bad value all the same
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("evaluated before refusing the flag")
+
+    for module, name in ((model, "equilibria"), (hopf, "frontier_mismatch"),
+                         (ddesim, "integrate")):
+        monkeypatch.setattr(module, name, must_not_run)
+    out_csv = tmp_path / "out.csv"
+    argv = [command, config_path, *flag, "--r-grid", "0.35", "0.36", "2", "-o", str(out_csv)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert flag[0].lstrip("-") in line
+    assert not out_csv.exists()
+
+
+def test_r_flag_anchors_gamma_only_on_the_files_own_k_and_r(tmp_path, capsys):
+    k_path, gamma_path = tmp_path / "k.cfg", tmp_path / "gamma.cfg"
+    k_path.write_text(REF_CONFIG)
+    gamma_path.write_text("beta0 = 1.77\nn = 12\ndelta = 0.05\ngamma = 1.48\nr = 0.3559\n")
+    # --r alone moves the delay at the gamma of the file's (k, r)
+    assert cli.main(["equilibria", str(k_path), "--r", "0.36"]) == 0
+    assert " gamma=1.48066649391 r=0.36 k=1.17" in capsys.readouterr().out
+    # a --k flag holds at the given delay, whatever the file parameterizes
+    for path in (k_path, gamma_path):
+        assert cli.main(["equilibria", str(path), "--k", "1.18", "--r", "0.36"]) == 0
+        assert " r=0.36 k=1.18\n" in capsys.readouterr().out
+
+
+def test_k_and_r_flags_locate_by_the_closed_form_on_any_k_file(tmp_path, capsys):
+    # the same run whether or not the file gives r
+    outputs = []
+    for text in (REF_CONFIG, REF_CONFIG.replace("r = 0.3559207407\n", "")):
+        path = tmp_path / "k.cfg"
+        path.write_text(text)
+        assert cli.main(["hopf", str(path), "--k", "1.18", "--r", "0.36"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("strategy route:\n  r*     = 0.354902507516\n")
+
+
 @pytest.mark.parametrize("command, spaced, joined", [
     ("scaling", ["--delta-r", "-2e-3"], ["--delta-r=-2e-3"]),
     ("simulate", ["--r", "-1e-3"], ["--r=-1e-3"]),

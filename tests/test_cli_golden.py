@@ -1,11 +1,14 @@
-"""Exact stdout of the analytic commands on a k-config and a gamma-config.
+"""Exact stdout of every command on a k-config and a gamma-config.
 
 These pin every printed digit of `equilibria`, `stability`, `hopf` and
 `normal-form`, and the bytes of one `stability --r-grid` CSV, so a
 refactor of the linearization at x2 must leave the reports byte-identical.
-The example outputs in README.md are checked against the same goldens.
+The simulation commands `simulate`, `sweep` and `scaling` are pinned the
+same way, with the SHA-256 of the trajectory CSV.  The example outputs in
+README.md are checked against the same goldens.
 """
 
+import hashlib
 import pathlib
 import re
 
@@ -172,6 +175,62 @@ def test_stability_grid_csv_is_pinned(tmp_path, capsys):
     assert cli.main(["stability", str(path), "--r-grid", *GAMMA_GRID, "-o", str(csv_path)]) == 0
     assert csv_path.read_bytes() == GAMMA_GRID_CSV.encode()
     assert capsys.readouterr().err == ""
+
+
+# stdout ("OUT" stands for the -o path) and, where a CSV is written, the
+# SHA-256 of its bytes or the bytes themselves
+SIMULATION_ARGV = {
+    "simulate": ["--r", "0.36", "--stride", "100", "-o", "OUT"],
+    "sweep": ["--r-grid", "0.35", "0.36", "2", "-o", "OUT"],
+    "scaling": [],
+}
+SIMULATION_GOLDEN = {
+    ("simulate", "k"): ("""\
+wrote 278 rows to OUT
+kind = cycle   amplitude = 0.0993124716156   period = 4.69254811814   distance to x2 = 9.619e-02
+""", "67bb4ff589f951259df9fae04af42767d9e2961c2cc901779c096e8702196c90"),
+    ("simulate", "gamma"): ("""\
+wrote 278 rows to OUT
+kind = cycle   amplitude = 0.0993268198893   period = 4.69278260716   distance to x2 = 9.489e-02
+""", "92bfcbc8a009d445c84a3cfe114f2458cb0d3bbd402e3679740a8bc24da3d952"),
+    ("sweep", "k"): ("wrote 2 rows to OUT\n", """\
+r,kind,amplitude,period
+0.34999999999999998,equilibrium,1.4724644836761058e-09,nan
+0.35999999999999999,cycle,0.099312471615603526,4.6925481181443498
+"""),
+    ("sweep", "gamma"): ("wrote 2 rows to OUT\n", """\
+r,kind,amplitude,period
+0.34999999999999998,equilibrium,1.3413483657132019e-09,nan
+0.35999999999999999,cycle,0.099326819889327345,4.6927826071598187
+"""),
+    ("scaling", "k"): ("""\
+amplitude(0.363920877691) / amplitude(0.357920877691) = 4.66941998363
+square-root growth predicts 2 inside the asymptotic regime
+""", None),
+    ("scaling", "gamma"): ("""\
+amplitude(0.36392018752) / amplitude(0.35792018752) = 4.66939803458
+square-root growth predicts 2 inside the asymptotic regime
+""", None),
+}
+
+
+@pytest.mark.parametrize("command, config", sorted(SIMULATION_GOLDEN))
+def test_simulation_command_output_is_pinned(tmp_path, capsys, command, config):
+    path = tmp_path / "params.cfg"
+    path.write_text(K_CONFIG if config == "k" else GAMMA_CONFIG)
+    csv_path = tmp_path / "out.csv"
+    argv = [str(csv_path) if arg == "OUT" else arg for arg in SIMULATION_ARGV[command]]
+    assert cli.main([command, str(path), *argv]) == 0
+    captured = capsys.readouterr()
+    stdout, csv = SIMULATION_GOLDEN[command, config]
+    assert captured.out == stdout.replace("OUT", str(csv_path))
+    assert captured.err == ""
+    if command == "simulate":
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv
+    elif command == "sweep":
+        assert csv_path.read_bytes() == csv.encode()
+    else:
+        assert not csv_path.exists()
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

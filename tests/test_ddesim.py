@@ -504,8 +504,10 @@ def test_amplitude_scaling_inconclusive_below_crossing(ref_params, ref_hopf):
 def test_amplitude_scaling_probe_window_checked(ref_params, ref_hopf):
     with pytest.raises(ParameterError):
         ddesim.amplitude_scaling(ref_params, ref_hopf.r_star, 0.05)
-    with pytest.raises(ParameterError):
-        ddesim.amplitude_scaling(ref_params, ref_hopf.r_star, 0.0)
+    # refused by name, not as a probe that is not finite
+    for delta_r in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="^delta_r must be finite and nonzero"):
+            ddesim.amplitude_scaling(ref_params, ref_hopf.r_star, delta_r)
 
 
 # ------------------------------------------------------------------ CSV export
