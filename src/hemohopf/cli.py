@@ -274,16 +274,6 @@ def _cmd_simulate(cfg: argparse.Namespace, out) -> None:
 
 
 def _cmd_sweep(cfg: argparse.Namespace, out) -> None:
-    if cfg.r_grid is None:
-        raise ConfigError("sweep requires --r-grid START STOP COUNT")
-    if cfg.output is None:
-        raise ConfigError("sweep requires --output for the metrics CSV")
-    gamma = cfg.gamma
-    if gamma is None:
-        if cfg.r is None:
-            raise ConfigError("command 'sweep' needs gamma, either directly or "
-                              "derivable from k together with r")
-        gamma = model.gamma_from_k(cfg.k, cfg.r)
     t_end = cfg.t_end if cfg.t_end is not None else ddesim.T_END
     steps = sum(ddesim.step_count(r, t_end, cfg.steps_per_delay) for r in cfg.r_grid)
     if steps > MAX_SWEEP_STEPS:
@@ -291,7 +281,7 @@ def _cmd_sweep(cfg: argparse.Namespace, out) -> None:
                              f"MAX_SWEEP_STEPS = {MAX_SWEEP_STEPS}")
     rows = []
     for r in cfg.r_grid:
-        params = model.ModelParameters.from_gamma(cfg.beta0, cfg.n, cfg.delta, gamma, r)
+        params = model.ModelParameters.from_gamma(cfg.beta0, cfg.n, cfg.delta, cfg.gamma, r)
         traj = ddesim.integrate(
             params, ddesim.default_history(r), t_end, cfg.steps_per_delay
         )
@@ -390,8 +380,9 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
     Every flag value is checked here, for every command, before any model
     evaluation.  beta0, n, delta, gamma, k and r take the flag over the file
     value; `--r` alone, on a file that gives k and r, moves the delay at the
-    gamma of the file's own (k, r).  `bracket` becomes a tuple, `r_grid` the
-    list of its delays.
+    gamma of the file's own (k, r), and a `sweep`, which needs a grid and an
+    output, at the gamma of the config's (k, r).  `bracket` becomes a tuple,
+    `r_grid` the list of its delays.
     """
     values = parse_config(_read_config(args.config))
     if args.gamma is not None and args.k is not None:
@@ -405,6 +396,11 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
         )
     if args.stride < 1:
         raise ConfigError(f"--stride must be >= 1, got {args.stride}")
+    if args.t_end is not None and not (math.isfinite(args.t_end) and args.t_end > 0.0):
+        raise ConfigError(f"--t-end must be finite and > 0, got {args.t_end}")
+    if not 1 <= args.steps_per_delay <= ddesim.MAX_STEPS_PER_DELAY:
+        raise ConfigError(f"--steps-per-delay must be in [1, MAX_STEPS_PER_DELAY = "
+                          f"{ddesim.MAX_STEPS_PER_DELAY}], got {args.steps_per_delay}")
     if not (math.isfinite(args.delta_r) and args.delta_r != 0.0):
         raise ConfigError(f"--delta-r must be finite and nonzero, got {args.delta_r}")
     if args.r_grid is not None:
@@ -426,6 +422,17 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
             args.gamma, args.k = model.gamma_from_k(args.k, values["r"]), None
     if args.r is None:
         args.r = values.get("r")
+    if args.command == "sweep":
+        if args.r_grid is None:
+            raise ConfigError("sweep requires --r-grid START STOP COUNT")
+        if args.output is None:
+            raise ConfigError("sweep requires --output for the metrics CSV")
+        if args.gamma is None:
+            # a sweep moves the delay at the gamma of the config's (k, r)
+            if args.r is None:
+                raise ConfigError("command 'sweep' needs gamma, either directly or "
+                                  "derivable from k together with r")
+            args.gamma, args.k = model.gamma_from_k(args.k, args.r), None
     for key in _REQUIRED_KEYS:
         if getattr(args, key) is None:
             setattr(args, key, values[key])

@@ -18,18 +18,27 @@ STEPS_PER_DELAY can be as small as 50.
 The module is standard library only: a trajectory is three ``array('d')``
 columns, and the diagnostics are plain Python passes over the tail, so
 `simulate`, `sweep` and `scaling` run without importing numpy.  Convert
-with ``numpy.asarray(traj.x)`` for array arithmetic.  The RK4 step loop
-alone also exists in C (``_rk4.c``): the first `integrate` of a process
-compiles it with the system ``cc`` into ``__pycache__/`` beside this file,
-unless a build for the same source is there, loads it with ctypes, and
-runs it if it reproduces `_python_loop` to the bit on a short probe.
-Without a compiler, with an unwritable cache, or on a failed load or probe,
-`_python_loop` runs; both loops give the same bits.
+with ``numpy.asarray(traj.x)`` for array arithmetic.  Three loops also
+exist in C (``_kernel.c``): the RK4 steps of `integrate`, the ``%.17g`` rows
+of `write_trajectory_csv` and the sign-change scan of `_hermite_extrema`.
+Their first use in a process compiles them with the system ``cc`` into
+``__pycache__/`` beside this file, unless a build for the same source is
+there, and loads them with ctypes.  They run if each gives what its Python
+twin gives, to the bit or the byte, on a short probe.  Without a compiler,
+with an unwritable cache, or on a failed load or probe, all three Python
+twins run, with the same bits and bytes.  On the reference configuration
+at r = 0.35 and 0.36 (28,573 and 27,779 steps), in a fresh process on a
+2-vCPU Xeon, the compiled loops take about 6 ms to integrate, 4-6 ms to
+write the CSV and 0.2-0.3 ms for `_hermite_extrema` on the tail, against
+37-67, 27-46 and 1.4-2.3 ms with the Python twins.
+``python -m hemohopf.ddesim`` builds the kernel if it is not cached and
+prints ``compiled <library>`` or ``python``: the loops a run uses.
 """
 
 from __future__ import annotations
 
 import bisect
+import io
 import math
 import os
 from array import array
@@ -83,8 +92,13 @@ MAX_STEPS = 2_000_000
 #: the first step (11 MB peak here), and MAX_STEPS then reaches only 20 delays.
 MAX_STEPS_PER_DELAY = 100_000
 
-#: Rows `write_trajectory_csv` formats in one string operation.
+#: Rows `write_trajectory_csv` formats in one block: one string operation of
+#: the Python loop, or one call of the compiled one into a buffer of
+#: _CSV_ROW_BYTES a row (51 kB), so that memory does not grow with the rows.
 _CSV_CHUNK_ROWS = 1024
+
+#: Room for one CSV row: two values of at most 24 characters, a comma, a newline.
+_CSV_ROW_BYTES = 50
 
 KIND_EQUILIBRIUM = "equilibrium"
 KIND_CYCLE = "cycle"
@@ -201,7 +215,7 @@ def integrate(
     queued before the first step, and each accepted cell is queued as it
     is accepted, one delay before it is read.  The floating-point
     operations and their order are those of five full evaluations, so the
-    numbers are too.  The steps run in the compiled loop of ``_rk4.c``
+    numbers are too.  The steps run in the compiled loop of ``_kernel.c``
     where it could be built, else in `_python_loop`; both give the same bits.
     """
     r = params.r
@@ -229,7 +243,7 @@ def integrate(
         raise BlowUpError("state blew up at t = 0.0", time=0.0) from None
     t, x, dx = (array("d", [0.0]) * (n_steps + 1) for _ in range(3))
     x[0], dx[0] = x0, dx0
-    i = _step_loop()(n_steps, m, h, beta0, n, delta, kb0, k1, ring, t, x, dx)
+    i = _kernel().step_loop(n_steps, m, h, beta0, n, delta, kb0, k1, ring, t, x, dx)
     if i < n_steps:
         # the state left the float range, or x**n did before it
         t_fail = (i + 1) * h
@@ -250,7 +264,7 @@ def _rhs_terms(beta0: float, n: float, delta: float, kb0: float):
 
 def _python_loop(n_steps: int, m: int, h: float, beta0: float, n: float, delta: float,
                  kb0: float, k1: float, ring: array, t: array, x: array, dx: array) -> int:
-    """The RK4 step loop of `integrate`, and the reference for ``_rk4.c``.
+    """The RK4 step loop of `integrate`, and the reference for ``_kernel.c``.
 
     Runs steps 0 .. n_steps - 1 from the node x[0], dx[0] with first stage
     k1, taking the delayed productions off `ring`, and fills t, x and dx
@@ -284,32 +298,63 @@ def _python_loop(n_steps: int, m: int, h: float, beta0: float, n: float, delta: 
     return n_steps
 
 
-#: The step loop `integrate` runs, chosen by its first call in a process.
-_loop: Optional[Callable[..., int]] = None
+def _python_rows(fh, t: array, x: array, stride: int) -> None:
+    """Write the CSV rows ``t,x`` of every `stride`-th point to the binary file
+    `fh`, each value as ``"%.17g"`` writes it; the reference for ``_kernel.c``."""
+    ts, xs = t[::stride], x[::stride]
+    values = array("d", [0.0]) * (2 * len(ts))  # t0, x0, t1, x1, ...
+    values[::2], values[1::2] = ts, xs
+    for start in range(0, len(values), 2 * _CSV_CHUNK_ROWS):
+        chunk = values[start:start + 2 * _CSV_CHUNK_ROWS]
+        fh.write(("%.17g,%.17g\n" * (len(chunk) // 2) % tuple(chunk)).encode())
 
-#: The C source of the compiled loop, and where its build is cached, beside
+
+def _python_cells(dx: Sequence[float]) -> Sequence[int]:
+    """The cells j where dx goes from > 0 to <= 0 or from < 0 to >= 0; the
+    reference for ``_kernel.c``."""
+    return [j for j, (d0, d1) in enumerate(zip(dx, dx[1:]))
+            if (d0 > 0.0 and d1 <= 0.0) or (d0 < 0.0 and d1 >= 0.0)]
+
+
+class _Kernel(NamedTuple):
+    """The loops of `integrate`, `write_trajectory_csv` and `_hermite_extrema`,
+    and the library they were loaded from, None for the Python ones."""
+
+    step_loop: Callable[..., int]
+    write_rows: Callable[..., None]
+    sign_change_cells: Callable[[Sequence[float]], Sequence[int]]
+    library: Optional[str]
+
+
+_PYTHON_KERNEL = _Kernel(_python_loop, _python_rows, _python_cells, None)
+
+#: The kernel in use, chosen by the first call of `_kernel` in a process.
+_active: Optional[_Kernel] = None
+
+#: The C source of the compiled kernel, and where its build is cached, beside
 #: this module's bytecode.
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rk4.c")
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _CACHE_DIR = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
 
-#: Compiler flags of the compiled loop: no contraction into fused multiply-adds
+#: Compiler flags of the compiled kernel: no contraction into fused multiply-adds
 #: and no -ffast-math, so that every operation rounds as CPython's does.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
-def _step_loop() -> Callable[..., int]:
-    """The compiled loop where it builds and passes its probe, else `_python_loop`."""
-    global _loop
-    if _loop is None:
-        _loop = _load_kernel(_CACHE_DIR) or _python_loop
-    return _loop
+def _kernel() -> _Kernel:
+    """The compiled kernel where it builds and passes its probe, else the Python one."""
+    global _active
+    if _active is None:
+        _active = _load_kernel(_CACHE_DIR) or _PYTHON_KERNEL
+    return _active
 
 
-def _load_kernel(cache_dir: str) -> Optional[Callable[..., int]]:
-    """Build ``_rk4.c`` into `cache_dir` once per source, load it with ctypes,
-    and return it as a drop-in for `_python_loop` if it reproduces that loop's
-    bits on a short probe.  None where there is no ``cc``, the cache cannot be
-    written, the build or the load fails, or the probe differs.
+def _load_kernel(cache_dir: str) -> Optional[_Kernel]:
+    """Build ``_kernel.c`` into `cache_dir` once per source, load it with ctypes,
+    and return its three functions as drop-ins for the Python ones if each gives
+    the same result as its Python twin on a short probe.  None where there is no
+    ``cc``, the cache cannot be written, the build or the load fails, or a probe
+    differs.
     """
     import ctypes
     import zlib
@@ -317,29 +362,59 @@ def _load_kernel(cache_dir: str) -> Optional[Callable[..., int]]:
     try:
         with open(_SOURCE, "rb") as fh:
             key = zlib.crc32(fh.read() + repr((_CFLAGS, os.uname().machine)).encode())
-        lib_path = os.path.join(cache_dir, f"_rk4-{key:08x}.so")
+        lib_path = os.path.join(cache_dir, f"_kernel-{key:08x}.so")
         if not (os.path.exists(lib_path) or _build(lib_path)):
             return None
-        kernel = ctypes.CDLL(lib_path).hemohopf_rk4
+        lib = ctypes.CDLL(lib_path)
+        c_loop, c_rows = lib.hemohopf_rk4, lib.hemohopf_csv_rows
+        c_cells = lib.hemohopf_sign_change_cells
     except (OSError, AttributeError):
         return None
-    kernel.restype = ctypes.c_int64
-    kernel.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_double] * 6
+    c_loop.restype = c_rows.restype = c_cells.restype = ctypes.c_int64
+    c_loop.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_double] * 6
                        + [ctypes.c_void_p] * 4)
+    c_rows.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
+    c_cells.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
 
     def compiled_loop(n_steps, m, h, beta0, n, delta, kb0, k1, ring, t, x, dx):
         # the kernel writes through these pointers: they must hold what it reads and writes
         if not (len(ring) == 2 * m and len(t) == len(x) == len(dx) == n_steps + 1
                 and ring.typecode == t.typecode == x.typecode == dx.typecode == "d"):
             raise ValueError("step loop columns do not fit n_steps and m")
-        return kernel(n_steps, m, h, beta0, n, delta, kb0, k1, ring.buffer_info()[0],
+        return c_loop(n_steps, m, h, beta0, n, delta, kb0, k1, ring.buffer_info()[0],
                       t.buffer_info()[0], x.buffer_info()[0], dx.buffer_info()[0])
 
-    return compiled_loop if _probe(compiled_loop) == _probe(_python_loop) else None
+    def compiled_rows(fh, t, x, stride):
+        # the kernel reads through these pointers: both columns must hold every row
+        if not (isinstance(t, array) and isinstance(x, array) and len(t) == len(x)
+                and t.typecode == x.typecode == "d" and stride >= 1):
+            raise ValueError("trajectory columns differ in length or type")
+        # one block of rows at a time, through a buffer of its own for each call
+        buf = ctypes.create_string_buffer(_CSV_CHUNK_ROWS * _CSV_ROW_BYTES)
+        view = memoryview(buf)
+        t_ptr, x_ptr = t.buffer_info()[0], x.buffer_info()[0]
+        block = stride * _CSV_CHUNK_ROWS
+        for start in range(0, len(t), block):
+            fh.write(view[:c_rows(t_ptr, x_ptr, start, min(start + block, len(t)),
+                                  stride, buf)])
+
+    def compiled_cells(dx):
+        if not (isinstance(dx, array) and dx.typecode == "d"):
+            return _python_cells(dx)
+        dx_ptr = dx.buffer_info()[0]
+        cells = array("q", bytes(8 * c_cells(len(dx), dx_ptr, None)))
+        c_cells(len(dx), dx_ptr, cells.buffer_info()[0])
+        return cells
+
+    compiled = _Kernel(compiled_loop, compiled_rows, compiled_cells, lib_path)
+    probes = (_probe_loop, _probe_rows, _probe_cells)
+    if any(probe(c) != probe(py) for probe, c, py in zip(probes, compiled, _PYTHON_KERNEL)):
+        return None
+    return compiled
 
 
 def _build(lib_path: str) -> bool:
-    """Compile ``_rk4.c`` with ``cc`` to a temporary file moved onto `lib_path`,
+    """Compile ``_kernel.c`` with ``cc`` to a temporary file moved onto `lib_path`,
     so that a concurrent process never loads a partial library."""
     import shutil
     import subprocess
@@ -361,7 +436,7 @@ def _build(lib_path: str) -> bool:
     return True
 
 
-def _probe(loop: Callable[..., int]):
+def _probe_loop(loop: Callable[..., int]):
     """Return value and column bytes of `loop` on 200 steps, 7 per delay, of the
     reference parameters from a negative start, so that both branches of the
     Hill terms run."""
@@ -370,6 +445,27 @@ def _probe(loop: Callable[..., int]):
     x[0], dx[0] = -0.5, 1.0
     i = loop(200, 7, 0.36 / 7, 1.77, 12.0, 0.05, 1.17 * 1.77, 0.9, ring, t, x, dx)
     return i, t.tobytes(), x.tobytes(), dx.tobytes()
+
+
+def _probe_rows(write_rows: Callable[..., None]) -> bytes:
+    """The bytes `write_rows` writes, at strides 1 and 3, for values of either
+    notation of ``%g``, its edges and what goes past the fast path of ``_kernel.c``:
+    a C library that writes another decimal point or rounds otherwise differs."""
+    t = array("d", [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e-4,
+                    0.1, 1.0 / 3.0, 0.36 / 7, 2.5, 9999999999999998.0, 1e16,
+                    1e17, 1.7976931348623157e308])
+    x = array("d", (-v / 7.0 for v in reversed(t)))
+    fh = io.BytesIO()
+    write_rows(fh, t, x, 1)
+    write_rows(fh, t, x, 3)
+    return fh.getvalue()
+
+
+def _probe_cells(sign_change_cells: Callable[[Sequence[float]], Sequence[int]]):
+    """The cells `sign_change_cells` finds in a dx with runs of zeros and -0.0."""
+    dx = array("d", [0.0, 1.0, 0.0, 0.0, -2.0, -0.0, 0.0, 3.0, -0.0, -1.0, -1.0,
+                     2.0, 0.5, 0.0])
+    return list(sign_change_cells(dx))
 
 
 def _hermite_extrema(t: Sequence[float], x: Sequence[float],
@@ -384,9 +480,7 @@ def _hermite_extrema(t: Sequence[float], x: Sequence[float],
     (times, heights) of the maxima, then of the minima, as lists.
     """
     maxima, minima = ([], []), ([], [])
-    cells = [j for j, (d0, d1) in enumerate(zip(dx, dx[1:]))
-             if (d0 > 0.0 and d1 <= 0.0) or (d0 < 0.0 and d1 >= 0.0)]
-    for j in cells:
+    for j in _kernel().sign_change_cells(dx):
         x0, x1, a0, a1 = x[j], x[j + 1], h * dx[j], h * dx[j + 1]
         a = 3.0 * (a0 + a1) - 6.0 * (x1 - x0)
         b = 6.0 * (x1 - x0) - 4.0 * a0 - 2.0 * a1
@@ -511,12 +605,13 @@ def write_trajectory_csv(traj: Trajectory, path, stride: int = 1) -> int:
     """Write every `stride`-th point as a CSV row `t,x` to 17 digits; return the row count."""
     if stride < 1:
         raise ParameterError(f"stride must be >= 1, got {stride}")
-    ts, xs = traj.t[::stride], traj.x[::stride]
-    values = array("d", [0.0]) * (2 * len(ts))  # t0, x0, t1, x1, ...
-    values[::2], values[1::2] = ts, xs
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,x\n")
-        for start in range(0, len(values), 2 * _CSV_CHUNK_ROWS):
-            chunk = values[start:start + 2 * _CSV_CHUNK_ROWS]
-            fh.write("%.17g,%.17g\n" * (len(chunk) // 2) % tuple(chunk))
-    return len(ts)
+    with open(path, "wb") as fh:
+        fh.write(b"t,x\n")
+        _kernel().write_rows(fh, traj.t, traj.x, stride)
+    return (len(traj.t) + stride - 1) // stride
+
+
+if __name__ == "__main__":
+    # builds the compiled kernel into the cache if it is not there, and says which runs
+    library = _kernel().library
+    print(f"compiled {library}" if library else "python")

@@ -280,7 +280,9 @@ def test_simulate_step_count_is_capped(config_path, tmp_path, capsys, flags):
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "MAX_STEPS" in captured.err
+    # an infinite --t-end is refused as a flag value, before its steps are counted
+    message = "--t-end must be finite and > 0" if flags[1] == "inf" else "MAX_STEPS"
+    assert message in captured.err
     assert not out_csv.exists()
 
 
@@ -315,6 +317,9 @@ BAD_FLAG_VALUES = [
     ("--bracket", "nan", "0.4"),
     ("--delta-r", "0"),
     ("--delta-r", "nan"),
+    ("--t-end", "nan"),
+    ("--t-end", "-1"),
+    ("--steps-per-delay", "0"),
 ]
 
 
@@ -808,10 +813,10 @@ EDGE_RUNS = {
     # the step r / steps_per_delay underflows to 0
     "step-underflow": (GAMMA_CONFIG, ["simulate", "--r", "5e-324", "-o", "t.csv"], 2,
                        "error: t_end = 200.0 at step 0 needs inf steps"),
-    # steps_per_delay does not convert to a float in r / steps_per_delay
+    # a --steps-per-delay that does not convert to a float is refused by its range
     "steps-per-delay-overflow": (GAMMA_CONFIG, ["simulate", "--r", "0.36", "-o", "t.csv",
                                                 "--steps-per-delay", "1" + "0" * 400], 2,
-                                 "error: steps_per_delay must be in [1, "
+                                 "error: --steps-per-delay must be in [1, "
                                  "MAX_STEPS_PER_DELAY = 100000], got 1" + "0" * 400),
     # omega*^2 overflows, underflows to 0, and is subnormal
     "omega-overflow": (_reference_in_time_unit("gamma", 1e154, 0.36), ["normal-form"], 3,

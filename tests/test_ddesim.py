@@ -1,7 +1,12 @@
 import csv
+import io
 import math
+import os
 import random
 import shutil
+import struct
+import subprocess
+import sys
 from array import array
 from fractions import Fraction
 
@@ -27,9 +32,9 @@ def _both_loops(argnames, cases):
 
 
 def _use_loop(monkeypatch, loop):
-    # the Python loop is forced through the loader, which integrate asks for its loop
+    # the Python loops are forced through the loader, which integrate asks for its loop
     if loop == "python":
-        monkeypatch.setattr(ddesim, "_step_loop", lambda: ddesim._python_loop)
+        monkeypatch.setattr(ddesim, "_kernel", lambda: ddesim._PYTHON_KERNEL)
 
 
 def test_constant_history_is_fixed_point(ref_params):
@@ -172,8 +177,8 @@ def test_power_overflow_raises_blow_up_with_its_time(monkeypatch, params, histor
 def test_compiled_and_python_loops_agree_bit_for_bit_on_frontier_draws(monkeypatch):
     # frontier-box draws at random delays, some far past RK4's stability
     # limit, from the reference history, a negative one or a large one
-    compiled = ddesim._step_loop()
-    if compiled is ddesim._python_loop:
+    compiled = ddesim._kernel()
+    if compiled.library is None:
         pytest.skip("the compiled loop is not available: no cc, or its build failed")
     rng = random.Random(30)
     finished = blown_up = 0
@@ -188,8 +193,8 @@ def test_compiled_and_python_loops_agree_bit_for_bit_on_frontier_draws(monkeypat
                               ddesim.constant_history(-rng.uniform(0.0, 2.0)),
                               ddesim.constant_history(10.0 ** rng.uniform(0.0, 20.0))))
         results = []
-        for loop in (compiled, ddesim._python_loop):
-            monkeypatch.setattr(ddesim, "_step_loop", lambda loop=loop: loop)
+        for kernel in (compiled, ddesim._PYTHON_KERNEL):
+            monkeypatch.setattr(ddesim, "_kernel", lambda kernel=kernel: kernel)
             try:
                 traj = ddesim.integrate(params, history, t_end, m)
             except BlowUpError as exc:
@@ -204,42 +209,155 @@ def test_compiled_and_python_loops_agree_bit_for_bit_on_frontier_draws(monkeypat
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_compiled_loop_is_built_and_selected_with_a_compiler(tmp_path):
-    loop = ddesim._load_kernel(str(tmp_path / "cache"))
-    assert loop is not None and loop is not ddesim._python_loop
+    kernel = ddesim._load_kernel(str(tmp_path / "cache"))
+    assert kernel is not None and kernel.step_loop is not ddesim._python_loop
     # one library named by its source, and no temporary file left behind
     (lib,) = (tmp_path / "cache").iterdir()
-    assert lib.name.startswith("_rk4-") and lib.suffix == ".so"
+    assert lib.name.startswith("_kernel-") and lib.suffix == ".so"
+    assert kernel.library == str(lib)
     assert ddesim._load_kernel(str(tmp_path / "cache")) is not None  # loads the cached build
-    assert ddesim._step_loop() is not ddesim._python_loop
+    assert ddesim._kernel().library is not None
 
 
-@pytest.mark.parametrize("failure", ["no-compiler", "unwritable-cache"])
-def test_failed_build_falls_back_to_the_same_bytes(tmp_path, monkeypatch, capfd, failure):
+def _simulation_runs(tmp_path, capfd, name):
+    """Exit code, stdout, stderr and output bytes of a short simulate, of scaling
+    and of a 2-row sweep on the reference gamma config."""
     cfg = tmp_path / "gamma.cfg"
     cfg.write_text(f"beta0 = {rv.BETA0}\nn = {rv.N}\ndelta = {rv.DELTA}\n"
                    f"gamma = {rv.GAMMA_REF}\nr = 0.36\n")
-
-    def simulate(name):
-        csv_path = tmp_path / f"{name}.csv"
-        code = cli.main(["simulate", str(cfg), "--r", "0.36", "--t-end", "40",
-                         "-o", str(csv_path)])
+    results = []
+    for argv in (["simulate", "--r", "0.36", "--t-end", "40", "-o", "OUT"],
+                 ["scaling", "--t-end", "120"],
+                 ["sweep", "--r-grid", "0.35", "0.36", "2", "--t-end", "40", "-o", "OUT"]):
+        out_path = tmp_path / f"{name}-{argv[0]}.csv"
+        code = cli.main([argv[0], str(cfg)] + [str(out_path) if a == "OUT" else a
+                                               for a in argv[1:]])
         out, err = capfd.readouterr()
-        return code, out.replace(str(csv_path), "CSV"), err, csv_path.read_bytes()
+        written = out_path.read_bytes() if out_path.exists() else None
+        results.append((code, out.replace(str(out_path), "OUT"), err, written))
+    return results
 
-    selected = simulate("selected")
+
+@pytest.mark.parametrize("failure", ["no-compiler", "unwritable-cache", "probe-mismatch"])
+def test_failed_build_falls_back_to_the_same_bytes(tmp_path, monkeypatch, capfd, failure):
+    selected = _simulation_runs(tmp_path, capfd, "selected")
     cache = tmp_path / "cache"
     if failure == "no-compiler":
         monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
-    else:
+    elif failure == "unwritable-cache":
         (tmp_path / "file").write_text("")
         cache = tmp_path / "file" / "cache"  # a file in its path: cannot be created
+    else:
+        # one probe that tells the compiled rows from the Python ones
+        monkeypatch.setattr(ddesim, "_probe_rows", lambda rows: rows is ddesim._python_rows)
     monkeypatch.setattr(ddesim, "_CACHE_DIR", str(cache))
-    monkeypatch.setattr(ddesim, "_loop", None)
-    fallback = simulate("fallback")
-    assert ddesim._loop is ddesim._python_loop
+    monkeypatch.setattr(ddesim, "_active", None)
+    fallback = _simulation_runs(tmp_path, capfd, "fallback")
+    assert ddesim._active is ddesim._PYTHON_KERNEL
     assert fallback == selected
-    assert fallback[2] == ""
-    assert not cache.exists()
+    assert [code for code, *_ in fallback] == [0, 0, 0]
+    assert all(err == "" for _, _, err, _ in fallback)
+    assert cache.exists() == (failure == "probe-mismatch")
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+@pytest.mark.parametrize("probe", ["_probe_loop", "_probe_rows", "_probe_cells"])
+def test_any_probe_mismatch_falls_back_to_python_for_all_three(tmp_path, monkeypatch, probe):
+    python_functions = set(ddesim._PYTHON_KERNEL[:3])
+    monkeypatch.setattr(ddesim, probe, lambda fn: fn in python_functions)
+    assert ddesim._load_kernel(str(tmp_path / "cache")) is None
+    monkeypatch.setattr(ddesim, "_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(ddesim, "_active", None)
+    assert ddesim._kernel() is ddesim._PYTHON_KERNEL
+
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    """The compiled kernel, built into a fresh cache without its load-time probes,
+    so that the tests below check the C functions themselves."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    with pytest.MonkeyPatch.context() as mp:
+        for probe in ("_probe_loop", "_probe_rows", "_probe_cells"):
+            mp.setattr(ddesim, probe, lambda fn: None)
+        kernel = ddesim._load_kernel(str(tmp_path_factory.mktemp("kernel")))
+    assert kernel is not None
+    return kernel
+
+
+def _rows_bytes(write_rows, t, x, stride=1):
+    fh = io.BytesIO()
+    write_rows(fh, array("d", t), array("d", x), stride)
+    return fh.getvalue()
+
+
+def test_compiled_rows_are_the_percent_17g_rows_on_the_whole_float_range(compiled):
+    rng = random.Random(33)
+    values = [struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+              for _ in range(120_000)]
+    values = [v for v in values if math.isfinite(v)]  # about 0.05% are not
+    values += [rng.uniform(-200.0, 200.0) for _ in range(40_000)]
+    values += [math.ldexp(rng.random(), rng.randint(-80, 80)) for _ in range(40_000)]
+    # halves of 17-digit integers: the 18th digit is a 5, a tie for half-even
+    values += [(rng.randint(10**15, 9 * 10**15) + 0.5) / 2 ** rng.randint(0, 40)
+               for _ in range(20_000)]
+    edges = [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             1e-5, 1e-4, 1e16, 1e17, 1.0 / 3.0, 1e100, -1e100, 1.7976931348623157e308]
+    for e in range(-25, 26):
+        p = 10.0 ** e
+        edges += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    values += edges + [-v for v in edges]
+    assert len(values) > 200_000
+    t, x = values, values[::-1]
+    expected = "".join("%.17g,%.17g\n" % row for row in zip(t, x)).encode()
+    assert _rows_bytes(compiled.write_rows, t, x) == expected
+    assert _rows_bytes(ddesim._python_rows, t, x) == expected
+
+
+def test_compiled_rows_write_nan_and_inf_as_python_does(compiled):
+    t = [math.nan, -math.nan, math.inf, -math.inf]
+    assert _rows_bytes(compiled.write_rows, t, t) == _rows_bytes(ddesim._python_rows, t, t)
+    assert _rows_bytes(compiled.write_rows, t, t) == b"nan,nan\nnan,nan\ninf,inf\n-inf,-inf\n"
+
+
+@pytest.mark.parametrize("dx", [
+    [],
+    [1.0],
+    [0.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0, -1.0, -0.0, 0.0, 2.0],
+    [-0.0, 0.0, -1.0, 0.0, 1.0, -0.0, -2.0, 3.0, math.nan, -1.0],
+    [1.0, -1.0] * 5,
+], ids=["empty", "one-point", "zeros", "zero-runs", "signed-zeros", "alternating"])
+def test_compiled_sign_change_cells_are_the_python_ones(compiled, dx):
+    assert list(compiled.sign_change_cells(array("d", dx))) == ddesim._python_cells(dx)
+    # other sequences, numpy arrays among them, take the Python scan
+    assert compiled.sign_change_cells(np.array(dx)) == ddesim._python_cells(dx)
+
+
+@pytest.mark.parametrize("stride", [1, 7, 100, 10**6])
+def test_trajectory_csv_is_the_same_on_both_paths(tmp_path, monkeypatch, compiled, traj_036,
+                                                  stride):
+    rows = len(range(0, len(traj_036.t), stride))
+    if stride > len(traj_036.t):
+        assert rows == 1
+    files = []
+    for kernel in (compiled, ddesim._PYTHON_KERNEL):
+        monkeypatch.setattr(ddesim, "_kernel", lambda kernel=kernel: kernel)
+        path = tmp_path / f"{len(files)}.csv"
+        assert ddesim.write_trajectory_csv(traj_036, path, stride=stride) == rows
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
+    assert files[0].count(b"\n") == rows + 1
+
+
+def test_module_main_says_which_kernel_runs():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddesim.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "hemohopf.ddesim"], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0
+    library = ddesim._kernel().library
+    assert done.stdout == (f"compiled {library}\n" if library else "python\n")
 
 
 def test_trajectory_interpolation_consistency(ref_params):
