@@ -1,7 +1,6 @@
 /* The hot loops of hemohopf.ddesim, compiled: the RK4 step loop of
- * `integrate`, the rows of `write_trajectory_csv` and the sign-change scan of
- * `_hermite_extrema`.  Each gives what its Python twin in ddesim gives, to the
- * bit and to the byte.
+ * `integrate` and the rows of `write_trajectory_csv`.  Each gives what its
+ * Python twin in ddesim gives, to the bit and to the byte.
  *
  * The step loop does the same floating-point operations in the same order as
  * ddesim._python_loop, so the same bits: build with -O2 -ffp-contract=off and
@@ -177,34 +176,18 @@ static int format_g17(double v, char *out)
 }
 
 /* Writes the CSV rows "t,x\n" of the points i = start, start + stride, ... below
- * stop into buf, which holds 50 bytes a row (a value takes at most 24), and
- * returns the number of bytes written. */
+ * stop, at most max_rows of them, into buf, which holds 50 bytes a row (a value
+ * takes at most 24), and returns the number of bytes written. */
 int64_t hemohopf_csv_rows(const double *t, const double *x, int64_t start, int64_t stop,
-                          int64_t stride, char *buf)
+                          int64_t stride, int64_t max_rows, char *buf)
 {
     char *p = buf;
-    int64_t i;
-    for (i = start; i < stop; i += stride) {
+    int64_t i, rows = 0;
+    for (i = start; i < stop && rows < max_rows; i += stride, rows++) {
         p += format_g17(t[i], p);
         *p++ = ',';
         p += format_g17(x[i], p);
         *p++ = '\n';
     }
     return p - buf;
-}
-
-/* The cells j of dx[0 .. n - 1] where dx goes from > 0 to <= 0 or from < 0 to
- * >= 0, written to cells unless it is NULL; returns how many there are. */
-int64_t hemohopf_sign_change_cells(int64_t n, const double *dx, int64_t *cells)
-{
-    int64_t j, count = 0;
-    for (j = 0; j + 1 < n; j++) {
-        double d0 = dx[j], d1 = dx[j + 1];
-        if ((d0 > 0.0 && d1 <= 0.0) || (d0 < 0.0 && d1 >= 0.0)) {
-            if (cells)
-                cells[count] = j;
-            count++;
-        }
-    }
-    return count;
 }

@@ -18,21 +18,19 @@ STEPS_PER_DELAY can be as small as 50.
 The module is standard library only: a trajectory is three ``array('d')``
 columns, and the diagnostics are plain Python passes over the tail, so
 `simulate`, `sweep` and `scaling` run without importing numpy.  Convert
-with ``numpy.asarray(traj.x)`` for array arithmetic.  Three loops also
-exist in C (``_kernel.c``): the RK4 steps of `integrate`, the ``%.17g`` rows
-of `write_trajectory_csv` and the sign-change scan of `_hermite_extrema`.
-Their first use in a process compiles them with the system ``cc`` into
-``__pycache__/`` beside this file, unless a build for the same source is
-there, and loads them with ctypes.  They run if each gives what its Python
-twin gives, to the bit or the byte, on a short probe.  Without a compiler,
-with an unwritable cache, or on a failed load or probe, all three Python
-twins run, with the same bits and bytes.  On the reference configuration
-at r = 0.35 and 0.36 (28,573 and 27,779 steps), in a fresh process on a
-2-vCPU Xeon, the compiled loops take about 6 ms to integrate, 4-6 ms to
-write the CSV and 0.2-0.3 ms for `_hermite_extrema` on the tail, against
-37-67, 27-46 and 1.4-2.3 ms with the Python twins.
-``python -m hemohopf.ddesim`` builds the kernel if it is not cached and
-prints ``compiled <library>`` or ``python``: the loops a run uses.
+with ``numpy.asarray(traj.x)`` for array arithmetic.  Two loops also
+exist in C (``_kernel.c``): the RK4 steps of `integrate` and the ``%.17g``
+rows of `write_trajectory_csv`.  Their first use in a process compiles them
+with the system ``cc`` into ``__pycache__/`` beside this file, unless a
+build for the same source is there, and loads them with ctypes.  They run
+if each gives what its Python twin gives, to the bit or the byte, on a
+short probe.  Without a compiler, with an unwritable cache, or on a failed
+load or probe, both Python twins run, with the same bits and bytes.  On the
+reference configuration at r = 0.35 and 0.36 (28,573 and 27,779 steps), in
+a fresh process on a 2-vCPU Xeon, the compiled loops take about 6 ms to
+integrate and 4-6 ms to write the CSV, against 37-67 and 27-46 ms with the
+Python twins.  ``python -m hemohopf.kernel`` builds the kernel if it is not
+cached and prints ``compiled <library>`` or ``python``: the loops a run uses.
 """
 
 from __future__ import annotations
@@ -309,24 +307,16 @@ def _python_rows(fh, t: array, x: array, stride: int) -> None:
         fh.write(("%.17g,%.17g\n" * (len(chunk) // 2) % tuple(chunk)).encode())
 
 
-def _python_cells(dx: Sequence[float]) -> Sequence[int]:
-    """The cells j where dx goes from > 0 to <= 0 or from < 0 to >= 0; the
-    reference for ``_kernel.c``."""
-    return [j for j, (d0, d1) in enumerate(zip(dx, dx[1:]))
-            if (d0 > 0.0 and d1 <= 0.0) or (d0 < 0.0 and d1 >= 0.0)]
-
-
 class _Kernel(NamedTuple):
-    """The loops of `integrate`, `write_trajectory_csv` and `_hermite_extrema`,
-    and the library they were loaded from, None for the Python ones."""
+    """The loops of `integrate` and `write_trajectory_csv`, and the library
+    they were loaded from, None for the Python ones."""
 
     step_loop: Callable[..., int]
     write_rows: Callable[..., None]
-    sign_change_cells: Callable[[Sequence[float]], Sequence[int]]
     library: Optional[str]
 
 
-_PYTHON_KERNEL = _Kernel(_python_loop, _python_rows, _python_cells, None)
+_PYTHON_KERNEL = _Kernel(_python_loop, _python_rows, None)
 
 #: The kernel in use, chosen by the first call of `_kernel` in a process.
 _active: Optional[_Kernel] = None
@@ -351,7 +341,7 @@ def _kernel() -> _Kernel:
 
 def _load_kernel(cache_dir: str) -> Optional[_Kernel]:
     """Build ``_kernel.c`` into `cache_dir` once per source, load it with ctypes,
-    and return its three functions as drop-ins for the Python ones if each gives
+    and return its two functions as drop-ins for the Python ones if each gives
     the same result as its Python twin on a short probe.  None where there is no
     ``cc``, the cache cannot be written, the build or the load fails, or a probe
     differs.
@@ -367,14 +357,12 @@ def _load_kernel(cache_dir: str) -> Optional[_Kernel]:
             return None
         lib = ctypes.CDLL(lib_path)
         c_loop, c_rows = lib.hemohopf_rk4, lib.hemohopf_csv_rows
-        c_cells = lib.hemohopf_sign_change_cells
     except (OSError, AttributeError):
         return None
-    c_loop.restype = c_rows.restype = c_cells.restype = ctypes.c_int64
+    c_loop.restype = c_rows.restype = ctypes.c_int64
     c_loop.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_double] * 6
                        + [ctypes.c_void_p] * 4)
-    c_rows.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
-    c_cells.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+    c_rows.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 4 + [ctypes.c_void_p]
 
     def compiled_loop(n_steps, m, h, beta0, n, delta, kb0, k1, ring, t, x, dx):
         # the kernel writes through these pointers: they must hold what it reads and writes
@@ -393,21 +381,16 @@ def _load_kernel(cache_dir: str) -> Optional[_Kernel]:
         buf = ctypes.create_string_buffer(_CSV_CHUNK_ROWS * _CSV_ROW_BYTES)
         view = memoryview(buf)
         t_ptr, x_ptr = t.buffer_info()[0], x.buffer_info()[0]
+        # a stride past the last row writes row 0 only; clamped, it fits the
+        # kernel's int64, which ctypes would fill with the low 64 bits of a larger one
+        stride = min(stride, max(len(t), 1))
         block = stride * _CSV_CHUNK_ROWS
         for start in range(0, len(t), block):
             fh.write(view[:c_rows(t_ptr, x_ptr, start, min(start + block, len(t)),
-                                  stride, buf)])
+                                  stride, _CSV_CHUNK_ROWS, buf)])
 
-    def compiled_cells(dx):
-        if not (isinstance(dx, array) and dx.typecode == "d"):
-            return _python_cells(dx)
-        dx_ptr = dx.buffer_info()[0]
-        cells = array("q", bytes(8 * c_cells(len(dx), dx_ptr, None)))
-        c_cells(len(dx), dx_ptr, cells.buffer_info()[0])
-        return cells
-
-    compiled = _Kernel(compiled_loop, compiled_rows, compiled_cells, lib_path)
-    probes = (_probe_loop, _probe_rows, _probe_cells)
+    compiled = _Kernel(compiled_loop, compiled_rows, lib_path)
+    probes = (_probe_loop, _probe_rows)
     if any(probe(c) != probe(py) for probe, c, py in zip(probes, compiled, _PYTHON_KERNEL)):
         return None
     return compiled
@@ -461,13 +444,6 @@ def _probe_rows(write_rows: Callable[..., None]) -> bytes:
     return fh.getvalue()
 
 
-def _probe_cells(sign_change_cells: Callable[[Sequence[float]], Sequence[int]]):
-    """The cells `sign_change_cells` finds in a dx with runs of zeros and -0.0."""
-    dx = array("d", [0.0, 1.0, 0.0, 0.0, -2.0, -0.0, 0.0, 3.0, -0.0, -1.0, -1.0,
-                     2.0, 0.5, 0.0])
-    return list(sign_change_cells(dx))
-
-
 def _hermite_extrema(t: Sequence[float], x: Sequence[float],
                      dx: Sequence[float], h: float):
     """Local maxima and minima of the Hermite interpolant through (x, dx).
@@ -480,7 +456,9 @@ def _hermite_extrema(t: Sequence[float], x: Sequence[float],
     (times, heights) of the maxima, then of the minima, as lists.
     """
     maxima, minima = ([], []), ([], [])
-    for j in _kernel().sign_change_cells(dx):
+    cells = [j for j, (d0, d1) in enumerate(zip(dx, dx[1:]))
+             if (d0 > 0.0 and d1 <= 0.0) or (d0 < 0.0 and d1 >= 0.0)]
+    for j in cells:
         x0, x1, a0, a1 = x[j], x[j + 1], h * dx[j], h * dx[j + 1]
         a = 3.0 * (a0 + a1) - 6.0 * (x1 - x0)
         b = 6.0 * (x1 - x0) - 4.0 * a0 - 2.0 * a1
@@ -610,8 +588,3 @@ def write_trajectory_csv(traj: Trajectory, path, stride: int = 1) -> int:
         _kernel().write_rows(fh, traj.t, traj.x, stride)
     return (len(traj.t) + stride - 1) // stride
 
-
-if __name__ == "__main__":
-    # builds the compiled kernel into the cache if it is not there, and says which runs
-    library = _kernel().library
-    print(f"compiled {library}" if library else "python")

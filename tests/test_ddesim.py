@@ -261,9 +261,9 @@ def test_failed_build_falls_back_to_the_same_bytes(tmp_path, monkeypatch, capfd,
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
-@pytest.mark.parametrize("probe", ["_probe_loop", "_probe_rows", "_probe_cells"])
-def test_any_probe_mismatch_falls_back_to_python_for_all_three(tmp_path, monkeypatch, probe):
-    python_functions = set(ddesim._PYTHON_KERNEL[:3])
+@pytest.mark.parametrize("probe", ["_probe_loop", "_probe_rows"])
+def test_any_probe_mismatch_falls_back_to_python_for_both(tmp_path, monkeypatch, probe):
+    python_functions = set(ddesim._PYTHON_KERNEL[:2])
     monkeypatch.setattr(ddesim, probe, lambda fn: fn in python_functions)
     assert ddesim._load_kernel(str(tmp_path / "cache")) is None
     monkeypatch.setattr(ddesim, "_CACHE_DIR", str(tmp_path / "cache"))
@@ -278,7 +278,7 @@ def compiled(tmp_path_factory):
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     with pytest.MonkeyPatch.context() as mp:
-        for probe in ("_probe_loop", "_probe_rows", "_probe_cells"):
+        for probe in ("_probe_loop", "_probe_rows"):
             mp.setattr(ddesim, probe, lambda fn: None)
         kernel = ddesim._load_kernel(str(tmp_path_factory.mktemp("kernel")))
     assert kernel is not None
@@ -320,21 +320,9 @@ def test_compiled_rows_write_nan_and_inf_as_python_does(compiled):
     assert _rows_bytes(compiled.write_rows, t, t) == b"nan,nan\nnan,nan\ninf,inf\n-inf,-inf\n"
 
 
-@pytest.mark.parametrize("dx", [
-    [],
-    [1.0],
-    [0.0, 0.0, 0.0],
-    [1.0, 0.0, 0.0, -1.0, -0.0, 0.0, 2.0],
-    [-0.0, 0.0, -1.0, 0.0, 1.0, -0.0, -2.0, 3.0, math.nan, -1.0],
-    [1.0, -1.0] * 5,
-], ids=["empty", "one-point", "zeros", "zero-runs", "signed-zeros", "alternating"])
-def test_compiled_sign_change_cells_are_the_python_ones(compiled, dx):
-    assert list(compiled.sign_change_cells(array("d", dx))) == ddesim._python_cells(dx)
-    # other sequences, numpy arrays among them, take the Python scan
-    assert compiled.sign_change_cells(np.array(dx)) == ddesim._python_cells(dx)
-
-
-@pytest.mark.parametrize("stride", [1, 7, 100, 10**6])
+# 2**63 and 2**64 + 1 do not fit the kernel's int64: ctypes would pass their
+# low 64 bits, a negative stride and a stride of 1
+@pytest.mark.parametrize("stride", [1, 7, 100, 10**6, 2**63, 2**64 + 1])
 def test_trajectory_csv_is_the_same_on_both_paths(tmp_path, monkeypatch, compiled, traj_036,
                                                   stride):
     rows = len(range(0, len(traj_036.t), stride))
@@ -350,12 +338,29 @@ def test_trajectory_csv_is_the_same_on_both_paths(tmp_path, monkeypatch, compile
     assert files[0].count(b"\n") == rows + 1
 
 
-def test_module_main_says_which_kernel_runs():
+def test_simulate_with_a_stride_past_int64_writes_one_row(tmp_path, monkeypatch, capfd,
+                                                         compiled):
+    cfg = tmp_path / "gamma.cfg"
+    cfg.write_text(f"beta0 = {rv.BETA0}\nn = {rv.N}\ndelta = {rv.DELTA}\n"
+                   f"gamma = {rv.GAMMA_REF}\nr = 0.36\n")
+    files = []
+    for kernel in (compiled, ddesim._PYTHON_KERNEL):
+        monkeypatch.setattr(ddesim, "_kernel", lambda kernel=kernel: kernel)
+        path = tmp_path / f"{len(files)}.csv"
+        assert cli.main(["simulate", str(cfg), "--t-end", "40", "--stride",
+                         str(2**64 + 1), "-o", str(path)]) == 0
+        assert "wrote 1 rows to" in capfd.readouterr().out
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
+    assert files[0].startswith(b"t,x\n0,") and files[0].count(b"\n") == 2
+
+
+def test_kernel_module_says_which_kernel_runs():
     src = os.path.dirname(os.path.dirname(os.path.abspath(ddesim.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-m", "hemohopf.ddesim"], env=env,
+    done = subprocess.run([sys.executable, "-m", "hemohopf.kernel"], env=env,
                           capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0
+    assert done.returncode == 0 and done.stderr == ""
     library = ddesim._kernel().library
     assert done.stdout == (f"compiled {library}\n" if library else "python\n")
 
