@@ -175,15 +175,15 @@ static int format_g17(double v, char *out)
     }
 }
 
-/* Writes the CSV rows "t,x\n" of the points i = start, start + stride, ... below
- * stop, at most max_rows of them, into buf, which holds 50 bytes a row (a value
- * takes at most 24), and returns the number of bytes written. */
+/* Writes the CSV rows "t,x\n" of the points start, start + 1, ... below stop,
+ * at most max_rows of them, into buf, which holds 50 bytes a row (a value takes
+ * at most 24), and returns the number of bytes written. */
 int64_t hemohopf_csv_rows(const double *t, const double *x, int64_t start, int64_t stop,
-                          int64_t stride, int64_t max_rows, char *buf)
+                          int64_t max_rows, char *buf)
 {
     char *p = buf;
-    int64_t i, rows = 0;
-    for (i = start; i < stop && rows < max_rows; i += stride, rows++) {
+    int64_t i;
+    for (i = start; i < stop && i - start < max_rows; i++) {
         p += format_g17(t[i], p);
         *p++ = ',';
         p += format_g17(x[i], p);

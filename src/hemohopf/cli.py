@@ -93,6 +93,14 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _write_csv(path, header: str, rows, out) -> None:
+    """Write `rows` under `header` to the CSV at `path`, each cell by `_csv_cell`."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+    print(f"wrote {len(rows)} rows to {path}", file=out)
+
+
 def _build_params(cfg: argparse.Namespace) -> model.ModelParameters:
     if cfg.r is None:
         raise ConfigError(f"command '{cfg.command}' requires the delay r")
@@ -165,12 +173,7 @@ def _cmd_stability(cfg: argparse.Namespace, out) -> None:
             else:
                 case, status, g_val, re_right = "none", "none", math.nan, math.nan
             rows.append((r, case, status, g_val, re_right))
-        with open(cfg.output, "w", newline="\n") as fh:
-            fh.write("r,case,status,g_of_r,re_rightmost\n")
-            for r, case, status, g_val, re_right in rows:
-                fh.write(f"{r:.17g},{case},{status},"
-                         f"{_csv_cell(g_val)},{_csv_cell(re_right)}\n")
-        print(f"wrote {len(rows)} rows to {cfg.output}", file=out)
+        _write_csv(cfg.output, "r,case,status,g_of_r,re_rightmost", rows, out)
 
 
 def _bracket_by_scan(params: model.ModelParameters):
@@ -287,11 +290,7 @@ def _cmd_sweep(cfg: argparse.Namespace, out) -> None:
         )
         metrics = ddesim.orbit_metrics(traj, cfg.transient_fraction)
         rows.append((r, metrics.kind, metrics.amplitude, metrics.period))
-    with open(cfg.output, "w", newline="\n") as fh:
-        fh.write("r,kind,amplitude,period\n")
-        for r, kind, amplitude, period in rows:
-            fh.write(f"{r:.17g},{kind},{_csv_cell(amplitude)},{_csv_cell(period)}\n")
-    print(f"wrote {len(rows)} rows to {cfg.output}", file=out)
+    _write_csv(cfg.output, "r,kind,amplitude,period", rows, out)
 
 
 def _cmd_scaling(cfg: argparse.Namespace, out) -> None:

@@ -20,21 +20,23 @@ columns, and the diagnostics are plain Python passes over the tail, so
 `simulate`, `sweep` and `scaling` run without importing numpy.  Convert
 with ``numpy.asarray(traj.x)`` for array arithmetic.  Two loops also
 exist in C (``_kernel.c``): the RK4 steps of `integrate` and the ``%.17g``
-rows of `write_trajectory_csv`.  Their first use in a process compiles them
-with the system ``cc`` into ``__pycache__/`` beside this file, unless a
-build for the same source is there, and loads them with ctypes.  They run
-if each gives what its Python twin gives, to the bit or the byte, on a
-short probe.  Without a compiler, with an unwritable cache, or on a failed
-load or probe, both Python twins run, with the same bits and bytes.  On the
-reference configuration at r = 0.35 and 0.36 (28,573 and 27,779 steps), in
-a fresh process on a 2-vCPU Xeon, the compiled loops take about 6 ms to
-integrate and 4-6 ms to write the CSV, against 37-67 and 27-46 ms with the
-Python twins.  ``python -m hemohopf.kernel`` builds the kernel if it is not
-cached and prints ``compiled <library>`` or ``python``: the loops a run uses.
+rows of `write_trajectory_csv`, which hands C whole ``array('d')`` columns
+only.  Their first use in a process compiles them once, however many
+threads ask, with the system ``cc`` into ``__pycache__/`` beside this file,
+unless a build for the same source is there, and loads them with ctypes.
+They run if each gives what its Python twin gives, to the bit or the byte,
+on a short probe.  Without a compiler, with an unwritable cache, or on a
+failed load or probe, both Python twins run, with the same bits and bytes.
+On the reference configuration at r = 0.35 and 0.36 (28,573 and 27,779
+steps), in a fresh process on a 2-vCPU Xeon, the compiled loops take about
+6 ms to integrate and 4-6 ms to write the CSV, against 37-67 and 27-46 ms
+with the Python twins.  ``python -m hemohopf.kernel`` builds the kernel if
+it is not cached and prints the loops that run: ``compiled <library>`` or ``python``.
 """
 
 from __future__ import annotations
 
+import _thread
 import bisect
 import io
 import math
@@ -90,9 +92,9 @@ MAX_STEPS = 2_000_000
 #: the first step (11 MB peak here), and MAX_STEPS then reaches only 20 delays.
 MAX_STEPS_PER_DELAY = 100_000
 
-#: Rows `write_trajectory_csv` formats in one block: one string operation of
-#: the Python loop, or one call of the compiled one into a buffer of
-#: _CSV_ROW_BYTES a row (51 kB), so that memory does not grow with the rows.
+#: Consecutive rows `write_trajectory_csv` formats in one block: one string
+#: operation of the Python loop, or one call of the compiled one into a buffer
+#: of _CSV_ROW_BYTES a row (51 kB), so that memory does not grow with the rows.
 _CSV_CHUNK_ROWS = 1024
 
 #: Room for one CSV row: two values of at most 24 characters, a comma, a newline.
@@ -186,7 +188,7 @@ def step_count(r: float, t_end: float, steps_per_delay: int = STEPS_PER_DELAY) -
             f"t_end = {t_end} at step {h:.6g} needs {steps:.6g} steps, "
             f"more than MAX_STEPS = {MAX_STEPS}"
         )
-    return int(math.ceil(steps))
+    return max(int(math.ceil(steps)), 1)
 
 
 def integrate(
@@ -296,12 +298,11 @@ def _python_loop(n_steps: int, m: int, h: float, beta0: float, n: float, delta: 
     return n_steps
 
 
-def _python_rows(fh, t: array, x: array, stride: int) -> None:
-    """Write the CSV rows ``t,x`` of every `stride`-th point to the binary file
-    `fh`, each value as ``"%.17g"`` writes it; the reference for ``_kernel.c``."""
-    ts, xs = t[::stride], x[::stride]
-    values = array("d", [0.0]) * (2 * len(ts))  # t0, x0, t1, x1, ...
-    values[::2], values[1::2] = ts, xs
+def _python_rows(fh, t: array, x: array) -> None:
+    """Write the CSV rows ``t,x`` of the columns to the binary file `fh`, each
+    value as ``"%.17g"`` writes it; the reference for ``_kernel.c``."""
+    values = array("d", [0.0]) * (2 * len(t))  # t0, x0, t1, x1, ...
+    values[::2], values[1::2] = t, x
     for start in range(0, len(values), 2 * _CSV_CHUNK_ROWS):
         chunk = values[start:start + 2 * _CSV_CHUNK_ROWS]
         fh.write(("%.17g,%.17g\n" * (len(chunk) // 2) % tuple(chunk)).encode())
@@ -318,8 +319,9 @@ class _Kernel(NamedTuple):
 
 _PYTHON_KERNEL = _Kernel(_python_loop, _python_rows, None)
 
-#: The kernel in use, chosen by the first call of `_kernel` in a process.
+#: The kernel in use, chosen once per process by `_kernel` under `_selecting`.
 _active: Optional[_Kernel] = None
+_selecting = _thread.allocate_lock()
 
 #: The C source of the compiled kernel, and where its build is cached, beside
 #: this module's bytecode.
@@ -334,8 +336,9 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 def _kernel() -> _Kernel:
     """The compiled kernel where it builds and passes its probe, else the Python one."""
     global _active
-    if _active is None:
-        _active = _load_kernel(_CACHE_DIR) or _PYTHON_KERNEL
+    with _selecting:
+        if _active is None:
+            _active = _load_kernel(_CACHE_DIR) or _PYTHON_KERNEL
     return _active
 
 
@@ -362,7 +365,7 @@ def _load_kernel(cache_dir: str) -> Optional[_Kernel]:
     c_loop.restype = c_rows.restype = ctypes.c_int64
     c_loop.argtypes = ([ctypes.c_int64] * 2 + [ctypes.c_double] * 6
                        + [ctypes.c_void_p] * 4)
-    c_rows.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 4 + [ctypes.c_void_p]
+    c_rows.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
 
     def compiled_loop(n_steps, m, h, beta0, n, delta, kb0, k1, ring, t, x, dx):
         # the kernel writes through these pointers: they must hold what it reads and writes
@@ -372,22 +375,17 @@ def _load_kernel(cache_dir: str) -> Optional[_Kernel]:
         return c_loop(n_steps, m, h, beta0, n, delta, kb0, k1, ring.buffer_info()[0],
                       t.buffer_info()[0], x.buffer_info()[0], dx.buffer_info()[0])
 
-    def compiled_rows(fh, t, x, stride):
+    def compiled_rows(fh, t, x):
         # the kernel reads through these pointers: both columns must hold every row
         if not (isinstance(t, array) and isinstance(x, array) and len(t) == len(x)
-                and t.typecode == x.typecode == "d" and stride >= 1):
+                and t.typecode == x.typecode == "d"):
             raise ValueError("trajectory columns differ in length or type")
         # one block of rows at a time, through a buffer of its own for each call
         buf = ctypes.create_string_buffer(_CSV_CHUNK_ROWS * _CSV_ROW_BYTES)
         view = memoryview(buf)
         t_ptr, x_ptr = t.buffer_info()[0], x.buffer_info()[0]
-        # a stride past the last row writes row 0 only; clamped, it fits the
-        # kernel's int64, which ctypes would fill with the low 64 bits of a larger one
-        stride = min(stride, max(len(t), 1))
-        block = stride * _CSV_CHUNK_ROWS
-        for start in range(0, len(t), block):
-            fh.write(view[:c_rows(t_ptr, x_ptr, start, min(start + block, len(t)),
-                                  stride, _CSV_CHUNK_ROWS, buf)])
+        for start in range(0, len(t), _CSV_CHUNK_ROWS):
+            fh.write(view[:c_rows(t_ptr, x_ptr, start, len(t), _CSV_CHUNK_ROWS, buf)])
 
     compiled = _Kernel(compiled_loop, compiled_rows, lib_path)
     probes = (_probe_loop, _probe_rows)
@@ -431,16 +429,16 @@ def _probe_loop(loop: Callable[..., int]):
 
 
 def _probe_rows(write_rows: Callable[..., None]) -> bytes:
-    """The bytes `write_rows` writes, at strides 1 and 3, for values of either
-    notation of ``%g``, its edges and what goes past the fast path of ``_kernel.c``:
-    a C library that writes another decimal point or rounds otherwise differs."""
+    """The bytes `write_rows` writes from row 0 and from row 1 on, for values of
+    either notation of ``%g``, its edges and what goes past ``_kernel.c``'s fast
+    path: a C library that writes another decimal point or rounds otherwise differs."""
     t = array("d", [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e-4,
                     0.1, 1.0 / 3.0, 0.36 / 7, 2.5, 9999999999999998.0, 1e16,
                     1e17, 1.7976931348623157e308])
     x = array("d", (-v / 7.0 for v in reversed(t)))
     fh = io.BytesIO()
-    write_rows(fh, t, x, 1)
-    write_rows(fh, t, x, 3)
+    write_rows(fh, t, x)
+    write_rows(fh, t[1:], x[1:])
     return fh.getvalue()
 
 
@@ -559,6 +557,8 @@ def amplitude_scaling(
     """
     if not (math.isfinite(delta_r) and delta_r != 0.0):
         raise ParameterError(f"delta_r must be finite and nonzero, got {delta_r}")
+    if r_star + delta_r == r_star:
+        raise ParameterError(f"delta_r = {delta_r} rounds away: r* + delta_r == r* = {r_star}")
     r_max = equilibria(params).r_max
     probes = (r_star + delta_r, r_star + 4.0 * delta_r)
     if max(probes) >= r_max or min(probes) <= 0.0:
@@ -583,8 +583,9 @@ def write_trajectory_csv(traj: Trajectory, path, stride: int = 1) -> int:
     """Write every `stride`-th point as a CSV row `t,x` to 17 digits; return the row count."""
     if stride < 1:
         raise ParameterError(f"stride must be >= 1, got {stride}")
+    t, x = (traj.t, traj.x) if stride == 1 else (traj.t[::stride], traj.x[::stride])
     with open(path, "wb") as fh:
         fh.write(b"t,x\n")
-        _kernel().write_rows(fh, traj.t, traj.x, stride)
-    return (len(traj.t) + stride - 1) // stride
+        _kernel().write_rows(fh, t, x)
+    return len(t)
 

@@ -145,6 +145,7 @@ def test_options_parse_before_and_after_config(config_path, argv):
     (["equilibria", "/nonexistent/params.cfg"], 2),
     (["equilibria", "CFG", "--gamma", "1.4", "--k", "1.2"], 2),
     (["scaling", "CFG", "--delta-r", "-2e-3", "--t-end", "120"], 3),
+    (["scaling", "CFG", "--delta-r", "1e-300"], 2),  # r* + delta_r == r*
 ])
 def test_refusals_keep_exit_code_and_empty_stdout(config_path, capsys, argv, code):
     argv = [config_path if arg == "CFG" else arg for arg in argv]
@@ -426,6 +427,19 @@ def test_simulate_reports_the_rows_it_wrote(config_path, tmp_path, capsys, strid
     rows = len(out_csv.read_text().splitlines()) - 1  # less the header
     assert rows == len(range(0, 2779, stride))  # t = 0 .. 20 in steps of 0.36 / 50
     assert capsys.readouterr().out.startswith(f"wrote {rows} rows to {out_csv}\n")
+
+
+@pytest.mark.parametrize("t_end", ["1e-12", "1e-300"])
+def test_simulate_to_a_t_end_inside_the_first_step_takes_it(tmp_path, capsys, t_end):
+    cfg = tmp_path / "gamma.cfg"
+    cfg.write_text(f"beta0 = {rv.BETA0}\nn = {rv.N}\ndelta = {rv.DELTA}\n"
+                   f"gamma = {rv.GAMMA_REF}\nr = 0.36\n")
+    out_csv = tmp_path / "traj.csv"
+    argv = ["simulate", str(cfg), "--r", "0.36", "--t-end", t_end, "-o", str(out_csv)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith(f"wrote 2 rows to {out_csv}\n")
+    header, first, last = out_csv.read_text().splitlines()
+    assert (header, first) == ("t,x", "0,1") and float(last.split(",")[0]) == 0.36 / 50
 
 
 def test_simulate_deterministic_output(config_path, tmp_path):

@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 from array import array
 from fractions import Fraction
 
@@ -146,6 +147,14 @@ def test_integrate_refuses_runs_above_the_step_cap(ref_params, monkeypatch):
         ddesim.integrate(params, hist, 11 * h, 50)
 
 
+@pytest.mark.parametrize("t_end", [1e-12, 1e-300])
+def test_a_t_end_inside_the_first_step_takes_one_step(ref_params, t_end):
+    # t_end / h lies below the slack that keeps ceil off a rounding error
+    assert ddesim.step_count(0.36, t_end) == 1
+    traj = ddesim.integrate(ref_params.with_r(0.36), ddesim.default_history(0.36), t_end)
+    assert len(traj.t) == 2 and traj.t[-1] >= t_end
+
+
 def test_non_finite_history_raises_blow_up(ref_params):
     params = ref_params.with_r(0.35)
     with pytest.raises(BlowUpError):
@@ -271,6 +280,36 @@ def test_any_probe_mismatch_falls_back_to_python_for_both(tmp_path, monkeypatch,
     assert ddesim._kernel() is ddesim._PYTHON_KERNEL
 
 
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_concurrent_first_calls_select_one_compiled_kernel(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(ddesim, "_CACHE_DIR", str(cache))
+    monkeypatch.setattr(ddesim, "_active", None)
+    barrier = threading.Barrier(4, timeout=60)
+    kernels = []
+
+    def first_call():
+        barrier.wait()
+        kernels.append(ddesim._kernel())
+
+    # more threads than cores, switching often
+    threads = [threading.Thread(target=first_call) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(kernels) == 4 and all(kernel is ddesim._active for kernel in kernels)
+    # one build, which every thread loaded
+    (lib,) = cache.iterdir()
+    assert ddesim._active.library == str(lib)
+
+
 @pytest.fixture(scope="module")
 def compiled(tmp_path_factory):
     """The compiled kernel, built into a fresh cache without its load-time probes,
@@ -285,9 +324,9 @@ def compiled(tmp_path_factory):
     return kernel
 
 
-def _rows_bytes(write_rows, t, x, stride=1):
+def _rows_bytes(write_rows, t, x):
     fh = io.BytesIO()
-    write_rows(fh, array("d", t), array("d", x), stride)
+    write_rows(fh, array("d", t), array("d", x))
     return fh.getvalue()
 
 
@@ -312,6 +351,12 @@ def test_compiled_rows_are_the_percent_17g_rows_on_the_whole_float_range(compile
     expected = "".join("%.17g,%.17g\n" % row for row in zip(t, x)).encode()
     assert _rows_bytes(compiled.write_rows, t, x) == expected
     assert _rows_bytes(ddesim._python_rows, t, x) == expected
+    # columns that end on either side of the edges of the writers' blocks
+    for rows in (0, 1, 1023, 1024, 1025, 2048):
+        assert ddesim._CSV_CHUNK_ROWS == 1024
+        expected = "".join("%.17g,%.17g\n" % row for row in zip(t[:rows], x[:rows])).encode()
+        assert _rows_bytes(compiled.write_rows, t[:rows], x[:rows]) == expected
+        assert _rows_bytes(ddesim._python_rows, t[:rows], x[:rows]) == expected
 
 
 def test_compiled_rows_write_nan_and_inf_as_python_does(compiled):
@@ -320,8 +365,8 @@ def test_compiled_rows_write_nan_and_inf_as_python_does(compiled):
     assert _rows_bytes(compiled.write_rows, t, t) == b"nan,nan\nnan,nan\ninf,inf\n-inf,-inf\n"
 
 
-# 2**63 and 2**64 + 1 do not fit the kernel's int64: ctypes would pass their
-# low 64 bits, a negative stride and a stride of 1
+# 2**63 and 2**64 + 1 do not fit an int64: had the stride reached a ctypes
+# argument, it would have passed their low 64 bits, a negative stride and 1
 @pytest.mark.parametrize("stride", [1, 7, 100, 10**6, 2**63, 2**64 + 1])
 def test_trajectory_csv_is_the_same_on_both_paths(tmp_path, monkeypatch, compiled, traj_036,
                                                   stride):
@@ -631,6 +676,9 @@ def test_amplitude_scaling_probe_window_checked(ref_params, ref_hopf):
     for delta_r in (0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError, match="^delta_r must be finite and nonzero"):
             ddesim.amplitude_scaling(ref_params, ref_hopf.r_star, delta_r)
+    # an offset that r* + delta_r rounds away is refused, not run at r* itself
+    with pytest.raises(ParameterError, match="^delta_r = 1e-300 rounds away"):
+        ddesim.amplitude_scaling(ref_params, ref_hopf.r_star, 1e-300)
 
 
 # ------------------------------------------------------------------ CSV export
