@@ -21,8 +21,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import ddesim, hopf, linstab, model
-from .errors import (BracketError, ConfigError, InconclusiveError,
-                     NoPositiveEquilibriumError, NumericsError, ParameterError)
+from .errors import ConfigError, InconclusiveError, NumericsError, ParameterError
 
 __all__ = ["parse_config", "main"]
 
@@ -32,7 +31,7 @@ _REQUIRED_KEYS = ("beta0", "n", "delta")
 # this pattern; its default admits only plain decimals like "-0.001".
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 #: Largest --r-grid COUNT accepted; a stability chart this size on the
-#: README configuration, over (0, r_max), takes about 7 s on a 2-vCPU Xeon.
+#: README configuration, where x2 exists, takes about 7 s on a 2-vCPU Xeon.
 MAX_GRID_POINTS = 100_000
 #: Largest total step count of one `sweep`, summed over its rows before the
 #: first integration; about 5 s of integration at 0.23 us per step with the
@@ -102,16 +101,13 @@ def _write_csv(path, header: str, rows, out) -> None:
 
 
 def _build_params(cfg: argparse.Namespace) -> model.ModelParameters:
-    if cfg.r is None:
-        raise ConfigError(f"command '{cfg.command}' requires the delay r")
     if cfg.gamma is not None:
-        return model.ModelParameters.from_gamma(
-            cfg.beta0, cfg.n, cfg.delta, cfg.gamma, cfg.r
-        )
+        return model.ModelParameters.from_gamma(cfg.beta0, cfg.n, cfg.delta, cfg.gamma, cfg.r)
     return model.ModelParameters.from_k(cfg.beta0, cfg.n, cfg.delta, cfg.k, cfg.r)
 
 
-def _print_report(params: model.ModelParameters, out) -> None:
+def _cmd_equilibria(cfg: argparse.Namespace, out) -> None:
+    params = _build_params(cfg)
     report = model.equilibria(params)
     print(f"parameters: beta0={_fmt(params.beta0)} n={_fmt(params.n)} "
           f"delta={_fmt(params.delta)} gamma={_fmt(params.gamma)} "
@@ -127,10 +123,6 @@ def _print_report(params: model.ModelParameters, out) -> None:
     else:
         print("x2     absent (A <= 1)", file=out)
     print(f"r_max  = {_fmt(report.r_max)}   r_n = {_fmt(report.r_n)}", file=out)
-
-
-def _cmd_equilibria(cfg: argparse.Namespace, out) -> None:
-    _print_report(_build_params(cfg), out)
 
 
 def _print_verdict(v: linstab.StabilityVerdict, out) -> None:
@@ -153,8 +145,6 @@ def _cmd_stability(cfg: argparse.Namespace, out) -> None:
     else:
         print("x2: absent (A <= 1)", file=out)
     if cfg.r_grid is not None:
-        if cfg.output is None:
-            raise ConfigError("stability with an r grid requires --output")
         rows = []
         for r in cfg.r_grid:
             local = params.with_r(r)
@@ -176,39 +166,18 @@ def _cmd_stability(cfg: argparse.Namespace, out) -> None:
         _write_csv(cfg.output, "r,case,status,g_of_r,re_rightmost", rows, out)
 
 
-def _bracket_by_scan(params: model.ModelParameters):
-    """First sign change of the frontier mismatch D(r) on (0, r_max).
-
-    D(0) = r*(2) > 0, so the first delay of the scan where D < 0 closes it.
-    """
-    r_max = model.equilibria(params).r_max
-    if not r_max > 0.0:
-        raise NoPositiveEquilibriumError(f"x2 exists at no delay r > 0: r_max = {r_max!r}")
-    prev = 0.0
-    for i in range(1, 400):
-        r = r_max * i / 400.0
-        if hopf.frontier_mismatch(r, params) < 0.0:
-            return prev, r
-        prev = r
-    raise BracketError(
-        "no sign change of the frontier mismatch on (0, r_max); "
-        "supply --bracket explicitly"
-    )
-
-
 def _locate_hopf(cfg: argparse.Namespace) -> hopf.HopfPoint:
     """The Hopf point anchored to the config's own parameterization.
 
-    A k-parameterized config fixes k and uses the closed frontier
-    relations; a gamma-parameterized config holds gamma fixed and locates
-    the root of the frontier mismatch (bracket from --bracket or a scan).
+    A k config fixes k and uses the closed frontier relations; on a gamma
+    config, at fixed gamma, `hopf.find_hopf_r` locates the crossing inside
+    --bracket, or the first one without it.
     """
     if cfg.k is not None:
         return hopf.hopf_from_pqk(cfg.n, cfg.beta0, cfg.delta, cfg.k)
     # any delay gives the same fixed-gamma family; the stored r is unused
     params = model.ModelParameters.from_gamma(cfg.beta0, cfg.n, cfg.delta, cfg.gamma, 0.0)
-    bracket = cfg.bracket if cfg.bracket is not None else _bracket_by_scan(params)
-    return hopf.find_hopf_r(params, bracket)
+    return hopf.find_hopf_r(params, cfg.bracket)
 
 
 def _cmd_hopf(cfg: argparse.Namespace, out) -> None:
@@ -261,13 +230,9 @@ def _cmd_normal_form(cfg: argparse.Namespace, out) -> None:
 
 
 def _cmd_simulate(cfg: argparse.Namespace, out) -> None:
-    if cfg.output is None:
-        raise ConfigError("simulate requires --output for the trajectory CSV")
     params = _build_params(cfg)
-    t_end = cfg.t_end if cfg.t_end is not None else ddesim.T_END
-    traj = ddesim.integrate(
-        params, ddesim.default_history(params.r), t_end, cfg.steps_per_delay
-    )
+    traj = ddesim.integrate(params, ddesim.default_history(params.r), cfg.t_end,
+                            cfg.steps_per_delay)
     rows = ddesim.write_trajectory_csv(traj, cfg.output, stride=cfg.stride)
     metrics = ddesim.orbit_metrics(traj, cfg.transient_fraction)
     print(f"wrote {rows} rows to {cfg.output}", file=out)
@@ -277,17 +242,15 @@ def _cmd_simulate(cfg: argparse.Namespace, out) -> None:
 
 
 def _cmd_sweep(cfg: argparse.Namespace, out) -> None:
-    t_end = cfg.t_end if cfg.t_end is not None else ddesim.T_END
-    steps = sum(ddesim.step_count(r, t_end, cfg.steps_per_delay) for r in cfg.r_grid)
+    steps = sum(ddesim.step_count(r, cfg.t_end, cfg.steps_per_delay) for r in cfg.r_grid)
     if steps > MAX_SWEEP_STEPS:
         raise ParameterError(f"sweep needs {steps} steps in total, more than "
                              f"MAX_SWEEP_STEPS = {MAX_SWEEP_STEPS}")
     rows = []
     for r in cfg.r_grid:
         params = model.ModelParameters.from_gamma(cfg.beta0, cfg.n, cfg.delta, cfg.gamma, r)
-        traj = ddesim.integrate(
-            params, ddesim.default_history(r), t_end, cfg.steps_per_delay
-        )
+        traj = ddesim.integrate(params, ddesim.default_history(r), cfg.t_end,
+                                cfg.steps_per_delay)
         metrics = ddesim.orbit_metrics(traj, cfg.transient_fraction)
         rows.append((r, metrics.kind, metrics.amplitude, metrics.period))
     _write_csv(cfg.output, "r,kind,amplitude,period", rows, out)
@@ -301,12 +264,9 @@ def _cmd_scaling(cfg: argparse.Namespace, out) -> None:
             f"the Hopf point is {nf.criticality} (l1 = {_fmt(nf.l1)}): no stable "
             "cycle grows like sqrt(r - r*), so the amplitude ratio has no prediction"
         )
-    t_end = cfg.t_end if cfg.t_end is not None else ddesim.SCALING_T_END
-    ratio = ddesim.amplitude_scaling(
-        hp.params, hp.r_star, cfg.delta_r, t_end=t_end,
-        steps_per_delay=cfg.steps_per_delay,
-        transient_fraction=cfg.transient_fraction,
-    )
+    ratio = ddesim.amplitude_scaling(hp.params, hp.r_star, cfg.delta_r, t_end=cfg.t_end,
+                                     steps_per_delay=cfg.steps_per_delay,
+                                     transient_fraction=cfg.transient_fraction)
     print(f"amplitude({_fmt(hp.r_star + 4 * cfg.delta_r)}) / "
           f"amplitude({_fmt(hp.r_star + cfg.delta_r)}) = {_fmt(ratio)}", file=out)
     print("square-root growth predicts 2 inside the asymptotic regime", file=out)
@@ -376,12 +336,15 @@ def _read_config(path: str) -> str:
 def _merge(args: argparse.Namespace) -> argparse.Namespace:
     """Fold the config file into the parsed flags, check them and resolve them.
 
-    Every flag value is checked here, for every command, before any model
-    evaluation.  beta0, n, delta, gamma, k and r take the flag over the file
-    value; `--r` alone, on a file that gives k and r, moves the delay at the
-    gamma of the file's own (k, r), and a `sweep`, which needs a grid and an
-    output, at the gamma of the config's (k, r).  `bracket` becomes a tuple,
-    `r_grid` the list of its delays.
+    Every flag value, and every flag a command requires (the delay of
+    `equilibria`, `stability` and `simulate`, the output of `simulate`, named
+    first, and of a `stability` grid, a `sweep`'s grid and output), is checked
+    here for every command, before any model evaluation.  beta0, n, delta,
+    gamma, k and r take the flag over the file value; `--r` alone, on a file
+    that gives k and r, moves the delay at the gamma of the file's own (k, r),
+    and a `sweep` at the gamma of the config's (k, r).  `bracket` becomes a
+    tuple, `r_grid` the list of its delays, and a missing `t_end` the default
+    of the command (`ddesim.SCALING_T_END` for `scaling`, else `T_END`).
     """
     values = parse_config(_read_config(args.config))
     if args.gamma is not None and args.k is not None:
@@ -395,7 +358,9 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
         )
     if args.stride < 1:
         raise ConfigError(f"--stride must be >= 1, got {args.stride}")
-    if args.t_end is not None and not (math.isfinite(args.t_end) and args.t_end > 0.0):
+    if args.t_end is None:
+        args.t_end = ddesim.SCALING_T_END if args.command == "scaling" else ddesim.T_END
+    elif not (math.isfinite(args.t_end) and args.t_end > 0.0):
         raise ConfigError(f"--t-end must be finite and > 0, got {args.t_end}")
     if not 1 <= args.steps_per_delay <= ddesim.MAX_STEPS_PER_DELAY:
         raise ConfigError(f"--steps-per-delay must be in [1, MAX_STEPS_PER_DELAY = "
@@ -432,6 +397,12 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
                 raise ConfigError("command 'sweep' needs gamma, either directly or "
                                   "derivable from k together with r")
             args.gamma, args.k = model.gamma_from_k(args.k, args.r), None
+    if args.command == "simulate" and args.output is None:
+        raise ConfigError("simulate requires --output for the trajectory CSV")
+    if args.command in ("equilibria", "stability", "simulate") and args.r is None:
+        raise ConfigError(f"command '{args.command}' requires the delay r")
+    if args.command == "stability" and args.r_grid is not None and args.output is None:
+        raise ConfigError("stability with an r grid requires --output")
     for key in _REQUIRED_KEYS:
         if getattr(args, key) is None:
             setattr(args, key, values[key])

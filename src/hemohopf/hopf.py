@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import (
     BracketError,
@@ -63,6 +63,7 @@ from .model import (
     _b1_slopes,
     _check_delay,
     _check_fields,
+    _r_max,
     _taylor_at,
     _x2,
     gamma_from_k,
@@ -226,41 +227,63 @@ def _check_bracket(bracket: Tuple[float, float]) -> None:
         raise BracketError(f"bracket ends must be finite and nonnegative, got {bracket}")
 
 
-def find_hopf_r(
-    params: ModelParameters, bracket: Tuple[float, float]
-) -> HopfPoint:
-    """Locate the Hopf delay at fixed gamma inside `bracket`.
+# Equal steps of (0, r_max) on which `find_hopf_r` takes D's first sign change.
+_SCAN_STEPS = 400
 
-    gamma is taken from `params` and held fixed.  The bracket ends must be
-    finite and nonnegative, pass :func:`frontier_mismatch`'s checks of a
-    delay, and D must change sign between them (it may be +inf at an end);
-    the Illinois iteration then runs D on floats, unchecked, and its root is
-    r*.  omega* is the closed frontier relation of :func:`hopf_from_pqk` at
-    (p, q) there.  The independent route, g, is evaluated once at r*, and
+
+def _first_sign_change(params: ModelParameters, mismatch):
+    # (a, b, D(a), D(b)) at the first grid delay b with D < 0; D(0) > 0 is not formed
+    r_max = _r_max(params.beta0, params.delta, params.gamma)
+    if not r_max > 0.0:
+        raise NoPositiveEquilibriumError(f"x2 exists at no delay r > 0: r_max = {r_max!r}")
+    if r_max * _SCAN_STEPS == math.inf:
+        raise BracketError(f"r_max = {r_max!r} at gamma = {params.gamma!r}: the scan of "
+                           "(0, r_max) leaves the float range; supply --bracket explicitly")
+    a, da = 0.0, None
+    for b in (r_max * i / _SCAN_STEPS for i in range(1, _SCAN_STEPS)):
+        db = mismatch(b)
+        if db < 0.0:
+            return a, b, da, db
+        a, da = b, db
+    raise BracketError("no sign change of the frontier mismatch on (0, r_max); "
+                       "supply --bracket explicitly")
+
+
+def find_hopf_r(params: ModelParameters,
+                bracket: Optional[Tuple[float, float]] = None) -> HopfPoint:
+    """Locate the Hopf delay at fixed gamma inside `bracket`, or the first one.
+
+    gamma is taken from `params` and held fixed.  Without a bracket, D's first
+    sign change on 400 equal steps of (0, r_max) is the bracket.  A given one
+    must have finite, nonnegative ends that pass :func:`frontier_mismatch`'s
+    checks of a delay, and D must change sign on it (it may be +inf at an end).
+    Illinois then runs D on floats, unchecked, from the end values already
+    formed, until |D| reaches its rounding level 4 ulp(r) at the iterate r: the
+    root is r*, and omega* the closed frontier relation of :func:`hopf_from_pqk`
+    at (p, q) there.  g, the independent route, is evaluated once at r*, and
     `ConvergenceError` is raised unless |g| < 1e-11.
     """
-    _check_bracket(bracket)
-    a, b = bracket
-    da, db = frontier_mismatch(a, params), frontier_mismatch(b, params)
-    if da != 0.0 and db != 0.0 and (da > 0.0) == (db > 0.0):
-        raise BracketError(
-            f"no sign change on bracket ({a}, {b}) of the frontier mismatch D: "
-            f"D(a) = {da}, D(b) = {db} (inf means no crossing at that end)"
-        )
     mismatch = functools.partial(_mismatch, params.beta0, params.n, params.delta, params.gamma)
-    # near the root, D = r* - r cancels two delays below the upper end: its rounding level
-    r = bracketed_root(mismatch, a, b, f_tol=4.0 * math.ulp(max(bracket)), fa=da, fb=db)
+    if bracket is None:
+        a, b, da, db = _first_sign_change(params, mismatch)
+    else:
+        _check_bracket(bracket)
+        a, b = bracket
+        da, db = frontier_mismatch(a, params), frontier_mismatch(b, params)
+        if da != 0.0 and db != 0.0 and (da > 0.0) == (db > 0.0):
+            raise BracketError(f"no sign change on bracket ({a}, {b}) of the frontier "
+                               f"mismatch D: D(a) = {da}, D(b) = {db} (inf means no "
+                               "crossing at that end)")
+    # near the root, D = r* - r cancels two delays of the iterate's size
+    r = bracketed_root(mismatch, a, b, f_tol=4.0, fa=da, fb=db)
     p, q = _pq_kernel(params.beta0, params.n, params.delta, params.gamma, r)
     local = params.with_r(r)
     # HopfPoint checks first: a sign change of D that is no crossing fails there
     hp = HopfPoint(r, _crossing(p, q)[0], p, q, local, _x2(params.n, local.A))
     g = g_of_r(r, params)
     if not abs(g) < _G_ROOT_TOL:
-        raise ConvergenceError(
-            f"boundary function g = {g:.3e} at the root r* = {r!r} of D: "
-            f"|g| >= {_G_ROOT_TOL:g}",
-            last_iterate=r,
-        )
+        raise ConvergenceError(f"boundary function g = {g:.3e} at the root r* = {r!r} of D: "
+                               f"|g| >= {_G_ROOT_TOL:g}", last_iterate=r)
     return hp
 
 

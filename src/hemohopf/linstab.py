@@ -457,9 +457,9 @@ def bracketed_root(func, a: float, b: float, f_tol: float, *, fa=None, fb=None):
     step underflows) and halves the stored value of an end kept twice in a
     row, so that both ends close in.  A secant point that rounds onto an
     end with both end values finite (a tiny value there) is moved one float
-    inside that end first.  Stops
-    at |f| < f_tol or when the bracket is a few units in the last place
-    wide, and returns the evaluated point of smallest |f|.
+    inside that end first.  Stops at |f(x)| < f_tol ulp(x), f_tol counting
+    units in the last place of the iterate x, or when the bracket is a few
+    such units wide, and returns the evaluated point x of smallest |f|.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or a == b:
         raise BracketError(f"degenerate bracket ({a}, {b})")
@@ -480,7 +480,7 @@ def bracketed_root(func, a: float, b: float, f_tol: float, *, fa=None, fb=None):
     x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
     kept = None  # the end the previous iteration kept
     for _ in range(200):
-        if abs(fx) < f_tol or b - a <= _ROUNDING * max(abs(a), abs(b)):
+        if abs(fx) < f_tol * math.ulp(x) or b - a <= _ROUNDING * max(abs(a), abs(b)):
             return x
         num = fb * (b - a)
         # a numerator below the normal range has lost its digits: bisect

@@ -215,6 +215,11 @@ def _x2(n: float, A: float) -> float:
     return (A - 1.0) ** (1.0 / n)
 
 
+def _r_max(beta0: float, delta: float, gamma: float) -> float:
+    # The delay at which A = 1, past which x2 is absent.
+    return -math.log(0.5 * (1.0 + delta / beta0)) / gamma
+
+
 def equilibria(params: ModelParameters) -> EquilibriumReport:
     """Equilibrium report for validated parameters.
 
@@ -236,7 +241,7 @@ def equilibria(params: ModelParameters) -> EquilibriumReport:
     else:
         x2 = None
         b1_x2 = None
-    r_max = -math.log(0.5 * (1.0 + delta / beta0)) / gamma
+    r_max = _r_max(beta0, delta, gamma)
     b = beta0 * (n - 1.0)
     # b underflows to 0 for a subnormal beta0: no delay gives B1(x2) < 0
     r_n = -math.log(0.5 * (delta * n / b + 1.0)) / gamma if b else -math.inf

@@ -324,18 +324,26 @@ BAD_FLAG_VALUES = [
 ]
 
 
+def _forbid_evaluation(monkeypatch):
+    # every evaluation a command can start with: the equilibria report, the
+    # verdicts, D (checked, and the float kernel of `find_hopf_r`'s scan),
+    # r_max of that scan, and an integration
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("evaluated before refusing the flag")
+
+    for module, name in ((model, "equilibria"), (linstab, "classify_x1"),
+                         (linstab, "classify_x2"), (hopf, "frontier_mismatch"),
+                         (hopf, "_mismatch"), (hopf, "_r_max"), (ddesim, "integrate")):
+        monkeypatch.setattr(module, name, must_not_run)
+
+
 @pytest.mark.parametrize("flag", BAD_FLAG_VALUES, ids=" ".join)
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_every_command_refuses_a_bad_flag_value_before_evaluation(
     config_path, tmp_path, capsys, monkeypatch, command, flag
 ):
     # a command that does not use the flag refuses its bad value all the same
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("evaluated before refusing the flag")
-
-    for module, name in ((model, "equilibria"), (hopf, "frontier_mismatch"),
-                         (ddesim, "integrate")):
-        monkeypatch.setattr(module, name, must_not_run)
+    _forbid_evaluation(monkeypatch)
     out_csv = tmp_path / "out.csv"
     argv = [command, config_path, *flag, "--r-grid", "0.35", "0.36", "2", "-o", str(out_csv)]
     assert cli.main(argv) == 2
@@ -345,6 +353,49 @@ def test_every_command_refuses_a_bad_flag_value_before_evaluation(
     assert line.startswith("error: ")
     assert flag[0].lstrip("-") in line
     assert not out_csv.exists()
+
+
+NO_DELAY_CONFIG = "beta0=1.77\nn=12\ndelta=0.05\ngamma=1.48067\n"
+GRID = ["--r-grid", "0.35", "0.36", "2"]
+
+# (config, argv, the refusal): a command missing a flag it requires
+MISSING_FLAG_RUNS = {
+    "stability-grid-output": (GAMMA_CONFIG, ["stability", *GRID],
+                              "stability with an r grid requires --output"),
+    "simulate-output": (GAMMA_CONFIG, ["simulate"],
+                        "simulate requires --output for the trajectory CSV"),
+    "equilibria-delay": (NO_DELAY_CONFIG, ["equilibria"],
+                         "command 'equilibria' requires the delay r"),
+    "stability-delay": (NO_DELAY_CONFIG, ["stability"],
+                        "command 'stability' requires the delay r"),
+    # the delay is refused before the output of a grid
+    "stability-grid-delay-and-output": (NO_DELAY_CONFIG, ["stability", *GRID],
+                                        "command 'stability' requires the delay r"),
+    "simulate-delay": (NO_DELAY_CONFIG, ["simulate", "-o", "t.csv"],
+                       "command 'simulate' requires the delay r"),
+    # simulate names its output first
+    "simulate-delay-and-output": (NO_DELAY_CONFIG, ["simulate"],
+                                  "simulate requires --output for the trajectory CSV"),
+    "sweep-grid": (GAMMA_CONFIG, ["sweep", "-o", "s.csv"],
+                   "sweep requires --r-grid START STOP COUNT"),
+    "sweep-output": (GAMMA_CONFIG, ["sweep", *GRID], "sweep requires --output for the metrics CSV"),
+}
+
+
+@pytest.mark.parametrize("config, argv, message", MISSING_FLAG_RUNS.values(),
+                         ids=MISSING_FLAG_RUNS)
+def test_a_missing_required_flag_is_refused_before_evaluation(
+    tmp_path, capsys, monkeypatch, config, argv, message
+):
+    _forbid_evaluation(monkeypatch)
+    path = tmp_path / "params.cfg"
+    path.write_text(config)
+    flags = [str(tmp_path / arg) if arg.endswith(".csv") else arg for arg in argv[1:]]
+    assert cli.main([argv[0], str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_r_flag_anchors_gamma_only_on_the_files_own_k_and_r(tmp_path, capsys):
@@ -860,6 +911,13 @@ EDGE_RUNS = {
     "no-x2-at-any-delay": ("beta0 = 0.04\nn = 12\ndelta = 0.05\ngamma = 1.48067\n",
                            ["normal-form"], 2, "error: x2 exists at no delay r > 0: "
                            "r_max = -0.07954712100358856"),
+    # r_max = -ln((1 + delta/beta0)/2)/gamma overflows: the scan names it, not a delay
+    "r_max-overflow-5e-324": ("beta0 = 1.77\nn = 12\ndelta = 0.05\ngamma = 5e-324\n",
+                              ["hopf"], 2, "error: r_max = inf at gamma = 5e-324: the scan "
+                              "of (0, r_max) leaves the float range"),
+    "r_max-overflow-1e-320": ("beta0 = 1.77\nn = 12\ndelta = 0.05\ngamma = 1e-320\n",
+                              ["normal-form"], 2, "error: r_max = inf at gamma = 1e-320: "
+                              "the scan of (0, r_max) leaves the float range"),
 }
 
 
@@ -902,6 +960,41 @@ def test_hopf_command_gamma_parameterized(tmp_path, capsys):
     assert "boundary-root route:" in out
     assert "independent checks at r*:" in out
     assert "r*     = 0.35592018752" in out
+
+
+def test_gamma_hopf_evaluates_the_mismatch_once_per_delay(gamma_config_path, capsys,
+                                                         monkeypatch):
+    # 317 delays of the scan, the first past r* closing the bracket, and 4
+    # Illinois iterates; the bracket ends are not evaluated again
+    delays, mismatch = [], hopf._mismatch
+
+    def counted(beta0, n, delta, gamma, r):
+        delays.append(r)
+        return mismatch(beta0, n, delta, gamma, r)
+
+    monkeypatch.setattr(hopf, "_mismatch", counted)
+    assert cli.main(["hopf", gamma_config_path]) == 0
+    assert "r*     = 0.35592018752\n" in capsys.readouterr().out
+    assert len(delays) == 321
+    assert len(set(delays)) == 321
+
+
+@pytest.mark.parametrize("k", [1.999999, 1.9999999, 1.99999999])
+@pytest.mark.parametrize("command", ["hopf", "normal-form"])
+def test_gamma_config_of_a_k_route_point_locates_it(tmp_path, capsys, monkeypatch,
+                                                    command, k):
+    # r* = 1.158 lies in the first step of a scan of (0, r_max) with r_max up
+    # to 1.5e8; the root search stops at the rounding level of D at r*, not
+    # at that of the step's upper end
+    hp = hopf.hopf_from_pqk(rv.N, rv.BETA0, rv.DELTA, k)
+    path = tmp_path / "gamma.cfg"
+    path.write_text(f"beta0=1.77\nn=12\ndelta=0.05\ngamma={hp.params.gamma!r}\n")
+    located, find_hopf_r = [], hopf.find_hopf_r
+    monkeypatch.setattr(hopf, "find_hopf_r",
+                        lambda *args: located.append(find_hopf_r(*args)) or located[-1])
+    assert cli.main([command, str(path)]) == 0
+    [point] = located
+    assert abs(point.r_star - hp.r_star) <= 1e-14 * hp.r_star
 
 
 def test_hopf_bracket_from_zero_reaches_past_the_first_crossing(gamma_config_path, capsys):

@@ -246,6 +246,15 @@ def test_find_hopf_r_with_quoted_gamma(ref_hopf):
     assert abs(hp.r_star - ref_hopf.r_star) < 1e-6
 
 
+def test_find_hopf_r_without_a_bracket_takes_the_first_crossing():
+    # the point of the gamma config's `hopf` golden, to the bit
+    params = model.ModelParameters.from_gamma(1.77, 12.0, 0.05, 1.48067, 0.36)
+    hp = hopf.find_hopf_r(params)
+    assert hp[:5] == (0.35592018752031956, 1.661687230605587, -2.474126375774559,
+                      -2.9803532971211686, params.with_r(0.35592018752031956))
+    assert hp.x2_star == 1.1508593627408006
+
+
 def _count_calls(monkeypatch, module, name, calls):
     # patch module.name to append its first argument to `calls`
     original = getattr(module, name)

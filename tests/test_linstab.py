@@ -473,8 +473,13 @@ def test_rightmost_root_matches_scipy_lambertw():
 # ------------------------------------------------------------ bracketed root
 
 
+# f_tol counts units in the last place of the iterate; near pi/2 an ulp is
+# ulp(1.5), so this stops where |cos| < 1e-13
+_COS_F_TOL = 1e-13 / math.ulp(1.5)
+
+
 def test_bracketed_root_simple():
-    root = linstab.bracketed_root(math.cos, 1.0, 2.0, f_tol=1e-13)
+    root = linstab.bracketed_root(math.cos, 1.0, 2.0, f_tol=_COS_F_TOL)
     assert abs(root - math.pi / 2.0) < 1e-12
 
 
@@ -509,7 +514,7 @@ def test_bracketed_root_closes_both_ends():
 
 def test_bracketed_root_reuses_known_endpoint_values():
     cos, calls = _counted(math.cos)
-    root = linstab.bracketed_root(cos, 2.0, 1.0, f_tol=1e-13,
+    root = linstab.bracketed_root(cos, 2.0, 1.0, f_tol=_COS_F_TOL,
                                   fa=math.cos(2.0), fb=math.cos(1.0))
     assert abs(root - math.pi / 2.0) < 1e-12
     assert 1.0 not in calls and 2.0 not in calls
