@@ -257,11 +257,11 @@ def find_hopf_r(params: ModelParameters,
     sign change on 400 equal steps of (0, r_max) is the bracket.  A given one
     must have finite, nonnegative ends that pass :func:`frontier_mismatch`'s
     checks of a delay, and D must change sign on it (it may be +inf at an end).
-    Illinois then runs D on floats, unchecked, from the end values already
-    formed, until |D| reaches its rounding level 4 ulp(r) at the iterate r: the
+    Illinois then runs D on floats, unchecked, from the end values formed,
+    stepping from the end of smaller |D| (a scan bracket 303 decades wide
+    closes too) until |D| < 4 ulp(r), its rounding level at the iterate r: the
     root is r*, and omega* the closed frontier relation of :func:`hopf_from_pqk`
-    at (p, q) there.  g, the independent route, is evaluated once at r*, and
-    `ConvergenceError` is raised unless |g| < 1e-11.
+    at (p, q) there; `ConvergenceError` unless |g(r*)| < 1e-11, the other route.
     """
     mismatch = functools.partial(_mismatch, params.beta0, params.n, params.delta, params.gamma)
     if bracket is None:

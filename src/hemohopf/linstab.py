@@ -450,16 +450,16 @@ def rightmost_root(triple: CharacteristicTriple) -> complex:
 def bracketed_root(func, a: float, b: float, f_tol: float, *, fa=None, fb=None):
     """Illinois (modified regula falsi) root of `func` on a bracket.
 
-    The bracket endpoints must produce values of opposite sign; values
-    already known may be passed as `fa` and `fb`, and `func` is then not
-    called at that end.  Each iteration takes the secant point of the
-    bracket (its midpoint if that is not strictly inside, or if the secant
-    step underflows) and halves the stored value of an end kept twice in a
-    row, so that both ends close in.  A secant point that rounds onto an
-    end with both end values finite (a tiny value there) is moved one float
-    inside that end first.  Stops at |f(x)| < f_tol ulp(x), f_tol counting
-    units in the last place of the iterate x, or when the bracket is a few
-    such units wide, and returns the evaluated point x of smallest |f|.
+    The end values must differ in sign; known ones may be passed as `fa`
+    and `fb`, and `func` is then not called at that end.  Each iteration
+    steps from the end of smaller |f| by the share f_near / (fa - fb) of the
+    bracket, at most a half, so the step neither overflows nor is absorbed
+    by a far end (a bracket over about 308 decades wide can still underflow
+    the share and exhaust the iterations); a point rounding onto an end with
+    both end values finite moves one float inside, and one still not
+    strictly inside is replaced by the midpoint.  An end kept twice in a row
+    has its stored value halved, so both ends close in.  Returns the point x
+    of smallest |f| once |f(x)| < f_tol ulp(x) or the bracket is a few ulps wide.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or a == b:
         raise BracketError(f"degenerate bracket ({a}, {b})")
@@ -482,9 +482,8 @@ def bracketed_root(func, a: float, b: float, f_tol: float, *, fa=None, fb=None):
     for _ in range(200):
         if abs(fx) < f_tol * math.ulp(x) or b - a <= _ROUNDING * max(abs(a), abs(b)):
             return x
-        num = fb * (b - a)
-        # a numerator below the normal range has lost its digits: bisect
-        c = b - num / (fb - fa) if abs(num) >= _TINY else 0.5 * (a + b)
+        near, f_near = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+        c = near + (b - a) * (f_near / (fa - fb))
         if (c == a or c == b) and math.isfinite(fa) and math.isfinite(fb):
             c = math.nextafter(a, b) if c == a else math.nextafter(b, a)
         if not a < c < b:

@@ -898,7 +898,7 @@ EDGE_RUNS = {
     # q^2 - p^2 overflows to inf - inf = nan, which once read as unstable
     "crossing-overflow": (_reference_in_time_unit("gamma", 1e200, 0.35), ["stability"], 0,
                           "x2: case I.A, stable"),
-    # the secant numerator of the root search underflows: it bisects there
+    # the root search at r* = 3.6e-151, the reference point in the 1e150 time unit
     "secant-underflow": (_reference_in_time_unit("gamma", 1e150, 0.36), ["hopf"], 0,
                          "boundary-root route:"),
     # q^2 - p^2 overflows, and underflows to 0, on the way to r*
@@ -918,6 +918,10 @@ EDGE_RUNS = {
     "r_max-overflow-1e-320": ("beta0 = 1.77\nn = 12\ndelta = 0.05\ngamma = 1e-320\n",
                               ["normal-form"], 2, "error: r_max = inf at gamma = 1e-320: "
                               "the scan of (0, r_max) leaves the float range"),
+    # r_max = 6.65e305 is finite, but its 400-step grid is not
+    "r_max-overflow-1e-306": ("beta0 = 1.77\nn = 12\ndelta = 0.05\ngamma = 1e-306\n",
+                              ["hopf"], 2, "error: r_max = 6.652902260569791e+305 at "
+                              "gamma = 1e-306: the scan of (0, r_max) leaves the float range"),
 }
 
 
@@ -977,6 +981,23 @@ def test_gamma_hopf_evaluates_the_mismatch_once_per_delay(gamma_config_path, cap
     assert "r*     = 0.35592018752\n" in capsys.readouterr().out
     assert len(delays) == 321
     assert len(set(delays)) == 321
+
+
+# The k = 2 crossing delay: at these gamma, k(r) = 2 exp(-gamma r) rounds to 2
+# near r*, while r_max lies up to 305 decades above it.
+_K2_CROSSING = linstab._crossing(*linstab._pq_kernel(rv.BETA0, rv.N, rv.DELTA, 0.0, 1.0))[1]
+
+
+@pytest.mark.parametrize("gamma", ["1e-78", "1e-150", "1e-305"])
+@pytest.mark.parametrize("command", ["hopf", "normal-form"])
+def test_gamma_far_below_one_locates_the_k2_crossing(gamma_config_path, capsys,
+                                                     command, gamma):
+    # the scan's first sign change lies in its first step, far below the
+    # step's upper end: the root search closes from the end nearer r*
+    assert cli.main([command, gamma_config_path, "--gamma", gamma]) == 0
+    assert re.search(r"r\*\s+= 1\.15800919269\s", capsys.readouterr().out)
+    params = model.ModelParameters.from_gamma(rv.BETA0, rv.N, rv.DELTA, float(gamma), 0.36)
+    assert hopf.find_hopf_r(params).r_star == _K2_CROSSING == 1.1580091926934457
 
 
 @pytest.mark.parametrize("k", [1.999999, 1.9999999, 1.99999999])

@@ -255,6 +255,15 @@ def test_find_hopf_r_without_a_bracket_takes_the_first_crossing():
     assert hp.x2_star == 1.1508593627408006
 
 
+def test_find_hopf_r_without_a_bracket_down_to_gamma_1e_305():
+    # r_max = 0.665 / gamma: the scan's first step spans up to 303 decades
+    # above r*, which from gamma = 1e-16 down is the k = 2 crossing delay
+    for gamma in [10.0 ** -e for e in range(1, 306)] + [10.0 ** -305.8]:
+        params = model.ModelParameters.from_gamma(rv.BETA0, rv.N, rv.DELTA, gamma, 0.36)
+        hp = hopf.find_hopf_r(params)
+        assert hopf.criticality_report(hp).l1 < 0.0, gamma
+
+
 def _count_calls(monkeypatch, module, name, calls):
     # patch module.name to append its first argument to `calls`
     original = getattr(module, name)

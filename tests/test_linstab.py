@@ -528,6 +528,30 @@ def test_bracketed_root_stops_on_a_relative_width():
     assert abs(root - 20.0 * math.pi) <= 8.0 * math.ulp(20.0 * math.pi)
 
 
+def test_bracketed_root_steps_from_the_nearer_end_of_a_wide_bracket():
+    # |f(b)| >> |f(a)|: the secant step from b overflows here (f(b) b = -inf)
+    # or rounds onto a = 0; the step from the end of smaller |f| does neither
+    for ends, f_tol in (((0.0, 1e300), 4.0), ((1e300, 0.0), 0.0)):
+        f, calls = _counted(lambda x: 1.158 - x)
+        root = linstab.bracketed_root(f, *ends, f_tol=f_tol)
+        assert abs(root - 1.158) <= 4.0 * math.ulp(1.158), ends
+        assert len(calls) <= 4, ends
+
+
+def test_bracketed_root_closes_brackets_300_decades_wide():
+    # f(x) = r0 - x on (0, b), r0 anywhere in 1e-300..1e300 and b up to
+    # 300 decades above it, as the scan of (0, r_max) at a tiny gamma
+    rng = random.Random(1)
+    for _ in range(3000):
+        e = rng.uniform(-300.0, 300.0)
+        r0, b = 10.0 ** e, 10.0 ** (e + rng.uniform(0.0, min(300.0, 308.0 - e)))
+        for f_tol in (4.0, 0.0):
+            f, calls = _counted(lambda x: r0 - x)
+            root = linstab.bracketed_root(f, 0.0, b, f_tol=f_tol)
+            assert abs(root - r0) <= 4.0 * math.ulp(r0), (r0, b, f_tol)
+            assert len(calls) <= 4, (r0, b, f_tol)
+
+
 def test_classify_x2_delay_free_limit():
     # r = 0 keeps x2 alive when beta0 > delta; the single eigenvalue is q - p
     p = model.ModelParameters.from_gamma(1.77, 12.0, 0.05, 1.0, 0.0)
