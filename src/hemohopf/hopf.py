@@ -227,45 +227,72 @@ def _check_bracket(bracket: Tuple[float, float]) -> None:
         raise BracketError(f"bracket ends must be finite and nonnegative, got {bracket}")
 
 
-# Equal steps of (0, r_max) on which `find_hopf_r` takes D's first sign change.
-_SCAN_STEPS = 400
+_GOLDEN_CUT = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2, a golden-section probe's share of a side
 
 
-def _first_sign_change(params: ModelParameters, mismatch):
-    # (a, b, D(a), D(b)) at the first grid delay b with D < 0; D(0) > 0 is not formed
-    r_max = _r_max(params.beta0, params.delta, params.gamma)
+def _admissible_u(n: float, s: float, u_max: float) -> Tuple[float, float]:
+    # (u_lo, u_hi) in u = -ln(k/2) where p < -q, clipped to (0, u_max), at s = delta/beta0:
+    # (n - 2) delta A^2 - (n delta - 2 beta0 (n - 1)) A - 2 beta0 n > 0, divided by
+    # n beta0^2/delta and put in x = k - 1 = s A; c/t is the root of smaller size and,
+    # where a < 0, t/a the larger
+    a, b, c = 1.0 - 2.0 / n, 2.0 - 2.0 / n - s, -2.0 * s
+    disc = b * b - 4.0 * a * c
+    if b <= 0.0 or disc < 0.0:  # no positive root: p >= -q wherever x2 exists
+        return 0.0, 0.0
+    t = -0.5 * (b + math.sqrt(disc))
+    u_lo = max(-math.log(0.5 * (1.0 + t / a)), 0.0) if a < 0.0 else 0.0
+    return u_lo, min(-math.log(0.5 * (1.0 + c / t)), u_max)
+
+
+def _first_crossing_bracket(params: ModelParameters, mismatch):
+    # (0, b, D(0), D(b)) at the first probe b of a golden-section climb of branch 0's Hopf
+    # curve Q_0(u) = u / r0(2 e^-u), u = gamma r, with Q_0 > gamma: D < 0 exactly there,
+    # and Q_0 has one maximum Q*, so D > 0 from 0 to the first crossing
+    beta0, delta, gamma = params.beta0, params.delta, params.gamma
+    r_max = _r_max(beta0, delta, gamma)
     if not r_max > 0.0:
         raise NoPositiveEquilibriumError(f"x2 exists at no delay r > 0: r_max = {r_max!r}")
-    if r_max * _SCAN_STEPS == math.inf:
-        raise BracketError(f"r_max = {r_max!r} at gamma = {params.gamma!r}: the scan of "
-                           "(0, r_max) leaves the float range; supply --bracket explicitly")
-    a, da = 0.0, None
-    for b in (r_max * i / _SCAN_STEPS for i in range(1, _SCAN_STEPS)):
-        db = mismatch(b)
-        if db < 0.0:
-            return a, b, da, db
-        a, da = b, db
-    raise BracketError("no sign change of the frontier mismatch on (0, r_max); "
-                       "supply --bracket explicitly")
+    d0 = mismatch(0.0)
+    lo, hi = _admissible_u(params.n, delta / beta0, _r_max(beta0, delta, 1.0))
+    m, peak, u = lo, 0.0, lo + _GOLDEN_CUT * (hi - lo)  # m: largest Q_0 so far (0 at lo)
+    while lo < u < hi and u != m:
+        r = u / gamma
+        if r == math.inf:
+            raise BracketError(f"bracket end u/gamma = {u!r}/{gamma!r} leaves the float "
+                               "range; supply --bracket explicitly")
+        d = mismatch(r)
+        if d < 0.0:
+            return 0.0, r, d0, d
+        q = u / (d + r)  # Q_0(u) = gamma r / r0
+        if q > peak:  # u is the new best: keep the side of m that holds it
+            lo, hi = (m, hi) if u > m else (lo, m)
+            m, peak = u, q
+        else:
+            lo, hi = (lo, u) if u > m else (u, hi)
+        u = m + _GOLDEN_CUT * (hi - m) if hi - m > m - lo else m - _GOLDEN_CUT * (m - lo)
+    raise NoImaginaryCrossingError(f"gamma = {gamma!r} >= Q* = {peak!r}, the peak of the Hopf "
+                                   "curve gamma = u / r0(2 e^-u): x2 is stable at every delay")
 
 
 def find_hopf_r(params: ModelParameters,
                 bracket: Optional[Tuple[float, float]] = None) -> HopfPoint:
     """Locate the Hopf delay at fixed gamma inside `bracket`, or the first one.
 
-    gamma is taken from `params` and held fixed.  Without a bracket, D's first
-    sign change on 400 equal steps of (0, r_max) is the bracket.  A given one
+    gamma is taken from `params` and held fixed.  Without a bracket, it is
+    (0, b), b the first probe of a golden-section climb of the Hopf curve
+    Q_0(gamma r) = gamma r / r0 above gamma, where D(b) < 0; for gamma >= Q*,
+    the curve's maximum, `NoImaginaryCrossingError` names Q*.  A given one
     must have finite, nonnegative ends that pass :func:`frontier_mismatch`'s
     checks of a delay, and D must change sign on it (it may be +inf at an end).
     Illinois then runs D on floats, unchecked, from the end values formed,
-    stepping from the end of smaller |D| (a scan bracket 303 decades wide
-    closes too) until |D| < 4 ulp(r), its rounding level at the iterate r: the
-    root is r*, and omega* the closed frontier relation of :func:`hopf_from_pqk`
-    at (p, q) there; `ConvergenceError` unless |g(r*)| < 1e-11, the other route.
+    stepping from the end of smaller |D| until |D| < 4 ulp(r), its rounding
+    level at the iterate r: the root is r*, and omega* the closed frontier
+    relation of :func:`hopf_from_pqk` at (p, q) there; `ConvergenceError`
+    unless |g(r*)| < 1e-11, the other route.
     """
     mismatch = functools.partial(_mismatch, params.beta0, params.n, params.delta, params.gamma)
     if bracket is None:
-        a, b, da, db = _first_sign_change(params, mismatch)
+        a, b, da, db = _first_crossing_bracket(params, mismatch)
     else:
         _check_bracket(bracket)
         a, b = bracket

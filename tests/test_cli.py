@@ -326,8 +326,8 @@ BAD_FLAG_VALUES = [
 
 def _forbid_evaluation(monkeypatch):
     # every evaluation a command can start with: the equilibria report, the
-    # verdicts, D (checked, and the float kernel of `find_hopf_r`'s scan),
-    # r_max of that scan, and an integration
+    # verdicts, D (checked, and the float kernel that `find_hopf_r` climbs the
+    # Hopf curve and roots on), r_max of that climb, and an integration
     def must_not_run(*args, **kwargs):
         raise AssertionError("evaluated before refusing the flag")
 
@@ -734,7 +734,7 @@ OVERFLOWING_B1_CONFIG = "beta0 = 1e308\nn = 2\ndelta = 0.5\ngamma = 1\nr = 0.1\n
 @pytest.mark.parametrize("command, err", [
     ("equilibria", "B1(x2) = beta0 (n - (n - 1) A)/A^2 must be finite, got nan"),
     ("stability", "p, q must be finite, got p=nan, q=nan"),
-    # hopf scans the fixed-gamma family from r = 0, where A overflows
+    # hopf brackets the fixed-gamma family from r = 0, where A overflows
     ("hopf", "A = beta0 (k - 1)/delta must be finite, got inf"),
 ])
 def test_overflowing_B1_is_refused_by_name(tmp_path, capsys, command, err):
@@ -906,22 +906,21 @@ EDGE_RUNS = {
                                "strategy route:"),
     "hopf-crossing-underflow": (_reference_in_time_unit("gamma", 1e-160, 0.36), ["hopf"],
                                 0, "boundary-root route:"),
-    # beta0 < delta: x2 exists at no delay, and the scan of (0, r_max) would
-    # evaluate D at a negative delay
+    # beta0 < delta: x2 exists at no delay, which is named before D is formed
     "no-x2-at-any-delay": ("beta0 = 0.04\nn = 12\ndelta = 0.05\ngamma = 1.48067\n",
                            ["normal-form"], 2, "error: x2 exists at no delay r > 0: "
                            "r_max = -0.07954712100358856"),
-    # r_max = -ln((1 + delta/beta0)/2)/gamma overflows: the scan names it, not a delay
+    # the first probe u/gamma of the climb on the Hopf curve overflows: it is
+    # named, not a delay
     "r_max-overflow-5e-324": ("beta0 = 1.77\nn = 12\ndelta = 0.05\ngamma = 5e-324\n",
-                              ["hopf"], 2, "error: r_max = inf at gamma = 5e-324: the scan "
-                              "of (0, r_max) leaves the float range"),
+                              ["hopf"], 2, "error: bracket end u/gamma = 0.2531496866946766/"
+                              "5e-324 leaves the float range"),
     "r_max-overflow-1e-320": ("beta0 = 1.77\nn = 12\ndelta = 0.05\ngamma = 1e-320\n",
-                              ["normal-form"], 2, "error: r_max = inf at gamma = 1e-320: "
-                              "the scan of (0, r_max) leaves the float range"),
-    # r_max = 6.65e305 is finite, but its 400-step grid is not
+                              ["normal-form"], 2, "error: bracket end u/gamma = "
+                              "0.2531496866946766/1e-320 leaves the float range"),
+    # r_max = 6.65e305 and the bracket end are finite: r* is the k = 2 crossing delay
     "r_max-overflow-1e-306": ("beta0 = 1.77\nn = 12\ndelta = 0.05\ngamma = 1e-306\n",
-                              ["hopf"], 2, "error: r_max = 6.652902260569791e+305 at "
-                              "gamma = 1e-306: the scan of (0, r_max) leaves the float range"),
+                              ["hopf"], 0, "r*     = 1.15800919269\n"),
 }
 
 
@@ -968,8 +967,8 @@ def test_hopf_command_gamma_parameterized(tmp_path, capsys):
 
 def test_gamma_hopf_evaluates_the_mismatch_once_per_delay(gamma_config_path, capsys,
                                                          monkeypatch):
-    # 317 delays of the scan, the first past r* closing the bracket, and 4
-    # Illinois iterates; the bracket ends are not evaluated again
+    # D(0), 4 probes of the climb on the Hopf curve, the last past r* closing
+    # the bracket, and 5 Illinois iterates; the bracket ends are not evaluated again
     delays, mismatch = [], hopf._mismatch
 
     def counted(beta0, n, delta, gamma, r):
@@ -979,8 +978,8 @@ def test_gamma_hopf_evaluates_the_mismatch_once_per_delay(gamma_config_path, cap
     monkeypatch.setattr(hopf, "_mismatch", counted)
     assert cli.main(["hopf", gamma_config_path]) == 0
     assert "r*     = 0.35592018752\n" in capsys.readouterr().out
-    assert len(delays) == 321
-    assert len(set(delays)) == 321
+    assert len(delays) == 10
+    assert len(set(delays)) == 10
 
 
 # The k = 2 crossing delay: at these gamma, k(r) = 2 exp(-gamma r) rounds to 2
@@ -992,8 +991,8 @@ _K2_CROSSING = linstab._crossing(*linstab._pq_kernel(rv.BETA0, rv.N, rv.DELTA, 0
 @pytest.mark.parametrize("command", ["hopf", "normal-form"])
 def test_gamma_far_below_one_locates_the_k2_crossing(gamma_config_path, capsys,
                                                      command, gamma):
-    # the scan's first sign change lies in its first step, far below the
-    # step's upper end: the root search closes from the end nearer r*
+    # the climb's first probe past r* lies far above it (u/gamma up to 2.5e304):
+    # the root search closes from the end nearer r*
     assert cli.main([command, gamma_config_path, "--gamma", gamma]) == 0
     assert re.search(r"r\*\s+= 1\.15800919269\s", capsys.readouterr().out)
     params = model.ModelParameters.from_gamma(rv.BETA0, rv.N, rv.DELTA, float(gamma), 0.36)
@@ -1004,9 +1003,9 @@ def test_gamma_far_below_one_locates_the_k2_crossing(gamma_config_path, capsys,
 @pytest.mark.parametrize("command", ["hopf", "normal-form"])
 def test_gamma_config_of_a_k_route_point_locates_it(tmp_path, capsys, monkeypatch,
                                                     command, k):
-    # r* = 1.158 lies in the first step of a scan of (0, r_max) with r_max up
-    # to 1.5e8; the root search stops at the rounding level of D at r*, not
-    # at that of the step's upper end
+    # r* = 1.158 lies far below the climb's bracket end, with r_max up to 1.5e8;
+    # the root search stops at the rounding level of D at r*, not at that of
+    # the bracket end
     hp = hopf.hopf_from_pqk(rv.N, rv.BETA0, rv.DELTA, k)
     path = tmp_path / "gamma.cfg"
     path.write_text(f"beta0=1.77\nn=12\ndelta=0.05\ngamma={hp.params.gamma!r}\n")

@@ -256,12 +256,106 @@ def test_find_hopf_r_without_a_bracket_takes_the_first_crossing():
 
 
 def test_find_hopf_r_without_a_bracket_down_to_gamma_1e_305():
-    # r_max = 0.665 / gamma: the scan's first step spans up to 303 decades
-    # above r*, which from gamma = 1e-16 down is the k = 2 crossing delay
+    # the climb's bracket end u/gamma lies up to 305 decades above r*, which
+    # from gamma = 1e-16 down is the k = 2 crossing delay
     for gamma in [10.0 ** -e for e in range(1, 306)] + [10.0 ** -305.8]:
         params = model.ModelParameters.from_gamma(rv.BETA0, rv.N, rv.DELTA, gamma, 0.36)
         hp = hopf.find_hopf_r(params)
         assert hopf.criticality_report(hp).l1 < 0.0, gamma
+
+
+# (beta0, n, delta, gamma, r*) from seeded log-uniform draws whose first crossing
+# lies between the delays i r_max / 400 of an equal-step scan: at 0.99878 r_max,
+# in a D < 0 window 0.2% of r_max wide at 0.761 r_max, and at 0.99936 r_max
+BETWEEN_GRID_CROSSINGS = [
+    (1.0427853693647768, 2.2989005042692314, 1.3832879113319575e-4, 0.09671760771214376,
+     7.156612069608016),
+    (0.0668032037757062, 6.177338895456793, 0.010209041772139101, 0.03431091432957302,
+     12.21945162825898),
+    (8.051862918870349, 2.0614013951825116, 1.2879039273695932e-4, 0.19242888769839864,
+     3.5997113846840287),
+]
+
+
+@pytest.mark.parametrize("beta0, n, delta, gamma, r_star", BETWEEN_GRID_CROSSINGS)
+def test_find_hopf_r_without_a_bracket_locates_crossings_between_grid_delays(
+        beta0, n, delta, gamma, r_star):
+    params = model.ModelParameters.from_gamma(beta0, n, delta, gamma, 1.0)
+    hp = hopf.find_hopf_r(params)
+    ref = hopf.find_hopf_r(params, (r_star - 1e-9, r_star + 1e-9))
+    # each search stops where |D| < 4 ulp(r) or its bracket is 4 ulps wide, so
+    # the two roots agree to a few ulps of r, over |D'| where D' is small: in
+    # the narrow window D' = -6.7e-3, and 8 ulps over it are 1.7e-13 relative
+    fields = (beta0, n, delta, gamma)
+    slope = (hopf._mismatch(*fields, r_star + 1e-9)
+             - hopf._mismatch(*fields, r_star - 1e-9)) / 2e-9
+    assert abs(hp.r_star - ref.r_star) <= 8.0 * math.ulp(r_star) * max(1.0, 1.0 / abs(slope))
+    assert abs(hp.r_star - r_star) <= 1e-13 * r_star
+
+
+def test_find_hopf_r_refuses_gamma_above_the_peak_of_the_hopf_curve():
+    # Q_0(u) = u / r0(2 e^-u) peaks at Q* = 2.9330067 (u* = 0.6347): at a gamma
+    # above it x2 is stable at every delay, just below it the first crossing
+    # is found, with mu' > 0 as x2 loses stability there
+    q_star = 2.933006695776462
+    for gamma in (q_star * (1.0 + 1e-6), 2.94, 3.5):
+        params = model.ModelParameters.from_gamma(rv.BETA0, rv.N, rv.DELTA, gamma, 0.36)
+        with pytest.raises(NoImaginaryCrossingError,
+                           match=r" >= Q\* = 2\.933006695776\d*, the peak of the Hopf curve "
+                           r".*: x2 is stable at every delay"):
+            hopf.find_hopf_r(params)
+    params = model.ModelParameters.from_gamma(rv.BETA0, rv.N, rv.DELTA,
+                                              q_star * (1.0 - 1e-4), 0.36)
+    hp = hopf.find_hopf_r(params)
+    assert hopf.transversality(hp)[0] > 0.0
+
+
+def _p_below_minus_q(beta0, n, delta, u):
+    # p + q < 0 at x2 for k = 2 e^-u, formed from the model (False where x2 is absent)
+    try:
+        p, q = linstab._pq_kernel(beta0, n, delta, 1.0, u)
+    except NoPositiveEquilibriumError:
+        return False
+    return p + q < 0.0
+
+
+def _bisect_p_plus_q(beta0, n, delta, lo, hi):
+    # the u in (lo, hi) where the sign of p + q changes, to the last bit
+    below_at_lo = _p_below_minus_q(beta0, n, delta, lo)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if _p_below_minus_q(beta0, n, delta, mid) == below_at_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("n_minus_1", [(1.0, 100.0), (0.01, 1.0)], ids=["n>2", "n<2"])
+def test_admissible_u_ends_match_a_bisection_on_p_plus_q(n_minus_1):
+    # the ends of p < -q on (0, u_max), found on a grid of 2,000 steps and
+    # bisected, against the roots `hopf._admissible_u` takes from the quadratic
+    rng = random.Random(1)
+    drawn = 0
+    while drawn < 100:
+        beta0, delta = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-6.0, 0.0)
+        n = 1.0 + 10.0 ** rng.uniform(*map(math.log10, n_minus_1))
+        if not delta < beta0:
+            continue
+        drawn += 1
+        u_max = model._r_max(beta0, delta, 1.0)
+        lo, hi = hopf._admissible_u(n, delta / beta0, u_max)
+        step = u_max / 2000
+        inside = [i * step for i in range(2000) if _p_below_minus_q(beta0, n, delta, i * step)]
+        if not inside:
+            assert not hi - lo > 2.0 * step, (beta0, n, delta, lo, hi)
+            continue
+        assert len(inside) == round((inside[-1] - inside[0]) / step) + 1  # one interval
+        lo_ref = 0.0 if inside[0] == 0.0 else _bisect_p_plus_q(
+            beta0, n, delta, inside[0] - step, inside[0])
+        hi_ref = _bisect_p_plus_q(beta0, n, delta, inside[-1], min(inside[-1] + step, u_max))
+        assert abs(lo - lo_ref) <= 1e-12 * u_max and abs(hi - hi_ref) <= 1e-12 * u_max, (
+            beta0, n, delta, lo, lo_ref, hi, hi_ref)
 
 
 def _count_calls(monkeypatch, module, name, calls):

@@ -540,7 +540,7 @@ def test_bracketed_root_steps_from_the_nearer_end_of_a_wide_bracket():
 
 def test_bracketed_root_closes_brackets_300_decades_wide():
     # f(x) = r0 - x on (0, b), r0 anywhere in 1e-300..1e300 and b up to
-    # 300 decades above it, as the scan of (0, r_max) at a tiny gamma
+    # 300 decades above it, as the climb's bracket end u/gamma at a tiny gamma
     rng = random.Random(1)
     for _ in range(3000):
         e = rng.uniform(-300.0, 300.0)
