@@ -41,6 +41,7 @@ from .errors import (
     NoImaginaryCrossingError,
     NoPositiveEquilibriumError,
     NumericsError,
+    ParameterError,
     ResonanceError,
 )
 from .linstab import (
@@ -59,6 +60,7 @@ from .linstab import omega0  # noqa: F401
 from .model import (
     ModelParameters,
     TaylorCoefficients,
+    _CheckedRecord,
     _b1_at_x2,
     _b1_slopes,
     _check_delay,
@@ -104,7 +106,7 @@ class _HopfPointFields(NamedTuple):
     x2_star: float
 
 
-class HopfPoint(_HopfPointFields):
+class HopfPoint(_CheckedRecord, _HopfPointFields):
     """A located Hopf bifurcation point of the positive equilibrium.
 
     Self-validating: construction checks that (omega*, r*) is the crossing
@@ -126,11 +128,6 @@ class HopfPoint(_HopfPointFields):
         if not abs(params.r - r_star) <= 1e-12 * r_star:
             raise NumericsError("params delay inconsistent with r_star")
         return super().__new__(cls, r_star, omega_star, p_star, q_star, params, x2_star)
-
-    @classmethod
-    def _make(cls, iterable):
-        # NamedTuple's _make (and so _replace) would skip the checks above
-        return cls(*iterable)
 
     @property
     def triple(self) -> CharacteristicTriple:
@@ -245,15 +242,17 @@ def _admissible_u(n: float, s: float, u_max: float) -> Tuple[float, float]:
 
 
 def _first_crossing_bracket(params: ModelParameters, mismatch):
-    # (0, b, D(0), D(b)) at the first probe b of a golden-section climb of branch 0's Hopf
-    # curve Q_0(u) = u / r0(2 e^-u), u = gamma r, with Q_0 > gamma: D < 0 exactly there,
-    # and Q_0 has one maximum Q*, so D > 0 from 0 to the first crossing
+    # (a, b, D(a), D(b)) from a golden-section climb of branch 0's Hopf curve Q_0(u) =
+    # u / r0(2 e^-u), u = gamma r, with Q_0 > gamma: D < 0 exactly there. b is the first
+    # probe with D(b) < 0; Q_0 has one maximum Q*, so each probe below b lies below the
+    # first crossing, and a is the largest of them, or 0
     beta0, delta, gamma = params.beta0, params.delta, params.gamma
-    r_max = _r_max(beta0, delta, gamma)
+    u_max = _r_max(beta0, delta, 1.0)
+    r_max = u_max / gamma
     if not r_max > 0.0:
         raise NoPositiveEquilibriumError(f"x2 exists at no delay r > 0: r_max = {r_max!r}")
-    d0 = mismatch(0.0)
-    lo, hi = _admissible_u(params.n, delta / beta0, _r_max(beta0, delta, 1.0))
+    probes = [(0.0, mismatch(0.0))]  # (r, D) at each delay evaluated, all with D >= 0
+    lo, hi = _admissible_u(params.n, delta / beta0, u_max)
     m, peak, u = lo, 0.0, lo + _GOLDEN_CUT * (hi - lo)  # m: largest Q_0 so far (0 at lo)
     while lo < u < hi and u != m:
         r = u / gamma
@@ -262,7 +261,9 @@ def _first_crossing_bracket(params: ModelParameters, mismatch):
                                "range; supply --bracket explicitly")
         d = mismatch(r)
         if d < 0.0:
-            return 0.0, r, d0, d
+            a, da = max(probe for probe in probes if probe[0] < r)
+            return a, r, da, d
+        probes.append((r, d))
         q = u / (d + r)  # Q_0(u) = gamma r / r0
         if q > peak:  # u is the new best: keep the side of m that holds it
             lo, hi = (m, hi) if u > m else (lo, m)
@@ -274,21 +275,34 @@ def _first_crossing_bracket(params: ModelParameters, mismatch):
                                    "curve gamma = u / r0(2 e^-u): x2 is stable at every delay")
 
 
+def _g_changes_sign_near(r: float, params: ModelParameters) -> bool:
+    # where g moves by more than _G_ROOT_TOL per ulp of r, no float r* need meet it:
+    # a sign change of g within 64 ulp(r*) then confirms r*
+    step = 64.0 * math.ulp(r)
+    try:
+        g_lo, g_hi = g_of_r(r - step, params), g_of_r(r + step, params)
+    except ParameterError:  # a shifted g that cannot be formed shows no sign change
+        return False
+    return min(g_lo, g_hi) <= 0.0 <= max(g_lo, g_hi)
+
+
 def find_hopf_r(params: ModelParameters,
                 bracket: Optional[Tuple[float, float]] = None) -> HopfPoint:
     """Locate the Hopf delay at fixed gamma inside `bracket`, or the first one.
 
-    gamma is taken from `params` and held fixed.  Without a bracket, it is
-    (0, b), b the first probe of a golden-section climb of the Hopf curve
-    Q_0(gamma r) = gamma r / r0 above gamma, where D(b) < 0; for gamma >= Q*,
-    the curve's maximum, `NoImaginaryCrossingError` names Q*.  A given one
+    gamma is taken from `params` and held fixed.  Without a bracket, a
+    golden-section climb of the Hopf curve Q_0(gamma r) = gamma r / r0 gives
+    it: b is the climb's first probe above gamma, where D(b) < 0, and a the
+    largest probe below b, or 0, where D >= 0; for gamma >= Q*, the curve's
+    maximum, `NoImaginaryCrossingError` names Q*.  A given one
     must have finite, nonnegative ends that pass :func:`frontier_mismatch`'s
     checks of a delay, and D must change sign on it (it may be +inf at an end).
     Illinois then runs D on floats, unchecked, from the end values formed,
     stepping from the end of smaller |D| until |D| < 4 ulp(r), its rounding
     level at the iterate r: the root is r*, and omega* the closed frontier
-    relation of :func:`hopf_from_pqk` at (p, q) there; `ConvergenceError`
-    unless |g(r*)| < 1e-11, the other route.
+    relation of :func:`hopf_from_pqk` at (p, q) there.  The other route
+    confirms it: `ConvergenceError` unless |g(r*)| < 1e-11 or, where g is too
+    steep for that, g changes sign between r* -+ 64 ulp(r*).
     """
     mismatch = functools.partial(_mismatch, params.beta0, params.n, params.delta, params.gamma)
     if bracket is None:
@@ -308,7 +322,7 @@ def find_hopf_r(params: ModelParameters,
     # HopfPoint checks first: a sign change of D that is no crossing fails there
     hp = HopfPoint(r, _crossing(p, q)[0], p, q, local, _x2(params.n, local.A))
     g = g_of_r(r, params)
-    if not abs(g) < _G_ROOT_TOL:
+    if not (abs(g) < _G_ROOT_TOL or _g_changes_sign_near(r, params)):
         raise ConvergenceError(f"boundary function g = {g:.3e} at the root r* = {r!r} of D: "
                                f"|g| >= {_G_ROOT_TOL:g}", last_iterate=r)
     return hp

@@ -31,7 +31,8 @@ from .errors import (
     DomainError,
     NoPositiveEquilibriumError,
 )
-from .model import ModelParameters, _b1_at_x2, _check_delay, _checked_A, _k_of
+from .model import (ModelParameters, _CheckedRecord, _b1_at_x2, _check_delay, _checked_A,
+                    _k_of)
 # `equilibria` is unused here; perfbench/selftest.py looks it up as
 # `linstab.equilibria`.
 from .model import equilibria  # noqa: F401
@@ -86,7 +87,7 @@ class _CharacteristicTripleFields(NamedTuple):
     r: float
 
 
-class CharacteristicTriple(_CharacteristicTripleFields):
+class CharacteristicTriple(_CheckedRecord, _CharacteristicTripleFields):
     """Coefficients (p, q, r) of ``lam + p = q exp(-lam r)``."""
 
     __slots__ = ()
@@ -96,11 +97,6 @@ class CharacteristicTriple(_CharacteristicTripleFields):
         if not math.isfinite(r) or r < 0.0:
             raise DomainError(f"delay r must be nonnegative, got {r}")
         return super().__new__(cls, p, q, r)
-
-    @classmethod
-    def _make(cls, iterable):
-        # NamedTuple's _make (and so _replace) would skip the checks above
-        return cls(*iterable)
 
 
 class StabilityVerdict(NamedTuple):

@@ -90,6 +90,17 @@ def gamma_from_k(k: float, r: float) -> float:
     return -math.log(k / 2.0) / r
 
 
+class _CheckedRecord:
+    """Mixin for a named tuple whose ``__new__`` checks its fields."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        # NamedTuple's _make (and so _replace) would skip the checks of __new__
+        return cls(*iterable)
+
+
 class _ModelParameterFields(NamedTuple):
     beta0: float
     n: float
@@ -122,7 +133,7 @@ def _check_fields(beta0, n, delta, gamma, r, k) -> float:
     return _checked_A(beta0, delta, k)
 
 
-class ModelParameters(_ModelParameterFields):
+class ModelParameters(_CheckedRecord, _ModelParameterFields):
     """The five model parameters plus the derived amplification k.
 
     ``k = 2 exp(-gamma r)`` holds to machine precision by construction;
@@ -134,11 +145,6 @@ class ModelParameters(_ModelParameterFields):
     def __new__(cls, beta0, n, delta, gamma, r, k):
         _check_fields(beta0, n, delta, gamma, r, k)
         return super().__new__(cls, beta0, n, delta, gamma, r, k)
-
-    @classmethod
-    def _make(cls, iterable):
-        # NamedTuple's _make (and so _replace) would skip the checks above
-        return cls(*iterable)
 
     @classmethod
     def _unchecked(cls, beta0, n, delta, gamma, r, k) -> "ModelParameters":

@@ -277,37 +277,89 @@ BETWEEN_GRID_CROSSINGS = [
 ]
 
 
+def _agreement_bound(fields, r_star):
+    # each search stops where |D| < 4 ulp(r) or its bracket is 4 ulps wide, so
+    # two roots agree to a few ulps of r, over |D'| where D' is small: in
+    # the narrow window D' = -6.7e-3, and 8 ulps over it are 1.7e-13 relative
+    slope = (hopf._mismatch(*fields, r_star + 1e-9)
+             - hopf._mismatch(*fields, r_star - 1e-9)) / 2e-9
+    return 8.0 * math.ulp(r_star) * max(1.0, 1.0 / abs(slope))
+
+
 @pytest.mark.parametrize("beta0, n, delta, gamma, r_star", BETWEEN_GRID_CROSSINGS)
 def test_find_hopf_r_without_a_bracket_locates_crossings_between_grid_delays(
         beta0, n, delta, gamma, r_star):
     params = model.ModelParameters.from_gamma(beta0, n, delta, gamma, 1.0)
     hp = hopf.find_hopf_r(params)
     ref = hopf.find_hopf_r(params, (r_star - 1e-9, r_star + 1e-9))
-    # each search stops where |D| < 4 ulp(r) or its bracket is 4 ulps wide, so
-    # the two roots agree to a few ulps of r, over |D'| where D' is small: in
-    # the narrow window D' = -6.7e-3, and 8 ulps over it are 1.7e-13 relative
-    fields = (beta0, n, delta, gamma)
-    slope = (hopf._mismatch(*fields, r_star + 1e-9)
-             - hopf._mismatch(*fields, r_star - 1e-9)) / 2e-9
-    assert abs(hp.r_star - ref.r_star) <= 8.0 * math.ulp(r_star) * max(1.0, 1.0 / abs(slope))
+    assert abs(hp.r_star - ref.r_star) <= _agreement_bound((beta0, n, delta, gamma), r_star)
     assert abs(hp.r_star - r_star) <= 1e-13 * r_star
 
 
+def test_find_hopf_r_closes_the_narrow_window_from_the_climbs_probes(monkeypatch):
+    # the D < 0 window of the second draw is 0.2% of r_max wide: the root search
+    # starts from the largest climb probe below the first one inside it; from
+    # (0, b), with D(0) = 14.8, Illinois takes 33 evaluations of D
+    beta0, n, delta, gamma, r_star = BETWEEN_GRID_CROSSINGS[1]
+    params = model.ModelParameters.from_gamma(beta0, n, delta, gamma, 1.0)
+    calls = []
+    _count_calls(monkeypatch, hopf, "_mismatch", calls)
+    hp = hopf.find_hopf_r(params)
+    assert len(calls) <= 22
+    assert abs(hp.r_star - r_star) <= 1e-13 * r_star
+
+
+# Seed-1 log-uniform draw (beta0, n, delta, gamma) with omega* = 0.0055 and
+# p/q = 0.9997: g moves by about 6e-11 per ulp of r there, so no float near r*
+# need hold |g| < 1e-11
+STEEP_G_DRAW = (12.877520480684836, 3.5026177019439033, 1.960842516039209e-05,
+                0.1561232164390183)
+
+
+def test_find_hopf_r_confirms_r_star_by_a_sign_change_of_a_steep_g():
+    beta0, n, delta, gamma = STEEP_G_DRAW
+    rng = random.Random(3)
+    for g in [gamma] + [gamma * (1.0 + rng.uniform(-1e-6, 1e-6)) for _ in range(40)]:
+        params = model.ModelParameters.from_gamma(beta0, n, delta, g, 1.0)
+        hp = hopf.find_hopf_r(params)
+        ref = hopf.find_hopf_r(params, (hp.r_star - 1e-9, hp.r_star + 1e-9))
+        assert abs(hp.r_star - ref.r_star) <= _agreement_bound((beta0, n, delta, g),
+                                                               hp.r_star), g
+
+
+# the peak of Q_0(u) = u / r0(2 e^-u) at the reference (beta0, n, delta), at u* = 0.6347
+Q_STAR = 2.933006695776462
+
+
 def test_find_hopf_r_refuses_gamma_above_the_peak_of_the_hopf_curve():
-    # Q_0(u) = u / r0(2 e^-u) peaks at Q* = 2.9330067 (u* = 0.6347): at a gamma
-    # above it x2 is stable at every delay, just below it the first crossing
-    # is found, with mu' > 0 as x2 loses stability there
-    q_star = 2.933006695776462
-    for gamma in (q_star * (1.0 + 1e-6), 2.94, 3.5):
+    # at a gamma above Q* x2 is stable at every delay, just below it the first
+    # crossing is found, with mu' > 0 as x2 loses stability there
+    for gamma in (Q_STAR * (1.0 + 1e-6), 2.94, 3.5):
         params = model.ModelParameters.from_gamma(rv.BETA0, rv.N, rv.DELTA, gamma, 0.36)
         with pytest.raises(NoImaginaryCrossingError,
                            match=r" >= Q\* = 2\.933006695776\d*, the peak of the Hopf curve "
                            r".*: x2 is stable at every delay"):
             hopf.find_hopf_r(params)
     params = model.ModelParameters.from_gamma(rv.BETA0, rv.N, rv.DELTA,
-                                              q_star * (1.0 - 1e-4), 0.36)
+                                              Q_STAR * (1.0 - 1e-4), 0.36)
     hp = hopf.find_hopf_r(params)
     assert hopf.transversality(hp)[0] > 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8])
+def test_crossing_speeds_vanish_like_sqrt_eps_at_the_peak_of_the_hopf_curve(eps):
+    # at gamma = Q* (1 - eps) the two crossings merge into the peak as eps -> 0:
+    # x2 loses stability at the first and regains it at the second, and mu'
+    # vanishes like sqrt(eps) at one rate on both sides (494.6 and 496.4 at
+    # eps = 1e-6, 495.4 and 495.6 at 1e-8)
+    params = model.ModelParameters.from_gamma(rv.BETA0, rv.N, rv.DELTA,
+                                              Q_STAR * (1.0 - eps), 0.36)
+    first = hopf.find_hopf_r(params)
+    second = hopf.find_hopf_r(params, (first.r_star * (1.0 + 0.1 * math.sqrt(eps)),
+                                       0.999 * model.equilibria(params).r_max))
+    rising, falling = (hopf.transversality(hp)[0] / math.sqrt(eps) for hp in (first, second))
+    assert rising > 0.0 > falling
+    assert abs(rising + falling) <= 0.01 * rising
 
 
 def _p_below_minus_q(beta0, n, delta, u):
@@ -390,6 +442,24 @@ def test_find_hopf_r_guarantees_the_g_residual(ref_params, monkeypatch):
     with pytest.raises(ConvergenceError, match=r"boundary function g = -2\.000e-11 at "
                        r"the root r\* = 0\.35592087769\d* of D: \|g\| >= 1e-11"):
         hopf.find_hopf_r(ref_params, (0.30, 0.40))
+
+
+def test_find_hopf_r_takes_a_g_it_cannot_form_near_r_star_as_no_sign_change(ref_params,
+                                                                          monkeypatch):
+    # |g(r*)| = 2e-11 fails the test, and g at r* -+ 64 ulp(r*) cannot be formed
+    at = []
+
+    def g_of_r(r, params):
+        at.append(r)
+        if len(at) > 1:
+            raise DomainError(f"g cannot be formed at r = {r}")
+        return 2e-11
+
+    monkeypatch.setattr(hopf, "g_of_r", g_of_r)
+    with pytest.raises(ConvergenceError, match=r"boundary function g = 2\.000e-11 at the root "
+                       r"r\* = 0\.35592087769\d* of D: \|g\| >= 1e-11"):
+        hopf.find_hopf_r(ref_params, (0.30, 0.40))
+    assert len(at) == 2
 
 
 #: Seed-1 frontier draws (n, beta0, delta, k) where g at the root of D once
