@@ -52,7 +52,6 @@ __all__ = [
     "Trajectory",
     "OrbitMetrics",
     "default_history",
-    "constant_history",
     "step_count",
     "integrate",
     "orbit_metrics",
@@ -111,11 +110,6 @@ def default_history(r: float) -> Callable[[float], float]:
         raise ParameterError(f"history needs r > 0, got {r}")
     half_pi_over_r = math.pi / (2.0 * r)
     return lambda s: math.cos(half_pi_over_r * s)
-
-
-def constant_history(value: float) -> Callable[[float], float]:
-    """History identically equal to `value`."""
-    return lambda s: value
 
 
 class Trajectory(NamedTuple):

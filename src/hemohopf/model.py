@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .errors import NoPositiveEquilibriumError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "ModelParameters",
@@ -29,7 +29,6 @@ __all__ = [
     "derive_k",
     "gamma_from_k",
     "equilibria",
-    "taylor_coefficients",
 ]
 
 #: Relative consistency tolerance between a stored k and 2 exp(-gamma r).
@@ -260,48 +259,27 @@ class TaylorCoefficients(NamedTuple):
     """Taylor coefficients B_m of the production term beta(x) x at x2.
 
     B_m = beta^(m)(x2) x2 + m beta^(m-1)(x2) is the m-th derivative of
-    beta(x) x evaluated at x2; indexing is 1-based via ``tc[m]``.
+    beta(x) x evaluated at x2.
     """
 
     b1: float
     b2: float
     b3: float
 
-    def __getitem__(self, order: int) -> float:
-        if order == 1:
-            return self.b1
-        if order == 2:
-            return self.b2
-        if order == 3:
-            return self.b3
-        raise IndexError(f"Taylor coefficient order must be 1..3, got {order}")
 
-
-def taylor_coefficients(
-    params: ModelParameters, report: EquilibriumReport
-) -> TaylorCoefficients:
-    """B_1..B_3 at the positive equilibrium of `report`.
+def _taylor_at(n, A, x2, b1, slopes) -> TaylorCoefficients:
+    """B_1..B_3 at the positive equilibrium x2, from B1 and the `_b1_slopes`.
 
     B1 = beta0 (n - (n - 1) A)/A^2 holds for every x with A(x) = 1 + x^n,
     so the higher coefficients follow by the chain rule in A:
 
         B2 = dB1/dA A',   B3 = d2B1/dA2 A'^2 + dB1/dA A'',
 
-    with A' = n (A - 1)/x2 and A'' = (n - 1) A'/x2 at x2, and B1 is
-    ``report.B1_at_x2``.  They are evaluated as B2 = (A dB1/dA) (A'/A) and
-    B3 = ((A^2 d2B1/dA2) (A'/A) + (A dB1/dA) (n - 1)/x2) (A'/A), so no
+    with A' = n (A - 1)/x2 and A'' = (n - 1) A'/x2 at x2.  With `slopes` =
+    (A dB1/dA, A^2 d2B1/dA2) they are evaluated as B2 = (A dB1/dA) (A'/A)
+    and B3 = ((A^2 d2B1/dA2) (A'/A) + (A dB1/dA) (n - 1)/x2) (A'/A), so no
     power of A is formed.
     """
-    if report.x2 is None:
-        raise NoPositiveEquilibriumError(
-            f"no positive equilibrium: A = {report.A} <= 1"
-        )
-    slopes = _b1_slopes(params.beta0, params.n, report.A)
-    return _taylor_at(params.n, report.A, report.x2, report.B1_at_x2, slopes)
-
-
-def _taylor_at(n, A, x2, b1, slopes) -> TaylorCoefficients:
-    # B1..B3 at x2 from B1 and the `_b1_slopes` (A dB1/dA, A^2 d2B1/dA2)
     g1, g2 = slopes
     e = n * (A - 1.0) / A / x2  # A'/A
     return TaylorCoefficients(b1, g1 * e, (g2 * e + g1 * (n - 1.0) / x2) * e)

@@ -10,7 +10,7 @@ import pytest
 import refvals as rv
 from hemohopf import cli, ddesim, hopf, linstab, model
 from hemohopf.errors import ConfigError, ConvergenceError, NumericsError
-from test_hopf import _count_calls
+from test_hopf import STEEP_G_DRAW, _count_calls
 
 REF_CONFIG = """\
 # benchmark parameter set
@@ -921,6 +921,11 @@ EDGE_RUNS = {
     # r_max = 6.65e305 and the bracket end are finite: r* is the k = 2 crossing delay
     "r_max-overflow-1e-306": ("beta0 = 1.77\nn = 12\ndelta = 0.05\ngamma = 1e-306\n",
                               ["hopf"], 0, "r*     = 1.15800919269\n"),
+    # STEEP_G_DRAW near its gamma: g moves by about 6e-11 per ulp of r near r*,
+    # so |g(r*)| >= 1e-11, and r* is confirmed by a sign change of g within 64 ulp;
+    # the residuals hang on the last ulp of r*, and test_hopf.py checks them
+    "steep-g": ("beta0 = {!r}\nn = {!r}\ndelta = {!r}\ngamma = 0.15612321650009206\n"
+                .format(*STEEP_G_DRAW[:3]), ["hopf"], 0, "  r*     = 4.4383631445\n"),
 }
 
 

@@ -41,7 +41,7 @@ def _use_loop(monkeypatch, loop):
 def test_constant_history_is_fixed_point(ref_params):
     params = ref_params.with_r(0.35)
     x2 = model.equilibria(params).x2
-    traj = ddesim.integrate(params, ddesim.constant_history(x2), 100.0, 100)
+    traj = ddesim.integrate(params, lambda s: x2, 100.0, 100)
     assert np.max(np.abs(np.asarray(traj.x) - x2)) < 1e-8
 
 
@@ -95,7 +95,7 @@ def test_integrate_matches_the_five_evaluation_loop_bit_for_bit(ref_params, monk
     if history == "default":
         hist = ddesim.default_history(r)
     elif history == "constant":
-        hist = ddesim.constant_history(0.9)
+        hist = lambda s: 0.9
     else:
         # At r = 0.401, m = 50 the product m * (r / m) is not r: step 0 must
         # read its delayed state at -m h, the stored x'(0) reads it at -r.
@@ -171,7 +171,7 @@ def test_non_finite_history_raises_blow_up(ref_params):
     pytest.param(model.ModelParameters.from_gamma(1.77, 12.0, 5.0, 0.1, 10.0),
                  ddesim.default_history(10.0), 2, 30.0, id="gamma"),
     pytest.param(model.ModelParameters.from_gamma(1.77, 12.0, 0.05, 1.0, 0.3),
-                 ddesim.constant_history(1e200), 50, 0.0, id="history"),
+                 lambda s: 1e200, 50, 0.0, id="history"),
     pytest.param(model.ModelParameters.from_gamma(1.77, 2.0, 5.0, 0.1, 1.4),
                  ddesim.default_history(1.4), 2, 139 * 1.4 / 2, id="state"),
 ])
@@ -198,9 +198,8 @@ def test_compiled_and_python_loops_agree_bit_for_bit_on_frontier_draws(monkeypat
         m = rng.choice((1, 3, 7, 50, 64))
         params = model.ModelParameters.from_k(beta0, n, delta, k, r)
         t_end = rng.randint(10, 2000) * (r / m)
-        history = rng.choice((ddesim.default_history(r),
-                              ddesim.constant_history(-rng.uniform(0.0, 2.0)),
-                              ddesim.constant_history(10.0 ** rng.uniform(0.0, 20.0))))
+        low, high = -rng.uniform(0.0, 2.0), 10.0 ** rng.uniform(0.0, 20.0)
+        history = rng.choice((ddesim.default_history(r), lambda s: low, lambda s: high))
         results = []
         for kernel in (compiled, ddesim._PYTHON_KERNEL):
             monkeypatch.setattr(ddesim, "_kernel", lambda kernel=kernel: kernel)
@@ -596,7 +595,7 @@ def test_period_at_100_steps_matches_the_200_step_fixture(ref_params, traj_036):
 def test_constant_trajectory_metrics(ref_params):
     params = ref_params.with_r(0.35)
     x2 = model.equilibria(params).x2
-    traj = ddesim.integrate(params, ddesim.constant_history(x2), 40.0, 100)
+    traj = ddesim.integrate(params, lambda s: x2, 40.0, 100)
     metrics = ddesim.orbit_metrics(traj, 0.5)
     assert metrics.kind == ddesim.KIND_EQUILIBRIUM
     assert metrics.amplitude < 1e-10

@@ -9,6 +9,7 @@ import pytest
 
 import refvals as rv
 from pairing import pairing
+from test_model import taylor_at_x2
 from hemohopf import ddesim, hopf, linstab, model
 from hemohopf.errors import (
     BracketError,
@@ -780,7 +781,7 @@ def test_pairing_normalization(args):
 
 
 def test_f_coefficients_structure(ref_hopf, ref_params):
-    tc = model.taylor_coefficients(ref_params, model.equilibria(ref_params))
+    tc = taylor_at_x2(ref_params, model.equilibria(ref_params))
     f20, f11, f02 = hopf.f_coefficients(tc, ref_hopf)
     assert f02 == f20.conjugate()
     assert f11.imag == 0.0
@@ -803,7 +804,7 @@ def test_f_coefficients_vanish_without_quadratic_term(ref_hopf):
 
 def _second_order_data(hp):
     params = hp.params
-    tc = model.taylor_coefficients(params, model.equilibria(params))
+    tc = taylor_at_x2(params, model.equilibria(params))
     psi = hopf.psi1_zero(hp)
     f20, f11, f02 = hopf.f_coefficients(tc, hp)
     return tc, psi, f20, f11, f02
@@ -882,7 +883,7 @@ def test_normal_form_forms_each_f_coefficient_once(ref_hopf, monkeypatch):
     nf = hopf.criticality_report(ref_hopf)
     assert calls == ["f_coefficients", "f21_coefficient"]
     monkeypatch.undo()
-    tc = model.taylor_coefficients(ref_hopf.params, model.equilibria(ref_hopf.params))
+    tc = taylor_at_x2(ref_hopf.params, model.equilibria(ref_hopf.params))
     assert (nf.f20, nf.f11, nf.f02) == hopf.f_coefficients(tc, ref_hopf)
     assert nf.f21 == hopf.f21_coefficient(tc, ref_hopf, nf.w20_at_0, nf.w20_at_minus_r,
                                           nf.w11_at_0, nf.w11_at_minus_r)

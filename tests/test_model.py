@@ -5,7 +5,7 @@ import pytest
 
 import refvals as rv
 from hemohopf import model
-from hemohopf.errors import NoPositiveEquilibriumError, ParameterError
+from hemohopf.errors import ParameterError
 
 
 def ref_model_params():
@@ -14,6 +14,12 @@ def ref_model_params():
 
 def beta_fn(x, beta0=rv.BETA0, n=rv.N):
     return beta0 / (1.0 + x**n)
+
+
+def taylor_at_x2(params, report):
+    """B1..B3 at x2 of `report`, on the path `hopf.criticality_report` takes."""
+    slopes = model._b1_slopes(params.beta0, params.n, report.A)
+    return model._taylor_at(params.n, report.A, report.x2, report.B1_at_x2, slopes)
 
 
 # ---------------------------------------------------------------- derive_k
@@ -175,17 +181,17 @@ def test_r_n_is_b1_zero():
 
 def test_taylor_reference_values():
     p = ref_model_params()
-    tc = model.taylor_coefficients(p, model.equilibria(p))
-    assert abs(tc[1] - rv.B1_REF) < 1e-12 * abs(rv.B1_REF)
-    assert abs(tc[2] - rv.B2_REF) < 1e-12 * abs(rv.B2_REF)
-    assert abs(tc[3] - rv.B3_REF) < 1e-12 * abs(rv.B3_REF)
-    assert abs(tc[1] - rv.B1_PRINT) < 2e-6
+    tc = taylor_at_x2(p, model.equilibria(p))
+    assert abs(tc.b1 - rv.B1_REF) < 1e-12 * abs(rv.B1_REF)
+    assert abs(tc.b2 - rv.B2_REF) < 1e-12 * abs(rv.B2_REF)
+    assert abs(tc.b3 - rv.B3_REF) < 1e-12 * abs(rv.B3_REF)
+    assert abs(tc.b1 - rv.B1_PRINT) < 2e-6
 
 
 def test_taylor_matches_finite_differences_of_production_term():
     p = ref_model_params()
     report = model.equilibria(p)
-    tc = model.taylor_coefficients(p, report)
+    tc = taylor_at_x2(p, report)
     x = report.x2
 
     def prod(z):
@@ -193,10 +199,10 @@ def test_taylor_matches_finite_differences_of_production_term():
 
     h = 1e-5
     fd1 = (prod(x + h) - prod(x - h)) / (2.0 * h)
-    assert abs(fd1 - tc[1]) < 1e-5 * abs(tc[1])
+    assert abs(fd1 - tc.b1) < 1e-5 * abs(tc.b1)
     h = 1e-4
     fd2 = (prod(x + h) - 2.0 * prod(x) + prod(x - h)) / h**2
-    assert abs(fd2 - tc[2]) < 1e-5 * abs(tc[2])
+    assert abs(fd2 - tc.b2) < 1e-5 * abs(tc.b2)
     h = 1e-3
     fd3 = (
         prod(x - 3 * h)
@@ -206,21 +212,15 @@ def test_taylor_matches_finite_differences_of_production_term():
         + 8.0 * prod(x + 2 * h)
         - prod(x + 3 * h)
     ) / (8.0 * h**3)
-    assert abs(fd3 - tc[3]) < 1e-5 * abs(tc[3])
+    assert abs(fd3 - tc.b3) < 1e-5 * abs(tc.b3)
 
 
 def test_taylor_b1_vanishes_at_balance_point():
     # A = n/(n-1) makes the linear coefficient vanish
     k = 1.0 + rv.DELTA * rv.N / ((rv.N - 1.0) * rv.BETA0)
     p = model.ModelParameters.from_k(rv.BETA0, rv.N, rv.DELTA, k, 0.3)
-    tc = model.taylor_coefficients(p, model.equilibria(p))
-    assert abs(tc[1]) < 1e-9
-
-
-def test_taylor_requires_positive_equilibrium():
-    p = model.ModelParameters.from_gamma(1.77, 12.0, 0.05, 1.0, math.log(2.0))
-    with pytest.raises(NoPositiveEquilibriumError):
-        model.taylor_coefficients(p, model.equilibria(p))
+    tc = taylor_at_x2(p, model.equilibria(p))
+    assert abs(tc.b1) < 1e-9
 
 
 # ----------------------------------------------------- randomized properties
@@ -269,10 +269,10 @@ def test_taylor_closed_forms_at_extreme_scales(beta0, delta):
     # A = 1e150 or 5e149: the terms neither overflow nor underflow
     p = model.ModelParameters.from_k(beta0, 12.0, delta, 1.5, 0.3)
     report = model.equilibria(p)
-    tc = model.taylor_coefficients(p, report)
+    tc = taylor_at_x2(p, report)
     _, exact = _taylor_oracle(p, report.A, 3)
-    for m in (1, 2, 3):
-        assert abs(tc[m] - exact[m]) <= 1e-13 * abs(exact[m])
+    for m, b_m in enumerate(tc, start=1):
+        assert abs(b_m - exact[m]) <= 1e-13 * abs(exact[m])
 
 
 def test_taylor_closed_forms_match_a_40_digit_oracle():
@@ -286,10 +286,10 @@ def test_taylor_closed_forms_match_a_40_digit_oracle():
     for _ in range(1500):
         p = draw_valid_params(rng, n_range=(1.05, 20.0))
         report = model.equilibria(p)
-        tc = model.taylor_coefficients(p, report)
+        tc = taylor_at_x2(p, report)
         x2, exact = _taylor_oracle(p, report.A, 4)
         a_slope = p.n * x2 ** (p.n - 1)
-        for m in (1, 2, 3):
+        for m, b_m in enumerate(tc, start=1):
             a_ulps = 2 * eps * abs(report.A * exact[m + 1] / a_slope)
             bound = 1e-12 * abs(exact[m]) + a_ulps
-            assert abs(tc[m] - exact[m]) <= bound, (p, m, tc[m], exact[m])
+            assert abs(b_m - exact[m]) <= bound, (p, m, b_m, exact[m])
