@@ -229,12 +229,22 @@ def _cmd_normal_form(cfg: argparse.Namespace, out) -> None:
         print(f"  stable periodic solution for r {side} r*", file=out)
 
 
+def _orbit_metrics(traj: ddesim.Trajectory, transient_fraction: float) -> ddesim.OrbitMetrics:
+    # a decaying tail may be slow decay onto a nearby cycle: where x2 is linearly
+    # unstable, it is no decay onto x2 for generic data, and the run decides nothing
+    metrics = ddesim.orbit_metrics(traj, transient_fraction)
+    if metrics.kind == ddesim.KIND_EQUILIBRIUM and traj.params.x2_exists and (
+            linstab.classify_x2(traj.params).status == linstab.UNSTABLE):
+        return metrics._replace(kind=ddesim.KIND_UNDETERMINED)
+    return metrics
+
+
 def _cmd_simulate(cfg: argparse.Namespace, out) -> None:
     params = _build_params(cfg)
     traj = ddesim.integrate(params, ddesim.default_history(params.r), cfg.t_end,
                             cfg.steps_per_delay)
     rows = ddesim.write_trajectory_csv(traj, cfg.output, stride=cfg.stride)
-    metrics = ddesim.orbit_metrics(traj, cfg.transient_fraction)
+    metrics = _orbit_metrics(traj, cfg.transient_fraction)
     print(f"wrote {rows} rows to {cfg.output}", file=out)
     print(f"kind = {metrics.kind}   amplitude = {_fmt(metrics.amplitude)}   "
           f"period = {_fmt(metrics.period) if metrics.period else 'n/a'}   "
@@ -251,7 +261,7 @@ def _cmd_sweep(cfg: argparse.Namespace, out) -> None:
         params = model.ModelParameters.from_gamma(cfg.beta0, cfg.n, cfg.delta, cfg.gamma, r)
         traj = ddesim.integrate(params, ddesim.default_history(r), cfg.t_end,
                                 cfg.steps_per_delay)
-        metrics = ddesim.orbit_metrics(traj, cfg.transient_fraction)
+        metrics = _orbit_metrics(traj, cfg.transient_fraction)
         rows.append((r, metrics.kind, metrics.amplitude, metrics.period))
     _write_csv(cfg.output, "r,kind,amplitude,period", rows, out)
 

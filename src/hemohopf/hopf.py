@@ -49,9 +49,10 @@ from .linstab import (
     ROOT_RESIDUAL_TOL,
     CharacteristicTriple,
     _TINY,
+    _check_pq,
     _crossing,
+    _g_at,
     _pq_at_x2,
-    _pq_kernel,
     bracketed_root,
     g_of_r,
 )
@@ -63,8 +64,8 @@ from .model import (
     _CheckedRecord,
     _b1_at_x2,
     _b1_slopes,
-    _check_delay,
     _check_fields,
+    _k_of,
     _r_max,
     _taylor_at,
     _x2,
@@ -196,31 +197,33 @@ def hopf_from_pqk(n: float, beta0: float, delta: float, k: float) -> HopfPoint:
 def frontier_mismatch(r: float, params: ModelParameters) -> float:
     """D(r) = r0(k(r)) - r, the delay mismatch from the frontier at fixed gamma.
 
-    gamma is taken from `params`; r is checked as `params.with_r(r)` checks
-    it, then (p, q) at r is formed from (beta0, n, delta, gamma) by
-    `linstab._pq_kernel`, and r0 = arccos(p/q) / sqrt(q^2 - p^2) is the
-    crossing delay of :func:`hopf_from_pqk`.  D is +inf where x2 is absent
-    and where no root crosses (p >= -q), so x2 is stable exactly where D > 0
-    (Cooke & Grossman, J. Math. Anal. Appl. 86 (1982) 592) and the zeros of
-    D are exactly the n = 0 crossings; unlike g it does not vanish where p
-    does.  A negative or non-finite r, one neither int nor float, and a
-    non-finite A raise `ParameterError`, a non-finite p or q `DomainError`.
+    gamma is taken from `params`, and r0 = arccos(p/q) / sqrt(q^2 - p^2) is
+    the crossing delay of :func:`hopf_from_pqk` at (p, q) at x2.  D is +inf
+    where x2 is absent and where no root crosses (p >= -q), so x2 is stable
+    exactly where D > 0 (Cooke & Grossman, J. Math. Anal. Appl. 86 (1982)
+    592) and the zeros of D are exactly the n = 0 crossings; unlike g it does
+    not vanish where p does.  r and A at r are checked by `params.with_r(r)`
+    (`ParameterError`), then p and q (`DomainError` unless finite).
     """
-    _check_delay(params.gamma, r)
+    params.with_r(r)
     return _mismatch(params.beta0, params.n, params.delta, params.gamma, r)
 
 
 def _mismatch(beta0, n, delta, gamma, r):
-    # D at a checked delay, from floats: the kernel `find_hopf_r` iterates
-    try:
-        p, q = _pq_kernel(beta0, n, delta, gamma, r)
-    except NoPositiveEquilibriumError:
+    # D from floats, the kernel `find_hopf_r` iterates past its entry checks (see there)
+    k = 2.0 * math.exp(-gamma * r)  # and A, as `model` forms them
+    A = beta0 * (k - 1.0) / delta
+    if A <= 1.0:  # x2 is absent
         return math.inf
+    b1 = _b1_at_x2(beta0, n, A)
+    p, q = delta + b1, k * b1
+    _check_pq(p, q)
     return _crossing(p, q)[1] - r
 
 
 def _check_bracket(bracket: Tuple[float, float]) -> None:
-    if not all(math.isfinite(end) and end >= 0.0 for end in bracket):
+    a, b = bracket
+    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
         raise BracketError(f"bracket ends must be finite and nonnegative, got {bracket}")
 
 
@@ -251,7 +254,7 @@ def _first_crossing_bracket(params: ModelParameters, mismatch):
     r_max = u_max / gamma
     if not r_max > 0.0:
         raise NoPositiveEquilibriumError(f"x2 exists at no delay r > 0: r_max = {r_max!r}")
-    probes = [(0.0, mismatch(0.0))]  # (r, D) at each delay evaluated, all with D >= 0
+    probes = [(0.0, frontier_mismatch(0.0, params))]  # (r, D) at each delay, all D >= 0
     lo, hi = _admissible_u(params.n, delta / beta0, u_max)
     m, peak, u = lo, 0.0, lo + _GOLDEN_CUT * (hi - lo)  # m: largest Q_0 so far (0 at lo)
     while lo < u < hi and u != m:
@@ -296,13 +299,16 @@ def find_hopf_r(params: ModelParameters,
     largest probe below b, or 0, where D >= 0; for gamma >= Q*, the curve's
     maximum, `NoImaginaryCrossingError` names Q*.  A given one
     must have finite, nonnegative ends that pass :func:`frontier_mismatch`'s
-    checks of a delay, and D must change sign on it (it may be +inf at an end).
-    Illinois then runs D on floats, unchecked, from the end values formed,
-    stepping from the end of smaller |D| until |D| < 4 ulp(r), its rounding
-    level at the iterate r: the root is r*, and omega* the closed frontier
-    relation of :func:`hopf_from_pqk` at (p, q) there.  The other route
-    confirms it: `ConvergenceError` unless |g(r*)| < 1e-11 or, where g is too
-    steep for that, g changes sign between r* -+ 64 ulp(r*).
+    checks, as the climb's D(0) does, and D must change sign on it (it may be
+    +inf at an end).  Illinois then runs D on floats from the end values
+    formed, stepping from the end of smaller |D| until |D| < 4 ulp(r), its
+    rounding level at the iterate r: the root is r*, and omega* the closed
+    frontier relation of :func:`hopf_from_pqk` at (p, q) there.  An iterate
+    checks p and q only: A falls as r grows, so it overflows inside the
+    bracket only if it does at the smaller end, which was refused, while
+    p = delta + B1 with B1 > 0 can overflow near A = 1, by an end without x2.
+    The other route confirms r*: `ConvergenceError` unless |g(r*)| < 1e-11
+    or, where g is too steep for that, g changes sign within 64 ulp(r*).
     """
     mismatch = functools.partial(_mismatch, params.beta0, params.n, params.delta, params.gamma)
     if bracket is None:
@@ -317,11 +323,13 @@ def find_hopf_r(params: ModelParameters,
                                "crossing at that end)")
     # near the root, D = r* - r cancels two delays of the iterate's size
     r = bracketed_root(mismatch, a, b, f_tol=4.0, fa=da, fb=db)
-    p, q = _pq_kernel(params.beta0, params.n, params.delta, params.gamma, r)
-    local = params.with_r(r)
+    # r* lies in a checked bracket, so its record is built unchecked; k, A, p and q, once
+    local = ModelParameters._unchecked(*params[:4], r, _k_of(params.gamma, r))
+    A = local.A
+    p, q = _pq_at_x2(params.beta0, params.n, params.delta, local.k, A)
     # HopfPoint checks first: a sign change of D that is no crossing fails there
-    hp = HopfPoint(r, _crossing(p, q)[0], p, q, local, _x2(params.n, local.A))
-    g = g_of_r(r, params)
+    hp = HopfPoint(r, _crossing(p, q)[0], p, q, local, _x2(params.n, A))
+    g = _g_at(p, q, r)
     if not (abs(g) < _G_ROOT_TOL or _g_changes_sign_near(r, params)):
         raise ConvergenceError(f"boundary function g = {g:.3e} at the root r* = {r!r} of D: "
                                f"|g| >= {_G_ROOT_TOL:g}", last_iterate=r)

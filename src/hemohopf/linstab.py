@@ -31,8 +31,7 @@ from .errors import (
     DomainError,
     NoPositiveEquilibriumError,
 )
-from .model import (ModelParameters, _CheckedRecord, _b1_at_x2, _check_delay, _checked_A,
-                    _k_of)
+from .model import ModelParameters, _CheckedRecord, _b1_at_x2
 # `equilibria` is unused here; perfbench/selftest.py looks it up as
 # `linstab.equilibria`.
 from .model import equilibria  # noqa: F401
@@ -128,16 +127,9 @@ def _pq_at_x2(
 
 def characteristic_triple(params: ModelParameters) -> CharacteristicTriple:
     """Triple (p, q, r) for the linearization at x2, p = delta + B1(x2) and
-    q = k B1(x2), formed by `_pq_at_x2` as in `_pq_kernel`."""
+    q = k B1(x2), formed by `_pq_at_x2`."""
     p, q = _pq_at_x2(params.beta0, params.n, params.delta, params.k, params.A)
     return CharacteristicTriple(p=p, q=q, r=params.r)
-
-
-def _pq_kernel(beta0, n, delta, gamma, r) -> Tuple[float, float]:
-    # (p, q) at x2 at a checked delay r with gamma fixed, from checked floats.
-    # Refuses only a non-finite A, an absent x2 and a non-finite p or q.
-    k = _k_of(gamma, r)
-    return _pq_at_x2(beta0, n, delta, k, _checked_A(beta0, delta, k))
 
 
 def char_value(lam: complex, triple: CharacteristicTriple) -> complex:
@@ -301,16 +293,20 @@ def g_of_r(r: float, params: ModelParameters) -> float:
     """Boundary function g(r) = T^{-1}(-p(r) r) - arccos(p(r)/q(r)).
 
     gamma is taken from `params` and held fixed.  r must be finite and
-    positive (`DomainError`), and int or float (`ParameterError`); (p, q)
-    at r is then formed by `_pq_kernel`, with its refusals:
-    `NoPositiveEquilibriumError` where x2 is absent at r, `ParameterError`
-    for a non-finite A and `DomainError` for a non-finite p or q.  Both
+    positive (`DomainError`), and int or float (`ParameterError`); then
+    `ParameterError` for a non-finite A at r, `NoPositiveEquilibriumError`
+    where x2 is absent at r and `DomainError` for a non-finite p or q.  Both
     subterms must be in domain (`DomainError` otherwise).
     """
     if not math.isfinite(r) or r <= 0.0:
         raise DomainError(f"g is evaluated for r > 0, got {r}")
-    _check_delay(params.gamma, r)
-    p, q = _pq_kernel(params.beta0, params.n, params.delta, params.gamma, r)
+    local = params.with_r(r)
+    p, q = _pq_at_x2(params.beta0, params.n, params.delta, local.k, local.A)
+    return _g_at(p, q, r)
+
+
+def _g_at(p: float, q: float, r: float) -> float:
+    # g at a delay r > 0 from finite (p, q) there, refused where a subterm is out of domain
     v = -p * r
     if v > 1.0:
         raise DomainError(f"T_inv argument -p*r = {v} > 1 at r = {r}")

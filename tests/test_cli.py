@@ -503,6 +503,41 @@ def test_simulate_deterministic_output(config_path, tmp_path):
     assert b"\r" not in a.read_bytes()  # LF endings only
 
 
+def _ref_gamma_config(tmp_path):
+    path = tmp_path / "ref.cfg"
+    path.write_text(config_text(TIME_UNIT_CONFIGS["gamma"]))  # gamma = rv.GAMMA_REF
+    return str(path)
+
+
+def _sweep_kinds(tmp_path, start, stop, count):
+    # the kind column of a sweep on the reference gamma config, at the defaults
+    out_csv = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", _ref_gamma_config(tmp_path), "--r-grid", repr(start),
+                     repr(stop), str(count), "-o", str(out_csv)]) == 0
+    with open(out_csv, newline="") as fh:
+        return [(float(row[0]), row[1]) for row in list(csv.reader(fh))[1:]]
+
+
+def test_sweep_reads_no_equilibrium_where_x2_is_linearly_unstable(tmp_path, capsys):
+    # within 4e-4 above r*, the tail still decays onto the small cycle at the
+    # default horizon; x2 is unstable there, so that decay is no equilibrium
+    above = _sweep_kinds(tmp_path, rv.R_REF + 2.5e-5, rv.R_REF + 1e-3, 40)
+    assert all(kind != "equilibrium" for _, kind in above)
+    assert any(kind == "undetermined" for r, kind in above if r < rv.R_REF + 4e-4)
+    # below r* x2 is stable, and every row keeps the kind of the orbit diagnostics
+    for r, kind in _sweep_kinds(tmp_path, rv.R_REF - 1e-3, rv.R_REF - 2.5e-5, 40):
+        params = model.ModelParameters.from_gamma(rv.BETA0, rv.N, rv.DELTA, rv.GAMMA_REF, r)
+        traj = ddesim.integrate(params, ddesim.default_history(r), ddesim.T_END)
+        assert kind == ddesim.orbit_metrics(traj).kind, r
+
+
+def test_simulate_reads_no_equilibrium_where_x2_is_linearly_unstable(tmp_path, capsys):
+    # r* + 1e-4: orbit_metrics reads a decaying envelope there
+    assert cli.main(["simulate", _ref_gamma_config(tmp_path), "--r", repr(rv.R_REF + 1e-4),
+                     "-o", str(tmp_path / "t.csv")]) == 0
+    assert "kind = undetermined   amplitude = 0.0161618103401" in capsys.readouterr().out
+
+
 def test_sweep_csv(config_path, tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     code = cli.main(
@@ -989,7 +1024,8 @@ def test_gamma_hopf_evaluates_the_mismatch_once_per_delay(gamma_config_path, cap
 
 # The k = 2 crossing delay: at these gamma, k(r) = 2 exp(-gamma r) rounds to 2
 # near r*, while r_max lies up to 305 decades above it.
-_K2_CROSSING = linstab._crossing(*linstab._pq_kernel(rv.BETA0, rv.N, rv.DELTA, 0.0, 1.0))[1]
+_K2_CROSSING = linstab.classify_x2(
+    model.ModelParameters.from_gamma(rv.BETA0, rv.N, rv.DELTA, 1.0, 0.0)).stable_window[1]
 
 
 @pytest.mark.parametrize("gamma", ["1e-78", "1e-150", "1e-305"])

@@ -366,10 +366,11 @@ def test_crossing_speeds_vanish_like_sqrt_eps_at_the_peak_of_the_hopf_curve(eps)
 def _p_below_minus_q(beta0, n, delta, u):
     # p + q < 0 at x2 for k = 2 e^-u, formed from the model (False where x2 is absent)
     try:
-        p, q = linstab._pq_kernel(beta0, n, delta, 1.0, u)
+        triple = linstab.characteristic_triple(
+            model.ModelParameters.from_gamma(beta0, n, delta, 1.0, u))
     except NoPositiveEquilibriumError:
         return False
-    return p + q < 0.0
+    return triple.p + triple.q < 0.0
 
 
 def _bisect_p_plus_q(beta0, n, delta, lo, hi):
@@ -423,13 +424,16 @@ def _count_calls(monkeypatch, module, name, calls):
 
 
 def test_find_hopf_r_evaluates_g_fewer_times(ref_params, monkeypatch):
-    # g is evaluated once, at the root of D, through `hopf.g_of_r`: that seam
-    # is counted, and so is every T_inv solve
-    at_root, solves = [], []
-    _count_calls(monkeypatch, hopf, "g_of_r", at_root)
+    # g is evaluated once, at the root of D, through `hopf._g_at` from the p*
+    # the HopfPoint holds: that seam is counted, and so is every T_inv solve;
+    # the checked `g_of_r`, which would form p and q again, is not called
+    at_root, checked, solves = [], [], []
+    _count_calls(monkeypatch, hopf, "_g_at", at_root)
+    _count_calls(monkeypatch, hopf, "g_of_r", checked)
     _count_calls(monkeypatch, linstab, "T_inv", solves)
     hp = hopf.find_hopf_r(ref_params, (0.30, 0.40))
-    assert at_root == [hp.r_star]
+    assert at_root == [hp.p_star]
+    assert checked == []
     assert len(solves) == 1
     monkeypatch.undo()
     assert abs(linstab.g_of_r(hp.r_star, ref_params)) < 1e-14
@@ -439,6 +443,7 @@ def test_find_hopf_r_evaluates_g_fewer_times(ref_params, monkeypatch):
 def test_find_hopf_r_guarantees_the_g_residual(ref_params, monkeypatch):
     # a boundary function shifted by 2e-11 is 2e-11 at the root of D:
     # HopfPoint's 1e-10 checks pass there, the g check not
+    monkeypatch.setattr(hopf, "_g_at", lambda p, q, r: linstab._g_at(p, q, r) - 2e-11)
     monkeypatch.setattr(hopf, "g_of_r", lambda r, params: linstab.g_of_r(r, params) - 2e-11)
     with pytest.raises(ConvergenceError, match=r"boundary function g = -2\.000e-11 at "
                        r"the root r\* = 0\.35592087769\d* of D: \|g\| >= 1e-11"):
@@ -450,12 +455,15 @@ def test_find_hopf_r_takes_a_g_it_cannot_form_near_r_star_as_no_sign_change(ref_
     # |g(r*)| = 2e-11 fails the test, and g at r* -+ 64 ulp(r*) cannot be formed
     at = []
 
-    def g_of_r(r, params):
+    def g_at(p, q, r):
         at.append(r)
-        if len(at) > 1:
-            raise DomainError(f"g cannot be formed at r = {r}")
         return 2e-11
 
+    def g_of_r(r, params):
+        at.append(r)
+        raise DomainError(f"g cannot be formed at r = {r}")
+
+    monkeypatch.setattr(hopf, "_g_at", g_at)
     monkeypatch.setattr(hopf, "g_of_r", g_of_r)
     with pytest.raises(ConvergenceError, match=r"boundary function g = 2\.000e-11 at the root "
                        r"r\* = 0\.35592087769\d* of D: \|g\| >= 1e-11"):
@@ -515,12 +523,12 @@ def _frontier_bracket(hp):
 
 @pytest.mark.parametrize("draw", CLOSED_FORM_OMEGA_DRAWS.values(), ids=CLOSED_FORM_OMEGA_DRAWS)
 def test_find_hopf_r_takes_omega_from_the_frontier_relations(draw, monkeypatch):
-    # omega* is the closed form at (p*, q*), and g is checked once, at r*
+    # omega* is the closed form at (p*, q*), and g is checked once, from p* and q*
     hp = hopf.hopf_from_pqk(*draw)
     calls = []
-    _count_calls(monkeypatch, hopf, "g_of_r", calls)
+    _count_calls(monkeypatch, hopf, "_g_at", calls)
     hp2 = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
-    assert calls == [hp2.r_star]
+    assert calls == [hp2.p_star]
     assert hp2.omega_star == linstab._crossing(hp2.p_star, hp2.q_star)[0]
     assert abs(linstab.g_of_r(hp2.r_star, hp.params)) < 1e-11
     assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
@@ -568,6 +576,76 @@ def test_find_hopf_r_bracket_errors(ref_params):
         hopf.find_hopf_r(ref_params, (0.36, 0.40))  # g < 0 throughout
     with pytest.raises(BracketError):
         hopf.find_hopf_r(ref_params, (0.35, 0.35))
+
+
+def _gamma_params(beta0, n, delta, gamma, r=0.36):
+    return model.ModelParameters.from_gamma(beta0, n, delta, gamma, r)
+
+
+#: name: (parameters, bracket or None, the class and the whole message of the refusal)
+FIND_HOPF_R_REFUSALS = {
+    "negative-end": (None, (-1.0, 0.4), BracketError,
+                     "bracket ends must be finite and nonnegative, got (-1.0, 0.4)"),
+    "nan-end": (None, (math.nan, 0.4), BracketError,
+                "bracket ends must be finite and nonnegative, got (nan, 0.4)"),
+    "inf-end": (None, (0.3, math.inf), BracketError,
+                "bracket ends must be finite and nonnegative, got (0.3, inf)"),
+    "float32-end": (None, (np.float32(0.3), 0.4), ParameterError,
+                    "r must be a finite number, got np.float32(0.3)"),
+    "no-sign-change": (None, (0.36, 0.40), BracketError,
+                       "no sign change on bracket (0.36, 0.4) of the frontier mismatch D: "
+                       "D(a) = -0.01378499658725968, D(b) = -0.14487875272340578 "
+                       "(inf means no crossing at that end)"),
+    # past r_max = 0.449318 of the reference config
+    "no-x2-at-either-end": (None, (0.4942500781545299, 0.5391819034413053), BracketError,
+                            "no sign change on bracket (0.4942500781545299, "
+                            "0.5391819034413053) of the frontier mismatch D: D(a) = inf, "
+                            "D(b) = inf (inf means no crossing at that end)"),
+    # the near-float-limit config: A overflows at 1e-3, B1(x2) at 0.1
+    "A-overflow-at-an-end": (_gamma_params(1e308, 2.0, 0.5, 1.0, 0.1), (1e-3, 0.2),
+                             ParameterError, "A = beta0 (k - 1)/delta must be finite, got inf"),
+    "pq-overflow-at-an-end": (_gamma_params(1e308, 2.0, 0.5, 1.0, 0.1), (0.1, 0.2),
+                              DomainError, "p, q must be finite, got p=nan, q=nan"),
+    # both ends pass (D(a) < 0, and x2 is absent at b), but the first iterate, a
+    # midpoint, lands where B1(x2) > 0 and p = delta + B1 overflows
+    "pq-overflow-inside": (_gamma_params(1.7e308, 20.0, 0.5e308, 1.0), (0.413, 0.4532),
+                           DomainError, "p, q must be finite, got p=inf, "
+                           "q=1.760998643478937e+308"),
+    "A-overflow-at-the-climbs-D(0)": (_gamma_params(1e308, 2.0, 0.5, 1.0, 0.1), None,
+                                      ParameterError,
+                                      "A = beta0 (k - 1)/delta must be finite, got inf"),
+    "no-x2-at-any-delay": (_gamma_params(0.04, 12.0, 0.05, 1.48067), None,
+                           NoPositiveEquilibriumError,
+                           "x2 exists at no delay r > 0: r_max = -0.07954712100358856"),
+    "probe-overflow": (_gamma_params(1.77, 12.0, 0.05, 5e-324), None, BracketError,
+                       "bracket end u/gamma = 0.2531496866946766/5e-324 leaves the float "
+                       "range; supply --bracket explicitly"),
+    "gamma-above-Q*": (_gamma_params(rv.BETA0, rv.N, rv.DELTA, 2.94), None,
+                       NoImaginaryCrossingError,
+                       "gamma = 2.94 >= Q* = 2.933006695776461, the peak of the Hopf curve "
+                       "gamma = u / r0(2 e^-u): x2 is stable at every delay"),
+}
+
+
+@pytest.mark.parametrize("name", FIND_HOPF_R_REFUSALS)
+def test_find_hopf_r_refusal_class_and_message(ref_params, name):
+    params, bracket, error, message = FIND_HOPF_R_REFUSALS[name]
+    with pytest.raises(error) as info:
+        hopf.find_hopf_r(params or ref_params, bracket)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_find_hopf_r_g_refusal_class_and_message(ref_params, monkeypatch):
+    # every g, at r* and at r* -+ 64 ulp, is shifted by 2e-11 through its T_inv term
+    t_inv = linstab.T_inv
+    monkeypatch.setattr(linstab, "T_inv", lambda v: t_inv(v) + 2e-11)
+    with pytest.raises(ConvergenceError) as info:
+        hopf.find_hopf_r(ref_params, (0.30, 0.40))
+    assert type(info.value) is ConvergenceError
+    assert str(info.value) == ("boundary function g = 2.000e-11 at the root "
+                               "r* = 0.3559208776910636 of D: |g| >= 1e-11")
+    assert info.value.last_iterate == 0.3559208776910636
 
 
 # ------------------------------------------- (p, q) at a moved delay, reference
@@ -653,17 +731,27 @@ def test_frontier_mismatch_refuses_the_near_float_limit_config_by_stage():
 
 @pytest.mark.parametrize("name", MOVED_DELAY_CONFIGS)
 def test_the_iterated_mismatch_kernel_is_the_reference_to_the_bit(name):
-    # find_hopf_r checks each bracket end (finite, nonnegative, int or float),
-    # then iterates D on floats with no further check: at every delay those
-    # checks admit, that kernel is the reference D, value or refusal
+    # find_hopf_r checks each bracket end (finite, nonnegative, int or float,
+    # with a finite A), then iterates D on floats with no check of the delay or
+    # of A: at every delay those checks admit, that kernel is the reference D,
+    # value or refusal, except where the reference refuses an overflowing A.
+    # Those delays are the smallest, so every smaller delay, where a bracket
+    # end or the climb's r = 0 lies, is refused too: no iterate reaches them
     params = MOVED_DELAY_CONFIGS[name]
     fields = (params.beta0, params.n, params.delta, params.gamma)
-    admitted = [r for r in moved_delays(params)
-                if isinstance(r, (int, float)) and math.isfinite(r) and r >= 0.0]
+    admitted = sorted(r for r in moved_delays(params)
+                      if isinstance(r, (int, float)) and math.isfinite(r) and r >= 0.0)
     assert len(admitted) == 605  # the grid, r_max and its neighbours, 0.0 and -0.0
+    overflowing = []
     for r in admitted:
+        expected = moved_delay_outcome(reference_frontier_mismatch, r, params)
+        if expected == (ParameterError, "A = beta0 (k - 1)/delta must be finite, got inf"):
+            overflowing.append(r)
+            continue
         outcome = moved_delay_outcome(lambda rr, _: hopf._mismatch(*fields, rr), r, params)
-        assert outcome == moved_delay_outcome(reference_frontier_mismatch, r, params), r
+        assert outcome == expected, r
+    assert overflowing == admitted[:len(overflowing)]
+    assert bool(overflowing) == (name == "near-float-limit")
 
 
 @pytest.mark.parametrize("draw", GAP_DRAWS + LONG_DELAY_DRAWS)
@@ -679,6 +767,7 @@ def test_find_hopf_r_takes_the_reference_iterates(draw, monkeypatch):
         return reference_frontier_mismatch(args[4], hp.params)
 
     monkeypatch.setattr(hopf, "_mismatch", reference_kernel)
+    monkeypatch.setattr(hopf, "_g_at", lambda p, q, r: reference_g_of_r(r, hp.params))
     monkeypatch.setattr(hopf, "g_of_r", reference_g_of_r)
     assert hopf.find_hopf_r(hp.params, _frontier_bracket(hp)) == located
     # the patch reached the iteration, not only the two bracket ends

@@ -49,25 +49,35 @@ def _attempt(fn, *args):
     return result, repr(result)
 
 
+def frontier_bracket(hemohopf, hp, low=0.9):
+    """(low r*, min(1.1 r*, 0.999 r_max)); at low = 0.9 the bracket of
+    workloads.frontier_values, which gives it no name of its own."""
+    r_max = hemohopf.model.equilibria(hp.params).r_max
+    return low * hp.r_star, min(1.1 * hp.r_star, 0.999 * r_max)
+
+
 def frontier_cases(hemohopf, draws):
-    hopf, model = hemohopf.hopf, hemohopf.model
+    hopf = hemohopf.hopf
     for i, draw in enumerate(draws):
         hp, value = _attempt(hopf.hopf_from_pqk, *draw)
         values = [value]
         if hp is not None:
             values.append(_attempt(hopf.criticality_report, hp)[1])
-            r_max = model.equilibria(hp.params).r_max
-            # the bracket of workloads.frontier_values, which gives it no name of its own
-            bracket = (0.9 * hp.r_star, min(1.1 * hp.r_star, 0.999 * r_max))
-            values.append(_attempt(hopf.find_hopf_r, hp.params, bracket)[1])
+            values.append(_attempt(hopf.find_hopf_r, hp.params,
+                                   frontier_bracket(hemohopf, hp))[1])
         yield "frontier", i, values
+
+
+def stability_params(hemohopf, config):
+    """The gamma-parameterized ModelParameters of a workloads stability config."""
+    p = config["params"]
+    return hemohopf.model.ModelParameters.from_gamma(p["beta0"], p["n"], p["delta"],
+                                                     p["gamma"], p["r"])
 
 
 def stability_cases(hemohopf, configs):
     for i, config in enumerate(configs):
-        p = config["params"]
-        params = hemohopf.model.ModelParameters.from_gamma(p["beta0"], p["n"], p["delta"],
-                                                           p["gamma"], p["r"])
+        params = stability_params(hemohopf, config)
         yield "stability", i, _attempt(hemohopf.hopf.find_hopf_r, params)[1]
 
 
@@ -114,18 +124,32 @@ def output_cases(hemohopf, group):
         yield group, name, digest.hexdigest()
 
 
-def record(src):
+def load(src):
+    """(hemohopf, workloads), hemohopf imported with its CLI from the tree whose
+    src is `src`, and the benchmark's workloads module from this tree."""
     src = Path(src).resolve()
     sys.path[:0] = [str(src), str(ROOT / "perfbench"), str(ROOT / "tests")]
     import hemohopf.cli
     import workloads
 
     if not Path(hemohopf.__file__).is_relative_to(src):
-        raise SystemExit(f"identity: hemohopf was imported from {hemohopf.__file__}, not {src}")
+        raise SystemExit(f"hemohopf was imported from {hemohopf.__file__}, not {src}")
+    return hemohopf, workloads
+
+
+def inputs(workloads):
+    """The first FRONTIER_CASES seed-1 frontier draws and STABILITY_CASES
+    seed-1 stability configs, as lists."""
+    return (list(islice(workloads.frontier_draws(1), FRONTIER_CASES)),
+            list(islice(workloads.stability_configs(1), STABILITY_CASES)))
+
+
+def record(src):
+    hemohopf, workloads = load(src)
     ddesim = hemohopf.ddesim
-    yield from frontier_cases(hemohopf, islice(workloads.frontier_draws(1), FRONTIER_CASES))
-    yield from stability_cases(hemohopf, islice(workloads.stability_configs(1),
-                                                STABILITY_CASES))
+    draws, configs = inputs(workloads)
+    yield from frontier_cases(hemohopf, draws)
+    yield from stability_cases(hemohopf, configs)
     yield "output-compiled", "kernel", "compiled" if ddesim._kernel().library else "python"
     yield from output_cases(hemohopf, "output-compiled")
     ddesim._active = ddesim._PYTHON_KERNEL
