@@ -49,9 +49,7 @@ from .linstab import (
     ROOT_RESIDUAL_TOL,
     CharacteristicTriple,
     _TINY,
-    _check_pq,
     _crossing,
-    _g_at,
     _pq_at_x2,
     bracketed_root,
     g_of_r,
@@ -64,7 +62,9 @@ from .model import (
     _CheckedRecord,
     _b1_at_x2,
     _b1_slopes,
+    _check_delay,
     _check_fields,
+    _checked_A,
     _k_of,
     _r_max,
     _taylor_at,
@@ -202,23 +202,20 @@ def frontier_mismatch(r: float, params: ModelParameters) -> float:
     where x2 is absent and where no root crosses (p >= -q), so x2 is stable
     exactly where D > 0 (Cooke & Grossman, J. Math. Anal. Appl. 86 (1982)
     592) and the zeros of D are exactly the n = 0 crossings; unlike g it does
-    not vanish where p does.  r and A at r are checked by `params.with_r(r)`
-    (`ParameterError`), then p and q (`DomainError` unless finite).
+    not vanish where p does.  r and A at r are checked as `params.with_r(r)`
+    checks them (`ParameterError`), then p and q (`DomainError` unless finite).
     """
-    params.with_r(r)
+    _checked_A(params.beta0, params.delta, _check_delay(params.gamma, r))
     return _mismatch(params.beta0, params.n, params.delta, params.gamma, r)
 
 
 def _mismatch(beta0, n, delta, gamma, r):
     # D from floats, the kernel `find_hopf_r` iterates past its entry checks (see there)
-    k = 2.0 * math.exp(-gamma * r)  # and A, as `model` forms them
-    A = beta0 * (k - 1.0) / delta
+    k = _k_of(gamma, r)
+    A = beta0 * (k - 1.0) / delta  # A as `model` forms it, unchecked
     if A <= 1.0:  # x2 is absent
         return math.inf
-    b1 = _b1_at_x2(beta0, n, A)
-    p, q = delta + b1, k * b1
-    _check_pq(p, q)
-    return _crossing(p, q)[1] - r
+    return _crossing(*_pq_at_x2(beta0, n, delta, k, A))[1] - r
 
 
 def _check_bracket(bracket: Tuple[float, float]) -> None:
@@ -323,13 +320,13 @@ def find_hopf_r(params: ModelParameters,
                                "crossing at that end)")
     # near the root, D = r* - r cancels two delays of the iterate's size
     r = bracketed_root(mismatch, a, b, f_tol=4.0, fa=da, fb=db)
-    # r* lies in a checked bracket, so its record is built unchecked; k, A, p and q, once
+    # r* lies in a checked bracket, so its record is built unchecked from k, A, p and q, once
     local = ModelParameters._unchecked(*params[:4], r, _k_of(params.gamma, r))
     A = local.A
     p, q = _pq_at_x2(params.beta0, params.n, params.delta, local.k, A)
     # HopfPoint checks first: a sign change of D that is no crossing fails there
     hp = HopfPoint(r, _crossing(p, q)[0], p, q, local, _x2(params.n, A))
-    g = _g_at(p, q, r)
+    g = g_of_r(r, params)
     if not (abs(g) < _G_ROOT_TOL or _g_changes_sign_near(r, params)):
         raise ConvergenceError(f"boundary function g = {g:.3e} at the root r* = {r!r} of D: "
                                f"|g| >= {_G_ROOT_TOL:g}", last_iterate=r)

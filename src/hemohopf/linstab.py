@@ -31,7 +31,7 @@ from .errors import (
     DomainError,
     NoPositiveEquilibriumError,
 )
-from .model import ModelParameters, _CheckedRecord, _b1_at_x2
+from .model import ModelParameters, _CheckedRecord, _b1_at_x2, _check_delay, _checked_A
 # `equilibria` is unused here; perfbench/selftest.py looks it up as
 # `linstab.equilibria`.
 from .model import equilibria  # noqa: F401
@@ -300,13 +300,9 @@ def g_of_r(r: float, params: ModelParameters) -> float:
     """
     if not math.isfinite(r) or r <= 0.0:
         raise DomainError(f"g is evaluated for r > 0, got {r}")
-    local = params.with_r(r)
-    p, q = _pq_at_x2(params.beta0, params.n, params.delta, local.k, local.A)
-    return _g_at(p, q, r)
-
-
-def _g_at(p: float, q: float, r: float) -> float:
-    # g at a delay r > 0 from finite (p, q) there, refused where a subterm is out of domain
+    k = _check_delay(params.gamma, r)
+    A = _checked_A(params.beta0, params.delta, k)
+    p, q = _pq_at_x2(params.beta0, params.n, params.delta, k, A)
     v = -p * r
     if v > 1.0:
         raise DomainError(f"T_inv argument -p*r = {v} > 1 at r = {r}")

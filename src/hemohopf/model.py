@@ -59,6 +59,15 @@ def _k_of(gamma: float, r: float) -> float:
     return 2.0 * math.exp(-gamma * r)
 
 
+def _check_delay(gamma: float, r: float) -> float:
+    # k at a new delay r of checked parameters, with the refusals of
+    # ModelParameters in its order: derive_k's, then a type neither int nor float
+    k = derive_k(gamma, r)
+    if not isinstance(r, (int, float)):  # e.g. numpy.float32
+        raise ParameterError(f"r must be a finite number, got {r!r}")
+    return k
+
+
 def _checked_A(beta0: float, delta: float, k: float) -> float:
     # Equilibrium balance ratio A = beta0 (k - 1) / delta, refused if it overflows.
     A = beta0 * (k - 1.0) / delta
@@ -161,9 +170,7 @@ class ModelParameters(_CheckedRecord, _ModelParameterFields):
         constructor's checks when `self` was built, as every instance does,
         and k = 2 exp(-gamma r) is consistent by construction.
         """
-        k = derive_k(self.gamma, r)
-        if not isinstance(r, (int, float)):  # e.g. numpy.float32
-            raise ParameterError(f"r must be a finite number, got {r!r}")
+        k = _check_delay(self.gamma, r)
         _checked_A(self.beta0, self.delta, k)
         return self._unchecked(self.beta0, self.n, self.delta, self.gamma, r, k)
 

@@ -424,16 +424,13 @@ def _count_calls(monkeypatch, module, name, calls):
 
 
 def test_find_hopf_r_evaluates_g_fewer_times(ref_params, monkeypatch):
-    # g is evaluated once, at the root of D, through `hopf._g_at` from the p*
-    # the HopfPoint holds: that seam is counted, and so is every T_inv solve;
-    # the checked `g_of_r`, which would form p and q again, is not called
-    at_root, checked, solves = [], [], []
-    _count_calls(monkeypatch, hopf, "_g_at", at_root)
-    _count_calls(monkeypatch, hopf, "g_of_r", checked)
+    # g is evaluated once, at the root of D, through `hopf.g_of_r`: that seam
+    # is counted, and so is every T_inv solve
+    at_root, solves = [], []
+    _count_calls(monkeypatch, hopf, "g_of_r", at_root)
     _count_calls(monkeypatch, linstab, "T_inv", solves)
     hp = hopf.find_hopf_r(ref_params, (0.30, 0.40))
-    assert at_root == [hp.p_star]
-    assert checked == []
+    assert at_root == [hp.r_star]
     assert len(solves) == 1
     monkeypatch.undo()
     assert abs(linstab.g_of_r(hp.r_star, ref_params)) < 1e-14
@@ -443,7 +440,6 @@ def test_find_hopf_r_evaluates_g_fewer_times(ref_params, monkeypatch):
 def test_find_hopf_r_guarantees_the_g_residual(ref_params, monkeypatch):
     # a boundary function shifted by 2e-11 is 2e-11 at the root of D:
     # HopfPoint's 1e-10 checks pass there, the g check not
-    monkeypatch.setattr(hopf, "_g_at", lambda p, q, r: linstab._g_at(p, q, r) - 2e-11)
     monkeypatch.setattr(hopf, "g_of_r", lambda r, params: linstab.g_of_r(r, params) - 2e-11)
     with pytest.raises(ConvergenceError, match=r"boundary function g = -2\.000e-11 at "
                        r"the root r\* = 0\.35592087769\d* of D: \|g\| >= 1e-11"):
@@ -455,15 +451,12 @@ def test_find_hopf_r_takes_a_g_it_cannot_form_near_r_star_as_no_sign_change(ref_
     # |g(r*)| = 2e-11 fails the test, and g at r* -+ 64 ulp(r*) cannot be formed
     at = []
 
-    def g_at(p, q, r):
-        at.append(r)
-        return 2e-11
-
     def g_of_r(r, params):
         at.append(r)
-        raise DomainError(f"g cannot be formed at r = {r}")
+        if len(at) > 1:
+            raise DomainError(f"g cannot be formed at r = {r}")
+        return 2e-11
 
-    monkeypatch.setattr(hopf, "_g_at", g_at)
     monkeypatch.setattr(hopf, "g_of_r", g_of_r)
     with pytest.raises(ConvergenceError, match=r"boundary function g = 2\.000e-11 at the root "
                        r"r\* = 0\.35592087769\d* of D: \|g\| >= 1e-11"):
@@ -523,12 +516,12 @@ def _frontier_bracket(hp):
 
 @pytest.mark.parametrize("draw", CLOSED_FORM_OMEGA_DRAWS.values(), ids=CLOSED_FORM_OMEGA_DRAWS)
 def test_find_hopf_r_takes_omega_from_the_frontier_relations(draw, monkeypatch):
-    # omega* is the closed form at (p*, q*), and g is checked once, from p* and q*
+    # omega* is the closed form at (p*, q*), and g is checked once, at r*
     hp = hopf.hopf_from_pqk(*draw)
     calls = []
-    _count_calls(monkeypatch, hopf, "_g_at", calls)
+    _count_calls(monkeypatch, hopf, "g_of_r", calls)
     hp2 = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
-    assert calls == [hp2.p_star]
+    assert calls == [hp2.r_star]
     assert hp2.omega_star == linstab._crossing(hp2.p_star, hp2.q_star)[0]
     assert abs(linstab.g_of_r(hp2.r_star, hp.params)) < 1e-11
     assert abs(hp2.r_star - hp.r_star) <= 1e-8 * hp.r_star
@@ -767,7 +760,6 @@ def test_find_hopf_r_takes_the_reference_iterates(draw, monkeypatch):
         return reference_frontier_mismatch(args[4], hp.params)
 
     monkeypatch.setattr(hopf, "_mismatch", reference_kernel)
-    monkeypatch.setattr(hopf, "_g_at", lambda p, q, r: reference_g_of_r(r, hp.params))
     monkeypatch.setattr(hopf, "g_of_r", reference_g_of_r)
     assert hopf.find_hopf_r(hp.params, _frontier_bracket(hp)) == located
     # the patch reached the iteration, not only the two bracket ends
