@@ -25,6 +25,11 @@ speed is -Delta_r/Delta_lambda there, and the boundary values of the
 manifold corrections w20, w11 that f21 needs take one division each, by
 e^{2 i omega* r*} Delta(2 i omega*) and by Delta(0) (the printed closed
 forms, with c and c1, are kept as a cross-check).
+
+Each quantity at r* is formed once: `hopf_from_pqk` builds the record from
+the (p, q) and crossing it formed, `find_hopf_r` from D's own evaluation at
+the root, checked for r* against r0 only, and `criticality_report` forms E =
+e^{i omega* r*} once for all its fields, each equal to its public helper's.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from .linstab import (
     _TINY,
     _crossing,
     _pq_at_x2,
+    _pq_given_x2,
     bracketed_root,
     g_of_r,
 )
@@ -112,7 +118,11 @@ class HopfPoint(_CheckedRecord, _HopfPointFields):
 
     Self-validating: construction checks that (omega*, r*) is the crossing
     `linstab._crossing` gives for (p*, q*), to ``ROOT_RESIDUAL_TOL`` relative,
-    so that +-i omega* is a characteristic root; no check depends on the time unit.
+    so that +-i omega* is a characteristic root, and that ``params`` is at r*;
+    no check depends on the time unit.  The library builds its own records
+    through ``_unchecked`` from the crossing it formed for them, and runs only
+    the checks that do not compare that crossing with itself:
+    :func:`hopf_from_pqk` none, :func:`find_hopf_r` the one of r* against r0.
     """
 
     __slots__ = ()
@@ -124,15 +134,23 @@ class HopfPoint(_CheckedRecord, _HopfPointFields):
             raise NumericsError(f"no root crosses at p={p_star}, q={q_star} ({why})")
         if not abs(omega_star - omega) <= ROOT_RESIDUAL_TOL * omega:
             raise NumericsError(f"omega* = {omega_star!r} != sqrt(q^2 - p^2) = {omega!r}")
-        if not abs(r_star - r0) <= ROOT_RESIDUAL_TOL * r0:
-            raise NumericsError(f"r* = {r_star!r} != arccos(p/q) / omega* = {r0!r}")
+        _check_r_star(r_star, r0)
         if not abs(params.r - r_star) <= 1e-12 * r_star:
             raise NumericsError("params delay inconsistent with r_star")
         return super().__new__(cls, r_star, omega_star, p_star, q_star, params, x2_star)
 
+    # HopfPoint._unchecked((r_star, omega_star, p_star, q_star, params, x2_star)): no check runs
+    _unchecked = classmethod(tuple.__new__)
+
     @property
     def triple(self) -> CharacteristicTriple:
         return CharacteristicTriple(p=self.p_star, q=self.q_star, r=self.r_star)
+
+
+def _check_r_star(r_star: float, r0: float) -> None:
+    # r* is the crossing delay r0 = arccos(p/q) / omega* of its (p, q)
+    if not abs(r_star - r0) <= ROOT_RESIDUAL_TOL * r0:
+        raise NumericsError(f"r* = {r_star!r} != arccos(p/q) / omega* = {r0!r}")
 
 
 class NormalFormData(NamedTuple):
@@ -172,7 +190,8 @@ def hopf_from_pqk(n: float, beta0: float, delta: float, k: float) -> HopfPoint:
     omega* = sqrt(q^2 - p^2), r* = arccos(p/q)/omega*.  The loss rate
     consistent with the result is gamma* = -ln(k/2)/r*.  The inputs are
     checked once, as ``ModelParameters.from_k(beta0, n, delta, k, 1.0)``
-    checks them, before the regime errors; the record is built at r* only.
+    checks them, before the regime errors; the record is built at r* only,
+    from the crossing (omega*, r*) formed here, which it is not checked against.
     """
     # A, x2, B1, p and q depend on k but not on r, so any delay will do here
     A = _check_fields(beta0, n, delta, gamma_from_k(k, 1.0), 1.0, k)
@@ -191,7 +210,7 @@ def hopf_from_pqk(n: float, beta0: float, delta: float, k: float) -> HopfPoint:
     # only the delay is new at r*: gamma_from_k refuses it unless finite and
     # positive, as from_k would, and 2 exp(-gamma* r*) then returns k to rounding
     params = ModelParameters._unchecked(beta0, n, delta, gamma_from_k(k, r), r, k)
-    return HopfPoint(r, omega, p, q, params, _x2(n, A))
+    return HopfPoint._unchecked((r, omega, p, q, params, _x2(n, A)))
 
 
 def frontier_mismatch(r: float, params: ModelParameters) -> float:
@@ -205,17 +224,27 @@ def frontier_mismatch(r: float, params: ModelParameters) -> float:
     not vanish where p does.  r and A at r are checked as `params.with_r(r)`
     checks them (`ParameterError`), then p and q (`DomainError` unless finite).
     """
+    return _mismatch(params.beta0, params.n, params.delta, params.gamma, {},
+                     _checked_delay(r, params))
+
+
+def _checked_delay(r, params):
+    # r, once it passed the checks of `params.with_r(r)`: the delay, then A at r
     _checked_A(params.beta0, params.delta, _check_delay(params.gamma, r))
-    return _mismatch(params.beta0, params.n, params.delta, params.gamma, r)
+    return r
 
 
-def _mismatch(beta0, n, delta, gamma, r):
-    # D from floats, the kernel `find_hopf_r` iterates past its entry checks (see there)
+def _mismatch(beta0, n, delta, gamma, seen, r):
+    # D from floats, the kernel `find_hopf_r` iterates past its entry checks (see
+    # there); seen[r] keeps k, A, (p, q) and the crossing (omega, r0) where x2 exists
     k = _k_of(gamma, r)
     A = beta0 * (k - 1.0) / delta  # A as `model` forms it, unchecked
     if A <= 1.0:  # x2 is absent
         return math.inf
-    return _crossing(*_pq_at_x2(beta0, n, delta, k, A))[1] - r
+    pq = _pq_given_x2(beta0, n, delta, k, A)
+    crossing = _crossing(*pq)
+    seen[r] = k, A, pq, crossing
+    return crossing[1] - r
 
 
 def _check_bracket(bracket: Tuple[float, float]) -> None:
@@ -251,7 +280,7 @@ def _first_crossing_bracket(params: ModelParameters, mismatch):
     r_max = u_max / gamma
     if not r_max > 0.0:
         raise NoPositiveEquilibriumError(f"x2 exists at no delay r > 0: r_max = {r_max!r}")
-    probes = [(0.0, frontier_mismatch(0.0, params))]  # (r, D) at each delay, all D >= 0
+    probes = [(0.0, mismatch(_checked_delay(0.0, params)))]  # (r, D) at each delay, all D >= 0
     lo, hi = _admissible_u(params.n, delta / beta0, u_max)
     m, peak, u = lo, 0.0, lo + _GOLDEN_CUT * (hi - lo)  # m: largest Q_0 so far (0 at lo)
     while lo < u < hi and u != m:
@@ -304,47 +333,37 @@ def find_hopf_r(params: ModelParameters,
     checks p and q only: A falls as r grows, so it overflows inside the
     bracket only if it does at the smaller end, which was refused, while
     p = delta + B1 with B1 > 0 can overflow near A = 1, by an end without x2.
+    The record at r* takes k, A, (p, q) and (omega*, r0) from D's own
+    evaluation at that float (r* is an end or an iterate, where D is
+    finite) and is checked once, for r* against r0 as `HopfPoint` checks it:
+    a sign change of D that is no crossing fails there (`NumericsError`).
     The other route confirms r*: `ConvergenceError` unless |g(r*)| < 1e-11
     or, where g is too steep for that, g changes sign within 64 ulp(r*).
     """
-    mismatch = functools.partial(_mismatch, params.beta0, params.n, params.delta, params.gamma)
+    seen = {}  # k, A, (p, q) and the crossing at each delay D is formed at
+    mismatch = functools.partial(_mismatch, params.beta0, params.n, params.delta,
+                                 params.gamma, seen)
     if bracket is None:
         a, b, da, db = _first_crossing_bracket(params, mismatch)
     else:
         _check_bracket(bracket)
         a, b = bracket
-        da, db = frontier_mismatch(a, params), frontier_mismatch(b, params)
+        da, db = mismatch(_checked_delay(a, params)), mismatch(_checked_delay(b, params))
         if da != 0.0 and db != 0.0 and (da > 0.0) == (db > 0.0):
             raise BracketError(f"no sign change on bracket ({a}, {b}) of the frontier "
                                f"mismatch D: D(a) = {da}, D(b) = {db} (inf means no "
                                "crossing at that end)")
     # near the root, D = r* - r cancels two delays of the iterate's size
     r = bracketed_root(mismatch, a, b, f_tol=4.0, fa=da, fb=db)
-    # r* lies in a checked bracket, so its record is built unchecked from k, A, p and q, once
-    local = ModelParameters._unchecked(*params[:4], r, _k_of(params.gamma, r))
-    A = local.A
-    p, q = _pq_at_x2(params.beta0, params.n, params.delta, local.k, A)
-    # HopfPoint checks first: a sign change of D that is no crossing fails there
-    hp = HopfPoint(r, _crossing(p, q)[0], p, q, local, _x2(params.n, A))
+    k, A, (p, q), (omega, r0) = seen[r]
+    _check_r_star(r, r0)
+    hp = HopfPoint._unchecked((r, omega, p, q, ModelParameters._unchecked(*params[:4], r, k),
+                               _x2(params.n, A)))
     g = g_of_r(r, params)
     if not (abs(g) < _G_ROOT_TOL or _g_changes_sign_near(r, params)):
         raise ConvergenceError(f"boundary function g = {g:.3e} at the root r* = {r!r} of D: "
                                f"|g| >= {_G_ROOT_TOL:g}", last_iterate=r)
     return hp
-
-
-def _crossing_speed(hp: HopfPoint, psi: complex, slope: float) -> Tuple[float, float]:
-    # (mu', omega') = -Psi1(0) Delta_r (see `transversality`), with `slope`
-    # A dB1/dA from `_b1_slopes`.  p' and q' come through k(r) = 2 exp(-gamma r):
-    # dk/dr = -gamma k, and dA/A = dk/(k - 1) as A is proportional to k - 1.
-    prm = hp.params
-    p, q, w = hp.p_star, hp.q_star, hp.omega_star
-    dk = -prm.gamma * prm.k
-    dp = slope * dk / (prm.k - 1.0)  # p' = B1'
-    dq = dk * (q / prm.k) + prm.k * dp
-    root_term = complex(p, w)  # q e^{-i omega* r*}
-    speed = -psi * (dp - dq / q * root_term + 1j * w * root_term)
-    return speed.real, speed.imag
 
 
 def transversality(hp: HopfPoint) -> Tuple[float, float]:
@@ -356,10 +375,18 @@ def transversality(hp: HopfPoint) -> Tuple[float, float]:
 
         Delta_r = p' - (q'/q)(p + i omega*) + i omega* (p + i omega*),
 
-    and 1/Delta_lambda is Psi1(0), so lambda' = -Psi1(0) Delta_r.
+    and 1/Delta_lambda is Psi1(0), so lambda' = -Psi1(0) Delta_r.  p' and q'
+    come through k(r) = 2 exp(-gamma r): dk/dr = -gamma k, and dA/A =
+    dk/(k - 1) as A is proportional to k - 1.
     """
-    prm = hp.params
-    return _crossing_speed(hp, psi1_zero(hp), _b1_slopes(prm.beta0, prm.n, prm.A)[0])
+    prm, psi = hp.params, psi1_zero(hp)
+    p, q, w = hp.p_star, hp.q_star, hp.omega_star
+    dk = -prm.gamma * prm.k
+    dp = _b1_slopes(prm.beta0, prm.n, prm.A)[0] * dk / (prm.k - 1.0)  # p' = B1'
+    dq = dk * (q / prm.k) + prm.k * dp
+    root_term = complex(p, w)  # q e^{-i omega* r*}
+    speed = -psi * (dp - dq / q * root_term + 1j * w * root_term)
+    return speed.real, speed.imag
 
 
 def projection_weight(p: float, omega: float, r: float) -> complex:
@@ -548,27 +575,70 @@ def criticality_report(hp: HopfPoint) -> NormalFormData:
     exists on the side of r* where the equilibrium is unstable.  Degenerate
     means |l1| <= BOUNDARY_TOL (|g20 g11| + omega* |g21|) / (2 omega*^2).
     The Taylor data are taken at ``hp.x2_star``, with no equilibria report;
-    Psi1(0) and A dB1/dA are formed once, for the normal form and mu'.
+    Psi1(0) and A dB1/dA are formed once, for the normal form and mu', and
+    p*, q*, omega*, r* and E = e^{i omega* r*} once for all the fields, each
+    of which is the one its public helper gives.
     """
     params = hp.params
-    n, A = params.n, params.A
-    slopes = _b1_slopes(params.beta0, n, A)
-    tc = _taylor_at(n, A, hp.x2_star, _b1_at_x2(params.beta0, n, A), slopes)
-    psi = psi1_zero(hp)
+    beta0, n, A, k = params.beta0, params.n, params.A, params.k
+    p, q, w, r = hp.p_star, hp.q_star, hp.omega_star, hp.r_star
+    slopes = _b1_slopes(beta0, n, A)
+    tc = _taylor_at(n, A, hp.x2_star, _b1_at_x2(beta0, n, A), slopes)
+    psi = projection_weight(p, w, r)
     f20, f11, f02 = f_coefficients(tc, hp)
     g20, g11, g02 = psi * f20, psi * f11, psi * f02
-    w20_0, w20_mr, w11_0, w11_mr = w_boundary_values(g20, g11, g02, f20, f11, hp)
+    g02c, g11c = g02.conjugate(), g11.conjugate()
+    # E = e^{i w r} and its powers, and the terms the helpers below each form
+    e = cmath.exp(1j * w * r)
+    e2, e3 = e * e, e**3
+    one_e, one_e3, one_inv_e = 1.0 - e, 1.0 - e3, 1.0 - 1.0 / e
+    w3 = 3.0 * w
+    qiw, qiw3, piw = q * 1j / w, q * 1j / w3, (p / w) * 1j
+    # w_boundary_values
+    lam2 = 2j * w + p
+    delta_2iw = lam2 * e * e - q
+    if abs(delta_2iw) <= 1e-12 * (abs(lam2) + abs(q)):
+        raise ResonanceError("w20 system singular: 2 i omega* collides with a characteristic root")
+    delta_0 = p - q
+    if abs(delta_0) <= 1e-12 * (abs(p) + abs(q)):
+        raise ResonanceError("w11 system singular: 0 collides with a characteristic root (p = q)")
+    jump20 = (1j * g20 / w) * one_e + (1j * g02c / w3) * one_e3
+    w20_mr = (f20 - g20 - g02c - lam2 * jump20) / delta_2iw
+    i_w = 1j / w
+    jump11 = -i_w * g11 * one_inv_e + i_w * g11c * one_e
+    common11 = f11 - g11 - g11c
+    w11_mr = (common11 - p * jump11) / delta_0
+    w20_0, w11_0, w11_mr = jump20 + e2 * w20_mr, (jump11 + w11_mr).real, w11_mr.real
     f21 = f21_coefficient(tc, hp, w20_0, w20_mr, w11_0, w11_mr)
     g21 = psi * f21
-    w = hp.omega_star
     l1 = lyapunov_l1(g20, g11, g21, w)
-    mu_prime, omega_prime = _crossing_speed(hp, psi, slopes[0])
-    w20_cf_0, w20_cf_mr, c = w20_closed_form(g20, g02, f20, hp)
-    w11_cf_0, w11_cf_mr, c1 = w11_closed_form(g11, f11, hp)
+    # transversality
+    dk = -params.gamma * k
+    dp = slopes[0] * dk / (k - 1.0)
+    dq = dk * (q / k) + k * dp
+    root_term = complex(p, w)
+    speed = -psi * (dp - dq / q * root_term + 1j * w * root_term)
+    # w20_closed_form
+    two_w, two_wr = 2.0 * w, 2.0 * w * r
+    cos2, sin2 = math.cos(two_wr), math.sin(two_wr)
+    num = (-q + p * cos2 - two_w * sin2) - 1j * (two_w * cos2 + p * sin2)
+    den = q * q + p * p + 4.0 * w * w - 2.0 * q * p * cos2 + 4.0 * q * w * sin2
+    if den == 0.0:
+        raise ResonanceError("closed-form constant c undefined")
+    c = num / den
+    w20_cf_0 = c * (e2 * f20 + g20 * (-qiw + qiw * e - e2) + g02c * (-qiw3 + qiw3 * e3 - e2))
+    w20_cf_mr = c * (f20 + g20 * (1.0 - 2.0 * e - piw * one_e)
+                     - (g02c / 3.0) * (1.0 + 2.0 * e3 + piw * one_e3))
+    # w11_closed_form, whose p = q refusal the w11 resonance above has made
+    c1 = 1.0 / delta_0
+    swing = g11 * one_inv_e - g11c * one_e
+    w11_cf_0 = (c1 * (common11 + qiw * swing)).real
+    w11_cf_mr = (c1 * (common11 + (p * 1j / w) * swing)).real
     crit = _criticality(l1, (abs(g20 * g11) + w * abs(g21)) / (2.0 * w * w))
     s = 0 if crit == DEGENERATE else (-1 if l1 < 0.0 else 1)
-    return NormalFormData(
+    # a plain NamedTuple: the fields are packed as its __new__ would pack them
+    return tuple.__new__(NormalFormData, (
         psi, f20, f11, f02, f21, g20, g11, g02, g21,
         w20_0, w20_mr, w11_0, w11_mr, w20_cf_0, w20_cf_mr, w11_cf_0, w11_cf_mr,
-        c, c1, l1, s, mu_prime, omega_prime, crit,
-    )
+        c, c1, l1, s, speed.real, speed.imag, crit,
+    ))

@@ -75,9 +75,10 @@ CASE_II = "II"
 CASE_B1_ZERO = "B1_zero"
 
 
-def _check_pq(p: float, q: float) -> None:
+def _check_pq(p: float, q: float) -> Tuple[float, float]:
     if not (math.isfinite(p) and math.isfinite(q)):
         raise DomainError(f"p, q must be finite, got p={p}, q={q}")
+    return p, q
 
 
 class _CharacteristicTripleFields(NamedTuple):
@@ -116,13 +117,17 @@ class StabilityVerdict(NamedTuple):
 def _pq_at_x2(
     beta0: float, n: float, delta: float, k: float, A: float
 ) -> Tuple[float, float]:
-    # p = delta + B1(x2) and q = k B1(x2) at x2 = (A - 1)^(1/n), refused unless finite
+    # (p, q) at x2, refused where x2 is absent
     if A <= 1.0:
         raise NoPositiveEquilibriumError(f"no positive equilibrium: A = {A} <= 1")
+    return _pq_given_x2(beta0, n, delta, k, A)
+
+
+def _pq_given_x2(beta0, n, delta, k, A):
+    # p = delta + B1(x2) and q = k B1(x2) at x2 = (A - 1)^(1/n), for an A > 1 the
+    # caller tested, refused unless finite
     b1 = _b1_at_x2(beta0, n, A)
-    p, q = delta + b1, k * b1
-    _check_pq(p, q)
-    return p, q
+    return _check_pq(delta + b1, k * b1)
 
 
 def characteristic_triple(params: ModelParameters) -> CharacteristicTriple:
@@ -264,9 +269,10 @@ def classify_x2(params: ModelParameters) -> StabilityVerdict:
     ``BOUNDARY_TOL`` of n + (n - 1) A and of delta + |B1|.
     """
     n, A, r = params.n, params.A, params.r
-    p, q = _pq_at_x2(params.beta0, n, params.delta, params.k, A)
-    b1 = q / params.k
-    if abs(n - (n - 1.0) * A) <= BOUNDARY_TOL * (n + (n - 1.0) * A):
+    k = params.k
+    p, q = _pq_at_x2(params.beta0, n, params.delta, k, A)
+    b1, nA = q / k, (n - 1.0) * A
+    if abs(n - nA) <= BOUNDARY_TOL * (n + nA):
         case = CASE_B1_ZERO
     elif b1 > 0.0:
         case = CASE_II
@@ -285,8 +291,9 @@ def classify_x2(params: ModelParameters) -> StabilityVerdict:
         status, notes = STABLE, f"r < r0 = {r0!r}"
     else:
         status, notes = UNSTABLE, f"r > r0 = {r0!r}"
-    return StabilityVerdict("x2", case, status, omega if r0 < math.inf else None,
-                            (0.0, r0), notes)
+    # the record has no checks: its fields are packed as NamedTuple's __new__ packs them
+    return tuple.__new__(StabilityVerdict, ("x2", case, status, omega if r0 < math.inf else None,
+                                            (0.0, r0), notes))
 
 
 def g_of_r(r: float, params: ModelParameters) -> float:
@@ -465,33 +472,36 @@ def bracketed_root(func, a: float, b: float, f_tol: float, *, fa=None, fb=None):
         raise BracketError(
             f"no sign change on bracket ({a}, {b}): f(a)={fa}, f(b)={fb}"
         )
-    x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-    kept = None  # the end the previous iteration kept
+    # f keeps its sign at each end, so only |f| is stored, taken once per value
+    sign_a, ma, mb = math.copysign(1.0, fa), abs(fa), abs(fb)
+    x, mx = (a, ma) if ma < mb else (b, mb)
+    moved_a = None  # whether the previous iteration moved a
     for _ in range(200):
-        if abs(fx) < f_tol * math.ulp(x) or b - a <= _ROUNDING * max(abs(a), abs(b)):
+        if mx < f_tol * math.ulp(x) or b - a <= _ROUNDING * max(-a, b):
             return x
-        near, f_near = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-        c = near + (b - a) * (f_near / (fa - fb))
-        if (c == a or c == b) and math.isfinite(fa) and math.isfinite(fb):
-            c = math.nextafter(a, b) if c == a else math.nextafter(b, a)
+        # fa - fb is sign_a (ma + mb), so f_near / (fa - fb) is m_near / (ma + mb)
+        near, m_near = (a, ma) if ma < mb else (b, -mb)
+        c = near + (b - a) * (m_near / (ma + mb))
         if not a < c < b:
-            c = 0.5 * (a + b)
+            if (c == a or c == b) and math.isfinite(ma) and math.isfinite(mb):
+                c = math.nextafter(a, b) if c == a else math.nextafter(b, a)
+            if not a < c < b:
+                c = 0.5 * (a + b)
         fc = func(c)
         if fc == 0.0:
             return c
-        if abs(fc) < abs(fx):
-            x, fx = c, fc
-        if math.copysign(1.0, fc) == math.copysign(1.0, fa):
-            a, fa = c, fc
-            if kept == "b":
-                fb *= 0.5
-            kept = "b"
+        mc = abs(fc)
+        if mc < mx:
+            x, mx = c, mc
+        if math.copysign(1.0, fc) == sign_a:
+            if moved_a:
+                mb *= 0.5
+            a, ma, moved_a = c, mc, True
         else:
-            b, fb = c, fc
-            if kept == "a":
-                fa *= 0.5
-            kept = "a"
+            if moved_a is False:
+                ma *= 0.5
+            b, mb, moved_a = c, mc, False
     raise ConvergenceError(
-        f"bracketed root search exhausted 200 iterations at |f| = {abs(fx)}",
+        f"bracketed root search exhausted 200 iterations at |f| = {mx}",
         last_iterate=x,
     )

@@ -148,7 +148,7 @@ class ModelParameters(_CheckedRecord, _ModelParameterFields):
     @classmethod
     def _unchecked(cls, beta0, n, delta, gamma, r, k) -> "ModelParameters":
         # for fields that passed `_check_fields`, or that cannot fail it
-        return super().__new__(cls, beta0, n, delta, gamma, r, k)
+        return tuple.__new__(cls, (beta0, n, delta, gamma, r, k))
 
     @classmethod
     def from_gamma(cls, beta0, n, delta, gamma, r) -> "ModelParameters":

@@ -80,6 +80,9 @@ def test_criterion_2_hopf_strategy_route(ref_hopf):
             _near("omega*", hp.omega_star, omega_ref, 1e-8, k),
             _near("r*", hp.r_star, r_ref, 1e-9, k),
             _near("gamma*", hp.params.gamma, gamma_ref, 1e-4, k),
+            # the library builds the record without HopfPoint's checks
+            (f"record passes HopfPoint's checks at k = {k!r}", hopf.HopfPoint(*hp) == hp,
+             f"omega* {hp.omega_star!r}, r* {hp.r_star!r}"),
         ]
     _report(2, "Hopf location, strategy route", checks)
 
@@ -91,6 +94,7 @@ def test_criterion_3_hopf_g_root_route(ref_hopf):
     located = hopf.find_hopf_r(params, (0.30, 0.40))
     g_res = abs(linstab.g_of_r(located.r_star, params))
     diff = abs(located.r_star - ref_hopf.r_star)
+    d_res = abs(hopf.frontier_mismatch(located.r_star, params))
     checks = [
         (
             "matches strategy-route r* within 1e-6",
@@ -98,6 +102,10 @@ def test_criterion_3_hopf_g_root_route(ref_hopf):
             f"g-root {located.r_star!r}, |diff| = {diff:.3e}",
         ),
         ("g residual below 1e-11", g_res < 1e-11, f"|g| = {g_res:.3e}"),
+        ("frontier mismatch below 4 ulp(r*)", d_res < 4.0 * math.ulp(located.r_star),
+         f"|D| = {d_res:.3e}"),
+        ("record passes HopfPoint's checks", hopf.HopfPoint(*located) == located,
+         f"omega* {located.omega_star!r}"),
     ]
     _report(3, "Hopf location, boundary-root route", checks)
 
@@ -277,6 +285,11 @@ def test_criterion_9_property_suites(ref_hopf, ref_params):
     checks.append(
         ("w20/w11 defining residuals < 1e-10", max(residuals) < 1e-10,
          f"worst {max(residuals):.3e}")
+    )
+    solved = hopf.w_boundary_values(nf.g20, nf.g11, nf.g02, nf.f20, nf.f11, ref_hopf)
+    stored = (nf.w20_at_0, nf.w20_at_minus_r, nf.w11_at_0, nf.w11_at_minus_r)
+    checks.append(
+        ("report's w values are w_boundary_values'", solved == stored, f"solve {solved}")
     )
     cf20 = hopf.w20_closed_form(nf.g20, nf.g02, nf.f20, ref_hopf)
     cf11 = hopf.w11_closed_form(nf.g11, nf.f11, ref_hopf)

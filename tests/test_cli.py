@@ -691,10 +691,10 @@ def test_hopf_on_a_k_config_locates_once_and_evaluates_g_once(tmp_path, capsys,
 def test_bracket_end_negative_or_not_finite_is_refused_before_evaluation(
     gamma_config_path, capsys, monkeypatch, bracket
 ):
-    def no_evaluation(r, params):
-        raise AssertionError(f"evaluated the frontier mismatch at r = {r}")
+    def no_evaluation(*args):
+        raise AssertionError(f"evaluated the frontier mismatch at r = {args[-1]}")
 
-    monkeypatch.setattr(hopf, "frontier_mismatch", no_evaluation)
+    monkeypatch.setattr(hopf, "_mismatch", no_evaluation)
     assert cli.main(["hopf", gamma_config_path, "--bracket", *bracket]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1011,9 +1011,9 @@ def test_gamma_hopf_evaluates_the_mismatch_once_per_delay(gamma_config_path, cap
     # the bracket, and 5 Illinois iterates; the bracket ends are not evaluated again
     delays, mismatch = [], hopf._mismatch
 
-    def counted(beta0, n, delta, gamma, r):
+    def counted(beta0, n, delta, gamma, seen, r):
         delays.append(r)
-        return mismatch(beta0, n, delta, gamma, r)
+        return mismatch(beta0, n, delta, gamma, seen, r)
 
     monkeypatch.setattr(hopf, "_mismatch", counted)
     assert cli.main(["hopf", gamma_config_path]) == 0

@@ -3,6 +3,8 @@ import math
 import random
 import sys
 import types
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,9 @@ from hemohopf.errors import (
     ParameterError,
     ResonanceError,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 #: further Hopf points used to exercise the normal-form machinery away
 #: from the benchmark set
@@ -282,8 +287,8 @@ def _agreement_bound(fields, r_star):
     # each search stops where |D| < 4 ulp(r) or its bracket is 4 ulps wide, so
     # two roots agree to a few ulps of r, over |D'| where D' is small: in
     # the narrow window D' = -6.7e-3, and 8 ulps over it are 1.7e-13 relative
-    slope = (hopf._mismatch(*fields, r_star + 1e-9)
-             - hopf._mismatch(*fields, r_star - 1e-9)) / 2e-9
+    slope = (hopf._mismatch(*fields, {}, r_star + 1e-9)
+             - hopf._mismatch(*fields, {}, r_star - 1e-9)) / 2e-9
     return 8.0 * math.ulp(r_star) * max(1.0, 1.0 / abs(slope))
 
 
@@ -629,6 +634,50 @@ def test_find_hopf_r_refusal_class_and_message(ref_params, name):
     assert str(info.value) == message
 
 
+def test_hopf_point_refusals_class_and_message(ref_hopf):
+    # the public constructor checks omega*, r* and the delay of params, in this order
+    hp = ref_hopf
+    cases = [
+        ((hp.r_star, hp.omega_star * 1.001, *hp[2:]),
+         f"omega* = {hp.omega_star * 1.001!r} != sqrt(q^2 - p^2) = {hp.omega_star!r}"),
+        ((hp.r_star * 1.001, *hp[1:]),
+         f"r* = {hp.r_star * 1.001!r} != arccos(p/q) / omega* = {hp.r_star!r}"),
+        ((*hp[:4], hp.params.with_r(hp.r_star * 1.001), hp.x2_star),
+         "params delay inconsistent with r_star"),
+    ]
+    for fields, message in cases:
+        with pytest.raises(NumericsError) as info:
+            hopf.HopfPoint(*fields)
+        assert type(info.value) is NumericsError
+        assert str(info.value) == message
+    assert hopf.HopfPoint(*hp) == hp
+
+
+def test_find_hopf_r_refuses_a_sign_change_of_d_that_is_no_crossing(ref_params, monkeypatch):
+    # D jumps down by 1 at r = 0.32, inside (0.30, 0.40) and below r* = 0.3559:
+    # Illinois closes on the jump, where D itself is about 0.03, so the point
+    # it returns is no crossing delay, and the record's check of r* refuses it
+    kernel, search, roots = hopf._mismatch, hopf.bracketed_root, []
+
+    def jumping(beta0, n, delta, gamma, seen, r):
+        return kernel(beta0, n, delta, gamma, seen, r) - (1.0 if r > 0.32 else 0.0)
+
+    def recorded(*args, **kwargs):
+        roots.append(search(*args, **kwargs))
+        return roots[-1]
+
+    monkeypatch.setattr(hopf, "_mismatch", jumping)
+    monkeypatch.setattr(hopf, "bracketed_root", recorded)
+    with pytest.raises(NumericsError) as info:
+        hopf.find_hopf_r(ref_params, (0.30, 0.40))
+    (r,) = roots
+    assert abs(r - 0.32) <= 4.0 * math.ulp(0.32)
+    triple = linstab.characteristic_triple(ref_params.with_r(r))
+    r0 = linstab._crossing(triple.p, triple.q)[1]
+    assert type(info.value) is NumericsError
+    assert str(info.value) == f"r* = {r!r} != arccos(p/q) / omega* = {r0!r}"
+
+
 def test_find_hopf_r_g_refusal_class_and_message(ref_params, monkeypatch):
     # every g, at r* and at r* -+ 64 ulp, is shifted by 2e-11 through its T_inv term
     t_inv = linstab.T_inv
@@ -741,7 +790,7 @@ def test_the_iterated_mismatch_kernel_is_the_reference_to_the_bit(name):
         if expected == (ParameterError, "A = beta0 (k - 1)/delta must be finite, got inf"):
             overflowing.append(r)
             continue
-        outcome = moved_delay_outcome(lambda rr, _: hopf._mismatch(*fields, rr), r, params)
+        outcome = moved_delay_outcome(lambda rr, _: hopf._mismatch(*fields, {}, rr), r, params)
         assert outcome == expected, r
     assert overflowing == admitted[:len(overflowing)]
     assert bool(overflowing) == (name == "near-float-limit")
@@ -752,12 +801,17 @@ def test_find_hopf_r_takes_the_reference_iterates(draw, monkeypatch):
     hp = hopf.hopf_from_pqk(*draw)
     located = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
     fields = (hp.params.beta0, hp.params.n, hp.params.delta, hp.params.gamma)
-    delays = []
+    delays, kernel = [], hopf._mismatch
 
     def reference_kernel(*args):
+        # the kernel still runs, as the record at r* takes k, A, p and q from
+        # its evaluation there; the search goes on from the reference value
         assert args[:4] == fields
-        delays.append(args[4])
-        return reference_frontier_mismatch(args[4], hp.params)
+        r = args[5]
+        delays.append(r)
+        expected = reference_frontier_mismatch(r, hp.params)
+        assert repr(kernel(*args)) == repr(expected), r
+        return expected
 
     monkeypatch.setattr(hopf, "_mismatch", reference_kernel)
     monkeypatch.setattr(hopf, "g_of_r", reference_g_of_r)
@@ -1048,6 +1102,48 @@ def test_lyapunov_l1_reference(ref_hopf):
     nf = hopf.criticality_report(ref_hopf)
     assert abs(nf.l1 - rv.L1_REF) < 1e-9 * abs(rv.L1_REF)
     assert abs(nf.l1 - rv.L1_PRINT) < 1e-3 * abs(rv.L1_PRINT)
+
+
+def _normal_form_chain(hp):
+    """The NormalFormData of the public helpers, each called on its own."""
+    params = hp.params
+    tc = taylor_at_x2(params, model.equilibria(params))
+    psi = hopf.psi1_zero(hp)
+    f20, f11, f02 = hopf.f_coefficients(tc, hp)
+    g20, g11, g02 = psi * f20, psi * f11, psi * f02
+    w_values = hopf.w_boundary_values(g20, g11, g02, f20, f11, hp)
+    f21 = hopf.f21_coefficient(tc, hp, *w_values)
+    g21 = psi * f21
+    w = hp.omega_star
+    l1 = hopf.lyapunov_l1(g20, g11, g21, w)
+    w20_0, w20_mr, c = hopf.w20_closed_form(g20, g02, f20, hp)
+    w11_0, w11_mr, c1 = hopf.w11_closed_form(g11, f11, hp)
+    crit = hopf._criticality(l1, (abs(g20 * g11) + w * abs(g21)) / (2.0 * w * w))
+    s = 0 if crit == hopf.DEGENERATE else (-1 if l1 < 0.0 else 1)
+    return hopf.NormalFormData(psi, f20, f11, f02, f21, g20, g11, g02, g21, *w_values,
+                               w20_0, w20_mr, w11_0, w11_mr, c, c1, l1, s,
+                               *hopf.transversality(hp), crit)
+
+
+def _normal_form_points():
+    points = [hopf.hopf_from_pqk(*args) for args in OTHER_HOPF_ARGS]
+    for draw in islice(workloads.frontier_draws(1), 200):
+        try:
+            points.append(hopf.hopf_from_pqk(*draw))
+        except (ParameterError, NumericsError):
+            pass
+    return points
+
+
+def test_criticality_report_is_the_chain_of_its_public_helpers():
+    # the report forms E = e^{i omega* r*} and the terms it shares once; each
+    # field is the public helper's, to the bit
+    points = _normal_form_points()
+    assert len(points) > 180
+    for hp in points:
+        report, chain = hopf.criticality_report(hp), _normal_form_chain(hp)
+        for name, got, expected in zip(hopf.NormalFormData._fields, report, chain):
+            assert got == expected and type(got) is type(expected), (name, hp)
 
 
 def test_criticality_report_full_chain(ref_hopf):

@@ -1,6 +1,9 @@
 import cmath
 import math
 import random
+import sys
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,9 @@ from test_hopf import (
     reference_g_of_r,
 )
 from test_model import draw_valid_params
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def ref_triple():
@@ -550,6 +556,131 @@ def test_bracketed_root_closes_brackets_300_decades_wide():
             root = linstab.bracketed_root(f, 0.0, b, f_tol=f_tol)
             assert abs(root - r0) <= 4.0 * math.ulp(r0), (r0, b, f_tol)
             assert len(calls) <= 4, (r0, b, f_tol)
+
+
+def _reference_illinois(func, a, b, f_tol, *, fa=None, fb=None):
+    # bracketed_root as it was when its loop stored f, not |f|, at each end and
+    # named the end kept last: the reference its iterates are held to, bit for bit
+    if not (math.isfinite(a) and math.isfinite(b)) or a == b:
+        raise BracketError(f"degenerate bracket ({a}, {b})")
+    if a > b:
+        a, b, fa, fb = b, a, fb, fa
+    if fa is None:
+        fa = func(a)
+    if fb is None:
+        fb = func(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
+        raise BracketError(
+            f"no sign change on bracket ({a}, {b}): f(a)={fa}, f(b)={fb}"
+        )
+    x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+    kept = None
+    for _ in range(200):
+        if abs(fx) < f_tol * math.ulp(x) or b - a <= 4.0 * 2.0**-52 * max(abs(a), abs(b)):
+            return x
+        near, f_near = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+        c = near + (b - a) * (f_near / (fa - fb))
+        if (c == a or c == b) and math.isfinite(fa) and math.isfinite(fb):
+            c = math.nextafter(a, b) if c == a else math.nextafter(b, a)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+        fc = func(c)
+        if fc == 0.0:
+            return c
+        if abs(fc) < abs(fx):
+            x, fx = c, fc
+        if math.copysign(1.0, fc) == math.copysign(1.0, fa):
+            a, fa = c, fc
+            if kept == "b":
+                fb *= 0.5
+            kept = "b"
+        else:
+            b, fb = c, fc
+            if kept == "a":
+                fa *= 0.5
+            kept = "a"
+    raise ConvergenceError(
+        f"bracketed root search exhausted 200 iterations at |f| = {abs(fx)}",
+        last_iterate=x,
+    )
+
+
+def _illinois_run(search, func, a, b, f_tol, **ends):
+    """(the repr of the point returned, or the refusal's class and message;
+    the reprs of the points `func` was called at, in order)."""
+    calls = []
+
+    def traced(x):
+        calls.append(repr(x))
+        return func(x)
+
+    try:
+        result = repr(search(traced, a, b, f_tol, **ends))
+    except (BracketError, ConvergenceError) as exc:
+        result = (type(exc), str(exc), repr(getattr(exc, "last_iterate", None)))
+    return result, calls
+
+
+def _illinois_cases():
+    """(func, a, b, f_tol, ends) on which `bracketed_root` must take the
+    reference's path."""
+    for f_tol in (_COS_F_TOL, 0.0):
+        yield math.cos, 1.0, 2.0, f_tol, {}
+        yield math.cos, 2.0, 1.0, f_tol, {"fa": math.cos(2.0), "fb": math.cos(1.0)}
+    yield math.cos, 1, 2, 0.0, {}  # int ends
+    rng = random.Random(1)
+    for _ in range(300):  # brackets up to 300 decades wide, as at a tiny gamma
+        e = rng.uniform(-300.0, 300.0)
+        r0, b = 10.0 ** e, 10.0 ** (e + rng.uniform(0.0, min(300.0, 308.0 - e)))
+        for f_tol in (4.0, 0.0):
+            yield (lambda x, r0=r0: r0 - x), 0.0, b, f_tol, {}
+    # infinite end values, as D = +inf where x2 is absent or no root crosses
+    line = lambda x: 1.0 - x  # noqa: E731
+    yield line, 0.5, 3.0, 4.0, {"fa": math.inf}
+    yield line, 0.0, 2.0, 0.0, {"fb": -math.inf}
+    yield line, 0.0, 2.0, 0.0, {"fa": math.inf, "fb": -math.inf}
+    yield line, 3.0, 0.25, 4.0, {"fa": -math.inf, "fb": math.inf}
+    # a jump, which Illinois closes to the bracket's rounding width, and a gap of nan
+    yield (lambda x: -1.0 if x > 0.7 else 2.0), 0.0, 1.0, 4.0, {}
+    yield (lambda x: math.nan if 0.4 < x < 0.6 else 0.5 - x), 0.0, 1.0, 0.0, {}
+    # |f| equal at both ends, ends below and around 0
+    yield (lambda x: 0.3 - x), 0.0, 0.6, 0.0, {}
+    yield (lambda x: x), -1.0, 1.0, 4.0, {}
+    yield math.cos, -2.0, -1.0, 0.0, {}
+    yield (lambda x: x - 0.3), -1e-3, 7.0, 4.0, {}
+    # 308 decades: the share underflows, and the halved end values with it,
+    # until the iterations are exhausted (or a subnormal root is met)
+    for r0 in (0.3, 1e-300, 1e-320, 5e-324):
+        for f_tol in (4.0, 0.0):
+            yield (lambda x, r0=r0: r0 - x), 0.0, 1e308, f_tol, {}
+    # D on frontier draws, from the two bracket ends find_hopf_r evaluates first
+    for draw in islice(workloads.frontier_draws(1), 200):
+        try:
+            hp = hopf.hopf_from_pqk(*draw)
+        except ParameterError:
+            continue
+        mismatch = lambda r, prm=hp.params: hopf._mismatch(  # noqa: E731
+            prm.beta0, prm.n, prm.delta, prm.gamma, {}, r)
+        r_max = model.equilibria(hp.params).r_max
+        for low in (0.9, 0.93):
+            a, b = low * hp.r_star, min(1.1 * hp.r_star, 0.999 * r_max)
+            ends = {"fa": hopf.frontier_mismatch(a, hp.params),
+                    "fb": hopf.frontier_mismatch(b, hp.params)}
+            yield mismatch, a, b, 4.0, ends
+
+
+def test_bracketed_root_takes_the_reference_iterates_to_the_bit():
+    cases = 0
+    for func, a, b, f_tol, ends in _illinois_cases():
+        expected = _illinois_run(_reference_illinois, func, a, b, f_tol, **ends)
+        assert _illinois_run(linstab.bracketed_root, func, a, b, f_tol, **ends) == expected, (
+            a, b, f_tol, ends)
+        cases += 1
+    assert cases > 1000
 
 
 def test_classify_x2_delay_free_limit():

@@ -7,7 +7,7 @@ usage: python tools/workcount.py --src DIR > counts.jsonl
 tools/identity.py does, and takes identity.py's inputs and bracket: the
 first 2,000 seed-1 frontier draws and the first 500 seed-1 stability configs
 of perfbench/workloads.py.  It writes one JSON line ``{"region", "count",
-"value"}`` per count, over four regions:
+"value"}`` per count, over five regions:
 
 - frontier: the 2,000 frontier operations, `workloads.frontier_values` on
   each draw;
@@ -15,7 +15,10 @@ of perfbench/workloads.py.  It writes one JSON line ``{"region", "count",
   0.999 r_max)) of every draw `hopf_from_pqk` locates; this bracket is
   symmetric about r* for most draws, which favours the secant step;
 - bracketed-0.93: the same on (0.93 r*, min(1.1 r*, 0.999 r_max));
-- locate: `find_hopf_r` without a bracket on the 500 stability configs.
+- locate: `find_hopf_r` without a bracket on the 500 stability configs;
+- normal-form: `criticality_report` on the first 2,000 HopfPoints that
+  `hopf_from_pqk` locates on seed-1 frontier draws, so the normal form's
+  opcodes per call are read apart from the frontier operation's.
 
 Each region gives its calls, its opcodes, its D evaluations (calls of
 `hopf._mismatch`) and the last two per call, then, per function executed,
@@ -39,8 +42,11 @@ import argparse
 import json
 import sys
 from collections import Counter
+from itertools import islice
 
 import identity
+
+NORMAL_FORM_CASES = 2000
 
 
 class OpcodeCount:
@@ -106,12 +112,8 @@ def record(src):
     hemohopf, workloads = identity.load(src)
     hopf = hemohopf.hopf
     draws, configs = identity.inputs(workloads)
-    located = []
-    for draw in draws:
-        try:
-            located.append(hopf.hopf_from_pqk(*draw))
-        except hemohopf.errors.ParameterError:
-            pass
+    located = list(_located(hemohopf, draws))
+    points = list(islice(_located(hemohopf, workloads.frontier_draws(1)), NORMAL_FORM_CASES))
     yield from region("frontier", workloads.frontier_values,
                       [(hemohopf, draw) for draw in draws])
     for low in (0.9, 0.93):
@@ -120,6 +122,16 @@ def record(src):
                            for hp in located])
     yield from region("locate", hopf.find_hopf_r,
                       [(identity.stability_params(hemohopf, config),) for config in configs])
+    yield from region("normal-form", hopf.criticality_report, [(hp,) for hp in points])
+
+
+def _located(hemohopf, draws):
+    """The HopfPoints `hopf_from_pqk` locates on `draws`, in their order."""
+    for draw in draws:
+        try:
+            yield hemohopf.hopf.hopf_from_pqk(*draw)
+        except hemohopf.errors.ParameterError:
+            pass
 
 
 def _load(path):
