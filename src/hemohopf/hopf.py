@@ -29,7 +29,8 @@ forms, with c and c1, are kept as a cross-check).
 Each quantity at r* is formed once: `hopf_from_pqk` builds the record from
 the (p, q) and crossing it formed, `find_hopf_r` from D's own evaluation at
 the root, checked for r* against r0 only, and `criticality_report` forms E =
-e^{i omega* r*} once for all its fields, each equal to its public helper's.
+e^{i omega* r*} once and runs at it the kernel each public normal-form helper
+runs, so each formula, and each of its refusals, has one home.
 """
 
 from __future__ import annotations
@@ -377,15 +378,24 @@ def transversality(hp: HopfPoint) -> Tuple[float, float]:
 
     and 1/Delta_lambda is Psi1(0), so lambda' = -Psi1(0) Delta_r.  p' and q'
     come through k(r) = 2 exp(-gamma r): dk/dr = -gamma k, and dA/A =
-    dk/(k - 1) as A is proportional to k - 1.
+    dk/(k - 1) as A is proportional to k - 1.  `NumericsError` unless both
+    are finite.
     """
-    prm, psi = hp.params, psi1_zero(hp)
-    p, q, w = hp.p_star, hp.q_star, hp.omega_star
-    dk = -prm.gamma * prm.k
-    dp = _b1_slopes(prm.beta0, prm.n, prm.A)[0] * dk / (prm.k - 1.0)  # p' = B1'
-    dq = dk * (q / prm.k) + prm.k * dp
+    prm = hp.params
+    return _speed(psi1_zero(hp), hp.p_star, hp.q_star, hp.omega_star, prm.gamma, prm.k,
+                  _b1_slopes(prm.beta0, prm.n, prm.A)[0])
+
+
+def _speed(psi, p, q, w, gamma, k, a_db1):
+    # (mu', omega') of `transversality`, from Psi1(0) and a_db1 = A dB1/dA
+    dk = -gamma * k
+    dp = a_db1 * dk / (k - 1.0)  # p' = B1'
+    dq = dk * (q / k) + k * dp
     root_term = complex(p, w)  # q e^{-i omega* r*}
     speed = -psi * (dp - dq / q * root_term + 1j * w * root_term)
+    if not cmath.isfinite(speed):
+        raise NumericsError(f"crossing speed mu' = {speed.real!r}, "
+                            f"omega' = {speed.imag!r} is not finite")
     return speed.real, speed.imag
 
 
@@ -415,8 +425,11 @@ def f_coefficients(
 
         f20 = -B2 (1 - k e^{-2 i w r}),  f11 = B2 (k - 1),  f02 = conj(f20).
     """
-    k = hp.params.k
-    e_m = cmath.exp(-1j * hp.omega_star * hp.r_star)
+    return _f2(tc, hp.params.k, cmath.exp(-1j * hp.omega_star * hp.r_star))
+
+
+def _f2(tc, k, e_m):
+    # (f20, f11, f02) of `f_coefficients` at e_m = e^{-i w r}
     f20 = -tc.b2 * (1.0 - k * e_m * e_m)
     return f20, complex(tc.b2 * (k - 1.0)), f20.conjugate()
 
@@ -435,8 +448,12 @@ def f21_coefficient(
         f21 = B2 (-2 w11(0) - w20(0) + 2 k e^{-i w r} w11(-r) + k e^{i w r} w20(-r))
               - B3 (1 - k e^{-i w r}).
     """
-    k = hp.params.k
-    e_m = cmath.exp(-1j * hp.omega_star * hp.r_star)
+    return _f21(tc, hp.params.k, cmath.exp(-1j * hp.omega_star * hp.r_star),
+                w20_0, w20_mr, w11_0, w11_mr)
+
+
+def _f21(tc, k, e_m, w20_0, w20_mr, w11_0, w11_mr):
+    # f21 of `f21_coefficient` at e_m = e^{-i w r}
     return (
         tc.b2 * (-2.0 * w11_0 - w20_0 + 2.0 * k * e_m * w11_mr
                  + k * e_m.conjugate() * w20_mr)
@@ -470,9 +487,13 @@ def w_boundary_values(
     itself a characteristic root; within 1e-12 of the sizes of its terms,
     |2 i w + p| + |q| or |p| + |q|, that resonance is reported as an error.
     """
-    p, q = hp.p_star, hp.q_star
-    w, r = hp.omega_star, hp.r_star
-    e = cmath.exp(1j * w * r)
+    w = hp.omega_star
+    return _w_values(hp.p_star, hp.q_star, w, cmath.exp(1j * w * hp.r_star),
+                     g20, g11, g02, f20, f11)
+
+
+def _w_values(p, q, w, e, g20, g11, g02, f20, f11):
+    # the boundary values of `w_boundary_values` at e = e^{i w r}
     lam2 = 2j * w + p
     delta_2iw = lam2 * e * e - q
     if abs(delta_2iw) <= 1e-12 * (abs(lam2) + abs(q)):
@@ -484,11 +505,11 @@ def w_boundary_values(
         raise ResonanceError(
             "w11 system singular: 0 collides with a characteristic root (p = q)"
         )
-    jump20 = ((1j * g20 / w) * (1.0 - e)
-              + (1j * g02.conjugate() / (3.0 * w)) * (1.0 - e**3))
-    w20_mr = (f20 - g20 - g02.conjugate() - lam2 * jump20) / delta_2iw
-    jump11 = -(1j / w) * g11 * (1.0 - 1.0 / e) + (1j / w) * g11.conjugate() * (1.0 - e)
-    w11_mr = (f11 - g11 - g11.conjugate() - p * jump11) / delta_0
+    g02c, g11c, one_e = g02.conjugate(), g11.conjugate(), 1.0 - e
+    jump20 = (1j * g20 / w) * one_e + (1j * g02c / (3.0 * w)) * (1.0 - e**3)
+    w20_mr = (f20 - g20 - g02c - lam2 * jump20) / delta_2iw
+    jump11 = -(1j / w) * g11 * (1.0 - 1.0 / e) + (1j / w) * g11c * one_e
+    w11_mr = (f11 - g11 - g11c - p * jump11) / delta_0
     # w11 is real (|E| = 1 makes jump11 real); its imaginary part is rounding
     return jump20 + e * e * w20_mr, w20_mr, (jump11 + w11_mr).real, w11_mr.real
 
@@ -499,28 +520,28 @@ def w20_closed_form(
     """Printed closed forms for w20(0), w20(-r) and their constant c.
 
     Kept as an independent cross-check of :func:`w_boundary_values`.
+    `NumericsError` unless c is finite.
     """
-    p, q = hp.p_star, hp.q_star
     w, r = hp.omega_star, hp.r_star
-    e = cmath.exp(1j * w * r)
-    cos2 = math.cos(2.0 * w * r)
-    sin2 = math.sin(2.0 * w * r)
-    num = (-q + p * cos2 - 2.0 * w * sin2) - 1j * (2.0 * w * cos2 + p * sin2)
+    return _w20_closed(hp.p_star, hp.q_star, w, r, cmath.exp(1j * w * r), g20, g02, f20)
+
+
+def _w20_closed(p, q, w, r, e, g20, g02, f20):
+    # the closed forms of `w20_closed_form` at e = e^{i w r}
+    two_w = 2.0 * w
+    cos2, sin2 = math.cos(two_w * r), math.sin(two_w * r)
+    num = (-q + p * cos2 - two_w * sin2) - 1j * (two_w * cos2 + p * sin2)
     den = q * q + p * p + 4.0 * w * w - 2.0 * q * p * cos2 + 4.0 * q * w * sin2
     if den == 0.0:
         raise ResonanceError("closed-form constant c undefined")
     c = num / den
-    g02c = g02.conjugate()
-    w20_0 = c * (
-        e * e * f20
-        + g20 * (-(q * 1j / w) + (q * 1j / w) * e - e * e)
-        + g02c * (-(q * 1j / (3.0 * w)) + (q * 1j / (3.0 * w)) * e**3 - e * e)
-    )
-    w20_mr = c * (
-        f20
-        + g20 * (1.0 - 2.0 * e - (p / w) * 1j * (1.0 - e))
-        - (g02c / 3.0) * (1.0 + 2.0 * e**3 + (p / w) * 1j * (1.0 - e**3))
-    )
+    if not cmath.isfinite(c):
+        raise NumericsError(f"closed-form constant c = {c!r} is not finite")
+    g02c, e2, e3 = g02.conjugate(), e * e, e**3
+    qiw, qiw3, piw = q * 1j / w, q * 1j / (3.0 * w), (p / w) * 1j
+    w20_0 = c * (e2 * f20 + g20 * (-qiw + qiw * e - e2) + g02c * (-qiw3 + qiw3 * e3 - e2))
+    w20_mr = c * (f20 + g20 * (1.0 - 2.0 * e - piw * (1.0 - e))
+                  - (g02c / 3.0) * (1.0 + 2.0 * e3 + piw * (1.0 - e3)))
     return w20_0, w20_mr, c
 
 
@@ -528,9 +549,12 @@ def w11_closed_form(
     g11: complex, f11: complex, hp: HopfPoint
 ) -> Tuple[float, float, float]:
     """Printed closed forms for w11(0), w11(-r) and their constant c1."""
-    p, q = hp.p_star, hp.q_star
-    w, r = hp.omega_star, hp.r_star
-    e = cmath.exp(1j * w * r)
+    w = hp.omega_star
+    return _w11_closed(hp.p_star, hp.q_star, w, cmath.exp(1j * w * hp.r_star), g11, f11)
+
+
+def _w11_closed(p, q, w, e, g11, f11):
+    # the closed forms of `w11_closed_form` at e = e^{i w r}
     if p == q:
         raise ResonanceError("closed-form constant c1 undefined (p = q)")
     c1 = 1.0 / (p - q)
@@ -547,7 +571,7 @@ def lyapunov_l1(g20: complex, g11: complex, g21: complex, omega_star: float) -> 
     """First Lyapunov coefficient Re(i g20 g11 + omega* g21) / (2 omega*^2).
 
     `NumericsError` where omega*^2 overflows or falls below the normal range,
-    where it has lost its digits.
+    where it has lost its digits, and where l1 is not finite.
     """
     try:
         w2 = omega_star**2
@@ -556,7 +580,11 @@ def lyapunov_l1(g20: complex, g11: complex, g21: complex, omega_star: float) -> 
     if not _TINY <= w2 < math.inf:
         raise NumericsError(f"omega*^2 leaves the float range at omega* = {omega_star!r}: "
                             "l1 cannot be formed in this time unit")
-    return (1j * g20 * g11 + omega_star * g21).real / (2.0 * w2)
+    l1 = (1j * g20 * g11 + omega_star * g21).real / (2.0 * w2)
+    if not math.isfinite(l1):
+        raise NumericsError(f"l1 = Re(i g20 g11 + omega* g21) / (2 omega*^2) = {l1!r} "
+                            "is not finite")
+    return l1
 
 
 def _criticality(l1: float, scale: float) -> str:
@@ -576,69 +604,30 @@ def criticality_report(hp: HopfPoint) -> NormalFormData:
     means |l1| <= BOUNDARY_TOL (|g20 g11| + omega* |g21|) / (2 omega*^2).
     The Taylor data are taken at ``hp.x2_star``, with no equilibria report;
     Psi1(0) and A dB1/dA are formed once, for the normal form and mu', and
-    p*, q*, omega*, r* and E = e^{i omega* r*} once for all the fields, each
-    of which is the one its public helper gives.
+    E = e^{i omega* r*} once, with e^{-i omega* r*} as its conjugate.  Each
+    field comes from the kernel its public helper runs, at these values, and
+    each refusal is the helper's.
     """
-    params = hp.params
+    r, w, p, q, params, x2 = hp
     beta0, n, A, k = params.beta0, params.n, params.A, params.k
-    p, q, w, r = hp.p_star, hp.q_star, hp.omega_star, hp.r_star
     slopes = _b1_slopes(beta0, n, A)
-    tc = _taylor_at(n, A, hp.x2_star, _b1_at_x2(beta0, n, A), slopes)
+    tc = _taylor_at(n, A, x2, _b1_at_x2(beta0, n, A), slopes)
     psi = projection_weight(p, w, r)
-    f20, f11, f02 = f_coefficients(tc, hp)
-    g20, g11, g02 = psi * f20, psi * f11, psi * f02
-    g02c, g11c = g02.conjugate(), g11.conjugate()
-    # E = e^{i w r} and its powers, and the terms the helpers below each form
     e = cmath.exp(1j * w * r)
-    e2, e3 = e * e, e**3
-    one_e, one_e3, one_inv_e = 1.0 - e, 1.0 - e3, 1.0 - 1.0 / e
-    w3 = 3.0 * w
-    qiw, qiw3, piw = q * 1j / w, q * 1j / w3, (p / w) * 1j
-    # w_boundary_values
-    lam2 = 2j * w + p
-    delta_2iw = lam2 * e * e - q
-    if abs(delta_2iw) <= 1e-12 * (abs(lam2) + abs(q)):
-        raise ResonanceError("w20 system singular: 2 i omega* collides with a characteristic root")
-    delta_0 = p - q
-    if abs(delta_0) <= 1e-12 * (abs(p) + abs(q)):
-        raise ResonanceError("w11 system singular: 0 collides with a characteristic root (p = q)")
-    jump20 = (1j * g20 / w) * one_e + (1j * g02c / w3) * one_e3
-    w20_mr = (f20 - g20 - g02c - lam2 * jump20) / delta_2iw
-    i_w = 1j / w
-    jump11 = -i_w * g11 * one_inv_e + i_w * g11c * one_e
-    common11 = f11 - g11 - g11c
-    w11_mr = (common11 - p * jump11) / delta_0
-    w20_0, w11_0, w11_mr = jump20 + e2 * w20_mr, (jump11 + w11_mr).real, w11_mr.real
-    f21 = f21_coefficient(tc, hp, w20_0, w20_mr, w11_0, w11_mr)
+    e_m = e.conjugate()
+    f20, f11, f02 = _f2(tc, k, e_m)
+    g20, g11, g02 = psi * f20, psi * f11, psi * f02
+    w20_0, w20_mr, w11_0, w11_mr = _w_values(p, q, w, e, g20, g11, g02, f20, f11)
+    f21 = _f21(tc, k, e_m, w20_0, w20_mr, w11_0, w11_mr)
     g21 = psi * f21
     l1 = lyapunov_l1(g20, g11, g21, w)
-    # transversality
-    dk = -params.gamma * k
-    dp = slopes[0] * dk / (k - 1.0)
-    dq = dk * (q / k) + k * dp
-    root_term = complex(p, w)
-    speed = -psi * (dp - dq / q * root_term + 1j * w * root_term)
-    # w20_closed_form
-    two_w, two_wr = 2.0 * w, 2.0 * w * r
-    cos2, sin2 = math.cos(two_wr), math.sin(two_wr)
-    num = (-q + p * cos2 - two_w * sin2) - 1j * (two_w * cos2 + p * sin2)
-    den = q * q + p * p + 4.0 * w * w - 2.0 * q * p * cos2 + 4.0 * q * w * sin2
-    if den == 0.0:
-        raise ResonanceError("closed-form constant c undefined")
-    c = num / den
-    w20_cf_0 = c * (e2 * f20 + g20 * (-qiw + qiw * e - e2) + g02c * (-qiw3 + qiw3 * e3 - e2))
-    w20_cf_mr = c * (f20 + g20 * (1.0 - 2.0 * e - piw * one_e)
-                     - (g02c / 3.0) * (1.0 + 2.0 * e3 + piw * one_e3))
-    # w11_closed_form, whose p = q refusal the w11 resonance above has made
-    c1 = 1.0 / delta_0
-    swing = g11 * one_inv_e - g11c * one_e
-    w11_cf_0 = (c1 * (common11 + qiw * swing)).real
-    w11_cf_mr = (c1 * (common11 + (p * 1j / w) * swing)).real
+    mu_prime, omega_prime = _speed(psi, p, q, w, params.gamma, k, slopes[0])
+    w20_cf_0, w20_cf_mr, c = _w20_closed(p, q, w, r, e, g20, g02, f20)
+    w11_cf_0, w11_cf_mr, c1 = _w11_closed(p, q, w, e, g11, f11)
     crit = _criticality(l1, (abs(g20 * g11) + w * abs(g21)) / (2.0 * w * w))
     s = 0 if crit == DEGENERATE else (-1 if l1 < 0.0 else 1)
     # a plain NamedTuple: the fields are packed as its __new__ would pack them
     return tuple.__new__(NormalFormData, (
-        psi, f20, f11, f02, f21, g20, g11, g02, g21,
-        w20_0, w20_mr, w11_0, w11_mr, w20_cf_0, w20_cf_mr, w11_cf_0, w11_cf_mr,
-        c, c1, l1, s, speed.real, speed.imag, crit,
+        psi, f20, f11, f02, f21, g20, g11, g02, g21, w20_0, w20_mr, w11_0, w11_mr,
+        w20_cf_0, w20_cf_mr, w11_cf_0, w11_cf_mr, c, c1, l1, s, mu_prime, omega_prime, crit,
     ))

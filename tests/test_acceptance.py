@@ -31,7 +31,7 @@ import refvals as rv
 from pairing import pairing
 from hemohopf import ddesim, hopf, linstab, model
 from test_linstab import non_boundary_draws
-from test_model import draw_valid_params
+from test_model import draw_valid_params, taylor_at_x2
 
 
 def _report(number: int, label: str, checks) -> None:
@@ -290,6 +290,12 @@ def test_criterion_9_property_suites(ref_hopf, ref_params):
     stored = (nf.w20_at_0, nf.w20_at_minus_r, nf.w11_at_0, nf.w11_at_minus_r)
     checks.append(
         ("report's w values are w_boundary_values'", solved == stored, f"solve {solved}")
+    )
+    tc = taylor_at_x2(ref_hopf.params, model.equilibria(ref_hopf.params))
+    formed = (*hopf.f_coefficients(tc, ref_hopf), hopf.f21_coefficient(tc, ref_hopf, *stored))
+    checks.append(
+        ("report's f values are f_coefficients' and f21_coefficient's",
+         formed == (nf.f20, nf.f11, nf.f02, nf.f21), f"formed {formed}")
     )
     cf20 = hopf.w20_closed_form(nf.g20, nf.g02, nf.f20, ref_hopf)
     cf11 = hopf.w11_closed_form(nf.g11, nf.f11, ref_hopf)

@@ -10,7 +10,7 @@ import pytest
 import refvals as rv
 from hemohopf import cli, ddesim, hopf, linstab, model
 from hemohopf.errors import ConfigError, ConvergenceError, NumericsError
-from test_hopf import STEEP_G_DRAW, _count_calls
+from test_hopf import NONFINITE_NORMAL_FORMS, STEEP_G_DRAW, _count_calls
 
 REF_CONFIG = """\
 # benchmark parameter set
@@ -961,6 +961,11 @@ EDGE_RUNS = {
     # the residuals hang on the last ulp of r*, and test_hopf.py checks them
     "steep-g": ("beta0 = {!r}\nn = {!r}\ndelta = {!r}\ngamma = 0.15612321650009206\n"
                 .format(*STEEP_G_DRAW[:3]), ["hopf"], 0, "  r*     = 4.4383631445\n"),
+    # l1, the crossing speed and c overflow to nan on the float-range box
+    **{f"normal-form-nonfinite-{name}": (
+        "beta0 = {1!r}\nn = {0!r}\ndelta = {2!r}\nk = {3!r}\n".format(*draw),
+        ["normal-form"], 3, f"numerical failure: {message}")
+       for name, (draw, message) in NONFINITE_NORMAL_FORMS.items()},
 }
 
 

@@ -1009,14 +1009,15 @@ def test_normal_form_stores_the_closed_forms(args):
 
 
 def test_normal_form_forms_each_f_coefficient_once(ref_hopf, monkeypatch):
+    # the report runs the kernels of f_coefficients and f21_coefficient, once each
     calls = []
-    for name in ("f_coefficients", "f21_coefficient"):
+    for name in ("_f2", "_f21"):
         def counted(*args, _name=name, _original=getattr(hopf, name)):
             calls.append(_name)
             return _original(*args)
         monkeypatch.setattr(hopf, name, counted)
     nf = hopf.criticality_report(ref_hopf)
-    assert calls == ["f_coefficients", "f21_coefficient"]
+    assert calls == ["_f2", "_f21"]
     monkeypatch.undo()
     tc = taylor_at_x2(ref_hopf.params, model.equilibria(ref_hopf.params))
     assert (nf.f20, nf.f11, nf.f02) == hopf.f_coefficients(tc, ref_hopf)
@@ -1116,13 +1117,13 @@ def _normal_form_chain(hp):
     g21 = psi * f21
     w = hp.omega_star
     l1 = hopf.lyapunov_l1(g20, g11, g21, w)
+    speed = hopf.transversality(hp)
     w20_0, w20_mr, c = hopf.w20_closed_form(g20, g02, f20, hp)
     w11_0, w11_mr, c1 = hopf.w11_closed_form(g11, f11, hp)
     crit = hopf._criticality(l1, (abs(g20 * g11) + w * abs(g21)) / (2.0 * w * w))
     s = 0 if crit == hopf.DEGENERATE else (-1 if l1 < 0.0 else 1)
     return hopf.NormalFormData(psi, f20, f11, f02, f21, g20, g11, g02, g21, *w_values,
-                               w20_0, w20_mr, w11_0, w11_mr, c, c1, l1, s,
-                               *hopf.transversality(hp), crit)
+                               w20_0, w20_mr, w11_0, w11_mr, c, c1, l1, s, *speed, crit)
 
 
 def _normal_form_points():
@@ -1135,15 +1136,72 @@ def _normal_form_points():
     return points
 
 
+def _located_points():
+    # find_hopf_r without a bracket on the first 50 seed-1 stability configs:
+    # records built from D's own evaluation, as `normal-form` builds them on a
+    # gamma config
+    points = []
+    for config in islice(workloads.stability_configs(1), 50):
+        p = config["params"]
+        points.append(hopf.find_hopf_r(model.ModelParameters.from_gamma(
+            p["beta0"], p["n"], p["delta"], p["gamma"], p["r"])))
+    return points
+
+
 def test_criticality_report_is_the_chain_of_its_public_helpers():
-    # the report forms E = e^{i omega* r*} and the terms it shares once; each
-    # field is the public helper's, to the bit
+    # the report forms E = e^{i omega* r*} once and runs the helpers' kernels
+    # at it; each field is the public helper's, to the bit
     points = _normal_form_points()
     assert len(points) > 180
-    for hp in points:
+    for hp in points + _located_points():
         report, chain = hopf.criticality_report(hp), _normal_form_chain(hp)
         for name, got, expected in zip(hopf.NormalFormData._fields, report, chain):
             assert got == expected and type(got) is type(expected), (name, hp)
+
+
+# (n, beta0, delta, k) of a log-uniform float-range box at which l1, the
+# crossing speed and the closed-form constant c are not finite, each with
+# its refusal
+NONFINITE_NORMAL_FORMS = {
+    "l1": ((535.6466108874542, 1.0317981732188892e+218, 8.462915641147109e+148,
+            1.4780947960811412),
+           "l1 = Re(i g20 g11 + omega* g21) / (2 omega*^2) = nan is not finite"),
+    # dp = B1' overflows at k - 1 = 1.2e-5
+    "crossing-speed": ((1.0003844775280795, 1.7838771704967025e+232, 2.6759840843052627e+152,
+                        1.0000119704616515),
+                       "crossing speed mu' = nan, omega' = nan is not finite"),
+    "c": ((1.418405615560197, 1.0069871130739729e+208, 1.632343388234782e+154,
+           1.999999998642839),
+          "closed-form constant c = (nan+nanj) is not finite"),
+}
+
+
+def _refusal(fn, *args):
+    # (class, message) of the error fn raises, or None
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_criticality_report_refuses_as_its_public_chain_does(ref_hopf):
+    # (r*, omega*, p*, q*) of records no search returns: 2 i omega* and 0
+    # resonant, a degenerate crossing, and omega*^2 below the normal range
+    records = [(math.pi / 4.0, 1.0, 0.0, -2.0), (math.pi / 4.0, 1.0, 0.0, 0.0),
+               (1.0, 1e-7, -1.0, -1.0), (1.0, 1e-170, 0.5, -1.0)]
+    points = [hopf.HopfPoint._unchecked((*record, ref_hopf.params, ref_hopf.x2_star))
+              for record in records]
+    points += [hopf.hopf_from_pqk(*draw) for draw, _ in NONFINITE_NORMAL_FORMS.values()]
+    refusals = [_refusal(hopf.criticality_report, hp) for hp in points]
+    assert refusals == [_refusal(_normal_form_chain, hp) for hp in points]
+    assert [refusal[0] for refusal in refusals] == [
+        ResonanceError, ResonanceError, DegenerateCrossingError] + [NumericsError] * 4
+    assert refusals[0][1].startswith("w20 system singular")
+    assert refusals[1][1].startswith("w11 system singular")
+    assert refusals[3][1].startswith("omega*^2 leaves the float range")
+    assert [refusal[1] for refusal in refusals[4:]] == [
+        message for _, message in NONFINITE_NORMAL_FORMS.values()]
 
 
 def test_criticality_report_full_chain(ref_hopf):

@@ -11,7 +11,8 @@ example a ``git archive`` of another revision), and writes one JSON line
   repr of `hopf_from_pqk`, `criticality_report` and `find_hopf_r` on the
   benchmark's +-10% bracket, or the error class and message;
 - stability: the first 500 seed-1 stability configs of perfbench/workloads.py
-  through `find_hopf_r` without a bracket;
+  through `find_hopf_r` without a bracket, with the repr of
+  `criticality_report` on each point it locates;
 - output-compiled and output-python: the SHA-256 of the exit code, stdout,
   stderr and output file of every run that tests/test_cli_golden.py pins, and
   of the reference `simulate --r 0.35` and `--r 0.36`, `sweep` and
@@ -76,9 +77,13 @@ def stability_params(hemohopf, config):
 
 
 def stability_cases(hemohopf, configs):
+    hopf = hemohopf.hopf
     for i, config in enumerate(configs):
-        params = stability_params(hemohopf, config)
-        yield "stability", i, _attempt(hemohopf.hopf.find_hopf_r, params)[1]
+        hp, value = _attempt(hopf.find_hopf_r, stability_params(hemohopf, config))
+        values = [value]
+        if hp is not None:
+            values.append(_attempt(hopf.criticality_report, hp)[1])
+        yield "stability", i, values
 
 
 def cli_runs():
