@@ -24,13 +24,14 @@ g_jk = Psi1(0) f_jk with Psi1(0) = 1/Delta_lambda(i omega*), the crossing
 speed is -Delta_r/Delta_lambda there, and the boundary values of the
 manifold corrections w20, w11 that f21 needs take one division each, by
 e^{2 i omega* r*} Delta(2 i omega*) and by Delta(0) (the printed closed
-forms, with c and c1, are kept as a cross-check).
+forms, with c and c1, are kept as a cross-check).  A second route to l1,
+Re c1 / omega* from Delta alone, shares no formula with this chain.
 
 Each quantity at r* is formed once: `hopf_from_pqk` builds the record from
 the (p, q) and crossing it formed, `find_hopf_r` from D's own evaluation at
-the root, checked for r* against r0 only, and `criticality_report` forms E =
-e^{i omega* r*} once and runs at it the kernel each public normal-form helper
-runs, so each formula, and each of its refusals, has one home.
+the root, checked for r* against r0 only, and `criticality_report`, the
+normal form's one public entry, forms E = e^{i omega* r*} once and runs at
+it one private kernel per formula, with that formula's refusals.
 """
 
 from __future__ import annotations
@@ -85,14 +86,7 @@ __all__ = [
     "hopf_from_pqk",
     "frontier_mismatch",
     "find_hopf_r",
-    "transversality",
-    "psi1_zero",
     "projection_weight",
-    "f_coefficients",
-    "f21_coefficient",
-    "w_boundary_values",
-    "w20_closed_form",
-    "w11_closed_form",
     "lyapunov_l1",
     "criticality_report",
 ]
@@ -367,7 +361,7 @@ def find_hopf_r(params: ModelParameters,
     return hp
 
 
-def transversality(hp: HopfPoint) -> Tuple[float, float]:
+def _speed(psi, p, q, w, gamma, k, a_db1):
     """Crossing speed (mu', omega') of the critical root pair in r.
 
     lambda'(r*) = -Delta_r / Delta_lambda at lambda = i omega* for
@@ -376,18 +370,11 @@ def transversality(hp: HopfPoint) -> Tuple[float, float]:
 
         Delta_r = p' - (q'/q)(p + i omega*) + i omega* (p + i omega*),
 
-    and 1/Delta_lambda is Psi1(0), so lambda' = -Psi1(0) Delta_r.  p' and q'
-    come through k(r) = 2 exp(-gamma r): dk/dr = -gamma k, and dA/A =
-    dk/(k - 1) as A is proportional to k - 1.  `NumericsError` unless both
-    are finite.
+    and 1/Delta_lambda is psi = Psi1(0), so lambda' = -Psi1(0) Delta_r.  p' and
+    q' come through k(r) = 2 exp(-gamma r): dk/dr = -gamma k, and dA/A =
+    dk/(k - 1) as A is proportional to k - 1; a_db1 = A dB1/dA.
+    `NumericsError` unless both are finite.
     """
-    prm = hp.params
-    return _speed(psi1_zero(hp), hp.p_star, hp.q_star, hp.omega_star, prm.gamma, prm.k,
-                  _b1_slopes(prm.beta0, prm.n, prm.A)[0])
-
-
-def _speed(psi, p, q, w, gamma, k, a_db1):
-    # (mu', omega') of `transversality`, from Psi1(0) and a_db1 = A dB1/dA
     dk = -gamma * k
     dp = a_db1 * dk / (k - 1.0)  # p' = B1'
     dq = dk * (q / k) + k * dp
@@ -404,7 +391,8 @@ def projection_weight(p: float, omega: float, r: float) -> complex:
 
     This is 1/Delta'(i omega) for Delta(lambda) = lambda + p - q e^{-lambda r},
     Delta'(lambda) = 1 + q r e^{-lambda r}, since q e^{-i omega r} = p + i omega
-    at the root; it makes <Psi1, phi1> = 1 for Psi1(s) = Psi1(0) e^{-i omega s}.
+    at the root; it makes <Psi1, phi1> = 1 for Psi1(s) = Psi1(0) e^{-i omega s},
+    the normalized adjoint eigenfunction.
     Raises :class:`DegenerateCrossingError` when |Delta'(i omega)|^2 < 1e-12.
     """
     den = (1.0 + p * r) ** 2 + (omega * r) ** 2
@@ -413,65 +401,32 @@ def projection_weight(p: float, omega: float, r: float) -> complex:
     return (1.0 + (p - 1j * omega) * r) / den
 
 
-def psi1_zero(hp: HopfPoint) -> complex:
-    """Value at 0 of the normalized adjoint eigenfunction Psi1."""
-    return projection_weight(hp.p_star, hp.omega_star, hp.r_star)
-
-
-def f_coefficients(
-    tc: TaylorCoefficients, hp: HopfPoint
-) -> Tuple[complex, complex, complex]:
-    """Second-order coefficients f20, f11, f02 of the projected nonlinearity:
+def _f2(tc, k, e_m):
+    """Second-order coefficients (f20, f11, f02) of the projected nonlinearity,
+    at e_m = e^{-i w r}:
 
         f20 = -B2 (1 - k e^{-2 i w r}),  f11 = B2 (k - 1),  f02 = conj(f20).
     """
-    return _f2(tc, hp.params.k, cmath.exp(-1j * hp.omega_star * hp.r_star))
-
-
-def _f2(tc, k, e_m):
-    # (f20, f11, f02) of `f_coefficients` at e_m = e^{-i w r}
     f20 = -tc.b2 * (1.0 - k * e_m * e_m)
     return f20, complex(tc.b2 * (k - 1.0)), f20.conjugate()
 
 
-def f21_coefficient(
-    tc: TaylorCoefficients,
-    hp: HopfPoint,
-    w20_0: complex,
-    w20_mr: complex,
-    w11_0: float,
-    w11_mr: float,
-) -> complex:
-    """Cubic coefficient f21 of the projected nonlinearity, from the boundary
-    values of w20 and w11 (:func:`w_boundary_values`):
+def _f21(tc, k, e_m, w20_0, w20_mr, w11_0, w11_mr):
+    """Cubic coefficient f21 of the projected nonlinearity, at e_m = e^{-i w r},
+    from the boundary values of w20 and w11 (:func:`_w_values`):
 
         f21 = B2 (-2 w11(0) - w20(0) + 2 k e^{-i w r} w11(-r) + k e^{i w r} w20(-r))
               - B3 (1 - k e^{-i w r}).
     """
-    return _f21(tc, hp.params.k, cmath.exp(-1j * hp.omega_star * hp.r_star),
-                w20_0, w20_mr, w11_0, w11_mr)
+    return (tc.b2 * (-2.0 * w11_0 - w20_0 + 2.0 * k * e_m * w11_mr
+                     + k * e_m.conjugate() * w20_mr)
+            - tc.b3 * (1.0 - k * e_m))
 
 
-def _f21(tc, k, e_m, w20_0, w20_mr, w11_0, w11_mr):
-    # f21 of `f21_coefficient` at e_m = e^{-i w r}
-    return (
-        tc.b2 * (-2.0 * w11_0 - w20_0 + 2.0 * k * e_m * w11_mr
-                 + k * e_m.conjugate() * w20_mr)
-        - tc.b3 * (1.0 - k * e_m)
-    )
-
-
-def w_boundary_values(
-    g20: complex,
-    g11: complex,
-    g02: complex,
-    f20: complex,
-    f11: complex,
-    hp: HopfPoint,
-) -> Tuple[complex, complex, float, float]:
+def _w_values(p, q, w, e, g20, g11, g02, f20, f11):
     """Boundary values w20(0), w20(-r), w11(0), w11(-r); w11 is real.
 
-    w20 satisfies, with E = e^{i w r},
+    w20 satisfies, with e = E = e^{i w r},
 
         w20(0) - w20(-r) E^2 = (i g20/w)(1 - E) + (i conj(g02)/(3w))(1 - E^3)
         (2 i w + p) w20(0) - q w20(-r) = f20 - g20 - conj(g02)
@@ -487,13 +442,6 @@ def w_boundary_values(
     itself a characteristic root; within 1e-12 of the sizes of its terms,
     |2 i w + p| + |q| or |p| + |q|, that resonance is reported as an error.
     """
-    w = hp.omega_star
-    return _w_values(hp.p_star, hp.q_star, w, cmath.exp(1j * w * hp.r_star),
-                     g20, g11, g02, f20, f11)
-
-
-def _w_values(p, q, w, e, g20, g11, g02, f20, f11):
-    # the boundary values of `w_boundary_values` at e = e^{i w r}
     lam2 = 2j * w + p
     delta_2iw = lam2 * e * e - q
     if abs(delta_2iw) <= 1e-12 * (abs(lam2) + abs(q)):
@@ -514,20 +462,10 @@ def _w_values(p, q, w, e, g20, g11, g02, f20, f11):
     return jump20 + e * e * w20_mr, w20_mr, (jump11 + w11_mr).real, w11_mr.real
 
 
-def w20_closed_form(
-    g20: complex, g02: complex, f20: complex, hp: HopfPoint
-) -> Tuple[complex, complex, complex]:
-    """Printed closed forms for w20(0), w20(-r) and their constant c.
-
-    Kept as an independent cross-check of :func:`w_boundary_values`.
-    `NumericsError` unless c is finite.
-    """
-    w, r = hp.omega_star, hp.r_star
-    return _w20_closed(hp.p_star, hp.q_star, w, r, cmath.exp(1j * w * r), g20, g02, f20)
-
-
 def _w20_closed(p, q, w, r, e, g20, g02, f20):
-    # the closed forms of `w20_closed_form` at e = e^{i w r}
+    """Printed closed forms for w20(0), w20(-r) and their constant c, at e =
+    e^{i w r}: a cross-check of :func:`_w_values`.  `NumericsError` unless c is finite.
+    """
     two_w = 2.0 * w
     cos2, sin2 = math.cos(two_w * r), math.sin(two_w * r)
     num = (-q + p * cos2 - two_w * sin2) - 1j * (two_w * cos2 + p * sin2)
@@ -545,18 +483,9 @@ def _w20_closed(p, q, w, r, e, g20, g02, f20):
     return w20_0, w20_mr, c
 
 
-def w11_closed_form(
-    g11: complex, f11: complex, hp: HopfPoint
-) -> Tuple[float, float, float]:
-    """Printed closed forms for w11(0), w11(-r) and their constant c1."""
-    w = hp.omega_star
-    return _w11_closed(hp.p_star, hp.q_star, w, cmath.exp(1j * w * hp.r_star), g11, f11)
-
-
 def _w11_closed(p, q, w, e, g11, f11):
-    # the closed forms of `w11_closed_form` at e = e^{i w r}
-    if p == q:
-        raise ResonanceError("closed-form constant c1 undefined (p = q)")
+    """Printed closed forms for w11(0), w11(-r) and their constant c1, at e =
+    e^{i w r}; :func:`_w_values` has refused p = q."""
     c1 = 1.0 / (p - q)
     g11c = g11.conjugate()
     common = f11 - g11 - g11c
@@ -565,6 +494,21 @@ def _w11_closed(p, q, w, e, g11, f11):
     w11_0 = (c1 * (common + (q * 1j / w) * swing)).real
     w11_mr = (c1 * (common + (p * 1j / w) * swing)).real
     return w11_0, w11_mr, c1
+
+
+def _l1_from_characteristic(tc, p, q, w, r, k, e_m):
+    """l1 = Re c1 / w from Delta alone, by the normalization method (Kuznetsov,
+    Elements of Applied Bifurcation Theory, 3rd ed.; Bosschaert, Janssens &
+    Kuznetsov, SIAM J. Appl. Dyn. Syst. 19 (2020) 252).  With E(l) = k e^{-l r} - 1,
+    H(l) = B2 E(l) / Delta(l) and Delta'(l) = 1 + q r e^{-l r},
+
+        c1 = E(i w) (B3 + B2 H(2 i w) + 2 B2 H(0)) / (2 Delta'(i w)),
+
+    formed in ratios to w, which hold in every time unit, at e_m = e^{-i w r}.
+    """
+    b2, p_w, q_w, e_m2 = tc.b2 / w, p / w, q / w, e_m * e_m
+    h = b2 * ((k * e_m2 - 1.0) / (2j + p_w - q_w * e_m2) + 2.0 * (k - 1.0) / ((p - q) / w))
+    return ((k * e_m - 1.0) * (tc.b3 / w + b2 * h) / (2.0 * (1.0 + q_w * (w * r) * e_m))).real
 
 
 def lyapunov_l1(g20: complex, g11: complex, g21: complex, omega_star: float) -> float:
@@ -580,7 +524,7 @@ def lyapunov_l1(g20: complex, g11: complex, g21: complex, omega_star: float) -> 
     if not _TINY <= w2 < math.inf:
         raise NumericsError(f"omega*^2 leaves the float range at omega* = {omega_star!r}: "
                             "l1 cannot be formed in this time unit")
-    l1 = (1j * g20 * g11 + omega_star * g21).real / (2.0 * w2)
+    l1 = (1j * g20 * g11 + omega_star * g21).real / w2 / 2.0
     if not math.isfinite(l1):
         raise NumericsError(f"l1 = Re(i g20 g11 + omega* g21) / (2 omega*^2) = {l1!r} "
                             "is not finite")
@@ -595,18 +539,19 @@ def _criticality(l1: float, scale: float) -> str:
 
 
 def criticality_report(hp: HopfPoint) -> NormalFormData:
-    """Full normal-form computation at a Hopf point.
+    """Full normal-form computation at a Hopf point: the normal form's one entry.
 
     Chains Taylor data, projection, manifold coefficients, the cubic
     coefficient g21, the first Lyapunov coefficient, and the crossing
     speed into one report.  Supercritical means l1 < 0: a stable cycle
     exists on the side of r* where the equilibrium is unstable.  Degenerate
-    means |l1| <= BOUNDARY_TOL (|g20 g11| + omega* |g21|) / (2 omega*^2).
-    The Taylor data are taken at ``hp.x2_star``, with no equilibria report;
-    Psi1(0) and A dB1/dA are formed once, for the normal form and mu', and
-    E = e^{i omega* r*} once, with e^{-i omega* r*} as its conjugate.  Each
-    field comes from the kernel its public helper runs, at these values, and
-    each refusal is the helper's.
+    means |l1| <= BOUNDARY_TOL (|g20 g11| + omega* |g21|) / (2 omega*^2), a
+    scale formed in ratios to omega*.  The Taylor data are taken at
+    ``hp.x2_star``, with no equilibria report; Psi1(0) and A dB1/dA are
+    formed once, for the normal form and mu', and E = e^{i omega* r*} once,
+    with e^{-i omega* r*} as its conjugate.  Last, l1 is formed a second way,
+    from Delta alone (:func:`_l1_from_characteristic`): `NumericsError`
+    names both values unless they agree within 1e-10 of that scale.
     """
     r, w, p, q, params, x2 = hp
     beta0, n, A, k = params.beta0, params.n, params.A, params.k
@@ -624,8 +569,13 @@ def criticality_report(hp: HopfPoint) -> NormalFormData:
     mu_prime, omega_prime = _speed(psi, p, q, w, params.gamma, k, slopes[0])
     w20_cf_0, w20_cf_mr, c = _w20_closed(p, q, w, r, e, g20, g02, f20)
     w11_cf_0, w11_cf_mr, c1 = _w11_closed(p, q, w, e, g11, f11)
-    crit = _criticality(l1, (abs(g20 * g11) + w * abs(g21)) / (2.0 * w * w))
+    scale = (abs(g20 / w) * abs(g11 / w) + abs(g21 / w)) / 2.0
+    crit = _criticality(l1, scale)
     s = 0 if crit == DEGENERATE else (-1 if l1 < 0.0 else 1)
+    l1_route = _l1_from_characteristic(tc, p, q, w, r, k, e_m)
+    if not abs(l1_route - l1) <= 1e-10 * scale:
+        raise NumericsError(f"l1 = {l1!r} by the Hassard chain and {l1_route!r} from the "
+                            "characteristic matrix disagree")
     # a plain NamedTuple: the fields are packed as its __new__ would pack them
     return tuple.__new__(NormalFormData, (
         psi, f20, f11, f02, f21, g20, g11, g02, g21, w20_0, w20_mr, w11_0, w11_mr,

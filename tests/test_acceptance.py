@@ -111,7 +111,8 @@ def test_criterion_3_hopf_g_root_route(ref_hopf):
 
 
 def test_criterion_4_transversality(ref_hopf, ref_params):
-    mu_p, om_p = hopf.transversality(ref_hopf)
+    nf = hopf.criticality_report(ref_hopf)
+    mu_p, om_p = nf.mu_prime, nf.omega_prime
     h = 1e-5
     lams = []
     for r in (ref_hopf.r_star - h, ref_hopf.r_star + h):
@@ -239,7 +240,8 @@ def test_criterion_9_property_suites(ref_hopf, ref_params):
 
     # pairing normalization at the located Hopf point
     w = ref_hopf.omega_star
-    weight = hopf.psi1_zero(ref_hopf)
+    nf = hopf.criticality_report(ref_hopf)
+    weight = nf.psi1_zero
     adjoint = lambda z: weight * cmath.exp(-1j * w * z)
     norm1 = pairing(adjoint, lambda s: cmath.exp(1j * w * s), ref_hopf)
     norm0 = pairing(adjoint, lambda s: cmath.exp(-1j * w * s), ref_hopf)
@@ -250,7 +252,6 @@ def test_criterion_9_property_suites(ref_hopf, ref_params):
     )
 
     # manifold coefficient relations and closed-form agreement
-    nf = hopf.criticality_report(ref_hopf)
     e = cmath.exp(1j * w * ref_hopf.r_star)
     p_, q_ = ref_hopf.p_star, ref_hopf.q_star
     residuals = [
@@ -286,24 +287,22 @@ def test_criterion_9_property_suites(ref_hopf, ref_params):
         ("w20/w11 defining residuals < 1e-10", max(residuals) < 1e-10,
          f"worst {max(residuals):.3e}")
     )
-    solved = hopf.w_boundary_values(nf.g20, nf.g11, nf.g02, nf.f20, nf.f11, ref_hopf)
-    stored = (nf.w20_at_0, nf.w20_at_minus_r, nf.w11_at_0, nf.w11_at_minus_r)
-    checks.append(
-        ("report's w values are w_boundary_values'", solved == stored, f"solve {solved}")
-    )
+    # l1 from the characteristic matrix alone, against the Hassard chain's
     tc = taylor_at_x2(ref_hopf.params, model.equilibria(ref_hopf.params))
-    formed = (*hopf.f_coefficients(tc, ref_hopf), hopf.f21_coefficient(tc, ref_hopf, *stored))
+    route = hopf._l1_from_characteristic(tc, p_, q_, w, ref_hopf.r_star, ref_hopf.params.k,
+                                         e.conjugate())
+    scale = (abs(nf.g20 / w) * abs(nf.g11 / w) + abs(nf.g21 / w)) / 2.0
     checks.append(
-        ("report's f values are f_coefficients' and f21_coefficient's",
-         formed == (nf.f20, nf.f11, nf.f02, nf.f21), f"formed {formed}")
+        ("l1 routes agree within 1e-10 of the degeneracy scale",
+         abs(route - nf.l1) <= 1e-10 * scale, f"chain {nf.l1!r}, route {route!r}")
     )
-    cf20 = hopf.w20_closed_form(nf.g20, nf.g02, nf.f20, ref_hopf)
-    cf11 = hopf.w11_closed_form(nf.g11, nf.f11, ref_hopf)
     agreement = max(
-        abs(nf.w20_at_0 - cf20[0]) / max(1.0, abs(cf20[0])),
-        abs(nf.w20_at_minus_r - cf20[1]) / max(1.0, abs(cf20[1])),
-        abs(nf.w11_at_0 - cf11[0]) / max(1.0, abs(cf11[0])),
-        abs(nf.w11_at_minus_r - cf11[1]) / max(1.0, abs(cf11[1])),
+        abs(nf.w20_at_0 - nf.w20_closed_at_0) / max(1.0, abs(nf.w20_closed_at_0)),
+        abs(nf.w20_at_minus_r - nf.w20_closed_at_minus_r)
+        / max(1.0, abs(nf.w20_closed_at_minus_r)),
+        abs(nf.w11_at_0 - nf.w11_closed_at_0) / max(1.0, abs(nf.w11_closed_at_0)),
+        abs(nf.w11_at_minus_r - nf.w11_closed_at_minus_r)
+        / max(1.0, abs(nf.w11_closed_at_minus_r)),
     )
     checks.append(
         ("closed forms agree within 1e-9 relative", agreement < 1e-9,

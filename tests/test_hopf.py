@@ -2,7 +2,6 @@ import cmath
 import math
 import random
 import sys
-import types
 from itertools import islice
 from pathlib import Path
 
@@ -349,7 +348,7 @@ def test_find_hopf_r_refuses_gamma_above_the_peak_of_the_hopf_curve():
     params = model.ModelParameters.from_gamma(rv.BETA0, rv.N, rv.DELTA,
                                               Q_STAR * (1.0 - 1e-4), 0.36)
     hp = hopf.find_hopf_r(params)
-    assert hopf.transversality(hp)[0] > 0.0
+    assert hopf.criticality_report(hp).mu_prime > 0.0
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-8])
@@ -363,7 +362,8 @@ def test_crossing_speeds_vanish_like_sqrt_eps_at_the_peak_of_the_hopf_curve(eps)
     first = hopf.find_hopf_r(params)
     second = hopf.find_hopf_r(params, (first.r_star * (1.0 + 0.1 * math.sqrt(eps)),
                                        0.999 * model.equilibria(params).r_max))
-    rising, falling = (hopf.transversality(hp)[0] / math.sqrt(eps) for hp in (first, second))
+    rising, falling = (hopf.criticality_report(hp).mu_prime / math.sqrt(eps)
+                       for hp in (first, second))
     assert rising > 0.0 > falling
     assert abs(rising + falling) <= 0.01 * rising
 
@@ -824,14 +824,16 @@ def test_find_hopf_r_takes_the_reference_iterates(draw, monkeypatch):
 
 
 def test_transversality_reference(ref_hopf):
-    mu_p, om_p = hopf.transversality(ref_hopf)
+    nf = hopf.criticality_report(ref_hopf)
+    mu_p, om_p = nf.mu_prime, nf.omega_prime
     assert abs(mu_p - rv.MU_PRIME_REF) < 1e-9 * abs(rv.MU_PRIME_REF)
     assert abs(om_p - rv.OMEGA_PRIME_REF) < 1e-9 * abs(rv.OMEGA_PRIME_REF)
     assert abs(mu_p - rv.MU_PRIME_PRINT) < 0.005 * rv.MU_PRIME_PRINT
 
 
 def test_transversality_matches_root_tracking(ref_hopf, ref_params):
-    mu_p, om_p = hopf.transversality(ref_hopf)
+    nf = hopf.criticality_report(ref_hopf)
+    mu_p, om_p = nf.mu_prime, nf.omega_prime
     h = 1e-5
     lams = []
     for r in (ref_hopf.r_star - h, ref_hopf.r_star + h):
@@ -847,7 +849,7 @@ def test_transversality_matches_root_tracking(ref_hopf, ref_params):
 
 
 def test_psi1_zero_reference(ref_hopf):
-    psi = hopf.psi1_zero(ref_hopf)
+    psi = hopf.criticality_report(ref_hopf).psi1_zero
     assert abs(psi - rv.PSI1_REF) < 1e-12
 
 
@@ -905,7 +907,7 @@ def test_pairing_matches_closed_forms(ref_hopf):
 def test_pairing_normalization(args):
     hp = hopf.hopf_from_pqk(*args)
     phi1, phi2, _, psi2 = _eigendata(hp)
-    weight = hopf.psi1_zero(hp)
+    weight = hopf.projection_weight(hp.p_star, hp.omega_star, hp.r_star)
     norm1 = pairing(lambda z: weight * psi2(z), phi1, hp)
     norm0 = pairing(lambda z: weight * psi2(z), phi2, hp)
     assert abs(norm1 - 1.0) < 1e-8
@@ -915,9 +917,14 @@ def test_pairing_normalization(args):
 # -------------------------------------------------------- series coefficients
 
 
+def _e(hp):
+    # E = e^{i omega* r*}, formed here, not by the report
+    return cmath.exp(1j * hp.omega_star * hp.r_star)
+
+
 def test_f_coefficients_structure(ref_hopf, ref_params):
     tc = taylor_at_x2(ref_params, model.equilibria(ref_params))
-    f20, f11, f02 = hopf.f_coefficients(tc, ref_hopf)
+    f20, f11, f02 = hopf._f2(tc, ref_params.k, _e(ref_hopf).conjugate())
     assert f02 == f20.conjugate()
     assert f11.imag == 0.0
     assert abs(f11 - tc.b2 * (ref_params.k - 1.0)) < 1e-14 * abs(f11)
@@ -925,9 +932,10 @@ def test_f_coefficients_structure(ref_hopf, ref_params):
 
 def test_f_coefficients_vanish_without_quadratic_term(ref_hopf):
     tc = model.TaylorCoefficients(b1=-2.5, b2=0.0, b3=-61.0)
-    f20, f11, f02 = hopf.f_coefficients(tc, ref_hopf)
+    k, e_m = ref_hopf.params.k, _e(ref_hopf).conjugate()
+    f20, f11, f02 = hopf._f2(tc, k, e_m)
     # without B2 the manifold terms drop out of f21
-    f21 = hopf.f21_coefficient(tc, ref_hopf, 1.0 + 2.0j, -3.0j, 0.5, 4.0 - 1.0j)
+    f21 = hopf._f21(tc, k, e_m, 1.0 + 2.0j, -3.0j, 0.5, 4.0 - 1.0j)
     assert f20 == 0.0 and f11 == 0.0 and f02 == 0.0
     assert f21 == -tc.b3 * (
         1.0 - ref_hopf.params.k * cmath.exp(-1j * ref_hopf.omega_star * ref_hopf.r_star)
@@ -940,9 +948,20 @@ def test_f_coefficients_vanish_without_quadratic_term(ref_hopf):
 def _second_order_data(hp):
     params = hp.params
     tc = taylor_at_x2(params, model.equilibria(params))
-    psi = hopf.psi1_zero(hp)
-    f20, f11, f02 = hopf.f_coefficients(tc, hp)
+    psi = hopf.projection_weight(hp.p_star, hp.omega_star, hp.r_star)
+    f20, f11, f02 = hopf._f2(tc, params.k, _e(hp).conjugate())
     return tc, psi, f20, f11, f02
+
+
+def _w_values(hp, g20, g11, g02, f20, f11):
+    return hopf._w_values(hp.p_star, hp.q_star, hp.omega_star, _e(hp), g20, g11, g02, f20, f11)
+
+
+def _closed_forms(hp, g20, g11, g02, f20, f11):
+    # (w20(0), w20(-r), c) and (w11(0), w11(-r), c1) of the printed closed forms
+    p, q, w, r, e = hp.p_star, hp.q_star, hp.omega_star, hp.r_star, _e(hp)
+    return (hopf._w20_closed(p, q, w, r, e, g20, g02, f20),
+            hopf._w11_closed(p, q, w, e, g11, f11))
 
 
 def _w_relation_residuals(hp, g20, g11, g02, f20, f11, w20_0, w20_mr, w11_0, w11_mr):
@@ -977,14 +996,13 @@ def test_w_defining_relations_and_closed_forms(args):
     hp = hopf.hopf_from_pqk(*args)
     tc, psi, f20, f11, f02 = _second_order_data(hp)
     g20, g11, g02 = psi * f20, psi * f11, psi * f02
-    w20_0, w20_mr, w11_0, w11_mr = hopf.w_boundary_values(g20, g11, g02, f20, f11, hp)
+    w20_0, w20_mr, w11_0, w11_mr = _w_values(hp, g20, g11, g02, f20, f11)
     residuals = _w_relation_residuals(
         hp, g20, g11, g02, f20, f11, w20_0, w20_mr, w11_0, w11_mr
     )
     assert max(residuals) < 1e-10
 
-    cf20_0, cf20_mr, _ = hopf.w20_closed_form(g20, g02, f20, hp)
-    cf11_0, cf11_mr, _ = hopf.w11_closed_form(g11, f11, hp)
+    (cf20_0, cf20_mr, _), (cf11_0, cf11_mr, _) = _closed_forms(hp, g20, g11, g02, f20, f11)
     # w11 is real: both routes return no rounding noise as an imaginary part
     assert w11_0.imag == w11_mr.imag == cf11_0.imag == cf11_mr.imag == 0.0
     for solved, closed in (
@@ -1002,14 +1020,13 @@ def test_w_defining_relations_and_closed_forms(args):
 def test_normal_form_stores_the_closed_forms(args):
     hp = hopf.hopf_from_pqk(*args)
     nf = hopf.criticality_report(hp)
-    assert hopf.w20_closed_form(nf.g20, nf.g02, nf.f20, hp) == (
-        nf.w20_closed_at_0, nf.w20_closed_at_minus_r, nf.c)
-    assert hopf.w11_closed_form(nf.g11, nf.f11, hp) == (
-        nf.w11_closed_at_0, nf.w11_closed_at_minus_r, nf.c1)
+    assert _closed_forms(hp, nf.g20, nf.g11, nf.g02, nf.f20, nf.f11) == (
+        (nf.w20_closed_at_0, nf.w20_closed_at_minus_r, nf.c),
+        (nf.w11_closed_at_0, nf.w11_closed_at_minus_r, nf.c1))
 
 
 def test_normal_form_forms_each_f_coefficient_once(ref_hopf, monkeypatch):
-    # the report runs the kernels of f_coefficients and f21_coefficient, once each
+    # the report runs the kernels _f2 and _f21, once each
     calls = []
     for name in ("_f2", "_f21"):
         def counted(*args, _name=name, _original=getattr(hopf, name)):
@@ -1020,9 +1037,10 @@ def test_normal_form_forms_each_f_coefficient_once(ref_hopf, monkeypatch):
     assert calls == ["_f2", "_f21"]
     monkeypatch.undo()
     tc = taylor_at_x2(ref_hopf.params, model.equilibria(ref_hopf.params))
-    assert (nf.f20, nf.f11, nf.f02) == hopf.f_coefficients(tc, ref_hopf)
-    assert nf.f21 == hopf.f21_coefficient(tc, ref_hopf, nf.w20_at_0, nf.w20_at_minus_r,
-                                          nf.w11_at_0, nf.w11_at_minus_r)
+    k, e_m = ref_hopf.params.k, _e(ref_hopf).conjugate()
+    assert (nf.f20, nf.f11, nf.f02) == hopf._f2(tc, k, e_m)
+    assert nf.f21 == hopf._f21(tc, k, e_m, nf.w20_at_0, nf.w20_at_minus_r,
+                               nf.w11_at_0, nf.w11_at_minus_r)
 
 
 def test_criticality_report_forms_no_equilibria_report_and_psi1_once(ref_hopf, monkeypatch):
@@ -1039,16 +1057,17 @@ def test_criticality_report_forms_no_equilibria_report_and_psi1_once(ref_hopf, m
     assert weights == [ref_hopf.p_star]
     assert slopes == [ref_hopf.params.beta0]
     monkeypatch.undo()
-    assert nf.psi1_zero == hopf.psi1_zero(ref_hopf)
-    assert (nf.mu_prime, nf.omega_prime) == hopf.transversality(ref_hopf)
+    p, q, w, params = ref_hopf.p_star, ref_hopf.q_star, ref_hopf.omega_star, ref_hopf.params
+    assert nf.psi1_zero == hopf.projection_weight(p, w, ref_hopf.r_star)
+    a_db1 = model._b1_slopes(params.beta0, params.n, params.A)[0]
+    assert (nf.mu_prime, nf.omega_prime) == hopf._speed(nf.psi1_zero, p, q, w, params.gamma,
+                                                        params.k, a_db1)
 
 
 def test_w_reference_values(ref_hopf):
     tc, psi, f20, f11, f02 = _second_order_data(ref_hopf)
     g20, g11, g02 = psi * f20, psi * f11, psi * f02
-    w20_0, w20_mr, w11_0, w11_mr = hopf.w_boundary_values(
-        g20, g11, g02, f20, f11, ref_hopf
-    )
+    w20_0, w20_mr, w11_0, w11_mr = _w_values(ref_hopf, g20, g11, g02, f20, f11)
     assert abs(w20_0 - rv.W20_0_REF) < 1e-9
     assert abs(w20_mr - rv.W20_MR_REF) < 1e-9
     assert abs(w11_0 - rv.W11_0_REF) < 1e-9
@@ -1058,37 +1077,30 @@ def test_w_reference_values(ref_hopf):
 
 
 def test_w_homogeneous_case_is_zero(ref_hopf):
-    w20_0, w20_mr, w11_0, w11_mr = hopf.w_boundary_values(
-        0.0, 0.0, 0.0, 0.0, 0.0, ref_hopf
-    )
+    w20_0, w20_mr, w11_0, w11_mr = _w_values(ref_hopf, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert w20_0 == 0.0 and w20_mr == 0.0 and w11_0 == 0.0 and w11_mr == 0.0
 
 
 def test_w_boundary_values_report_both_resonances():
     # at p = 0 and omega r = pi/4, E^2 Delta(2 i omega) = 2 i omega i - q = 0 for q = -2
-    point = types.SimpleNamespace(p_star=0.0, q_star=-2.0, omega_star=1.0,
-                                  r_star=math.pi / 4.0)
+    e = cmath.exp(1j * math.pi / 4.0)
     with pytest.raises(ResonanceError, match="w20 system singular"):
-        hopf.w_boundary_values(1.0, 1.0, 1.0, 1.0, 1.0, point)
-    point.q_star = 0.0  # Delta(0) = p - q = 0
+        hopf._w_values(0.0, -2.0, 1.0, e, 1.0, 1.0, 1.0, 1.0, 1.0)
+    # Delta(0) = p - q = 0 at q = 0
     with pytest.raises(ResonanceError, match="w11 system singular"):
-        hopf.w_boundary_values(1.0, 1.0, 1.0, 1.0, 1.0, point)
+        hopf._w_values(0.0, 0.0, 1.0, e, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_w11_resonance_detected(ref_hopf):
-    with pytest.raises(ResonanceError):
-        hopf.w11_closed_form(1.0 + 0.0j, 1.0, _FakePoint(ref_hopf))
-
-
-class _FakePoint:
-    """Minimal stand-in with p = q to hit the resonance guard."""
-
-    def __init__(self, hp):
-        self.p_star = hp.p_star
-        self.q_star = hp.p_star
-        self.omega_star = hp.omega_star
-        self.r_star = hp.r_star
-        self.params = hp.params
+    # the reference record with q* = p*: the report refuses p = q before the
+    # closed form for w11 divides by p - q
+    hp = ref_hopf
+    point = hopf.HopfPoint._unchecked((hp.r_star, hp.omega_star, hp.p_star, hp.p_star,
+                                       hp.params, hp.x2_star))
+    with pytest.raises(ResonanceError) as refusal:
+        hopf.criticality_report(point)
+    assert str(refusal.value) == ("w11 system singular: 0 collides with a characteristic "
+                                  "root (p = q)")
 
 
 # ------------------------------------------------------------- l1 and report
@@ -1103,27 +1115,6 @@ def test_lyapunov_l1_reference(ref_hopf):
     nf = hopf.criticality_report(ref_hopf)
     assert abs(nf.l1 - rv.L1_REF) < 1e-9 * abs(rv.L1_REF)
     assert abs(nf.l1 - rv.L1_PRINT) < 1e-3 * abs(rv.L1_PRINT)
-
-
-def _normal_form_chain(hp):
-    """The NormalFormData of the public helpers, each called on its own."""
-    params = hp.params
-    tc = taylor_at_x2(params, model.equilibria(params))
-    psi = hopf.psi1_zero(hp)
-    f20, f11, f02 = hopf.f_coefficients(tc, hp)
-    g20, g11, g02 = psi * f20, psi * f11, psi * f02
-    w_values = hopf.w_boundary_values(g20, g11, g02, f20, f11, hp)
-    f21 = hopf.f21_coefficient(tc, hp, *w_values)
-    g21 = psi * f21
-    w = hp.omega_star
-    l1 = hopf.lyapunov_l1(g20, g11, g21, w)
-    speed = hopf.transversality(hp)
-    w20_0, w20_mr, c = hopf.w20_closed_form(g20, g02, f20, hp)
-    w11_0, w11_mr, c1 = hopf.w11_closed_form(g11, f11, hp)
-    crit = hopf._criticality(l1, (abs(g20 * g11) + w * abs(g21)) / (2.0 * w * w))
-    s = 0 if crit == hopf.DEGENERATE else (-1 if l1 < 0.0 else 1)
-    return hopf.NormalFormData(psi, f20, f11, f02, f21, g20, g11, g02, g21, *w_values,
-                               w20_0, w20_mr, w11_0, w11_mr, c, c1, l1, s, *speed, crit)
 
 
 def _normal_form_points():
@@ -1148,15 +1139,13 @@ def _located_points():
     return points
 
 
-def test_criticality_report_is_the_chain_of_its_public_helpers():
-    # the report forms E = e^{i omega* r*} once and runs the helpers' kernels
-    # at it; each field is the public helper's, to the bit
+def test_criticality_report_answers_on_frontier_and_located_points():
+    # the two routes to l1 agree within 1e-10 of the degeneracy scale on each point
     points = _normal_form_points()
     assert len(points) > 180
     for hp in points + _located_points():
-        report, chain = hopf.criticality_report(hp), _normal_form_chain(hp)
-        for name, got, expected in zip(hopf.NormalFormData._fields, report, chain):
-            assert got == expected and type(got) is type(expected), (name, hp)
+        nf = hopf.criticality_report(hp)
+        assert nf.criticality in (hopf.SUPERCRITICAL, hopf.SUBCRITICAL), hp
 
 
 # (n, beta0, delta, k) of a log-uniform float-range box at which l1, the
@@ -1185,7 +1174,7 @@ def _refusal(fn, *args):
     return None
 
 
-def test_criticality_report_refuses_as_its_public_chain_does(ref_hopf):
+def test_criticality_report_refusals_class_and_message(ref_hopf):
     # (r*, omega*, p*, q*) of records no search returns: 2 i omega* and 0
     # resonant, a degenerate crossing, and omega*^2 below the normal range
     records = [(math.pi / 4.0, 1.0, 0.0, -2.0), (math.pi / 4.0, 1.0, 0.0, 0.0),
@@ -1194,14 +1183,92 @@ def test_criticality_report_refuses_as_its_public_chain_does(ref_hopf):
               for record in records]
     points += [hopf.hopf_from_pqk(*draw) for draw, _ in NONFINITE_NORMAL_FORMS.values()]
     refusals = [_refusal(hopf.criticality_report, hp) for hp in points]
-    assert refusals == [_refusal(_normal_form_chain, hp) for hp in points]
-    assert [refusal[0] for refusal in refusals] == [
-        ResonanceError, ResonanceError, DegenerateCrossingError] + [NumericsError] * 4
-    assert refusals[0][1].startswith("w20 system singular")
-    assert refusals[1][1].startswith("w11 system singular")
-    assert refusals[3][1].startswith("omega*^2 leaves the float range")
-    assert [refusal[1] for refusal in refusals[4:]] == [
-        message for _, message in NONFINITE_NORMAL_FORMS.values()]
+    assert refusals == [
+        (ResonanceError, "w20 system singular: 2 i omega* collides with a characteristic root"),
+        (ResonanceError, "w11 system singular: 0 collides with a characteristic root (p = q)"),
+        (DegenerateCrossingError, "|Delta'(i omega*)|^2 = 9.999999999999998e-15 < 1e-12"),
+        (NumericsError, "omega*^2 leaves the float range at omega* = 1e-170: l1 cannot be "
+                        "formed in this time unit"),
+    ] + [(NumericsError, message) for _, message in NONFINITE_NORMAL_FORMS.values()]
+
+
+# (n, beta0, delta, k) near the top of the float range whose l1 is finite: the
+# size of the terms of l1, or 2 omega*^2 in it, overflows in their unit
+FLOAT_RANGE_CONFIGS = [
+    (8.156454211305308, 3.507067668438271e+153, 2.0241524062252232e+152, 1.5582547839317638),
+    (9.97114603728215, 3.763261744598025e+153, 8.60654966943312e+151, 1.3188652150649989),
+    (9.273815251958702, 1.0680929237349149e+155, 1.9396494584843571e+152, 1.7185342084270885),
+    # omega* = 1.1e154: omega*^2 is finite, 2 omega*^2 is not
+    (2.2878424087601568, 3.4635650570885884e+154, 7.039260337216482e+153, 1.7614873512450702),
+]
+
+
+def _in_unit_delta_1(draw):
+    # the same dynamics in the time unit where delta = 1
+    n, beta0, delta, k = draw
+    return n, beta0 / delta, 1.0, k
+
+
+@pytest.mark.parametrize("draw", FLOAT_RANGE_CONFIGS)
+def test_a_finite_l1_near_the_float_limit_has_its_oracles_verdict(draw):
+    nf = hopf.criticality_report(hopf.hopf_from_pqk(*draw))
+    oracle = hopf.criticality_report(hopf.hopf_from_pqk(*_in_unit_delta_1(draw)))
+    assert nf.criticality == oracle.criticality == hopf.SUPERCRITICAL
+    assert (nf.mu_prime > 0.0) == (oracle.mu_prime > 0.0)
+    assert abs(nf.l1 - oracle.l1) <= 1e-9 * abs(oracle.l1)
+
+
+def test_lyapunov_l1_where_two_omega_squared_overflows():
+    # omega*^2 is finite and 2 omega*^2 is not: l1 = Re(omega* g21) / (2 omega*^2)
+    w = 1e154
+    assert hopf.lyapunov_l1(0j, 0j, -1.0 + 0j, w) == -w / w**2 / 2.0 != 0.0
+
+
+def audit_box(seed):
+    """(n, beta0, delta, k) of a log-uniform box across the float range:
+    delta = 10^U(-300, 300), beta0 = delta 10^U(-3, 3), n = 1 + 10^U(-2, 2.5)
+    and k = U(1 + delta/beta0, 2).  Most draws have no Hopf point."""
+    rng = random.Random(seed)
+    while True:
+        delta = 10.0 ** rng.uniform(-300.0, 300.0)
+        beta0 = delta * 10.0 ** rng.uniform(-3.0, 3.0)
+        n = 1.0 + 10.0 ** rng.uniform(-2.0, 2.5)
+        yield n, beta0, delta, rng.uniform(1.0 + delta / beta0, 2.0)
+
+
+def _verdict(draw):
+    # (criticality, sign of mu') of the report at draw, or None where it refuses
+    try:
+        nf = hopf.criticality_report(hopf.hopf_from_pqk(*draw))
+    except (ParameterError, NumericsError):
+        return None
+    return nf.criticality, nf.mu_prime > 0.0
+
+
+def test_the_verdict_is_the_oracles_across_the_float_range():
+    # 20,000 seed-1 draws; a report may refuse, but where it answers it gives
+    # the verdict of the same dynamics in the unit where delta = 1
+    answered = 0
+    for draw in islice(audit_box(1), 20000):
+        oracle = _verdict(_in_unit_delta_1(draw))
+        verdict = _verdict(draw) if oracle is not None else None
+        if verdict is not None:
+            answered += 1
+            assert verdict == oracle, draw
+    assert answered > 3000
+
+
+def test_the_second_l1_route_refuses_a_wrong_assembly(ref_hopf, monkeypatch):
+    # f21 without its B3 term: the chain's l1 moves, the characteristic matrix's does not
+    def f21_without_b3(tc, k, e_m, *w_values):
+        return kernel(tc._replace(b3=0.0), k, e_m, *w_values)
+
+    kernel = hopf._f21
+    monkeypatch.setattr(hopf, "_f21", f21_without_b3)
+    with pytest.raises(NumericsError, match=r"^l1 = -?\d.* by the Hassard chain and "
+                                            r"-43\.7106330483012\d* from the characteristic "
+                                            r"matrix disagree$"):
+        hopf.criticality_report(ref_hopf)
 
 
 def test_criticality_report_full_chain(ref_hopf):
@@ -1265,7 +1332,7 @@ def cycle_projections(ref_hopf):
     of the Hopf point, paired over [-r*, 0].
     """
     hp = ref_hopf
-    psi0, w = hopf.psi1_zero(hp), hp.omega_star
+    psi0, w = hopf.projection_weight(hp.p_star, hp.omega_star, hp.r_star), hp.omega_star
     psi1 = lambda s: psi0 * cmath.exp(-1j * w * s)
     projections = {}
     for dr in FLOW_PROBES:

@@ -6,14 +6,19 @@ differentiation in mpmath, not the closed form the library uses),
 p = delta + B1, q = k B1, omega* = sqrt(q^2 - p^2),
 r* = arccos(p/q)/omega* and gamma* = -ln(k/2)/r*.  No hemohopf code is
 involved in the oracles; the crossing speed lambda'(r*) they give is
-compared with `hopf.transversality`.
+compared with the mu' and omega' of `hopf.criticality_report`, and the first
+Lyapunov coefficient l1 = Re c1 / omega* of the characteristic matrix with
+the report's l1 and with its second route.
 """
+
+import cmath
 
 import pytest
 
 import refvals as rv
-from hemohopf import hopf
+from hemohopf import hopf, model
 from test_hopf import OTHER_HOPF_ARGS
+from test_model import taylor_at_x2
 
 mp = pytest.importorskip("mpmath")
 
@@ -114,6 +119,48 @@ def test_transversality_is_the_derivative_of_the_lambert_w_root(args):
     root, speed = exact_crossing_speed(*args)
     # W0 is the branch of the critical root: lambda(r*) = i omega*
     assert abs(root - 1j * hp.omega_star) < 1e-12 * hp.omega_star
-    mu_prime, omega_prime = hopf.transversality(hp)
+    nf = hopf.criticality_report(hp)
+    mu_prime, omega_prime = nf.mu_prime, nf.omega_prime
     assert abs(mu_prime - speed.real) <= 1e-12 * abs(speed.real)
     assert abs(omega_prime - speed.imag) <= 1e-12 * abs(speed.imag)
+
+
+def exact_l1(n, beta0, delta, k):
+    """l1 = Re c1 / omega* from the characteristic matrix, in 30-digit arithmetic.
+
+    The inputs are taken as the binary doubles they are.  B2 and B3 are the
+    derivatives of the production term at x2, differentiated numerically; with
+    Delta(lam) = lam + p - q e^{-lam r*}, E(lam) = k e^{-lam r*} - 1 and
+    H(lam) = B2 E(lam)/Delta(lam), c1 = E(i w) (B3 + B2 H(2 i w) + 2 B2 H(0)) /
+    (2 Delta'(i w)) at w = omega*.
+    """
+    with mp.workdps(30):
+        n, beta0, delta, k = (mp.mpf(v) for v in (n, beta0, delta, k))
+        A, x2, b1 = _equilibrium_chain(n, beta0, delta, k)
+        b2, b3 = (mp.diff(lambda x: beta0 * x / (1 + x**n), x2, m) for m in (2, 3))
+        p, q = delta + b1, k * b1
+        w = mp.sqrt(q * q - p * p)
+        r = mp.acos(p / q) / w
+
+        def E(lam):
+            return k * mp.exp(-lam * r) - 1
+
+        def H(lam):
+            return b2 * E(lam) / (lam + p - q * mp.exp(-lam * r))
+
+        iw = mp.mpc(0, w)
+        c1 = E(iw) * (b3 + b2 * H(2 * iw) + 2 * b2 * H(0)) / (2 * (1 + q * r * mp.exp(-iw * r)))
+        return c1.real / w
+
+
+@pytest.mark.parametrize("args", [(rv.N, rv.BETA0, rv.DELTA, rv.K)] + OTHER_HOPF_ARGS)
+def test_both_l1_routes_hold_a_30_digit_c1(args):
+    hp = hopf.hopf_from_pqk(*args)
+    params = hp.params
+    tc = taylor_at_x2(params, model.equilibria(params))
+    e_m = cmath.exp(-1j * hp.omega_star * hp.r_star)
+    route = hopf._l1_from_characteristic(tc, hp.p_star, hp.q_star, hp.omega_star, hp.r_star,
+                                         params.k, e_m)
+    exact = exact_l1(*args)
+    for l1 in (route, hopf.criticality_report(hp).l1):
+        assert abs(l1 - exact) <= 1e-12 * abs(exact), (l1, exact)

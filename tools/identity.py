@@ -13,6 +13,9 @@ example a ``git archive`` of another revision), and writes one JSON line
 - stability: the first 500 seed-1 stability configs of perfbench/workloads.py
   through `find_hopf_r` without a bracket, with the repr of
   `criticality_report` on each point it locates;
+- float-range: the first 500 seed-1 draws of the float-range box of
+  tests/test_hopf.py (`audit_box`) that `hopf_from_pqk` locates, numbered by
+  draw, with the repr of `criticality_report` or the error class and message;
 - output-compiled and output-python: the SHA-256 of the exit code, stdout,
   stderr and output file of every run that tests/test_cli_golden.py pins, and
   of the reference `simulate --r 0.35` and `--r 0.36`, `sweep` and
@@ -39,6 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FRONTIER_CASES = 2000
 STABILITY_CASES = 500
+FLOAT_RANGE_CASES = 500
 
 
 def _attempt(fn, *args):
@@ -84,6 +88,19 @@ def stability_cases(hemohopf, configs):
         if hp is not None:
             values.append(_attempt(hopf.criticality_report, hp)[1])
         yield "stability", i, values
+
+
+def float_range_cases(hemohopf):
+    from test_hopf import audit_box
+
+    hopf, located = hemohopf.hopf, 0
+    for i, draw in enumerate(audit_box(1)):
+        hp, _ = _attempt(hopf.hopf_from_pqk, *draw)
+        if hp is not None:
+            yield "float-range", i, _attempt(hopf.criticality_report, hp)[1]
+            located += 1
+            if located == FLOAT_RANGE_CASES:
+                return
 
 
 def cli_runs():
@@ -155,6 +172,7 @@ def record(src):
     draws, configs = inputs(workloads)
     yield from frontier_cases(hemohopf, draws)
     yield from stability_cases(hemohopf, configs)
+    yield from float_range_cases(hemohopf)
     yield "output-compiled", "kernel", "compiled" if ddesim._kernel().library else "python"
     yield from output_cases(hemohopf, "output-compiled")
     ddesim._active = ddesim._PYTHON_KERNEL
