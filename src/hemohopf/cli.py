@@ -330,10 +330,10 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def _read_config(path: str) -> str:
-    """Text of the config file; a byte that is not UTF-8 is refused with
-    the file and its line."""
+    """Text of the config file, after one leading UTF-8 byte-order mark; a
+    byte that is not UTF-8 is refused with the file and its line."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -10,7 +10,7 @@ import pytest
 import refvals as rv
 from hemohopf import cli, ddesim, hopf, linstab, model
 from hemohopf.errors import ConfigError, ConvergenceError, NumericsError
-from test_hopf import NONFINITE_NORMAL_FORMS, STEEP_G_DRAW, _count_calls
+from test_hopf import DEGENERATE_DRAWS, NONFINITE_NORMAL_FORMS, STEEP_G_DRAW, _count_calls
 
 REF_CONFIG = """\
 # benchmark parameter set
@@ -626,6 +626,22 @@ def test_scaling_refuses_a_subcritical_point_before_integration(tmp_path, capsys
     assert "subcritical" in captured.err and "l1" in captured.err
 
 
+def test_degenerate_point_is_named_by_normal_form_and_refused_by_scaling(tmp_path, capsys):
+    # l1 rounds to -1.1e-16, next to the l1 = 0 point: "degenerate", with s = 0
+    path = tmp_path / "degenerate.cfg"
+    path.write_text("beta0 = {1!r}\nn = {0!r}\ndelta = {2!r}\nk = {3!r}\n"
+                    .format(*DEGENERATE_DRAWS[0]))
+    assert cli.main(["normal-form", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "\nl1 = -1.11749883671e-16   s = +0\n" in out
+    assert out.endswith("\ncriticality: degenerate\n")
+    assert cli.main(["scaling", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: the Hopf point is degenerate "
+                                   "(l1 = -1.11749883671e-16): ")
+
+
 # ------------------------------------------------------------ error handling
 
 
@@ -703,6 +719,18 @@ def test_bracket_end_negative_or_not_finite_is_refused_before_evaluation(
 
 # the bad byte sits on line 7, after the 6 lines of REF_CONFIG
 UNDECODABLE_CONFIG = REF_CONFIG.encode() + b"# \xff\n"
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark Windows Notepad writes first
+
+
+@pytest.mark.parametrize("command", ["equilibria", "normal-form"])
+def test_a_byte_order_mark_before_the_config_changes_nothing(tmp_path, capsys, command):
+    runs = []
+    for prefix in (b"", BOM):
+        path = tmp_path / f"run{len(runs)}.cfg"
+        path.write_bytes(prefix + REF_CONFIG.encode())
+        runs.append((cli.main([command, str(path)]), capsys.readouterr().out))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
 
 
 @pytest.mark.parametrize("config, argv", [
@@ -713,8 +741,9 @@ UNDECODABLE_CONFIG = REF_CONFIG.encode() + b"# \xff\n"
     # the verdicts are ready before the open fails; none may reach stdout
     (REF_CONFIG.encode(), ["stability", "--r-grid", "0.3", "0.4", "3", "-o", "missing/s.csv"]),
     (UNDECODABLE_CONFIG, ["simulate", "--r", "0.36", "--t-end", "10", "-o", "t.csv"]),
+    (BOM + UNDECODABLE_CONFIG, ["simulate", "--r", "0.36", "--t-end", "10", "-o", "t.csv"]),
 ], ids=["simulate-missing-dir", "simulate-into-dir", "sweep-missing-dir",
-        "stability-grid-missing-dir", "undecodable-config"])
+        "stability-grid-missing-dir", "undecodable-config", "undecodable-config-after-bom"])
 def test_unreadable_config_or_unwritable_output_is_exit_2(tmp_path, capsys, config, argv):
     path = tmp_path / "run.cfg"
     path.write_bytes(config)
@@ -725,7 +754,7 @@ def test_unreadable_config_or_unwritable_output_is_exit_2(tmp_path, capsys, conf
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]  # no CSV left behind
-    if config is UNDECODABLE_CONFIG:
+    if config.endswith(UNDECODABLE_CONFIG):
         # the refusal names the file and the line of the bad byte
         assert captured.err == (f"error: {path}: line 7: cannot decode byte 0xff "
                                 "as UTF-8 (invalid start byte)\n")

@@ -1317,6 +1317,22 @@ def test_criticality_sign_rule():
         assert hopf._criticality(-5e-10 * scale, scale) == hopf.DEGENERATE
 
 
+#: (n, beta0, delta, k) of the first subcritical seed-1 frontier draw at two
+#: adjacent floats k, found by bisecting k: the l1 = 0 point of the Hopf curve
+#: lies between them
+DEGENERATE_DRAWS = tuple((2.165199698072756, 2.4117795468749303, 0.03454971613025692, k)
+                         for k in (1.171390120840788, 1.1713901208407882))
+
+
+def test_l1_changes_sign_between_two_adjacent_floats_of_k():
+    assert DEGENERATE_DRAWS[1][3] == math.nextafter(DEGENERATE_DRAWS[0][3], 2.0)
+    below, above = (hopf.criticality_report(hopf.hopf_from_pqk(*draw))
+                    for draw in DEGENERATE_DRAWS)
+    assert below.l1 < 0.0 < above.l1
+    assert below.criticality == above.criticality == hopf.DEGENERATE
+    assert below.s == above.s == 0
+
+
 # ------------------------------------------------ center manifold against the flow
 
 #: delays above r* of the two probes on the attracting cycle

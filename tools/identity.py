@@ -179,13 +179,7 @@ def record(src):
     yield from output_cases(hemohopf, "output-python")
 
 
-def _load(path):
-    with open(path) as fh:
-        return {(case["group"], case["case"]): case["value"] for case in map(json.loads, fh)}
-
-
-def compare(path_a, path_b):
-    a, b = _load(path_a), _load(path_b)
+def compare(a, b):
     groups = {}
     for key in sorted(a.keys() | b.keys(), key=str):
         same = key in a and key in b and a[key] == b[key]
@@ -200,18 +194,30 @@ def compare(path_a, path_b):
     return 0 if all(same == total for same, total in groups.values()) else 1
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def command_line(doc, fields, record, compare):
+    """The ``--src DIR`` / ``--compare A B`` command line of a record tool.
+
+    ``--src`` prints one JSON line per tuple of ``record(DIR)``, keyed by the
+    three `fields`; ``--compare`` reads two such records as {(first field,
+    second field): third field} and returns ``compare(a, b)``.
+    """
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--src", metavar="DIR", help="record the tree whose src is DIR")
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two records")
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     if args.compare:
-        return compare(*args.compare)
-    for group, case, value in record(args.src):
-        print(json.dumps({"group": group, "case": case, "value": value}))
+        return compare(*(_read(path, fields) for path in args.compare))
+    for line in record(args.src):
+        print(json.dumps(dict(zip(fields, line))))
     return 0
 
 
+def _read(path, fields):
+    first, second, value = fields
+    with open(path) as fh:
+        return {(line[first], line[second]): line[value] for line in map(json.loads, fh)}
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(command_line(__doc__, ("group", "case", "value"), record, compare))

@@ -1,66 +1,196 @@
-"""Run the Tier-1 suite and check that exactly the two known tests fail.
+"""Run the Tier-1 suite once: exactly the two known tests fail, and the CLI
+suites and the paper's checks enter every src function that is not allowlisted.
 
 usage: python tools/tier1.py
 
-Runs ``python -m pytest -q --continue-on-collection-errors`` from the
-repository root with ``src`` on PYTHONPATH and a JUnit XML report, prints
-the passed, failed and skipped counts, and exits 0 only if the failed tests
-(errors included) are exactly ``EXPECTED_FAILURES``.  Every other failure,
-and every expected failure that did not fail, is named.  Stdlib only.
+Runs ``pytest -q --continue-on-collection-errors`` in this process, from the
+repository root, with ``src`` on PYTHONPATH for the child interpreters the
+tests start.  A plugin takes each test's outcome from its reports, and records
+under ``sys.settrace`` the src lines and functions executed while the initial
+conftests load (src is imported there), while ``REACH_SUITES`` are collected
+and while their tests run (setup, call and teardown); every other test runs
+untraced.
+
+Prints the passed, failed and skipped counts, then, for each file of
+src/hemohopf, the executable lines reached and every ``def`` never entered,
+named ``module.qualname``.  Exits 0 only if the failed tests (collection
+errors included) are exactly ``EXPECTED_FAILURES``, every function never
+entered is in ``ALLOWED`` and every ``ALLOWED`` entry names a function of src;
+each cause of exit 1 is named.  Stdlib only, apart from pytest; Python 3.11 or
+later (``co_qualname``).
 """
 
+import ast
+import contextlib
 import os
-import subprocess
 import sys
-import tempfile
-import xml.etree.ElementTree as ET
+import types
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hemohopf"
+REACH_SUITES = {ROOT / "tests" / name for name in (
+    "test_cli.py", "test_cli_golden.py", "test_cli_properties.py", "test_acceptance.py")}
 
 # The paper's asymptotic bands, checked outside their validity radius: the
 # measured period and amplitude ratio are right (README), the bands are not.
 EXPECTED_FAILURES = {
-    "tests.test_acceptance::test_criterion_7_simulation_vs_theory",
-    "tests.test_acceptance::test_criterion_8_amplitude_scaling",
+    "tests/test_acceptance.py::test_criterion_7_simulation_vs_theory",
+    "tests/test_acceptance.py::test_criterion_8_amplitude_scaling",
 }
 
+_BENCHMARK_LOOKS_IT_UP = ("perfbench/selftest.py looks it up; it goes once the benchmark "
+                          "stops (ROADMAP items 1, then 18)")
 
-def outcomes(report):
-    """{test id: "passed" | "failed" | "skipped"} from a JUnit XML report."""
-    result = {}
-    for case in ET.parse(report).getroot().iter("testcase"):
-        name = f"{case.get('classname')}::{case.get('name')}"
-        if case.find("failure") is not None or case.find("error") is not None:
-            result[name] = "failed"
-        elif case.find("skipped") is not None:
-            result[name] = "skipped"
+# Functions REACH_SUITES never enter, each with the reason it stays.
+ALLOWED = {
+    "linstab.omega0": _BENCHMARK_LOOKS_IT_UP,
+    "linstab.char_root_newton": _BENCHMARK_LOOKS_IT_UP,
+    "linstab.char_root_newton.<locals>.residual": _BENCHMARK_LOOKS_IT_UP,
+    "model._CheckedRecord._make": ("keeps _make and _replace from skipping the checks; "
+                                   "tests/test_records.py reaches it"),
+    "ddesim._build": "runs only when the kernel cache is cold",
+    "ddesim.Trajectory.at": ("tests/test_hopf.py::test_center_manifold_matches_the_flow "
+                             "evaluates the cycle between nodes with it"),
+}
+
+_RANK = ("passed", "skipped", "failed")
+
+
+class Tier1:
+    """pytest plugin: each test's worst outcome over its phases, and the src
+    lines and functions executed while tracing is on, as {(path, line)} and
+    {(path, qualname)}."""
+
+    def __init__(self):
+        self.outcomes, self.lines, self.entered = {}, set(), set()
+        prefix, add_line, add_entered = str(SRC) + "/", self.lines.add, self.entered.add
+
+        # closures, not methods: they run for every call and every src line
+        def trace_lines(frame, event, arg):
+            if event == "line":
+                add_line((frame.f_code.co_filename, frame.f_lineno))
+            return trace_lines
+
+        def trace_calls(frame, event, arg):
+            code = frame.f_code
+            if not code.co_filename.startswith(prefix):
+                return None
+            add_entered((code.co_filename, code.co_qualname))
+            return trace_lines
+
+        self._trace_calls = trace_calls
+
+    @contextlib.contextmanager
+    def _traced(self, on=True):
+        previous = sys.gettrace()
+        if on:
+            sys.settrace(self._trace_calls)
+        try:
+            yield
+        finally:
+            sys.settrace(previous)
+
+    @pytest.hookimpl(wrapper=True)
+    def pytest_load_initial_conftests(self):
+        with self._traced():
+            return (yield)
+
+    @pytest.hookimpl(wrapper=True)
+    def pytest_make_collect_report(self, collector):
+        with self._traced(collector.path in REACH_SUITES):
+            return (yield)
+
+    @pytest.hookimpl(wrapper=True)
+    def pytest_runtest_protocol(self, item):
+        with self._traced(item.path in REACH_SUITES):
+            return (yield)
+
+    def pytest_runtest_logreport(self, report):
+        previous = self.outcomes.get(report.nodeid, "passed")
+        self.outcomes[report.nodeid] = max(previous, report.outcome, key=_RANK.index)
+
+    def pytest_collectreport(self, report):
+        if report.failed:
+            self.outcomes[report.nodeid] = "failed"
+
+
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_objects(const)
+
+
+def _defs(node, prefix=""):
+    # qualname of every def below `node`, a nested one as outer.<locals>.inner
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name
+            yield from _defs(child, f"{prefix}{child.name}.<locals>.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _defs(child, f"{prefix}{child.name}.")
         else:
-            result[name] = "passed"
+            yield from _defs(child, prefix)
+
+
+def source_map():
+    """{path: (executable line numbers, def qualnames)} of every src file."""
+    result = {}
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines = {line for code in _code_objects(compile(text, str(path), "exec"))
+                 for _, _, line in code.co_lines() if line}  # 0: a module's RESUME
+        result[str(path)] = (lines, list(_defs(ast.parse(text))))
     return result
 
 
+def outcome_failures(outcomes):
+    """Print the outcome counts; the failure messages of the outcome check."""
+    failed = {name for name, outcome in outcomes.items() if outcome == "failed"}
+    print("tier1: " + ", ".join(f"{sum(1 for o in outcomes.values() if o == outcome)} {outcome}"
+                                for outcome in ("passed", "failed", "skipped")))
+    return ([f"unexpected failure: {name}" for name in sorted(failed - EXPECTED_FAILURES)]
+            + [f"expected failure did not fail: {name} ({outcomes.get(name, 'not run')})"
+               for name in sorted(EXPECTED_FAILURES - failed)])
+
+
+def reach_failures(lines, entered):
+    """Print the reach report; the failure messages of the allowlist check."""
+    total = reached_total = 0
+    unreached, names = [], set()
+    for path, (executable, defs) in source_map().items():
+        module = Path(path).stem
+        reached = sum(1 for line in executable if (path, line) in lines)
+        missed = [f"{module}.{name}" for name in defs if (path, name) not in entered]
+        names.update(f"{module}.{name}" for name in defs)
+        total, reached_total = total + len(executable), reached_total + reached
+        unreached += missed
+        print(f"{Path(path).relative_to(ROOT)}: {reached} of {len(executable)} "
+              "executable lines reached")
+        for name in missed:
+            print(f"  never entered: {name}")
+    print(f"reach: {reached_total} of {total} executable src lines reached, "
+          f"{len(unreached)} functions never entered")
+    return ([f"never entered and not allowed: {name}"
+             for name in unreached if name not in ALLOWED]
+            + [f"allowed but no such function: {name}" for name in ALLOWED if name not in names])
+
+
 def main():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    with tempfile.TemporaryDirectory() as tmp:
-        report = Path(tmp) / "tier1.xml"
-        subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-                        f"--junitxml={report}"], cwd=ROOT, env=env, check=False)
-        if not report.exists():
-            print("tier1: pytest wrote no report")
-            return 1
-        result = outcomes(report)
-    failed = {name for name, outcome in result.items() if outcome == "failed"}
-    counts = {outcome: sum(1 for o in result.values() if o == outcome)
-              for outcome in ("passed", "failed", "skipped")}
-    print("tier1: " + ", ".join(f"{count} {outcome}" for outcome, count in counts.items()))
-    for name in sorted(failed - EXPECTED_FAILURES):
-        print(f"tier1: unexpected failure: {name}")
-    for name in sorted(EXPECTED_FAILURES - failed):
-        print(f"tier1: expected failure did not fail: {name} ({result.get(name, 'not run')})")
-    return 0 if failed == EXPECTED_FAILURES else 1
+    os.chdir(ROOT)
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                             os.environ.get("PYTHONPATH")]))
+    plugin = Tier1()
+    code = pytest.main(["-q", "--continue-on-collection-errors"], plugins=[plugin])
+    failures = [] if code in (0, 1) else [f"pytest exited {code}"]  # 1: tests failed
+    failures += outcome_failures(plugin.outcomes)
+    failures += reach_failures(plugin.lines, plugin.entered)
+    for failure in failures:
+        print(f"tier1: {failure}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -38,8 +38,6 @@ reads as free, so counts go beside timings and never replace them.
 unless every count is identical and present in both.
 """
 
-import argparse
-import json
 import sys
 from collections import Counter
 from itertools import islice
@@ -134,13 +132,7 @@ def _located(hemohopf, draws):
             pass
 
 
-def _load(path):
-    with open(path) as fh:
-        return {(line["region"], line["count"]): line["value"] for line in map(json.loads, fh)}
-
-
-def compare(path_a, path_b):
-    a, b = _load(path_a), _load(path_b)
+def compare(a, b):
     differ = 0
     for key in sorted(a.keys() | b.keys()):
         va, vb = a.get(key), b.get(key)
@@ -153,18 +145,5 @@ def compare(path_a, path_b):
     return 1 if differ else 0
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--src", metavar="DIR", help="count the tree whose src is DIR")
-    mode.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two counts")
-    args = parser.parse_args(argv)
-    if args.compare:
-        return compare(*args.compare)
-    for name, count, value in record(args.src):
-        print(json.dumps({"region": name, "count": count, "value": value}))
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(identity.command_line(__doc__, ("region", "count", "value"), record, compare))
