@@ -14,6 +14,7 @@ stdout only on exit 0, so a refusal or a failure leaves stdout empty.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import re
@@ -294,6 +295,7 @@ _DISPATCH = {
 COMMANDS = tuple(_DISPATCH)
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def _build_argparser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hemohopf",

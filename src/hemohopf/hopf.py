@@ -58,7 +58,6 @@ from .linstab import (
     _TINY,
     _crossing,
     _pq_at_x2,
-    _pq_given_x2,
     bracketed_root,
     g_of_r,
 )
@@ -72,7 +71,6 @@ from .model import (
     _b1_slopes,
     _check_delay,
     _check_fields,
-    _checked_A,
     _k_of,
     _r_max,
     _taylor_at,
@@ -219,27 +217,23 @@ def frontier_mismatch(r: float, params: ModelParameters) -> float:
     not vanish where p does.  r and A at r are checked as `params.with_r(r)`
     checks them (`ParameterError`), then p and q (`DomainError` unless finite).
     """
-    return _mismatch(params.beta0, params.n, params.delta, params.gamma, {},
-                     _checked_delay(r, params))
+    return _mismatch(params.beta0, params.n, params.delta, {}, r, *_check_delay(params, r))
 
 
-def _checked_delay(r, params):
-    # r, once it passed the checks of `params.with_r(r)`: the delay, then A at r
-    _checked_A(params.beta0, params.delta, _check_delay(params.gamma, r))
-    return r
-
-
-def _mismatch(beta0, n, delta, gamma, seen, r):
-    # D from floats, the kernel `find_hopf_r` iterates past its entry checks (see
-    # there); seen[r] keeps k, A, (p, q) and the crossing (omega, r0) where x2 exists
-    k = _k_of(gamma, r)
-    A = beta0 * (k - 1.0) / delta  # A as `model` forms it, unchecked
+def _mismatch(beta0, n, delta, seen, r, k, A):
+    # D at r from k and A there; seen[r] keeps k, A, (p, q) and (omega, r0) where x2 exists
     if A <= 1.0:  # x2 is absent
         return math.inf
-    pq = _pq_given_x2(beta0, n, delta, k, A)
+    pq = _pq_at_x2(beta0, n, delta, k, A)
     crossing = _crossing(*pq)
     seen[r] = k, A, pq, crossing
     return crossing[1] - r
+
+
+def _unchecked_mismatch(beta0, n, delta, gamma, seen, r):
+    # D at an iterate of `find_hopf_r` (see there): k and A formed as `model` does, unchecked
+    k = _k_of(gamma, r)
+    return _mismatch(beta0, n, delta, seen, r, k, beta0 * (k - 1.0) / delta)
 
 
 def _check_bracket(bracket: Tuple[float, float]) -> None:
@@ -265,17 +259,17 @@ def _admissible_u(n: float, s: float, u_max: float) -> Tuple[float, float]:
     return u_lo, min(-math.log(0.5 * (1.0 + c / t)), u_max)
 
 
-def _first_crossing_bracket(params: ModelParameters, mismatch):
+def _first_crossing_bracket(params: ModelParameters, mismatch, checked_mismatch):
     # (a, b, D(a), D(b)) from a golden-section climb of branch 0's Hopf curve Q_0(u) =
     # u / r0(2 e^-u), u = gamma r, with Q_0 > gamma: D < 0 exactly there. b is the first
     # probe with D(b) < 0; Q_0 has one maximum Q*, so each probe below b lies below the
-    # first crossing, and a is the largest of them, or 0
+    # first crossing, and a is the largest of them, or 0, where D is checked: A may overflow
     beta0, delta, gamma = params.beta0, params.delta, params.gamma
     u_max = _r_max(beta0, delta, 1.0)
     r_max = u_max / gamma
     if not r_max > 0.0:
         raise NoPositiveEquilibriumError(f"x2 exists at no delay r > 0: r_max = {r_max!r}")
-    probes = [(0.0, mismatch(_checked_delay(0.0, params)))]  # (r, D) at each delay, all D >= 0
+    probes = [(0.0, checked_mismatch(0.0))]  # (r, D) at each delay, all D >= 0
     lo, hi = _admissible_u(params.n, delta / beta0, u_max)
     m, peak, u = lo, 0.0, lo + _GOLDEN_CUT * (hi - lo)  # m: largest Q_0 so far (0 at lo)
     while lo < u < hi and u != m:
@@ -318,32 +312,37 @@ def find_hopf_r(params: ModelParameters,
     golden-section climb of the Hopf curve Q_0(gamma r) = gamma r / r0 gives
     it: b is the climb's first probe above gamma, where D(b) < 0, and a the
     largest probe below b, or 0, where D >= 0; for gamma >= Q*, the curve's
-    maximum, `NoImaginaryCrossingError` names Q*.  A given one
-    must have finite, nonnegative ends that pass :func:`frontier_mismatch`'s
-    checks, as the climb's D(0) does, and D must change sign on it (it may be
-    +inf at an end).  Illinois then runs D on floats from the end values
-    formed, stepping from the end of smaller |D| until |D| < 4 ulp(r), its
-    rounding level at the iterate r: the root is r*, and omega* the closed
-    frontier relation of :func:`hopf_from_pqk` at (p, q) there.  An iterate
-    checks p and q only: A falls as r grows, so it overflows inside the
-    bracket only if it does at the smaller end, which was refused, while
-    p = delta + B1 with B1 > 0 can overflow near A = 1, by an end without x2.
-    The record at r* takes k, A, (p, q) and (omega*, r0) from D's own
-    evaluation at that float (r* is an end or an iterate, where D is
-    finite) and is checked once, for r* against r0 as `HopfPoint` checks it:
-    a sign change of D that is no crossing fails there (`NumericsError`).
-    The other route confirms r*: `ConvergenceError` unless |g(r*)| < 1e-11
-    or, where g is too steep for that, g changes sign within 64 ulp(r*).
+    maximum, `NoImaginaryCrossingError` names Q*.  A given one must have
+    finite, nonnegative ends whose delay and A pass the checks of
+    `params.with_r`, as the climb's D(0) does, and D, formed from the k and A
+    of those checks, must change sign on it (it may be +inf at an end).
+    Illinois then runs D on floats from the end values formed, stepping from
+    the end of smaller |D| until |D| < 4 ulp(r), its rounding level at the
+    iterate r: the root is r*, and omega* the closed frontier relation of
+    :func:`hopf_from_pqk` at (p, q) there.  An iterate checks p and q only: A
+    falls as r grows, so it overflows inside the bracket only if it does at
+    the smaller end, which was refused, while p = delta + B1 with B1 > 0 can
+    overflow near A = 1, by an end without x2.  The record at r* takes k, A,
+    (p, q) and (omega*, r0) from D's own evaluation at that float (r* is an
+    end or an iterate, where D is finite) and is checked once, for r* against
+    r0 as `HopfPoint` checks it: a sign change of D that is no crossing fails
+    there (`NumericsError`).  The other route confirms r*: `ConvergenceError`
+    unless |g(r*)| < 1e-11 or, where g is too steep for that, g changes sign
+    within 64 ulp(r*).
     """
     seen = {}  # k, A, (p, q) and the crossing at each delay D is formed at
-    mismatch = functools.partial(_mismatch, params.beta0, params.n, params.delta,
-                                 params.gamma, seen)
+    fields = params.beta0, params.n, params.delta
+    mismatch = functools.partial(_unchecked_mismatch, *fields, params.gamma, seen)
+
+    def checked_mismatch(r):  # D at an end, from the k and A its checks formed
+        return _mismatch(*fields, seen, r, *_check_delay(params, r))
+
     if bracket is None:
-        a, b, da, db = _first_crossing_bracket(params, mismatch)
+        a, b, da, db = _first_crossing_bracket(params, mismatch, checked_mismatch)
     else:
         _check_bracket(bracket)
         a, b = bracket
-        da, db = mismatch(_checked_delay(a, params)), mismatch(_checked_delay(b, params))
+        da, db = checked_mismatch(a), checked_mismatch(b)
         if da != 0.0 and db != 0.0 and (da > 0.0) == (db > 0.0):
             raise BracketError(f"no sign change on bracket ({a}, {b}) of the frontier "
                                f"mismatch D: D(a) = {da}, D(b) = {db} (inf means no "

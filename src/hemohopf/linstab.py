@@ -31,7 +31,7 @@ from .errors import (
     DomainError,
     NoPositiveEquilibriumError,
 )
-from .model import ModelParameters, _CheckedRecord, _b1_at_x2, _check_delay, _checked_A
+from .model import ModelParameters, _CheckedRecord, _b1_at_x2, _check_delay
 # `equilibria` is unused here; perfbench/selftest.py looks it up as
 # `linstab.equilibria`.
 from .model import equilibria  # noqa: F401
@@ -117,15 +117,10 @@ class StabilityVerdict(NamedTuple):
 def _pq_at_x2(
     beta0: float, n: float, delta: float, k: float, A: float
 ) -> Tuple[float, float]:
-    # (p, q) at x2, refused where x2 is absent
+    # p = delta + B1(x2) and q = k B1(x2) at x2 = (A - 1)^(1/n), refused where x2
+    # is absent and unless finite
     if A <= 1.0:
         raise NoPositiveEquilibriumError(f"no positive equilibrium: A = {A} <= 1")
-    return _pq_given_x2(beta0, n, delta, k, A)
-
-
-def _pq_given_x2(beta0, n, delta, k, A):
-    # p = delta + B1(x2) and q = k B1(x2) at x2 = (A - 1)^(1/n), for an A > 1 the
-    # caller tested, refused unless finite
     b1 = _b1_at_x2(beta0, n, A)
     return _check_pq(delta + b1, k * b1)
 
@@ -307,9 +302,7 @@ def g_of_r(r: float, params: ModelParameters) -> float:
     """
     if not math.isfinite(r) or r <= 0.0:
         raise DomainError(f"g is evaluated for r > 0, got {r}")
-    k = _check_delay(params.gamma, r)
-    A = _checked_A(params.beta0, params.delta, k)
-    p, q = _pq_at_x2(params.beta0, params.n, params.delta, k, A)
+    p, q = _pq_at_x2(params.beta0, params.n, params.delta, *_check_delay(params, r))
     v = -p * r
     if v > 1.0:
         raise DomainError(f"T_inv argument -p*r = {v} > 1 at r = {r}")

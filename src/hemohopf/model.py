@@ -18,7 +18,7 @@ by the chain rule, with A' = n (A - 1)/x and A'' = (n - 1) A'/x.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import ParameterError
 
@@ -59,13 +59,14 @@ def _k_of(gamma: float, r: float) -> float:
     return 2.0 * math.exp(-gamma * r)
 
 
-def _check_delay(gamma: float, r: float) -> float:
-    # k at a new delay r of checked parameters, with the refusals of
-    # ModelParameters in its order: derive_k's, then a type neither int nor float
-    k = derive_k(gamma, r)
+def _check_delay(params: ModelParameters, r: float) -> Tuple[float, float]:
+    # (k, A) at a new delay r of checked parameters, with the refusals of
+    # ModelParameters in its order: derive_k's, then a type neither int nor float,
+    # then a non-finite A
+    k = derive_k(params.gamma, r)
     if not isinstance(r, (int, float)):  # e.g. numpy.float32
         raise ParameterError(f"r must be a finite number, got {r!r}")
-    return k
+    return k, _checked_A(params.beta0, params.delta, k)
 
 
 def _checked_A(beta0: float, delta: float, k: float) -> float:
@@ -170,8 +171,7 @@ class ModelParameters(_CheckedRecord, _ModelParameterFields):
         constructor's checks when `self` was built, as every instance does,
         and k = 2 exp(-gamma r) is consistent by construction.
         """
-        k = _check_delay(self.gamma, r)
-        _checked_A(self.beta0, self.delta, k)
+        k, _ = _check_delay(self, r)
         return self._unchecked(self.beta0, self.n, self.delta, self.gamma, r, k)
 
     @property

@@ -268,6 +268,10 @@ def test_stability_grid_count_at_the_cap_is_accepted(config_path):
     assert (len(grid), grid[0], grid[-1]) == (cli.MAX_GRID_POINTS, 0.1, 0.3)
 
 
+def test_the_argument_parser_is_built_once_per_process():
+    assert cli._build_argparser() is cli._build_argparser()
+
+
 @pytest.mark.parametrize("flags", [
     ["--t-end", "1e12"],
     ["--t-end", "inf"],
@@ -708,7 +712,7 @@ def test_bracket_end_negative_or_not_finite_is_refused_before_evaluation(
     gamma_config_path, capsys, monkeypatch, bracket
 ):
     def no_evaluation(*args):
-        raise AssertionError(f"evaluated the frontier mismatch at r = {args[-1]}")
+        raise AssertionError(f"evaluated the frontier mismatch at r = {args[4]}")
 
     monkeypatch.setattr(hopf, "_mismatch", no_evaluation)
     assert cli.main(["hopf", gamma_config_path, "--bracket", *bracket]) == 2
@@ -1045,9 +1049,9 @@ def test_gamma_hopf_evaluates_the_mismatch_once_per_delay(gamma_config_path, cap
     # the bracket, and 5 Illinois iterates; the bracket ends are not evaluated again
     delays, mismatch = [], hopf._mismatch
 
-    def counted(beta0, n, delta, gamma, seen, r):
+    def counted(beta0, n, delta, seen, r, k, A):
         delays.append(r)
-        return mismatch(beta0, n, delta, gamma, seen, r)
+        return mismatch(beta0, n, delta, seen, r, k, A)
 
     monkeypatch.setattr(hopf, "_mismatch", counted)
     assert cli.main(["hopf", gamma_config_path]) == 0

@@ -286,8 +286,8 @@ def _agreement_bound(fields, r_star):
     # each search stops where |D| < 4 ulp(r) or its bracket is 4 ulps wide, so
     # two roots agree to a few ulps of r, over |D'| where D' is small: in
     # the narrow window D' = -6.7e-3, and 8 ulps over it are 1.7e-13 relative
-    slope = (hopf._mismatch(*fields, {}, r_star + 1e-9)
-             - hopf._mismatch(*fields, {}, r_star - 1e-9)) / 2e-9
+    slope = (hopf._unchecked_mismatch(*fields, {}, r_star + 1e-9)
+             - hopf._unchecked_mismatch(*fields, {}, r_star - 1e-9)) / 2e-9
     return 8.0 * math.ulp(r_star) * max(1.0, 1.0 / abs(slope))
 
 
@@ -659,8 +659,8 @@ def test_find_hopf_r_refuses_a_sign_change_of_d_that_is_no_crossing(ref_params, 
     # it returns is no crossing delay, and the record's check of r* refuses it
     kernel, search, roots = hopf._mismatch, hopf.bracketed_root, []
 
-    def jumping(beta0, n, delta, gamma, seen, r):
-        return kernel(beta0, n, delta, gamma, seen, r) - (1.0 if r > 0.32 else 0.0)
+    def jumping(beta0, n, delta, seen, r, k, A):
+        return kernel(beta0, n, delta, seen, r, k, A) - (1.0 if r > 0.32 else 0.0)
 
     def recorded(*args, **kwargs):
         roots.append(search(*args, **kwargs))
@@ -790,7 +790,8 @@ def test_the_iterated_mismatch_kernel_is_the_reference_to_the_bit(name):
         if expected == (ParameterError, "A = beta0 (k - 1)/delta must be finite, got inf"):
             overflowing.append(r)
             continue
-        outcome = moved_delay_outcome(lambda rr, _: hopf._mismatch(*fields, {}, rr), r, params)
+        outcome = moved_delay_outcome(lambda rr, _: hopf._unchecked_mismatch(*fields, {}, rr),
+                                      r, params)
         assert outcome == expected, r
     assert overflowing == admitted[:len(overflowing)]
     assert bool(overflowing) == (name == "near-float-limit")
@@ -800,14 +801,14 @@ def test_the_iterated_mismatch_kernel_is_the_reference_to_the_bit(name):
 def test_find_hopf_r_takes_the_reference_iterates(draw, monkeypatch):
     hp = hopf.hopf_from_pqk(*draw)
     located = hopf.find_hopf_r(hp.params, _frontier_bracket(hp))
-    fields = (hp.params.beta0, hp.params.n, hp.params.delta, hp.params.gamma)
+    fields = (hp.params.beta0, hp.params.n, hp.params.delta)
     delays, kernel = [], hopf._mismatch
 
     def reference_kernel(*args):
         # the kernel still runs, as the record at r* takes k, A, p and q from
         # its evaluation there; the search goes on from the reference value
-        assert args[:4] == fields
-        r = args[5]
+        assert args[:3] == fields
+        r = args[4]
         delays.append(r)
         expected = reference_frontier_mismatch(r, hp.params)
         assert repr(kernel(*args)) == repr(expected), r
@@ -818,6 +819,22 @@ def test_find_hopf_r_takes_the_reference_iterates(draw, monkeypatch):
     assert hopf.find_hopf_r(hp.params, _frontier_bracket(hp)) == located
     # the patch reached the iteration, not only the two bracket ends
     assert len(delays) > 2
+
+
+def test_find_hopf_r_forms_k_once_per_delay(ref_params, monkeypatch):
+    # a bracket end's D takes the k its checks formed, an iterate's D forms k
+    # unchecked, and g forms it once more at r*
+    formed, delays, kernel = [], [], hopf._mismatch
+
+    def counted(beta0, n, delta, seen, r, k, A):
+        delays.append(r)
+        return kernel(beta0, n, delta, seen, r, k, A)
+
+    _count_calls(monkeypatch, model, "_k_of", formed)
+    _count_calls(monkeypatch, hopf, "_k_of", formed)
+    monkeypatch.setattr(hopf, "_mismatch", counted)
+    hopf.find_hopf_r(ref_params, (0.30, 0.40))
+    assert len(formed) == len(set(delays)) + 1
 
 
 # -------------------------------------------------------------- transversality

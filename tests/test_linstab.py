@@ -663,7 +663,7 @@ def _illinois_cases():
             hp = hopf.hopf_from_pqk(*draw)
         except ParameterError:
             continue
-        mismatch = lambda r, prm=hp.params: hopf._mismatch(  # noqa: E731
+        mismatch = lambda r, prm=hp.params: hopf._unchecked_mismatch(  # noqa: E731
             prm.beta0, prm.n, prm.delta, prm.gamma, {}, r)
         r_max = model.equilibria(hp.params).r_max
         for low in (0.9, 0.93):

@@ -3,7 +3,10 @@ suites and the paper's checks enter every src function that is not allowlisted.
 
 usage: python tools/tier1.py
 
-Runs ``pytest -q --continue-on-collection-errors`` in this process, from the
+First builds the compiled kernel into its cache in a child,
+``python -m hemohopf.kernel``, and prints the loops it reports, so that the
+reach report does not depend on whether the cache was warm.  Then runs
+``pytest -q --continue-on-collection-errors`` in this process, from the
 repository root, with ``src`` on PYTHONPATH for the child interpreters the
 tests start.  A plugin takes each test's outcome from its reports, and records
 under ``sys.settrace`` the src lines and functions executed while the initial
@@ -23,6 +26,7 @@ later (``co_qualname``).
 import ast
 import contextlib
 import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -51,7 +55,7 @@ ALLOWED = {
     "linstab.char_root_newton.<locals>.residual": _BENCHMARK_LOOKS_IT_UP,
     "model._CheckedRecord._make": ("keeps _make and _replace from skipping the checks; "
                                    "tests/test_records.py reaches it"),
-    "ddesim._build": "runs only when the kernel cache is cold",
+    "ddesim._build": "main builds the kernel in a child before the suite runs",
     "ddesim.Trajectory.at": ("tests/test_hopf.py::test_center_manifold_matches_the_flow "
                              "evaluates the cycle between nodes with it"),
 }
@@ -183,9 +187,14 @@ def main():
     os.chdir(ROOT)
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                              os.environ.get("PYTHONPATH")]))
+    kernel = subprocess.run([sys.executable, "-m", "hemohopf.kernel"],
+                            stdout=subprocess.PIPE, text=True)
+    print(f"tier1: ddesim loops: {kernel.stdout.strip()}")
+    failures = [] if kernel.returncode == 0 else [f"hemohopf.kernel exited {kernel.returncode}"]
     plugin = Tier1()
     code = pytest.main(["-q", "--continue-on-collection-errors"], plugins=[plugin])
-    failures = [] if code in (0, 1) else [f"pytest exited {code}"]  # 1: tests failed
+    if code not in (0, 1):  # 1: tests failed
+        failures.append(f"pytest exited {code}")
     failures += outcome_failures(plugin.outcomes)
     failures += reach_failures(plugin.lines, plugin.entered)
     for failure in failures:
